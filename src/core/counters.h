@@ -53,6 +53,11 @@ struct SolverCounters {
   // reuses when the raw bandwidths/spectral efficiencies are bit-unchanged.
   std::uint64_t arena_precomputes = 0;
   std::uint64_t arena_precompute_reuses = 0;
+  // core/sharded drivers, per component: subproblems extracted after a
+  // rebuild() of the global problem vs. subproblems reused (weights
+  // re-copied only) by a later solve of the same build.
+  std::uint64_t shard_extractions = 0;
+  std::uint64_t shard_extraction_reuses = 0;
 
   void merge(const SolverCounters& other);
   void reset() { *this = SolverCounters{}; }

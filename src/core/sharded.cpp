@@ -11,14 +11,33 @@ namespace eotora::core {
 
 namespace {
 
-// Sizes the per-shard workspace slots. problems only grows so extracted
-// arenas are reused rebuild()-style across solves; the per-slot containers
-// are overwritten wholesale by the workers.
-void plan_workspace(ShardedWorkspace& ws, std::size_t count) {
+// Sizes the per-shard workspace slots and brings ws.problems[0, count) up
+// to date with `problem`. A subproblem's options and p-values change only
+// when `problem` is rebuilt, so each component is extracted once per
+// build_id() and reused by every later solve of that build (the z BDMA
+// iterations of a slot); the weights, which set_frequencies moves between
+// iterations, are re-copied on every call. Runs on the calling thread, so
+// the extracted arenas stay out of the pool workers' malloc arenas.
+void plan_subproblems(const WcgProblem& problem, const WcgComponents& split,
+                      ShardedWorkspace& ws) {
+  const std::size_t count = split.count;
   if (ws.problems.size() < count) ws.problems.resize(count);
   ws.initials.resize(count);
   ws.results.resize(count);
   ws.loads.resize(count);
+  if (problem.build_id() != 0 && ws.extracted_build == problem.build_id()) {
+    for (std::size_t c = 0; c < count; ++c) {
+      problem.copy_component_weights(split, c, ws.problems[c]);
+    }
+    counters::active().shard_extraction_reuses += count;
+    return;
+  }
+  ws.extracted_build = 0;  // never matches a half-finished extraction
+  for (std::size_t c = 0; c < count; ++c) {
+    problem.extract_component(split, c, ws.problems[c]);
+  }
+  ws.extracted_build = problem.build_id();
+  counters::active().shard_extractions += count;
 }
 
 // Copies each component's slice of the per-device fields back into the
@@ -58,6 +77,8 @@ ShardedResult cgba_sharded_from(const WcgProblem& problem,
                                 std::size_t workers,
                                 ShardedWorkspace* workspace) {
   EOTORA_REQUIRE(workers >= 1);
+  EOTORA_REQUIRE_MSG(initial.size() == problem.num_devices(),
+                     "initial profile entries=" << initial.size());
   ShardedWorkspace local;
   ShardedWorkspace& ws = workspace != nullptr ? *workspace : local;
 
@@ -69,9 +90,8 @@ ShardedResult cgba_sharded_from(const WcgProblem& problem,
     out.shards = split->count;
     out.shard_counters.assign(split->count, counters::SolverCounters{});
     if (split->count > 1) {
-      plan_workspace(ws, split->count);
+      plan_subproblems(problem, *split, ws);
       for (std::size_t c = 0; c < split->count; ++c) {
-        problem.extract_component(*split, c, ws.problems[c]);
         const std::span<const std::uint32_t> devices = split->devices_of(c);
         ws.initials[c].resize(devices.size());
         for (std::size_t i = 0; i < devices.size(); ++i) {
@@ -139,13 +159,12 @@ ShardedResult mcba_sharded(const WcgProblem& problem, const McbaConfig& config,
     out.shards = split->count;
     out.shard_counters.assign(split->count, counters::SolverCounters{});
     if (split->count > 1) {
-      plan_workspace(ws, split->count);
+      plan_subproblems(problem, *split, ws);
       // Seeds are drawn sequentially in component order on the calling
       // thread, so every worker count consumes `rng` identically.
       ws.seeds.resize(split->count);
       for (std::size_t c = 0; c < split->count; ++c) {
         ws.seeds[c] = rng.engine()();
-        problem.extract_component(*split, c, ws.problems[c]);
       }
     }
   }

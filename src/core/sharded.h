@@ -6,9 +6,11 @@
 // state. The drivers here exploit that: WcgProblem::components() finds the
 // decomposition (cached across structure-preserving rebuilds),
 // extract_component() repacks each component into a self-contained
-// subproblem bit-for-bit, the per-shard solves run concurrently on
-// util::ThreadPool, and the merge recombines profiles / costs / counters in
-// component order so the output is identical for every worker count.
+// subproblem bit-for-bit — once per rebuild() of the global problem, later
+// solves of the same build re-copying only the weights — the per-shard
+// solves run concurrently on util::ThreadPool, and the merge recombines
+// profiles / costs / counters in component order so the output is
+// identical for every worker count.
 //
 // Exactness contracts (pinned by tests/test_sharded.cpp):
 //   * cgba_sharded(_from) returns the SAME SolveResult bits as the global
@@ -29,6 +31,8 @@
 // returned per-shard SolverCounters partition the solve's effort; the
 // merged totals are flushed into counters::active() in component order
 // (uint64 addition commutes, so totals are thread-count independent).
+// Planning counts shard_extractions / shard_extraction_reuses, one per
+// component, straight into the caller's active() sink.
 #pragma once
 
 #include <cstddef>
@@ -56,9 +60,13 @@ struct ShardedResult {
 // Reusable scratch for the sharded drivers: per-shard extracted problems,
 // initial profiles, results, final loads, seeds, and the merged load
 // buffer. A caller that keeps one workspace across a simulation horizon
-// (BdmaWorkspace does) pays no per-solve arena reallocation. Not
-// thread-safe: one workspace per concurrent caller.
+// (BdmaWorkspace does) pays no per-solve arena reallocation, and repeated
+// solves of one build of the global problem (the z BDMA iterations of a
+// slot) extract its components only once. Not thread-safe: one workspace
+// per concurrent caller.
 struct ShardedWorkspace {
+  // build_id() of the problem `problems` were extracted from; 0 = none.
+  std::uint64_t extracted_build = 0;
   std::vector<WcgProblem> problems;
   std::vector<Profile> initials;
   std::vector<SolveResult> results;

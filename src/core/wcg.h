@@ -115,6 +115,14 @@ class WcgProblem {
   void rebuild(const Instance& instance, const SlotState& state,
                const Frequencies& frequencies);
 
+  // Process-unique id of the last successful rebuild(): no two rebuilds
+  // share one, and default-constructed or extract_component() problems
+  // carry 0. Equal nonzero ids mean identical options and p-values (a copy
+  // keeps its source's id); only the weights may differ, through
+  // set_frequencies. The sharded drivers key their extracted subproblems
+  // on it.
+  [[nodiscard]] std::uint64_t build_id() const { return build_id_; }
+
   [[nodiscard]] std::size_t num_devices() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
@@ -212,6 +220,12 @@ class WcgProblem {
   void extract_component(const WcgComponents& split, std::size_t c,
                          WcgProblem& out) const;
 
+  // Re-copies this problem's current weights into `out`, which must hold
+  // component `c` of `split` as extract_component() produced it from this
+  // build — the O(resources) refresh a set_frequencies() call needs.
+  void copy_component_weights(const WcgComponents& split, std::size_t c,
+                              WcgProblem& out) const;
+
   // Drops the cached structure signature so the next components() call runs
   // the full union-find sweep even if the structure is unchanged. Only for
   // benchmarks and tests that need to time/pin the from-scratch path;
@@ -241,14 +255,20 @@ class WcgProblem {
   std::vector<double> inv_access_bw_;         // 1 / W^A_k
   std::vector<double> inv_fronthaul_bw_;      // 1 / W^F_k
   std::vector<double> fronthaul_se_;          // h^F_k
-  // rebuild() scratch for the batched per-device sqrt(f_i / σ_{i,·}) row.
+  // rebuild() scratch for the batched per-device sqrt(f_i / σ_{i,s}) over
+  // the servers device i reaches: server s sits at position reach_slot_[s]
+  // of the compact rows iff reach_stamp_[s] == i.
+  std::vector<std::uint32_t> reach_stamp_;
+  std::vector<std::uint32_t> reach_slot_;
   std::vector<double> task_cycles_row_;
+  std::vector<double> sigma_row_;
   std::vector<double> sqrt_compute_row_;
   // resource -> arena indices of options touching it (CSR layout).
   std::vector<std::size_t> index_offsets_;  // num_resources + 1
   std::vector<std::uint32_t> index_entries_;
   std::size_t num_servers_ = 0;
   std::size_t num_base_stations_ = 0;
+  std::uint64_t build_id_ = 0;
 
   // Lazy component cache (see components()). The signature captures the
   // connectivity structure — per-option (bs, server) plus the offset table —

@@ -1,5 +1,6 @@
 // Shared fixtures: small hand-built MEC instances with known structure, used
-// across the core solver tests.
+// across the core solver tests, and the multi-component grouped worlds the
+// sharded-solver and rebuild suites fuzz over.
 #pragma once
 
 #include <memory>
@@ -81,6 +82,89 @@ inline core::SlotState random_state(std::size_t devices,
     }
   }
   state.price_per_mwh = rng.uniform(20.0, 90.0);
+  return state;
+}
+
+// A topology made of 1-3 isolated station groups: each group has its own
+// cluster (1-3 servers) and 1-2 stations wired only to that cluster. The
+// channel states below zero out every cross-group link, so the WCG
+// decomposes along group lines — one component per group that has devices.
+struct GroupedWorld {
+  std::shared_ptr<topology::Topology> topology;
+  std::size_t groups = 0;
+  std::vector<std::size_t> station_group;
+  std::vector<std::size_t> device_group;
+};
+
+inline GroupedWorld random_grouped_world(util::Rng& rng) {
+  GroupedWorld world;
+  topology::TopologyBuilder builder;
+  builder.set_region({1000.0, 1000.0});
+  world.groups = 1 + rng.index(3);
+  auto model = std::make_shared<energy::QuadraticEnergy>(
+      rng.uniform(1.0, 8.0), rng.uniform(0.0, 5.0), rng.uniform(5.0, 40.0));
+  std::size_t servers = 0;
+  std::size_t stations = 0;
+  for (std::size_t g = 0; g < world.groups; ++g) {
+    const topology::ClusterId cluster = builder.add_cluster(
+        "c" + std::to_string(g),
+        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+    const std::size_t count = 1 + rng.index(3);
+    for (std::size_t j = 0; j < count; ++j) {
+      const double lo = rng.uniform(1.0, 2.5);
+      builder.add_server("s" + std::to_string(servers++), cluster,
+                         rng.bernoulli(0.5) ? 64 : 128, lo,
+                         lo + rng.uniform(0.5, 1.5), model);
+    }
+    const std::size_t local_stations = 1 + rng.index(2);
+    for (std::size_t k = 0; k < local_stations; ++k) {
+      builder.add_base_station(
+          "b" + std::to_string(stations),
+          {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
+          topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
+          rng.uniform(0.5e9, 1e9), 10.0, {cluster});
+      world.station_group.push_back(g);
+      ++stations;
+    }
+  }
+  const std::size_t devices = 4 + rng.index(9);
+  for (std::size_t i = 0; i < devices; ++i) {
+    builder.add_device("d" + std::to_string(i),
+                       {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+    world.device_group.push_back(rng.index(world.groups));
+  }
+  world.topology = std::make_shared<topology::Topology>(builder.build());
+  return world;
+}
+
+// Random state whose channel matrix only links a device to its own group's
+// stations (at least one of them).
+inline core::SlotState grouped_state(const GroupedWorld& world,
+                                     util::Rng& rng) {
+  const topology::Topology& topo = *world.topology;
+  core::SlotState state;
+  state.slot = 0;
+  const std::size_t devices = topo.num_devices();
+  const std::size_t stations = topo.num_base_stations();
+  state.task_cycles.resize(devices);
+  state.data_bits.resize(devices);
+  state.channel.assign(devices, std::vector<double>(stations, 0.0));
+  for (std::size_t i = 0; i < devices; ++i) {
+    state.task_cycles[i] = rng.uniform(1e7, 5e8);
+    state.data_bits[i] = rng.uniform(1e6, 2e7);
+    const std::size_t group = world.device_group[i];
+    std::vector<std::size_t> own;
+    for (std::size_t k = 0; k < stations; ++k) {
+      if (world.station_group[k] != group) continue;
+      own.push_back(k);
+      if (rng.bernoulli(0.7)) state.channel[i][k] = rng.uniform(15.0, 50.0);
+    }
+    bool any = false;
+    for (const std::size_t k : own) any = any || state.channel[i][k] > 0.0;
+    if (!any) state.channel[i][own[rng.index(own.size())]] =
+        rng.uniform(15.0, 50.0);
+  }
+  state.price_per_mwh = rng.uniform(5.0, 300.0);
   return state;
 }
 

@@ -155,6 +155,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   b.lemma1_evaluations = 8;
   b.component_finds = 9;
   b.component_reuses = 10;
+  b.shard_extractions = 11;
+  b.shard_extraction_reuses = 12;
   SolverCounters merged = a;
   merged.merge(b);
   EXPECT_EQ(merged.cgba_rounds, 1u);
@@ -167,6 +169,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   EXPECT_EQ(merged.lemma1_evaluations, 8u);
   EXPECT_EQ(merged.component_finds, 9u);
   EXPECT_EQ(merged.component_reuses, 10u);
+  EXPECT_EQ(merged.shard_extractions, 11u);
+  EXPECT_EQ(merged.shard_extraction_reuses, 12u);
   EXPECT_NE(merged, a);
   SolverCounters again = a;
   again.merge(b);
@@ -185,7 +189,8 @@ TEST(CountersTest, ToJsonListsEveryCounterFieldInOrder) {
       "bdma_iterations",   "engine_rebuilds",
       "engine_term_refreshes", "lemma1_evaluations",
       "component_finds",   "component_reuses",
-      "arena_precomputes", "arena_precompute_reuses"};
+      "arena_precomputes", "arena_precompute_reuses",
+      "shard_extractions", "shard_extraction_reuses"};
   ASSERT_EQ(json.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(json.items()[i].first, expected[i]) << i;

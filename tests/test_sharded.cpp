@@ -6,108 +6,33 @@
 //   - cgba_sharded == cgba and mcba_sharded == mcba EXACTLY (EXPECT_EQ on
 //     doubles) — the paper-figure reproducibility guarantee extends to the
 //     sharded drivers for every worker count;
-//   - per-shard counters partitioning the solve's flushed totals.
+//   - per-shard counters partitioning the solve's flushed totals;
+//   - subproblems extracted once per build and reused across solves:
+//     sharded BDMA over several metro slots == global BDMA, and a workspace
+//     shared by alternating problems == a fresh workspace, call by call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "core/bdma.h"
 #include "core/cgba.h"
 #include "core/counters.h"
 #include "core/mcba.h"
 #include "core/sharded.h"
 #include "core/wcg.h"
-#include "energy/quadratic_energy.h"
 #include "sim/scenario.h"
 #include "test_helpers.h"
-#include "topology/builder.h"
 #include "util/rng.h"
 
 namespace eotora::core {
 namespace {
 
-// A topology made of 1-3 isolated station groups: each group has its own
-// cluster (1-3 servers) and 1-2 stations wired only to that cluster. The
-// channel states below zero out every cross-group link, so the WCG
-// decomposes along group lines — one component per group that has devices.
-struct GroupedWorld {
-  std::shared_ptr<topology::Topology> topology;
-  std::size_t groups = 0;
-  std::vector<std::size_t> station_group;
-  std::vector<std::size_t> device_group;
-};
-
-GroupedWorld random_grouped_world(util::Rng& rng) {
-  GroupedWorld world;
-  topology::TopologyBuilder builder;
-  builder.set_region({1000.0, 1000.0});
-  world.groups = 1 + rng.index(3);
-  auto model = std::make_shared<energy::QuadraticEnergy>(
-      rng.uniform(1.0, 8.0), rng.uniform(0.0, 5.0), rng.uniform(5.0, 40.0));
-  std::size_t servers = 0;
-  std::size_t stations = 0;
-  for (std::size_t g = 0; g < world.groups; ++g) {
-    const topology::ClusterId cluster = builder.add_cluster(
-        "c" + std::to_string(g),
-        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
-    const std::size_t count = 1 + rng.index(3);
-    for (std::size_t j = 0; j < count; ++j) {
-      const double lo = rng.uniform(1.0, 2.5);
-      builder.add_server("s" + std::to_string(servers++), cluster,
-                         rng.bernoulli(0.5) ? 64 : 128, lo,
-                         lo + rng.uniform(0.5, 1.5), model);
-    }
-    const std::size_t local_stations = 1 + rng.index(2);
-    for (std::size_t k = 0; k < local_stations; ++k) {
-      builder.add_base_station(
-          "b" + std::to_string(stations),
-          {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
-          topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
-          rng.uniform(0.5e9, 1e9), 10.0, {cluster});
-      world.station_group.push_back(g);
-      ++stations;
-    }
-  }
-  const std::size_t devices = 4 + rng.index(9);
-  for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
-                       {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
-    world.device_group.push_back(rng.index(world.groups));
-  }
-  world.topology = std::make_shared<topology::Topology>(builder.build());
-  return world;
-}
-
-// Random state whose channel matrix only links a device to its own group's
-// stations (at least one of them).
-SlotState grouped_state(const GroupedWorld& world, util::Rng& rng) {
-  const topology::Topology& topo = *world.topology;
-  SlotState state;
-  state.slot = 0;
-  const std::size_t devices = topo.num_devices();
-  const std::size_t stations = topo.num_base_stations();
-  state.task_cycles.resize(devices);
-  state.data_bits.resize(devices);
-  state.channel.assign(devices, std::vector<double>(stations, 0.0));
-  for (std::size_t i = 0; i < devices; ++i) {
-    state.task_cycles[i] = rng.uniform(1e7, 5e8);
-    state.data_bits[i] = rng.uniform(1e6, 2e7);
-    const std::size_t group = world.device_group[i];
-    std::vector<std::size_t> own;
-    for (std::size_t k = 0; k < stations; ++k) {
-      if (world.station_group[k] != group) continue;
-      own.push_back(k);
-      if (rng.bernoulli(0.7)) state.channel[i][k] = rng.uniform(15.0, 50.0);
-    }
-    bool any = false;
-    for (const std::size_t k : own) any = any || state.channel[i][k] > 0.0;
-    if (!any) state.channel[i][own[rng.index(own.size())]] =
-        rng.uniform(15.0, 50.0);
-  }
-  state.price_per_mwh = rng.uniform(5.0, 300.0);
-  return state;
-}
+using test::GroupedWorld;
+using test::grouped_state;
+using test::random_grouped_world;
 
 // Naive component oracle: label propagation to a fixpoint over the
 // device + resource node set — a different algorithm from the path-halving
@@ -409,6 +334,229 @@ TEST(ShardedMetroScenario, OneComponentPerDistrictAcrossSlots) {
     problem.rebuild(instance, state, instance.max_frequencies());
     ASSERT_EQ(problem.components().count, config.metro_districts)
         << "slot " << slot;
+  }
+}
+
+// A 4-district metro scenario small enough for bit-for-bit comparisons.
+sim::ScenarioConfig small_metro_config() {
+  sim::ScenarioConfig config;
+  config.metro_districts = 4;
+  config.devices = 32;
+  config.servers_per_cluster = 2;
+  return config;
+}
+
+// cgba_sharded_from checks the initial profile's size as cgba_from does,
+// instead of ignoring extra entries or scattering entries that do not
+// exist into the shards.
+TEST(ShardedMetroScenario, ShardedFromRejectsWrongSizedInitialProfile) {
+  sim::Scenario scenario(small_metro_config());
+  const Instance& instance = scenario.instance();
+  const WcgProblem problem(instance, scenario.next_state(),
+                           instance.max_frequencies());
+  ASSERT_GT(problem.components().count, 1u);
+  for (const std::size_t size :
+       {problem.num_devices() + 5, problem.num_devices() - 5}) {
+    const Profile initial(size, 0);
+    EXPECT_THROW((void)cgba_from(problem, {}, initial), std::invalid_argument)
+        << size << " entries";
+    EXPECT_THROW((void)cgba_sharded_from(problem, {}, initial, 2),
+                 std::invalid_argument)
+        << size << " entries";
+  }
+}
+
+// build_id() names one rebuild: fresh for every rebuild, kept by copies and
+// by set_frequencies, and 0 on problems no successful rebuild produced — so
+// a cached extraction can only match the build it was taken from.
+TEST(ShardedMetroScenario, BuildIdIdentifiesOneRebuild) {
+  EXPECT_EQ(WcgProblem{}.build_id(), 0u);
+  sim::Scenario scenario(small_metro_config());
+  const Instance& instance = scenario.instance();
+  WcgProblem problem(instance, scenario.next_state(),
+                     instance.max_frequencies());
+  const std::uint64_t first = problem.build_id();
+  EXPECT_NE(first, 0u);
+  const WcgProblem copy = problem;
+  EXPECT_EQ(copy.build_id(), first);
+  problem.set_frequencies(instance, instance.min_frequencies());
+  EXPECT_EQ(problem.build_id(), first);
+
+  problem.rebuild(instance, scenario.next_state(), instance.max_frequencies());
+  EXPECT_NE(problem.build_id(), first);
+  EXPECT_NE(problem.build_id(), 0u);
+  WcgProblem sub;
+  problem.extract_component(problem.components(), 0, sub);
+  EXPECT_EQ(sub.build_id(), 0u);
+
+  SlotState blackout = scenario.next_state();
+  for (double& h : blackout.channel[0]) h = 0.0;
+  EXPECT_THROW(
+      problem.rebuild(instance, blackout, instance.max_frequencies()),
+      std::invalid_argument);
+  EXPECT_EQ(problem.build_id(), 0u);
+}
+
+// Sharded BDMA on one persistent workspace extracts each component once per
+// slot and, for the other z - 1 iterations, reuses it with the weights
+// re-copied from the frequencies P2-B produced. Every slot must still equal
+// the global BDMA bit for bit, under both CGBA selection rules and MCBA
+// (whose unsharded mcba() extracts afresh on every call).
+TEST(ShardedMetroScenario, BdmaReusingSubproblemsEqualsGlobal) {
+  const sim::ScenarioConfig scenario_config = small_metro_config();
+  const std::size_t components = scenario_config.metro_districts;
+  constexpr std::size_t kSlots = 4;
+  constexpr std::size_t kIterations = 5;
+  struct Arm {
+    const char* name;
+    P2aSolverKind solver;
+    CgbaSelection selection;
+  };
+  for (const Arm arm :
+       {Arm{"cgba max-gap", P2aSolverKind::kCgba, CgbaSelection::kMaxGap},
+        Arm{"cgba round-robin", P2aSolverKind::kCgba,
+            CgbaSelection::kRoundRobin},
+        Arm{"mcba", P2aSolverKind::kMcba, CgbaSelection::kMaxGap}}) {
+    SCOPED_TRACE(arm.name);
+    sim::Scenario scenario(scenario_config);
+    const Instance& instance = scenario.instance();
+    BdmaConfig global_config;
+    global_config.iterations = kIterations;
+    global_config.solver = arm.solver;
+    global_config.cgba.selection = arm.selection;
+    global_config.mcba.iterations = 400;
+    BdmaConfig sharded_config = global_config;
+    sharded_config.cgba.shard_workers = 3;
+    sharded_config.mcba.shard_workers = 3;
+
+    BdmaWorkspace global_workspace;
+    BdmaWorkspace sharded_workspace;
+    util::Rng global_rng(41);
+    util::Rng sharded_rng(41);
+    counters::SolverCounters global_counters;
+    counters::SolverCounters sharded_counters;
+    bool weights_moved = false;
+    for (std::size_t slot = 0; slot < kSlots; ++slot) {
+      const SlotState state = scenario.next_state();
+      // A growing backlog makes P2-B trade energy against latency, so the
+      // frequencies move between iterations.
+      const double q = 40.0 * static_cast<double>(slot);
+      BdmaResult global;
+      BdmaResult sharded;
+      {
+        const counters::Scope scope(global_counters);
+        global = bdma(instance, state, 100.0, q, global_config, global_rng,
+                      global_workspace);
+      }
+      {
+        const counters::Scope scope(sharded_counters);
+        sharded = bdma(instance, state, 100.0, q, sharded_config,
+                       sharded_rng, sharded_workspace);
+      }
+      ASSERT_EQ(sharded.assignment.bs_of, global.assignment.bs_of) << slot;
+      ASSERT_EQ(sharded.assignment.server_of, global.assignment.server_of)
+          << slot;
+      ASSERT_EQ(sharded.frequencies, global.frequencies) << slot;
+      ASSERT_EQ(sharded.objective, global.objective) << slot;  // exact bits
+      ASSERT_EQ(sharded.latency, global.latency) << slot;
+      ASSERT_EQ(sharded.theta, global.theta) << slot;
+      ASSERT_EQ(sharded.objective_history, global.objective_history) << slot;
+      ASSERT_EQ(sharded.p2a_iterations, global.p2a_iterations) << slot;
+      ASSERT_EQ(sharded_rng.engine(), global_rng.engine()) << slot;
+
+      // The last iteration solved at P2-B's frequencies, not at Ω^L.
+      const WcgProblem at_min(instance, state, instance.min_frequencies());
+      const std::span<const double> last = sharded_workspace.problem.weights();
+      const std::span<const double> first = at_min.weights();
+      weights_moved = weights_moved || !std::equal(last.begin(), last.end(),
+                                                   first.begin(), first.end());
+    }
+    EXPECT_TRUE(weights_moved);
+    EXPECT_EQ(sharded_counters.shard_extractions, kSlots * components);
+    EXPECT_EQ(sharded_counters.shard_extraction_reuses,
+              kSlots * (kIterations - 1) * components);
+    const std::uint64_t global_extractions =
+        arm.solver == P2aSolverKind::kMcba
+            ? kSlots * kIterations * components
+            : 0;
+    EXPECT_EQ(global_counters.shard_extractions, global_extractions);
+    EXPECT_EQ(global_counters.shard_extraction_reuses, 0u);
+  }
+}
+
+// One workspace handed two problems alternately — one of them again after a
+// frequency change, the other after a rebuild — answers every call exactly
+// as a fresh workspace does: cached subproblems are keyed on the build, not
+// on what the workspace saw last.
+TEST(ShardedMetroScenario, WorkspaceAlternatingProblemsEqualsFreshWorkspace) {
+  sim::ScenarioConfig config_b = small_metro_config();
+  config_b.seed += 1;
+  config_b.devices = 40;
+  sim::Scenario scenario_a(small_metro_config());
+  sim::Scenario scenario_b(config_b);
+  const Instance& instance_a = scenario_a.instance();
+  const Instance& instance_b = scenario_b.instance();
+  WcgProblem a(instance_a, scenario_a.next_state(),
+               instance_a.min_frequencies());
+  WcgProblem b(instance_b, scenario_b.next_state(),
+               instance_b.max_frequencies());
+
+  struct Call {
+    WcgProblem* problem;
+    bool cgba_reuses;  // the CGBA call finds this build in the workspace
+  };
+  const std::vector<Call> calls = {{&a, false}, {&b, false}, {&a, false},
+                                   {&a, true},  {&b, false}, {&b, false}};
+  ShardedWorkspace shared;
+  McbaConfig mcba_config;
+  mcba_config.iterations = 300;
+  for (std::size_t t = 0; t < calls.size(); ++t) {
+    SCOPED_TRACE(t);
+    WcgProblem& problem = *calls[t].problem;
+    if (t == 3) a.set_frequencies(instance_a, instance_a.max_frequencies());
+    if (t == 5) {
+      b.rebuild(instance_b, scenario_b.next_state(),
+                instance_b.min_frequencies());
+    }
+    const std::size_t count = problem.components().count;
+    ASSERT_GT(count, 1u);
+
+    counters::SolverCounters cgba_counters;
+    ShardedResult reused;
+    {
+      const counters::Scope scope(cgba_counters);
+      util::Rng rng(500 + t);
+      reused = cgba_sharded(problem, {}, rng, 2, &shared);
+    }
+    util::Rng fresh_rng(500 + t);
+    const ShardedResult fresh = cgba_sharded(problem, {}, fresh_rng, 2);
+    ASSERT_EQ(reused.result.profile, fresh.result.profile);
+    ASSERT_EQ(reused.result.cost, fresh.result.cost);  // exact bits
+    ASSERT_EQ(reused.result.iterations, fresh.result.iterations);
+    ASSERT_EQ(reused.shard_counters.size(), fresh.shard_counters.size());
+    for (std::size_t c = 0; c < count; ++c) {
+      EXPECT_TRUE(reused.shard_counters[c] == fresh.shard_counters[c]) << c;
+    }
+    EXPECT_EQ(cgba_counters.shard_extractions,
+              calls[t].cgba_reuses ? 0u : count);
+    EXPECT_EQ(cgba_counters.shard_extraction_reuses,
+              calls[t].cgba_reuses ? count : 0u);
+
+    // MCBA right after, on the same build: always a reuse.
+    counters::SolverCounters mcba_counters;
+    ShardedResult chained;
+    {
+      const counters::Scope scope(mcba_counters);
+      util::Rng rng(600 + t);
+      chained = mcba_sharded(problem, mcba_config, rng, 2, &shared);
+    }
+    util::Rng fresh_mcba_rng(600 + t);
+    const ShardedResult fresh_mcba =
+        mcba_sharded(problem, mcba_config, fresh_mcba_rng, 2);
+    ASSERT_EQ(chained.result.profile, fresh_mcba.result.profile);
+    ASSERT_EQ(chained.result.cost, fresh_mcba.result.cost);
+    EXPECT_EQ(mcba_counters.shard_extractions, 0u);
+    EXPECT_EQ(mcba_counters.shard_extraction_reuses, count);
   }
 }
 

@@ -12,18 +12,23 @@
 //     the paper-figure reproducibility guarantee rests on it.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/cgba.h"
 #include "core/dpp.h"
+#include "core/kernels/kernels.h"
 #include "core/latency.h"
 #include "core/lemma1.h"
 #include "core/mcba.h"
 #include "core/wcg.h"
 #include "energy/quadratic_energy.h"
 #include "sim/audit.h"
+#include "sim/scenario.h"
 #include "test_helpers.h"
 #include "topology/builder.h"
 #include "util/rng.h"
@@ -409,6 +414,84 @@ TEST(WcgRebuild, RebuildStillRejectsInfeasibleDevices) {
   for (auto& h : state.channel[1]) h = 0.0;  // device 1 blacked out
   EXPECT_THROW(problem.rebuild(instance, state, instance.max_frequencies()),
                std::invalid_argument);
+}
+
+// Options whose p_compute is not bitwise sqrt(f_i / σ_{i,n}) of `state`.
+std::size_t p_compute_mismatches(const WcgProblem& problem,
+                                 const Instance& instance,
+                                 const SlotState& state) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < problem.num_devices(); ++i) {
+    for (const Option& opt : problem.options(i)) {
+      const double expected =
+          std::sqrt(state.task_cycles[i] / instance.sigma()[i][opt.server]);
+      if (std::bit_cast<std::uint64_t>(opt.p_compute) !=
+          std::bit_cast<std::uint64_t>(expected)) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// Rebuilds one problem over `states` in order on every kernel backend the
+// CPU supports, checking every option's p_compute against the scalar chain
+// after each rebuild: stale per-device reach bookkeeping from the previous
+// slot, or a backend whose lanes round differently, shows up here.
+void expect_p_compute_oracle(const Instance& instance,
+                             const std::vector<SlotState>& states,
+                             const std::string& where) {
+  struct RestoreBackend {
+    std::string name = kernels::backend_name();
+    ~RestoreBackend() { kernels::set_backend(name); }
+  } restore;
+  for (const kernels::Backend* backend : kernels::available_backends()) {
+    kernels::set_backend(backend->name);
+    WcgProblem problem;
+    for (std::size_t t = 0; t < states.size(); ++t) {
+      problem.rebuild(instance, states[t], instance.max_frequencies());
+      EXPECT_EQ(p_compute_mismatches(problem, instance, states[t]), 0u)
+          << where << ", backend " << backend->name << ", slot " << t;
+    }
+  }
+}
+
+TEST(WcgRebuild, PComputeIsTheScalarChainAcrossRebuilds) {
+  {
+    sim::ScenarioConfig config;
+    config.devices = 20;
+    sim::Scenario scenario(config);
+    std::vector<SlotState> states;
+    for (int t = 0; t < 4; ++t) states.push_back(scenario.next_state());
+    expect_p_compute_oracle(scenario.instance(), states, "paper scenario");
+  }
+  {
+    sim::ScenarioConfig config;
+    config.metro_districts = 4;
+    config.devices = 32;
+    config.servers_per_cluster = 2;
+    sim::Scenario scenario(config);
+    std::vector<SlotState> states;
+    for (int t = 0; t < 4; ++t) states.push_back(scenario.next_state());
+    expect_p_compute_oracle(scenario.instance(), states, "metro scenario");
+  }
+  for (int seed = 0; seed < 25; ++seed) {
+    // Same worlds as the ShardedFuzz suite; each slot redraws which of its
+    // group's stations a device reaches.
+    util::Rng rng(110'000 + seed);
+    const test::GroupedWorld world = test::random_grouped_world(rng);
+    const std::size_t devices = world.topology->num_devices();
+    const Instance instance(
+        world.topology,
+        Instance::random_sigma(devices, world.topology->num_servers(), rng),
+        rng.uniform(0.1, 5.0));
+    std::vector<SlotState> states;
+    for (int t = 0; t < 3; ++t) {
+      states.push_back(test::grouped_state(world, rng));
+    }
+    expect_p_compute_oracle(instance, states,
+                            "grouped world " + std::to_string(seed));
+  }
 }
 
 // Scratch-buffer overloads return the same bits as the allocating ones.
