@@ -126,7 +126,8 @@ const std::vector<GoldenScenario>& golden_scenarios() {
 
 const std::vector<std::string>& golden_policies() {
   static const std::vector<std::string> policies = {
-      "dpp-bdma", "dpp-mcba", "dpp-ropt", "beta-only"};
+      "dpp-bdma",      "dpp-mcba",  "dpp-ropt",  "beta-only",
+      "greedy-budget", "fixed-max", "fixed-min", "mpc"};
   return policies;
 }
 
@@ -174,7 +175,14 @@ const std::vector<GoldenCase>& golden_cases() {
 }
 
 const PolicyParams& golden_policy_params() {
-  static const PolicyParams params{};
+  static const PolicyParams params = [] {
+    PolicyParams p;
+    // A 4-slot period lets mpc leave its greedy bootstrap inside the
+    // 12-16-slot tiny worlds (only mpc reads params.mpc).
+    p.mpc.period = 4;
+    p.mpc.window = 4;
+    return p;
+  }();
   return params;
 }
 

@@ -35,14 +35,15 @@ struct GoldenScenario {
   std::size_t horizon = 16;
 };
 
-// The committed fixture matrix: 3 small scenarios x 4 registry policies
+// The committed fixture matrix: 3 small scenarios x 8 registry policies
 // (dpp-bdma — the paper's EOTORA controller —, dpp-mcba, dpp-ropt,
-// beta-only).
+// beta-only, greedy-budget, fixed-max, fixed-min, mpc). fixed-frequency at
+// its default fraction 1.0 is fixed-max, so every registry name is pinned.
 [[nodiscard]] const std::vector<GoldenScenario>& golden_scenarios();
 [[nodiscard]] const std::vector<std::string>& golden_policies();
 // The scenario-diversity fixtures: one tiny world per registered non-paper
 // scenario preset (sim/scenario_registry.h), each paired with dpp-bdma
-// only — the presets drift-gate the GENERATORS, the 3x4 matrix above
+// only — the presets drift-gate the GENERATORS, the 3x8 matrix above
 // drift-gates the policies.
 [[nodiscard]] const std::vector<GoldenScenario>& golden_preset_scenarios();
 
@@ -52,7 +53,7 @@ struct GoldenCase {
   std::string policy;
 };
 // Every committed fixture, in fixture-file order: the full
-// golden_scenarios() x golden_policies() product (12), then
+// golden_scenarios() x golden_policies() product (24), then
 // golden_preset_scenarios() x dpp-bdma (4). golden_tool and the drift
 // gates iterate THIS list — new fixtures only need a new entry here.
 [[nodiscard]] const std::vector<GoldenCase>& golden_cases();

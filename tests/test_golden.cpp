@@ -1,6 +1,6 @@
 // Golden-trace layer: rounding, JSON round-trips, first-divergence diffs,
 // and agreement between the committed fixtures and freshly recorded traces.
-// (The full 3x4 fixture matrix is swept by the `golden_check` ctest target
+// (The full 3x8 fixture matrix is swept by the `golden_check` ctest target
 // via golden_tool; here one cell is re-derived in-process.)
 #include <gtest/gtest.h>
 
@@ -123,11 +123,11 @@ TEST(GoldenFixtures, FilenameAndMatrixShape) {
   EXPECT_EQ(sim::golden_fixture_filename("tiny-a", "dpp-bdma"),
             "tiny-a.dpp-bdma.json");
   EXPECT_EQ(sim::golden_scenarios().size(), 3u);
-  EXPECT_EQ(sim::golden_policies().size(), 4u);
+  EXPECT_EQ(sim::golden_policies().size(), 8u);
   // One preset fixture per registered non-paper scenario generator.
   EXPECT_EQ(sim::golden_preset_scenarios().size(),
             sim::registered_scenarios().size() - 1);
-  // The case list is the 3x4 product plus the preset x dpp-bdma fixtures.
+  // The case list is the 3x8 product plus the preset x dpp-bdma fixtures.
   EXPECT_EQ(sim::golden_cases().size(),
             sim::golden_scenarios().size() * sim::golden_policies().size() +
                 sim::golden_preset_scenarios().size());
@@ -183,7 +183,7 @@ TEST(GoldenFixtures, RecordingIsDeterministic) {
 }
 
 TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
-  // One cell of the matrix in-process; golden_tool check covers all 12.
+  // One cell of the matrix in-process; golden_tool check covers all 28.
   const GoldenScenario& gs = sim::golden_scenarios().front();
   const std::string path = std::string(EOTORA_GOLDEN_DIR) + "/" +
                            sim::golden_fixture_filename(gs.name, "dpp-bdma");
@@ -194,7 +194,7 @@ TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
 }
 
 // The observability inertness gate over the whole fixture list: with
-// util/trace enabled, every committed fixture (the 3x4 policy matrix plus
+// util/trace enabled, every committed fixture (the 3x8 policy matrix plus
 // the scenario-preset cases) must still re-derive byte-identically. Tracing
 // reads clocks and appends to its own buffers but never touches an RNG or a
 // result value; a divergence here means instrumentation leaked into the
@@ -216,7 +216,7 @@ TEST(GoldenFixtures, AllFixturesAreByteIdenticalWithTracingEnabled) {
         << " diverged with tracing on: " << div.describe();
     ++checked;
   }
-  EXPECT_EQ(checked, 16u);
+  EXPECT_EQ(checked, 28u);
   EXPECT_GT(util::trace::event_count(), 0u);  // tracing really was live
   util::trace::set_enabled(was_enabled);
   util::trace::clear();
