@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "eotora/eotora.h"
-#include "sim/mpc_policy.h"
 
 int main() {
   using namespace eotora;
@@ -31,29 +30,21 @@ int main() {
     const auto states = scenario.generate_states(horizon);
     const auto& instance = scenario.instance();
 
-    auto score = [&](sim::Policy& policy) {
-      const auto result = sim::run_policy(policy, states, 2);
+    sim::PolicyParams params;
+    params.v = 100.0;
+    params.initial_queue = 20.0;
+    params.bdma_iterations = 3;
+    for (const char* name : {"dpp-bdma", "mpc", "greedy-budget"}) {
+      const auto policy = sim::make_policy(name, instance, params);
+      const auto result = sim::run_policy(*policy, states, 2);
       const auto tail = sim::tail_averages(result, horizon - window);
-      table.add_row({util::format_double(noise, 1), policy.name(),
+      table.add_row({util::format_double(noise, 1), policy->name(),
                      util::format_double(tail.latency, 3),
                      util::format_double(tail.energy_cost, 3),
                      util::format_double(tail.energy_cost /
                                              config.budget_per_slot,
                                          3)});
-    };
-
-    core::DppConfig dpp;
-    dpp.v = 100.0;
-    dpp.initial_queue = 20.0;
-    dpp.bdma.iterations = 3;
-    sim::DppPolicy dpp_policy(instance, dpp);
-    score(dpp_policy);
-
-    sim::MpcPolicy mpc_policy(instance, sim::MpcConfig{});
-    score(mpc_policy);
-
-    sim::GreedyBudgetPolicy greedy(instance);
-    score(greedy);
+    }
   }
   table.print(std::cout);
   std::cout << "\nreading: all three land within ~1% of each other on "

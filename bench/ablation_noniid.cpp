@@ -28,20 +28,20 @@ int main() {
     sim::Scenario scenario(config);
     const auto states = scenario.generate_states(horizon);
 
-    core::DppConfig dpp;
-    dpp.v = 100.0;
-    dpp.initial_queue = 30.0;
-    dpp.bdma.iterations = 5;
-    sim::DppPolicy policy(scenario.instance(), dpp);
+    sim::PolicyParams params;
+    params.v = 100.0;
+    params.initial_queue = 30.0;
+    params.bdma_iterations = 5;
+    const auto policy =
+        sim::make_policy("dpp-bdma", scenario.instance(), params);
 
     // Drive manually to also collect the mean clock per slot.
-    policy.reset();
     util::Rng rng(1);
     core::MetricsCollector metrics;
     std::vector<double> prices;
     std::vector<double> clocks;
     for (const auto& state : states) {
-      const auto slot = policy.step(state, rng);
+      const auto slot = policy->step(state, rng);
       metrics.record(slot);
       prices.push_back(state.price_per_mwh);
       double mean_clock = 0.0;

@@ -26,11 +26,12 @@ int main() {
   std::vector<std::vector<double>> backlogs;
   const std::vector<double> vs = {50.0, 100.0};
   for (double v : vs) {
-    core::DppConfig dpp;
-    dpp.v = v;
-    dpp.bdma.iterations = 5;
-    sim::DppPolicy policy(scenario.instance(), dpp);
-    const auto result = sim::run_policy(policy, states);
+    sim::PolicyParams params;
+    params.v = v;
+    params.bdma_iterations = 5;
+    const auto policy =
+        sim::make_policy("dpp-bdma", scenario.instance(), params);
+    const auto result = sim::run_policy(*policy, states);
     backlogs.push_back(result.metrics.queue_series());
   }
 

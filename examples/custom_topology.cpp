@@ -82,10 +82,10 @@ int main() {
   state.price_per_mwh = 62.0;
 
   // 4. One DPP slot, decomposed: BDMA -> Lemma 1 -> metrics.
-  core::DppConfig dpp_config;
-  dpp_config.v = 150.0;
-  core::DppController controller(instance, dpp_config);
-  const auto slot = controller.step(state, rng);
+  sim::PolicyParams params;
+  params.v = 150.0;
+  const auto policy = sim::make_policy("dpp-bdma", instance, params);
+  const auto slot = policy->step(state, rng);
 
   std::cout << "\nslot 0 decision:\n"
             << "  total latency   : " << slot.latency << " s\n"

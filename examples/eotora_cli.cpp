@@ -69,10 +69,6 @@ options (all --key=value):
              listing the available ones. Default: the most specialized
              backend this CPU supports (results are bit-identical on
              every backend), or the EOTORA_KERNEL_BACKEND env var
-  --fast-math  let the kernel layer reassociate reductions and
-             pre-combine scan terms: faster, but results may drift up
-             to 1e-9 relative from the bit-exact default path, so the
-             golden fixtures only hold with this flag off
   --list-kernels  print every kernel backend this build + CPU supports
              with a one-line description, then exit
   --list-policies  print every registry policy name with a one-line
@@ -130,7 +126,7 @@ int main(int argc, char** argv) {
                            "v", "q0", "z", "seed", "scenario", "shards",
                            "districts", "graph", "record", "replay", "log",
                            "stream", "prefetch", "audit", "trace-out",
-                           "kernel-backend", "fast-math", "list-kernels",
+                           "kernel-backend", "list-kernels",
                            "list-policies", "list-scenarios", "help"});
     if (args.has("help")) {
       print_usage();
@@ -160,9 +156,6 @@ int main(int argc, char** argv) {
     // and every solver must see the same selection from the first slot on.
     if (args.has("kernel-backend")) {
       core::kernels::set_backend(args.get("kernel-backend", ""));
-    }
-    if (args.has("fast-math")) {
-      core::kernels::set_fast_math(true);
     }
 
     // The historical short names stay as aliases everywhere a policy name

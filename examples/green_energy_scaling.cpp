@@ -32,17 +32,14 @@ int main() {
   const std::size_t horizon = 24 * 10;
   const auto states = scenario.generate_states(horizon);
 
-  core::DppConfig dpp;
-  dpp.v = 100.0;
-  dpp.bdma.iterations = 5;
-  sim::DppPolicy dpp_policy(scenario.instance(), dpp);
-  sim::FixedFrequencyPolicy max_policy(scenario.instance(), 1.0);
-  sim::FixedFrequencyPolicy min_policy(scenario.instance(), 0.0);
-
+  sim::PolicyParams params;
+  params.v = 100.0;
+  params.bdma_iterations = 5;
   std::vector<sim::SimulationResult> results;
-  results.push_back(sim::run_policy(dpp_policy, states));
-  results.push_back(sim::run_policy(max_policy, states));
-  results.push_back(sim::run_policy(min_policy, states));
+  for (const char* name : {"dpp-bdma", "fixed-max", "fixed-min"}) {
+    const auto policy = sim::make_policy(name, scenario.instance(), params);
+    results.push_back(sim::run_policy(*policy, states));
+  }
 
   std::cout << "\n";
   sim::print_comparison(std::cout, results, config.budget_per_slot);

@@ -27,17 +27,17 @@ int main() {
   const auto& instance = scenario.instance();
 
   // Online: DPP with Lyapunov instrumentation.
-  core::DppConfig dpp;
-  dpp.v = 100.0;
-  dpp.initial_queue = 25.0;
-  dpp.bdma.iterations = 3;
-  core::DppController controller(instance, dpp);
-  core::LyapunovAnalyzer analyzer(dpp.v);
+  sim::PolicyParams params;
+  params.v = 100.0;
+  params.initial_queue = 25.0;
+  params.bdma_iterations = 3;
+  const auto policy = sim::make_policy("dpp-bdma", instance, params);
+  core::LyapunovAnalyzer analyzer(params.v);
   util::Rng rng(1);
   double online_latency = 0.0;
   double online_cost = 0.0;
   for (const auto& state : states) {
-    const auto slot = controller.step(state, rng);
+    const auto slot = policy->step(state, rng);
     analyzer.record(slot);
     online_latency += slot.latency;
     online_cost += slot.energy_cost;

@@ -19,29 +19,30 @@ int main() {
   sim::print_scenario(std::cout, scenario);
 
   // 2. The online controller: Algorithm 1 (DPP) with BDMA(z = 5) inside.
-  core::DppConfig dpp;
-  dpp.v = 100.0;
-  dpp.bdma.iterations = 5;
-  sim::DppPolicy policy(scenario.instance(), dpp);
+  sim::PolicyParams params;
+  params.v = 100.0;
+  params.bdma_iterations = 5;
+  const auto policy =
+      sim::make_policy("dpp-bdma", scenario.instance(), params);
 
   // 3. One simulated week of hourly slots.
   const auto states = scenario.generate_states(24 * 7);
-  const auto result = sim::run_policy(policy, states);
+  const auto result = sim::run_policy(*policy, states);
+  const auto& queue_series = result.metrics.queue_series();
 
   // 4. Results.
   std::cout << "\nran " << result.metrics.slots() << " slots with "
-            << result.policy_name << " (V = " << dpp.v << ")\n"
+            << result.policy_name << " (V = " << params.v << ")\n"
             << "  time-average latency     : "
             << result.metrics.average_latency() << " s\n"
             << "  time-average energy cost : $"
             << result.metrics.average_energy_cost() << " per slot (budget $"
             << config.budget_per_slot << ")\n"
-            << "  final queue backlog      : " << policy.queue() << "\n"
+            << "  final queue backlog      : " << queue_series.back() << "\n"
             << "  decision time            : " << result.wall_seconds
             << " s total\n";
 
   // 5. A peek at the last slot's decision.
-  const auto& queue_series = result.metrics.queue_series();
   std::cout << "\nqueue backlog (last 12 slots):";
   for (std::size_t t = queue_series.size() - 12; t < queue_series.size(); ++t) {
     std::cout << ' ' << util::format_double(queue_series[t], 2);

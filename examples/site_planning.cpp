@@ -91,9 +91,9 @@ int main() {
       state.data_bits.push_back(rng.uniform(3e6, 10e6));
     }
     state.price_per_mwh = 55.0;
-    core::DppController controller(instance, core::DppConfig{});
+    const auto policy = sim::make_policy("dpp-bdma", instance);
     try {
-      const auto slot = controller.step(state, rng);
+      const auto slot = policy->step(state, rng);
       std::cout << "  " << (with_macro ? "B" : "A")
                 << ": total latency " << util::format_double(slot.latency, 3)
                 << " s, cost $" << util::format_double(slot.energy_cost, 3)

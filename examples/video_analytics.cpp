@@ -26,10 +26,11 @@ int main() {
   sim::Scenario scenario(config);
   sim::print_scenario(std::cout, scenario);
 
-  core::DppConfig dpp;
-  dpp.v = 100.0;
-  dpp.bdma.iterations = 5;
-  sim::DppPolicy policy(scenario.instance(), dpp);
+  sim::PolicyParams params;
+  params.v = 100.0;
+  params.bdma_iterations = 5;
+  const auto policy =
+      sim::make_policy("dpp-bdma", scenario.instance(), params);
 
   const std::size_t horizon = 24 * 14;
   const auto states = scenario.generate_states(horizon);
@@ -42,10 +43,11 @@ int main() {
   std::array<util::RunningStats, 24> demand_by_hour;
 
   util::Rng rng(1);
-  policy.reset();
   std::vector<double> worst_device_latencies;  // fairness tail across slots
+  double final_queue = 0.0;
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
+    final_queue = slot.queue_after;
     const auto per_device = core::reduced_device_latencies(
         scenario.instance(), state, slot.decision.assignment,
         slot.decision.frequencies);
@@ -94,6 +96,6 @@ int main() {
   std::cout << "correlation(price, clock frequency) = "
             << util::format_double(util::correlation(prices, freqs), 3)
             << "  (negative = the controller slows down in expensive hours)\n"
-            << "final queue backlog = " << policy.queue() << "\n";
+            << "final queue backlog = " << final_queue << "\n";
   return 0;
 }

@@ -1,16 +1,18 @@
-// DPP — the Drift-Plus-Penalty online controller (paper Algorithm 1).
+// DPP — the Drift-Plus-Penalty online controller (paper Algorithm 1): its
+// configuration and the per-slot result every online policy reports.
 //
-// Maintains the virtual queue Q(t) that tracks cumulative budget violation:
+// The controller maintains the virtual queue Q(t) that tracks cumulative
+// budget violation:
 //   Q(t+1) = max{Q(t) + Θ(Ω_t, p_t), 0}            (Eq. (21))
 // and at each slot solves P2 (via BDMA) with penalty weight V. Larger V
 // favors latency over budget compliance (Theorem 4: latency gap ~ B·D/V,
-// backlog grows with V).
+// backlog grows with V). It runs as the sim::pipeline "dpp-*" assembly
+// (make_dpp_pipeline in sim/pipeline/assemblies.h).
 #pragma once
 
 #include "core/bdma.h"
 #include "core/instance.h"
 #include "core/lemma1.h"
-#include "util/rng.h"
 
 namespace eotora::core {
 
@@ -30,29 +32,6 @@ struct DppSlotResult {
   double queue_after = 0.0;   // Q(t+1)
   double objective = 0.0;     // V·T_t + Q(t)·Θ
   std::size_t p2a_iterations = 0;
-};
-
-class DppController {
- public:
-  // `instance` must outlive the controller.
-  DppController(const Instance& instance, DppConfig config);
-
-  // Runs one slot: observe β_t, call BDMA, derive the Lemma-1 allocation,
-  // update the queue. Deterministic given the rng stream.
-  DppSlotResult step(const SlotState& state, util::Rng& rng);
-
-  [[nodiscard]] double queue() const { return queue_; }
-  [[nodiscard]] const DppConfig& config() const { return config_; }
-
-  void reset(double queue = 0.0) { queue_ = queue; }
-
- private:
-  const Instance* instance_;
-  DppConfig config_;
-  double queue_;
-  // Per-slot BDMA scratch, reused across step() calls so the WCG option
-  // arena and inverted index are rebuilt in place instead of reallocated.
-  BdmaWorkspace workspace_;
 };
 
 }  // namespace eotora::core

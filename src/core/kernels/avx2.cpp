@@ -5,10 +5,9 @@
 // Bit-identity: all vector arithmetic is lane-wise IEEE-754
 // correctly-rounded (vaddpd/vsubpd/vmulpd/vdivpd/vsqrtpd) in the same
 // per-element order as the scalar backend, the TU is built with
-// -ffp-contract=off so no mul+add pair can fuse, and order-sensitive
-// reductions fall back to the shared scalar routines. The only
-// reassociation lives in weighted_sumsq_fast, which dispatch() routes to
-// exclusively under fast-math.
+// -ffp-contract=off so no mul+add pair can fuse, and the order-sensitive
+// accumulations (Lemma-1 scatter, weighted_sumsq) stay in shared scalar
+// code outside the backends.
 #include "core/kernels/kernels_detail.h"
 
 #if defined(__AVX2__)
@@ -75,7 +74,7 @@ inline double horizontal_min(__m256d v) {
 ScanHit scan_avx2(const double* tc, const std::uint32_t* server_of_entry,
                   const ScanGroup* groups, std::size_t num_groups,
                   const double* ta, const double* tf, std::uint32_t skip_entry,
-                  double bound, bool fast) {
+                  double bound) {
   double best_cost = bound;
   std::uint32_t best_entry = kNoEntry;
   for (std::size_t g = 0; g < num_groups; ++g) {
@@ -84,15 +83,13 @@ ScanHit scan_avx2(const double* tc, const std::uint32_t* server_of_entry,
     const double f_term = tf[grp.bs];
     const __m256d av = _mm256_set1_pd(a_term);
     const __m256d fv = _mm256_set1_pd(f_term);
-    const __m256d afv = _mm256_set1_pd(a_term + f_term);
     std::uint32_t a = grp.begin;
     for (; a + 4 <= grp.end; a += 4) {
       const __m128i idx = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(server_of_entry + a));
       const __m256d t = gather_pd(tc, idx);
-      // Exact path keeps cost_if_moved's left-associated two additions.
-      __m256d c = fast ? _mm256_add_pd(t, afv)
-                       : _mm256_add_pd(_mm256_add_pd(t, av), fv);
+      // Keeps cost_if_moved's left-associated two additions.
+      __m256d c = _mm256_add_pd(_mm256_add_pd(t, av), fv);
       if (skip_entry - a < 4) {
         // Knock the skipped current option out with +inf: it can never win
         // a strict-< comparison against the finite bound.
@@ -111,8 +108,7 @@ ScanHit scan_avx2(const double* tc, const std::uint32_t* server_of_entry,
     }
     for (; a < grp.end; ++a) {
       if (a == skip_entry) continue;
-      const double c = fast ? tc[server_of_entry[a]] + (a_term + f_term)
-                            : (tc[server_of_entry[a]] + a_term) + f_term;
+      const double c = (tc[server_of_entry[a]] + a_term) + f_term;
       scan_consider(a, c, best_cost, best_entry);
     }
   }
@@ -192,35 +188,14 @@ void p2b_bisect_avx2(const P2bBatchView& batch, double* out_x) {
   }
 }
 
-double weighted_sumsq_fast_avx2(const double* w, const double* x,
-                                std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d term =
-        _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(w + i), xv), xv);
-    acc = _mm256_add_pd(acc, term);
-  }
-  const __m128d lo128 = _mm256_castpd256_pd128(acc);
-  const __m128d hi128 = _mm256_extractf128_pd(acc, 1);
-  const __m128d s = _mm_add_pd(lo128, hi128);
-  double sum = _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-  for (; i < n; ++i) sum += w[i] * x[i] * x[i];
-  return sum;
-}
-
 constexpr Backend kAvx2{
     "avx2",
-    "x86-64 AVX2 lanes (bit-identical to scalar on the default path)",
+    "x86-64 AVX2 lanes (bit-identical to scalar)",
     &avx2_supported,
     &sqrt_div_avx2,
     &div_gather_avx2,
     &scan_avx2,
     &p2b_bisect_avx2,
-    // Order-sensitive exact reduction stays scalar.
-    &weighted_sumsq_scalar,
-    &weighted_sumsq_fast_avx2,
 };
 
 }  // namespace

@@ -15,7 +15,6 @@ namespace {
 // kernel call, so shard workers and late-constructed engines all agree; the
 // CLI (or a test) sets it once up front.
 std::atomic<const Backend*> g_backend{nullptr};
-std::atomic<bool> g_fast_math{false};
 
 // Compiled-in backends in specialization order: scalar first, SIMD after.
 std::vector<const Backend*> compiled_backends() {
@@ -78,12 +77,6 @@ const Backend& dispatch() {
 
 const char* backend_name() { return dispatch().name; }
 
-void set_fast_math(bool on) {
-  g_fast_math.store(on, std::memory_order_release);
-}
-
-bool fast_math() { return g_fast_math.load(std::memory_order_acquire); }
-
 void lemma1_batch(const Lemma1Io& io) {
   const Backend& b = dispatch();
   b.sqrt_div(io.compute_num, io.compute_den, io.sqrt_compute, io.devices);
@@ -115,7 +108,7 @@ ScanHit best_response_scan(const double* tc,
                            const double* ta, const double* tf,
                            std::uint32_t skip_entry, double bound) {
   return dispatch().scan(tc, server_of_entry, groups, num_groups, ta, tf,
-                         skip_entry, bound, fast_math());
+                         skip_entry, bound);
 }
 
 void p2b_batch(const P2bBatchView& batch, double* out_x) {
@@ -123,9 +116,9 @@ void p2b_batch(const P2bBatchView& batch, double* out_x) {
 }
 
 double weighted_sumsq(const double* w, const double* x, std::size_t n) {
-  const Backend& b = dispatch();
-  return fast_math() ? b.weighted_sumsq_fast(w, x, n)
-                     : b.weighted_sumsq(w, x, n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += w[i] * x[i] * x[i];
+  return sum;
 }
 
 }  // namespace eotora::core::kernels

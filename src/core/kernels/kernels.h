@@ -17,17 +17,14 @@
 // EOTORA_KERNEL_BACKEND environment variable or set_backend() overrides it
 // (eotora_cli surfaces the choice as --kernel-backend / --list-kernels).
 //
-// Bit-identity contract (the default path): every backend produces the SAME
-// BITS as the scalar backend for every kernel. This works because the lanes
-// only use IEEE-754 correctly-rounded operations (+, -, *, /, sqrt) applied
-// in the same per-element order as the open-coded loops they replaced — no
-// FMA contraction, no reassociated reductions, and every order-sensitive
+// Bit-identity contract: every backend produces the SAME BITS as the scalar
+// backend for every kernel. This works because the lanes only use IEEE-754
+// correctly-rounded operations (+, -, *, /, sqrt) applied in the same
+// per-element order as the open-coded loops they replaced — no FMA
+// contraction, no reassociated reductions, and every order-sensitive
 // accumulation (the Lemma-1 denominator scatter, the weighted_sumsq
 // left-to-right sum) stays scalar. The golden fixtures therefore hold on
-// every backend. set_fast_math(true) relaxes this: backends may then
-// pre-combine per-group scan terms and reassociate reductions, drifting
-// ≤ 1e-9 relative from the exact path (tests/test_kernels.cpp pins both
-// contracts).
+// every backend (tests/test_kernels.cpp pins the contract).
 #pragma once
 
 #include <cstddef>
@@ -140,20 +137,14 @@ struct Backend {
                      std::size_t n) = nullptr;
   // First-wins strict-< argmin over the groups' entries: candidate cost of
   // arena entry a in group g is (tc[server_of_entry[a]] + ta[g.bs]) + tf[g.bs]
-  // (left-associated; fast mode may pre-combine ta + tf per group). Entry
-  // `skip_entry` is excluded; `bound` seeds the champion cost.
+  // (left-associated). Entry `skip_entry` is excluded; `bound` seeds the
+  // champion cost.
   ScanHit (*scan)(const double* tc, const std::uint32_t* server_of_entry,
                   const ScanGroup* groups, std::size_t num_groups,
                   const double* ta, const double* tf, std::uint32_t skip_entry,
-                  double bound, bool fast) = nullptr;
+                  double bound) = nullptr;
   // Lockstep derivative bisection over the batch lanes (see P2bBatchView).
   void (*p2b_bisect)(const P2bBatchView& batch, double* out_x) = nullptr;
-  // Σ ((w[i]·x[i])·x[i]) left-to-right — the exact social-cost reduction.
-  double (*weighted_sumsq)(const double* w, const double* x,
-                           std::size_t n) = nullptr;
-  // Reassociated variant (vector partial sums); used only under fast-math.
-  double (*weighted_sumsq_fast)(const double* w, const double* x,
-                                std::size_t n) = nullptr;
 };
 
 // The active backend. First call resolves the default: the
@@ -177,15 +168,8 @@ void set_backend(const std::string& name);
 // Name of the backend dispatch() currently resolves to.
 [[nodiscard]] const char* backend_name();
 
-// Fast-math mode: off by default (the bit-exact golden path). When on,
-// backends may reassociate reductions and pre-combine scan terms; results
-// drift ≤ 1e-9 relative from the exact path. Gated behind eotora_cli
-// --fast-math; golden_tool refuses to record with it enabled.
-void set_fast_math(bool on);
-[[nodiscard]] bool fast_math();
-
 // ---------------------------------------------------------------------------
-// Kernel entry points (route through dispatch() and the fast-math flag).
+// Kernel entry points (the first three route through dispatch()).
 
 void lemma1_batch(const Lemma1Io& io);
 
@@ -199,6 +183,8 @@ void lemma1_batch(const Lemma1Io& io);
 
 void p2b_batch(const P2bBatchView& batch, double* out_x);
 
+// Σ ((w[i]·x[i])·x[i]) left-to-right — the exact social-cost reduction.
+// Order-sensitive, so it is the same scalar loop on every backend.
 [[nodiscard]] double weighted_sumsq(const double* w, const double* x,
                                     std::size_t n);
 

@@ -1,6 +1,6 @@
 // Shared per-lane routines for the kernel backends. Every SIMD backend falls
-// back to these for scan/bisection tails and for the order-sensitive exact
-// reductions, so the scalar semantics live in exactly one place.
+// back to these for scan/bisection tails, so the scalar semantics live in
+// exactly one place.
 #pragma once
 
 #include <cmath>
@@ -28,13 +28,6 @@ inline void div_gather_scalar(const double* num, const double* den,
   for (std::size_t i = 0; i < n; ++i) out[i] = num[i] / den[key[i]];
 }
 
-inline double weighted_sumsq_scalar(const double* w, const double* x,
-                                    std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += w[i] * x[i] * x[i];
-  return sum;
-}
-
 // One scan step: candidate entry a with cost c against the running champion.
 // Mirrors LoadTracker::best_response's strict-< update (first occurrence of
 // the minimum wins).
@@ -50,28 +43,18 @@ inline ScanHit scan_scalar(const double* tc,
                            const std::uint32_t* server_of_entry,
                            const ScanGroup* groups, std::size_t num_groups,
                            const double* ta, const double* tf,
-                           std::uint32_t skip_entry, double bound, bool fast) {
+                           std::uint32_t skip_entry, double bound) {
   double best_cost = bound;
   std::uint32_t best_entry = kNoEntry;
   for (std::size_t g = 0; g < num_groups; ++g) {
     const ScanGroup& grp = groups[g];
     const double a_term = ta[grp.bs];
     const double f_term = tf[grp.bs];
-    if (fast) {
-      // Pre-combined access + fronthaul term: one addition per entry. Only
-      // legal under fast-math — the exact path keeps the left-associated
-      // (t_compute + t_access) + t_fronthaul rounding of cost_if_moved.
-      const double af = a_term + f_term;
-      for (std::uint32_t a = grp.begin; a < grp.end; ++a) {
-        if (a == skip_entry) continue;
-        scan_consider(a, tc[server_of_entry[a]] + af, best_cost, best_entry);
-      }
-    } else {
-      for (std::uint32_t a = grp.begin; a < grp.end; ++a) {
-        if (a == skip_entry) continue;
-        const double c = (tc[server_of_entry[a]] + a_term) + f_term;
-        scan_consider(a, c, best_cost, best_entry);
-      }
+    for (std::uint32_t a = grp.begin; a < grp.end; ++a) {
+      if (a == skip_entry) continue;
+      // cost_if_moved's left-associated (t_compute + t_access) + t_fronthaul.
+      const double c = (tc[server_of_entry[a]] + a_term) + f_term;
+      scan_consider(a, c, best_cost, best_entry);
     }
   }
   return {best_entry, best_cost};

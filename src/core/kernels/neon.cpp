@@ -1,8 +1,8 @@
 // NEON (aarch64) backend. Two-lane float64 vectorization of the elementwise
 // kernels; the grouped scan runs 2-wide with a scalar champion merge, and
-// the lockstep bisection / order-sensitive reductions share the scalar
-// routines (NEON's win on this code is the sqrt/divide sweeps). Lane
-// arithmetic is IEEE-754 correctly rounded, so the default path stays
+// the lockstep bisection shares the scalar routine (NEON's win on this
+// code is the sqrt/divide sweeps). Lane
+// arithmetic is IEEE-754 correctly rounded, so every kernel stays
 // bit-identical to scalar, same as AVX2.
 #include "core/kernels/kernels_detail.h"
 
@@ -43,7 +43,7 @@ void div_gather_neon(const double* num, const double* den,
 ScanHit scan_neon(const double* tc, const std::uint32_t* server_of_entry,
                   const ScanGroup* groups, std::size_t num_groups,
                   const double* ta, const double* tf, std::uint32_t skip_entry,
-                  double bound, bool fast) {
+                  double bound) {
   double best_cost = bound;
   std::uint32_t best_entry = kNoEntry;
   for (std::size_t g = 0; g < num_groups; ++g) {
@@ -52,13 +52,11 @@ ScanHit scan_neon(const double* tc, const std::uint32_t* server_of_entry,
     const double f_term = tf[grp.bs];
     const float64x2_t av = vdupq_n_f64(a_term);
     const float64x2_t fv = vdupq_n_f64(f_term);
-    const float64x2_t afv = vdupq_n_f64(a_term + f_term);
     std::uint32_t a = grp.begin;
     for (; a + 2 <= grp.end; a += 2) {
       const float64x2_t t = {tc[server_of_entry[a]],
                              tc[server_of_entry[a + 1]]};
-      float64x2_t c = fast ? vaddq_f64(t, afv)
-                           : vaddq_f64(vaddq_f64(t, av), fv);
+      float64x2_t c = vaddq_f64(vaddq_f64(t, av), fv);
       if (skip_entry - a < 2) {
         double lanes[2];
         vst1q_f64(lanes, c);
@@ -73,38 +71,22 @@ ScanHit scan_neon(const double* tc, const std::uint32_t* server_of_entry,
     }
     for (; a < grp.end; ++a) {
       if (a == skip_entry) continue;
-      const double c = fast ? tc[server_of_entry[a]] + (a_term + f_term)
-                            : (tc[server_of_entry[a]] + a_term) + f_term;
+      const double c = (tc[server_of_entry[a]] + a_term) + f_term;
       scan_consider(a, c, best_cost, best_entry);
     }
   }
   return {best_entry, best_cost};
 }
 
-double weighted_sumsq_fast_neon(const double* w, const double* x,
-                                std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t xv = vld1q_f64(x + i);
-    acc = vaddq_f64(acc, vmulq_f64(vmulq_f64(vld1q_f64(w + i), xv), xv));
-  }
-  double sum = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-  for (; i < n; ++i) sum += w[i] * x[i] * x[i];
-  return sum;
-}
-
 constexpr Backend kNeon{
     "neon",
-    "aarch64 NEON lanes (bit-identical to scalar on the default path)",
+    "aarch64 NEON lanes (bit-identical to scalar)",
     &neon_supported,
     &sqrt_div_neon,
     &div_gather_neon,
     &scan_neon,
     // Two lanes don't amortize the lockstep masking; scalar bisection.
     &p2b_bisect_scalar,
-    &weighted_sumsq_scalar,
-    &weighted_sumsq_fast_neon,
 };
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Portable scalar backend — the reference semantics every SIMD backend must
-// reproduce bit-for-bit on the default path.
+// reproduce bit-for-bit.
 #include "core/kernels/kernels_detail.h"
 
 namespace eotora::core::kernels::detail {
@@ -16,10 +16,6 @@ constexpr Backend kScalar{
     &div_gather_scalar,
     &scan_scalar,
     &p2b_bisect_scalar,
-    &weighted_sumsq_scalar,
-    // The scalar backend's "fast" reduction is the exact one: there is no
-    // reassociation to exploit without lanes.
-    &weighted_sumsq_scalar,
 };
 
 }  // namespace

@@ -2,12 +2,7 @@
 
 #include <cmath>
 
-#include "core/cgba.h"
-#include "core/latency.h"
-#include "core/lemma1.h"
-#include "core/wcg.h"
 #include "math/minimize1d.h"
-#include "util/check.h"
 
 namespace eotora::sim {
 
@@ -129,74 +124,6 @@ double mpc_plan_multiplier(const MpcConfig& config,
     lambda = hi;
   }
   return lambda;
-}
-
-MpcPolicy::MpcPolicy(const core::Instance& instance, MpcConfig config)
-    : instance_(&instance),
-      config_(config),
-      price_trend_(config.period, config.trend_alpha),
-      demand_trend_(config.period, config.trend_alpha) {
-  EOTORA_REQUIRE(config.window >= 1);
-  EOTORA_REQUIRE(config.period >= 1);
-  EOTORA_REQUIRE(config.bisection_iterations >= 1);
-  EOTORA_REQUIRE(config.max_multiplier > 0.0);
-}
-
-void MpcPolicy::reset() {
-  price_trend_ = trace::OnlineTrendEstimator(config_.period,
-                                             config_.trend_alpha);
-  demand_trend_ = trace::OnlineTrendEstimator(config_.period,
-                                              config_.trend_alpha);
-  last_multiplier_ = 0.0;
-}
-
-bool MpcPolicy::forecasting() const {
-  return price_trend_.ready() && demand_trend_.ready();
-}
-
-core::DppSlotResult MpcPolicy::step(const core::SlotState& state,
-                                    util::Rng& rng) {
-  // 1. Learn from the observation.
-  price_trend_.observe(state.price_per_mwh);
-  double mean_demand = 0.0;
-  for (double f : state.task_cycles) mean_demand += f;
-  mean_demand /= static_cast<double>(state.task_cycles.size());
-  demand_trend_.observe(mean_demand);
-
-  // Assignment: CGBA at the frequency floor (load shape, not speed, drives
-  // the selection; P2-B-style reasoning fixes the speed afterwards).
-  problem_.rebuild(*instance_, state, instance_->min_frequencies());
-  const core::SolveResult p2a = core::cgba(problem_, config_.cgba, rng);
-  const core::Assignment assignment = problem_.to_assignment(p2a.profile);
-
-  // Current per-server load sums.
-  const std::vector<double> compute_load =
-      mpc_compute_load(*instance_, state, assignment);
-
-  // 2-3. Forecast the window (or bootstrap) and pick its one multiplier.
-  const MpcPlanInputs inputs =
-      mpc_plan_inputs(config_, *instance_, state, price_trend_, demand_trend_);
-  const double lambda =
-      mpc_plan_multiplier(config_, *instance_, compute_load, inputs);
-  last_multiplier_ = lambda;
-
-  // 4. Execute the current slot at the planned multiplier.
-  const core::Frequencies frequencies =
-      mpc_frequencies_for(*instance_, compute_load, lambda,
-                          state.price_per_mwh);
-
-  core::DppSlotResult result;
-  result.decision.assignment = assignment;
-  result.decision.frequencies = frequencies;
-  result.decision.allocation =
-      core::optimal_allocation(*instance_, state, assignment);
-  result.latency =
-      core::reduced_latency(*instance_, state, assignment, frequencies);
-  result.energy_cost =
-      instance_->energy_cost(frequencies, state.price_per_mwh);
-  result.theta = result.energy_cost - instance_->budget_per_slot();
-  result.p2a_iterations = p2a.iterations;
-  return result;
 }
 
 }  // namespace eotora::sim

@@ -16,6 +16,10 @@
 // Until every phase of the period has been observed, it falls back to the
 // greedy per-slot-budget rule (no trend to exploit yet).
 //
+// The registry's "mpc" policy runs these steps as pipeline stages
+// (make_mpc_pipeline in sim/pipeline/assemblies.h); this header holds their
+// config and math.
+//
 // The comparison against DPP (bench/ablation_mpc) shows the trade: MPC
 // matches DPP when its forecasts are good and degrades as the noise share
 // grows; DPP needs no forecasts at all — which is the paper's argument.
@@ -23,7 +27,8 @@
 
 #include <vector>
 
-#include "sim/policy.h"
+#include "core/cgba.h"
+#include "core/instance.h"
 #include "trace/online_trend.h"
 
 namespace eotora::sim {
@@ -48,9 +53,8 @@ struct MpcPlanInputs {
   double budget = 0.0;
 };
 
-// The MPC math, exposed as free functions so the monolithic MpcPolicy and
-// the sim::pipeline MPC stages drive the exact same code (bit-identical
-// plans by construction).
+// The MPC math, as the free functions the sim::pipeline MPC stages
+// (TrendObserve, MpcPlan) call.
 
 // Per-server load sums A_n = Σ_i sqrt(F_i / e_{i,n}) under `assignment`.
 [[nodiscard]] std::vector<double> mpc_compute_load(
@@ -82,29 +86,5 @@ struct MpcPlanInputs {
 [[nodiscard]] double mpc_plan_multiplier(
     const MpcConfig& config, const core::Instance& instance,
     const std::vector<double>& compute_load, const MpcPlanInputs& inputs);
-
-class MpcPolicy final : public Policy {
- public:
-  MpcPolicy(const core::Instance& instance, MpcConfig config);
-
-  core::DppSlotResult step(const core::SlotState& state,
-                           util::Rng& rng) override;
-  [[nodiscard]] std::string name() const override {
-    return "Receding-horizon MPC";
-  }
-  void reset() override;
-
-  // The multiplier chosen at the last slot (0 until the first planned slot).
-  [[nodiscard]] double last_multiplier() const { return last_multiplier_; }
-  [[nodiscard]] bool forecasting() const;
-
- private:
-  const core::Instance* instance_;
-  MpcConfig config_;
-  trace::OnlineTrendEstimator price_trend_;
-  trace::OnlineTrendEstimator demand_trend_;
-  double last_multiplier_ = 0.0;
-  core::WcgProblem problem_;  // rebuilt in place every step
-};
 
 }  // namespace eotora::sim

@@ -28,7 +28,7 @@ std::string dpp_label(core::P2aSolverKind solver) {
 
 std::unique_ptr<Policy> make_dpp_pipeline(const core::Instance& instance,
                                           const core::DppConfig& config) {
-  // The same preconditions DppController and bdma() enforce.
+  // Algorithm 1 needs V > 0, Q(1) >= 0 and z >= 1.
   EOTORA_REQUIRE_MSG(config.v > 0.0, "V=" << config.v);
   EOTORA_REQUIRE_MSG(config.initial_queue >= 0.0,
                      "Q(1)=" << config.initial_queue);
@@ -91,7 +91,8 @@ std::unique_ptr<Policy> make_beta_only_pipeline(
 
 std::unique_ptr<Policy> make_mpc_pipeline(const core::Instance& instance,
                                           const MpcConfig& config) {
-  // The same preconditions MpcPolicy enforces.
+  // The MPC plan needs a non-empty window and period, at least one
+  // bisection step and a positive multiplier bracket.
   EOTORA_REQUIRE(config.window >= 1);
   EOTORA_REQUIRE(config.period >= 1);
   EOTORA_REQUIRE(config.bisection_iterations >= 1);

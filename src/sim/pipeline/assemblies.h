@@ -1,11 +1,9 @@
-// Canned pipeline assemblies — every registry policy, rebuilt as a
-// PolicyGraph of the stages in sim/pipeline/stages.h.
-//
-// Each factory returns a graph whose name() string, RNG draw order, and
-// per-slot results are bit-identical to the monolithic policy it replaces
-// (the monoliths stay in sim/policy.h as the differential-test reference;
-// tests/test_pipeline.cpp compares the two paths slot by slot). The
-// registry (sim/registry.cpp) builds all its policies through these.
+// Canned pipeline assemblies — every registry policy, as a PolicyGraph of
+// the stages in sim/pipeline/stages.h. This is each policy's one
+// implementation: the registry (sim/registry.cpp) builds all its policies
+// through these, and the golden fixtures (sim/golden.h) pin their per-slot
+// decisions. The factories throw std::invalid_argument on a bad config
+// (V <= 0, Q(1) < 0, z < 1, a fraction outside [0, 1], a bad MpcConfig).
 #pragma once
 
 #include <memory>
@@ -21,28 +19,33 @@ namespace eotora::sim::pipeline {
 
 // Algorithm 1: StateIn → QueueUpdate → [P2aSolve ⇄ P2bSolve]×z →
 // AuditTap → DppDecisionOut, with the solver loop under the "dpp/bdma"
-// span. Mirrors DppPolicy for any inner P2-A solver.
+// span, for any inner P2-A solver ("dpp-bdma", "dpp-mcba", "dpp-ropt").
 [[nodiscard]] std::unique_ptr<Policy> make_dpp_pipeline(
     const core::Instance& instance, const core::DppConfig& config);
 
 // StateIn → BudgetFrequency → CgbaAssign → AuditTap → CgbaDecisionOut.
-// Mirrors GreedyBudgetPolicy.
+// The myopic "greedy-budget" baseline: spend up to the budget every slot.
+// It cannot bank cheap-hour headroom against expensive hours, which is the
+// gap the Lyapunov queue closes.
 [[nodiscard]] std::unique_ptr<Policy> make_greedy_budget_pipeline(
     const core::Instance& instance, const core::CgbaConfig& cgba = {});
 
 // StateIn → FixedFrequency → CgbaAssign → AuditTap → CgbaDecisionOut.
-// Mirrors FixedFrequencyPolicy at `fraction`.
+// The "fixed-*" ablation: CGBA at a constant `fraction` of every server's
+// range (1.0 = always F^U, 0.0 = always F^L), no budget adaptation.
 [[nodiscard]] std::unique_ptr<Policy> make_fixed_frequency_pipeline(
     const core::Instance& instance, double fraction,
     const core::CgbaConfig& cgba = {});
 
-// StateIn → BetaOracle → AuditTap → BetaDecisionOut. Mirrors
-// BetaOnlyPolicy.
+// StateIn → BetaOracle → AuditTap → BetaDecisionOut. The Lemma-2 β-only
+// oracle ("beta-only"): each slot, minimize latency within the per-slot
+// budget. Queue-free, the strongest baseline of Theorem 4's policy class.
 [[nodiscard]] std::unique_ptr<Policy> make_beta_only_pipeline(
     const core::Instance& instance, const core::BetaOnlyConfig& config = {});
 
 // StateIn → TrendObserve → MinFrequency → CgbaAssign → MpcPlan →
-// AuditTap → MpcDecisionOut. Mirrors MpcPolicy.
+// AuditTap → MpcDecisionOut. The receding-horizon "mpc" baseline
+// (sim/mpc_policy.h).
 [[nodiscard]] std::unique_ptr<Policy> make_mpc_pipeline(
     const core::Instance& instance, const MpcConfig& config = {});
 

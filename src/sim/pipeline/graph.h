@@ -14,8 +14,7 @@
 // stage invocation runs under its own trace span (Stage::span_name) and
 // its own SolverCounters scope, whose delta is folded both into the
 // per-stage StageStats and forward into the caller's active() sink — so a
-// graph-assembled policy reports the exact same per-solve totals as the
-// monolith it replaces, plus the per-stage breakdown.
+// run's solver totals are the sum of its per-stage breakdown.
 #pragma once
 
 #include <memory>
@@ -41,9 +40,8 @@ struct LoopSpec {
 
 class PolicyGraph final : public Policy {
  public:
-  // `label` is the Policy::name() the graph reports (kept identical to the
-  // monolithic policy the assembly replaces, so artifacts and golden
-  // fixtures are unchanged). Throws std::invalid_argument on an empty
+  // `label` is the Policy::name() the graph reports (artifacts and golden
+  // fixtures key on it). Throws std::invalid_argument on an empty
   // stage list, an out-of-range loop region, or any typed-port mismatch.
   PolicyGraph(std::string label, const core::Instance& instance,
               std::vector<std::unique_ptr<Stage>> stages,

@@ -173,7 +173,6 @@ void MpcPlanStage::run(StageContext& ctx) {
       mpc_compute_load(*ctx.instance, *ctx.state, ctx.assignment);
   const double lambda =
       mpc_plan_multiplier(config_, *ctx.instance, compute_load, ctx.forecast);
-  last_multiplier_ = lambda;
   ctx.multiplier = lambda;
   ctx.frequencies = mpc_frequencies_for(*ctx.instance, compute_load, lambda,
                                         ctx.state->price_per_mwh);

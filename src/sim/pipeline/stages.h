@@ -14,10 +14,9 @@
 //   "forecast"   kForecast     ctx.forecast     (TrendObserve)
 //   "decision"   kDecision     ctx.result       (*DecisionOut)
 //
-// Every stage's run() body is either a call into the shared solver-loop
-// functions (core/bdma.h) or a verbatim transcription of the monolithic
-// policy statements it replaces, so graph-assembled policies are
-// bit-identical to the monoliths (tests/test_pipeline.cpp holds the line).
+// The DPP stages call the solver-loop halves that core::bdma() composes
+// (core/bdma.h); the golden fixtures (tests/golden/) pin every assembly's
+// per-slot decisions.
 #pragma once
 
 #include <functional>
@@ -143,8 +142,8 @@ class P2bSolveStage final : public Stage {
   double v_;
   core::BdmaConfig config_;
   // P2-B solve scratch (batched kernel lanes), reused across slots. The
-  // stage prices loads through the sqrt-chain overload — same bits as the
-  // monolith's arena-load path, which lives in the P2-A stage's workspace.
+  // stage prices loads through the sqrt-chain overload — same bits as
+  // bdma()'s arena-load path, which lives in the P2-A stage's workspace.
   core::P2bWorkspace p2b_;
   core::P2bResult p2b_result_;
 };
@@ -172,8 +171,8 @@ class AuditTapStage final : public Stage {
   Tap tap_;
 };
 
-// Assembles the DPP slot decision from BDMA's best pair (the tail of
-// DppController::step).
+// Assembles the DPP slot decision from BDMA's best pair, with the Lemma-1
+// allocation at its assignment.
 class DppDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
@@ -194,7 +193,7 @@ class DppDecisionOutStage final : public Stage {
   core::Lemma1Workspace lemma1_;
 };
 
-// The greedy per-slot-budget frequency rule (GreedyBudgetPolicy's
+// The greedy per-slot-budget frequency rule (greedy_budget_fraction's
 // bisection): the largest uniform fraction whose cost fits C̄ at the
 // current price.
 class BudgetFrequencyStage final : public Stage {
@@ -215,7 +214,8 @@ class BudgetFrequencyStage final : public Stage {
 };
 
 // A constant frequency vector at a fixed fraction of every server's range
-// (FixedFrequencyPolicy's ablation knob), precomputed at construction.
+// (the "fixed-*" ablation knob), precomputed at construction. Throws for a
+// fraction outside [0, 1].
 class FixedFrequencyStage final : public Stage {
  public:
   FixedFrequencyStage(const core::Instance& instance, double fraction);
@@ -287,9 +287,9 @@ class CgbaAssignStage final : public Stage {
   std::vector<core::counters::SolverCounters> shard_counters_;
 };
 
-// Assembles the slot decision of the CGBA-assignment baselines (the shared
-// tail of GreedyBudgetPolicy::step and FixedFrequencyPolicy::step):
-// latency is the P2-A cost, energy is priced at the published frequencies.
+// Assembles the slot decision of the CGBA-assignment baselines
+// ("greedy-budget", "fixed-*"): latency is the P2-A cost, energy is priced
+// at the published frequencies.
 class CgbaDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
@@ -332,8 +332,7 @@ class BetaOracleStage final : public Stage {
   core::BetaOnlyConfig config_;
 };
 
-// Assembles the slot decision from the β-only oracle (the tail of
-// BetaOnlyPolicy::step).
+// Assembles the slot decision from the β-only oracle.
 class BetaDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
@@ -400,17 +399,13 @@ class MpcPlanStage final : public Stage {
     return {{"frequencies", PortType::kFrequencies}};
   }
   void run(StageContext& ctx) override;
-  void reset() override { last_multiplier_ = 0.0; }
-
-  [[nodiscard]] double last_multiplier() const { return last_multiplier_; }
 
  private:
   MpcConfig config_;
-  double last_multiplier_ = 0.0;
 };
 
-// Assembles the MPC slot decision (the tail of MpcPolicy::step): latency
-// re-evaluated at the planned frequencies via reduced_latency.
+// Assembles the MPC slot decision: latency re-evaluated at the planned
+// frequencies via reduced_latency.
 class MpcDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }

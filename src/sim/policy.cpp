@@ -1,12 +1,5 @@
 #include "sim/policy.h"
 
-#include "core/cgba.h"
-#include "core/latency.h"
-#include "core/lemma1.h"
-#include "core/wcg.h"
-#include "util/check.h"
-#include "util/table.h"
-
 namespace eotora::sim {
 
 core::Frequencies frequencies_at_fraction(const core::Instance& instance,
@@ -42,105 +35,6 @@ double greedy_budget_fraction(const core::Instance& instance, double price) {
     fraction = lo;
   }  // else: even F^L busts the budget — run at the floor.
   return fraction;
-}
-
-DppPolicy::DppPolicy(const core::Instance& instance, core::DppConfig config)
-    : controller_(instance, config), initial_config_(config) {}
-
-core::DppSlotResult DppPolicy::step(const core::SlotState& state,
-                                    util::Rng& rng) {
-  return controller_.step(state, rng);
-}
-
-std::string DppPolicy::name() const {
-  switch (initial_config_.bdma.solver) {
-    case core::P2aSolverKind::kCgba:
-      return "BDMA-based DPP";
-    case core::P2aSolverKind::kMcba:
-      return "MCBA-based DPP";
-    case core::P2aSolverKind::kRopt:
-      return "ROPT-based DPP";
-  }
-  return "DPP";
-}
-
-void DppPolicy::reset() { controller_.reset(initial_config_.initial_queue); }
-
-GreedyBudgetPolicy::GreedyBudgetPolicy(const core::Instance& instance,
-                                       core::CgbaConfig cgba)
-    : instance_(&instance), cgba_(cgba) {}
-
-core::DppSlotResult GreedyBudgetPolicy::step(const core::SlotState& state,
-                                             util::Rng& rng) {
-  // Largest uniform fraction whose cost fits the budget at today's price.
-  const double budget = instance_->budget_per_slot();
-  const double price = state.price_per_mwh;
-  const double fraction = greedy_budget_fraction(*instance_, price);
-  const core::Frequencies frequencies =
-      frequencies_at_fraction(*instance_, fraction);
-  problem_.rebuild(*instance_, state, frequencies);
-  const core::SolveResult p2a = core::cgba(problem_, cgba_, rng);
-  core::DppSlotResult result;
-  result.decision.assignment = problem_.to_assignment(p2a.profile);
-  result.decision.frequencies = frequencies;
-  result.decision.allocation =
-      core::optimal_allocation(*instance_, state, result.decision.assignment);
-  result.latency = p2a.cost;
-  result.energy_cost = instance_->energy_cost(frequencies, price);
-  result.theta = result.energy_cost - budget;
-  result.p2a_iterations = p2a.iterations;
-  return result;
-}
-
-BetaOnlyPolicy::BetaOnlyPolicy(const core::Instance& instance,
-                               core::BetaOnlyConfig config)
-    : instance_(&instance), config_(config) {}
-
-core::DppSlotResult BetaOnlyPolicy::step(const core::SlotState& state,
-                                         util::Rng& rng) {
-  const double budget = instance_->budget_per_slot();
-  const core::BetaOnlyResult oracle =
-      core::solve_beta_only(*instance_, state, budget, config_, rng);
-  core::DppSlotResult result;
-  result.decision.assignment = oracle.assignment;
-  result.decision.frequencies = oracle.frequencies;
-  result.decision.allocation =
-      core::optimal_allocation(*instance_, state, result.decision.assignment);
-  result.latency = oracle.latency;
-  result.energy_cost = oracle.energy_cost;
-  result.theta = oracle.energy_cost - budget;
-  return result;
-}
-
-FixedFrequencyPolicy::FixedFrequencyPolicy(const core::Instance& instance,
-                                           double fraction,
-                                           core::CgbaConfig cgba)
-    : instance_(&instance), fraction_(fraction), cgba_(cgba) {
-  EOTORA_REQUIRE_MSG(fraction >= 0.0 && fraction <= 1.0,
-                     "fraction=" << fraction);
-  frequencies_ = frequencies_at_fraction(instance, fraction);
-}
-
-core::DppSlotResult FixedFrequencyPolicy::step(const core::SlotState& state,
-                                               util::Rng& rng) {
-  problem_.rebuild(*instance_, state, frequencies_);
-  const core::SolveResult p2a = core::cgba(problem_, cgba_, rng);
-  core::DppSlotResult result;
-  result.decision.assignment = problem_.to_assignment(p2a.profile);
-  result.decision.frequencies = frequencies_;
-  result.decision.allocation =
-      core::optimal_allocation(*instance_, state, result.decision.assignment);
-  result.latency = p2a.cost;
-  result.energy_cost =
-      instance_->energy_cost(frequencies_, state.price_per_mwh);
-  result.theta = result.energy_cost - instance_->budget_per_slot();
-  result.p2a_iterations = p2a.iterations;
-  return result;
-}
-
-std::string FixedFrequencyPolicy::name() const {
-  return "Fixed-frequency CGBA (fraction=" + util::format_double(fraction_, 2) +
-         ")";
 }
 
 }  // namespace eotora::sim

@@ -1,16 +1,14 @@
-// Online policies the simulator can drive.
+// The online-policy interface the simulator, runner and serve loop drive.
 //
-// DppPolicy wraps the paper's controller with a pluggable P2-A solver
-// (BDMA/CGBA, MCBA-based DPP, ROPT-based DPP — the three lines of Fig. 9).
-// FixedFrequencyPolicy is a non-Lyapunov ablation: CGBA assignment at a
-// constant clock, no budget adaptation.
+// Every registry policy implements it as a sim::pipeline::PolicyGraph
+// (sim/pipeline/assemblies.h), built by name through sim::make_policy
+// (sim/registry.h). The two frequency helpers below are the shared rules
+// of the CGBA-assignment baselines' frequency stages.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/beta_only.h"
 #include "core/dpp.h"
 #include "core/instance.h"
 #include "sim/pipeline/stage_stats.h"
@@ -31,9 +29,8 @@ class Policy {
   // Clears online state (queue backlogs etc.) for a fresh run.
   virtual void reset() = 0;
 
-  // Per-stage execution statistics since the last reset(). Non-empty only
-  // for pipeline-assembled policies (sim/pipeline/graph.h); monolithic
-  // policies report no stage breakdown.
+  // Per-stage execution statistics since the last reset(), in stage order
+  // (sim/pipeline/graph.h). Wrappers that do not forward it report none.
   [[nodiscard]] virtual std::vector<pipeline::StageStats> stage_stats()
       const {
     return {};
@@ -50,88 +47,5 @@ class Policy {
 // monotone in the fraction; 0 when even F^L busts the budget).
 [[nodiscard]] double greedy_budget_fraction(const core::Instance& instance,
                                             double price);
-
-// The paper's Algorithm 1 with a configurable inner solver.
-class DppPolicy final : public Policy {
- public:
-  DppPolicy(const core::Instance& instance, core::DppConfig config);
-
-  core::DppSlotResult step(const core::SlotState& state,
-                           util::Rng& rng) override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override;
-
-  [[nodiscard]] double queue() const { return controller_.queue(); }
-
- private:
-  core::DppController controller_;
-  core::DppConfig initial_config_;
-};
-
-// Myopic baseline: spend up to the budget EVERY slot. Each slot it picks the
-// largest uniform frequency fraction whose energy cost fits under C̄ at the
-// current price (bisection — cost is monotone in the fraction), then runs
-// CGBA at those frequencies. Unlike DPP it cannot bank cheap-hour headroom
-// against expensive hours, which is exactly the gap the Lyapunov queue
-// closes; compare_policies quantifies it.
-class GreedyBudgetPolicy final : public Policy {
- public:
-  explicit GreedyBudgetPolicy(const core::Instance& instance,
-                              core::CgbaConfig cgba = {});
-
-  core::DppSlotResult step(const core::SlotState& state,
-                           util::Rng& rng) override;
-  [[nodiscard]] std::string name() const override { return "Greedy per-slot budget"; }
-  void reset() override {}
-
- private:
-  const core::Instance* instance_;
-  core::CgbaConfig cgba_;
-  // Rebuilt in place every step; policies are per-replication objects, so a
-  // mutable scratch member needs no synchronisation.
-  core::WcgProblem problem_;
-};
-
-// The Lemma-2 β-only oracle as an online policy: each slot, minimize
-// latency subject to spending at most the per-slot budget C̄ (multiplier
-// bisection over BDMA, core::solve_beta_only). Queue-free by construction —
-// the strongest baseline in the policy class DPP's Theorem 4 compares
-// against.
-class BetaOnlyPolicy final : public Policy {
- public:
-  explicit BetaOnlyPolicy(const core::Instance& instance,
-                          core::BetaOnlyConfig config = {});
-
-  core::DppSlotResult step(const core::SlotState& state,
-                           util::Rng& rng) override;
-  [[nodiscard]] std::string name() const override {
-    return "Beta-only (per-slot budget)";
-  }
-  void reset() override {}
-
- private:
-  const core::Instance* instance_;
-  core::BetaOnlyConfig config_;
-};
-
-// Ablation: CGBA assignment at a fixed frequency for every server (as a
-// fraction of each server's range; 1.0 = always F^U, 0.0 = always F^L).
-class FixedFrequencyPolicy final : public Policy {
- public:
-  FixedFrequencyPolicy(const core::Instance& instance, double fraction,
-                       core::CgbaConfig cgba = {});
-
-  core::DppSlotResult step(const core::SlotState& state,
-                           util::Rng& rng) override;
-  [[nodiscard]] std::string name() const override;
-  void reset() override {}
-
- private:
-  const core::Instance* instance_;
-  double fraction_;
-  core::CgbaConfig cgba_;
-  core::Frequencies frequencies_;
-  core::WcgProblem problem_;  // rebuilt in place every step
-};
 
 }  // namespace eotora::sim

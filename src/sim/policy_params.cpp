@@ -34,6 +34,10 @@ core::CgbaConfig baseline_cgba_config_from(const PolicyParams& params) {
   return config;
 }
 
-MpcConfig mpc_config_from(const PolicyParams& params) { return params.mpc; }
+MpcConfig mpc_config_from(const PolicyParams& params) {
+  MpcConfig config = params.mpc;
+  config.cgba.shard_workers = params.shard_workers;
+  return config;
+}
 
 }  // namespace eotora::sim

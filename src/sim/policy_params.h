@@ -1,13 +1,7 @@
 // PolicyParams — the sweepable policy knobs — and the ONE translation from
-// them into per-policy solver configs.
-//
-// Before this header existed, the registry's builder lambdas were the only
-// place PolicyParams became DppConfig/BetaOnlyConfig/..., so any second
-// construction path (and the pipeline assemblies are exactly that) would
-// have had to duplicate the field mapping and could silently drift. Both
-// sim/registry.cpp and sim/pipeline/assemblies.cpp now consume the
-// *_config_from helpers below; a default or mapping changed here changes
-// every construction path at once.
+// them into per-policy solver configs. sim/registry.cpp builds every
+// registry name through the *_config_from helpers below, so a default or
+// mapping changed here changes every name at once.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +44,8 @@ struct PolicyParams {
 [[nodiscard]] core::CgbaConfig baseline_cgba_config_from(
     const PolicyParams& params);
 
-// MpcConfig for "mpc".
+// MpcConfig for "mpc": params.mpc, with its CGBA assignment sharded by
+// shard_workers like the other CGBA baselines.
 [[nodiscard]] MpcConfig mpc_config_from(const PolicyParams& params);
 
 }  // namespace eotora::sim

@@ -5,21 +5,23 @@
 // ("dpp-bdma", "greedy-budget", ...) instead of hand-wiring constructor
 // calls, so a new policy registered here is immediately sweepable from
 // every harness. The knobs a sweep commonly varies are collected in
-// PolicyParams (sim/policy_params.h); anything not covered there still has
-// the plain policy constructors. Every name is built as a sim::pipeline
-// assembly (sim/pipeline/assemblies.h) — bit-identical to the monolithic
-// policy classes, plus a per-stage stats/trace breakdown.
+// PolicyParams (sim/policy_params.h); anything not covered there is built
+// with the assembly factories directly. Every name is built as a
+// sim::pipeline assembly (sim/pipeline/assemblies.h), with a per-stage
+// stats/trace breakdown.
 //
 // Registered names:
-//   beta-only        BetaOnlyPolicy (Lemma-2 per-slot budget oracle)
-//   dpp-bdma         DppPolicy, CGBA inner solver (the paper's controller)
-//   dpp-mcba         DppPolicy, MCBA inner solver ("MCBA-based DPP")
-//   dpp-ropt         DppPolicy, ROPT inner solver ("ROPT-based DPP")
-//   greedy-budget    GreedyBudgetPolicy (myopic per-slot budget)
-//   fixed-frequency  FixedFrequencyPolicy at params.fixed_fraction
-//   fixed-max        FixedFrequencyPolicy at fraction 1.0 (latency floor)
-//   fixed-min        FixedFrequencyPolicy at fraction 0.0 (cost floor)
-//   mpc              MpcPolicy (receding-horizon baseline), params.mpc
+//   beta-only        make_beta_only_pipeline (Lemma-2 per-slot budget oracle)
+//   dpp-bdma         make_dpp_pipeline, CGBA inner solver (the paper's
+//                    controller)
+//   dpp-mcba         make_dpp_pipeline, MCBA inner solver ("MCBA-based DPP")
+//   dpp-ropt         make_dpp_pipeline, ROPT inner solver ("ROPT-based DPP")
+//   greedy-budget    make_greedy_budget_pipeline (myopic per-slot budget)
+//   fixed-frequency  make_fixed_frequency_pipeline at params.fixed_fraction
+//   fixed-max        make_fixed_frequency_pipeline at 1.0 (latency floor)
+//   fixed-min        make_fixed_frequency_pipeline at 0.0 (cost floor)
+//   mpc              make_mpc_pipeline (receding-horizon baseline),
+//                    params.mpc
 #pragma once
 
 #include <memory>

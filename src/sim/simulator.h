@@ -40,9 +40,8 @@ struct SimulationResult {
   core::counters::SolverCounters counters;
   // Per-stage breakdown of the decision work (runs, seconds, counters), in
   // stage order — captured from Policy::stage_stats() after the drain.
-  // Empty for monolithic (non-pipeline) policies. The counters of all
-  // stages sum to `counters` above; the seconds are wall-clock and hence
-  // not deterministic.
+  // The counters of all stages sum to `counters` above; the seconds are
+  // wall-clock and hence not deterministic.
   std::vector<pipeline::StageStats> stages;
   // Populated by the audited overloads; empty (clean, 0 slots) otherwise.
   AuditReport audit;

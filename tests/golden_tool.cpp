@@ -11,10 +11,8 @@
 // drift gate; scripts/regen_golden.sh wraps record+check.
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "core/kernels/kernels.h"
 #include "sim/golden.h"
 
 #ifndef EOTORA_GOLDEN_DIR
@@ -29,13 +27,10 @@ using eotora::sim::GoldenScenario;
 using eotora::sim::GoldenTrace;
 
 int usage() {
-  std::cerr << "usage: golden_tool check [--fast-math] [dir]\n"
+  std::cerr << "usage: golden_tool check [dir]\n"
                "       golden_tool record [dir]\n"
                "       golden_tool diff <expected.json> <actual.json>\n"
-               "default dir: " EOTORA_GOLDEN_DIR "\n"
-               "--fast-math runs the solvers with the reassociating kernel\n"
-               "mode (check is then expected to report drift); record\n"
-               "refuses it — fixtures pin the bit-exact default path.\n";
+               "default dir: " EOTORA_GOLDEN_DIR "\n";
   return 2;
 }
 
@@ -102,30 +97,10 @@ int run_diff(const std::string& left, const std::string& right) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args;
-  bool fast_math = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--fast-math") {
-      fast_math = true;
-    } else {
-      args.emplace_back(argv[i]);
-    }
-  }
+  const std::vector<std::string> args(argv + 1, argv + argc);
   try {
     if (args.empty()) return usage();
     const std::string& command = args[0];
-    if (fast_math) {
-      if (command == "record") {
-        // The committed fixtures define the bit-exact contract every kernel
-        // backend must reproduce; a fast-math recording would bake the
-        // reassociated rounding into them and silently relax the gate.
-        std::cerr << "error: --fast-math cannot be combined with 'record': "
-                     "golden fixtures pin the bit-exact default kernel "
-                     "path\n";
-        return 2;
-      }
-      eotora::core::kernels::set_fast_math(true);
-    }
     if (command == "record" && args.size() <= 2) {
       return run_record(args.size() == 2 ? args[1] : EOTORA_GOLDEN_DIR);
     }

@@ -17,6 +17,7 @@
 #include "core/wcg.h"
 #include "energy/quadratic_energy.h"
 #include "sim/audit.h"
+#include "sim/pipeline/assemblies.h"
 #include "topology/builder.h"
 #include "util/rng.h"
 
@@ -140,13 +141,14 @@ TEST_P(Differential, DppAndOraclesAgreeAndPassTheAudit) {
   // Online: a few DPP slots, audited end to end (queue ledger included).
   core::DppConfig dpp_config;
   dpp_config.v = rng.uniform(10.0, 500.0);
-  core::DppController controller(instance, dpp_config);
+  const auto controller =
+      sim::pipeline::make_dpp_pipeline(instance, dpp_config);
   sim::SlotAuditor dpp_auditor(instance);
   core::DppSlotResult dpp_result;
   for (std::size_t t = 0; t < 3; ++t) {
     core::SlotState slot_state = state;
     slot_state.slot = t;
-    dpp_result = controller.step(slot_state, rng);
+    dpp_result = controller->step(slot_state, rng);
     dpp_auditor.observe(slot_state, dpp_result);
   }
   ASSERT_TRUE(dpp_auditor.report().clean()) << dpp_auditor.report().summary();

@@ -4,11 +4,14 @@
 
 #include "core/latency.h"
 #include "core/metrics.h"
+#include "sim/pipeline/assemblies.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
 namespace eotora::core {
 namespace {
+
+using sim::pipeline::make_dpp_pipeline;
 
 SlotState priced_state(std::size_t devices, double price, util::Rng& rng) {
   SlotState state = test::random_state(devices, 2, rng);
@@ -21,24 +24,23 @@ TEST(Dpp, QueueFollowsEquation21) {
   const Instance instance = test::tiny_instance(4, /*budget=*/1.0);
   DppConfig config;
   config.v = 50.0;
-  DppController controller(instance, config);
+  const auto controller = make_dpp_pipeline(instance, config);
   double expected_queue = 0.0;
   for (int t = 0; t < 20; ++t) {
     const SlotState state = priced_state(4, rng.uniform(20.0, 90.0), rng);
-    const DppSlotResult result = controller.step(state, rng);
+    const DppSlotResult result = controller->step(state, rng);
     EXPECT_DOUBLE_EQ(result.queue_before, expected_queue);
     expected_queue = std::max(expected_queue + result.theta, 0.0);
     EXPECT_DOUBLE_EQ(result.queue_after, expected_queue);
-    EXPECT_DOUBLE_EQ(controller.queue(), expected_queue);
   }
 }
 
 TEST(Dpp, SlotResultInternallyConsistent) {
   util::Rng rng(2);
   const Instance instance = test::tiny_instance(5, /*budget=*/2.0);
-  DppController controller(instance, DppConfig{});
+  const auto controller = make_dpp_pipeline(instance, DppConfig{});
   const SlotState state = priced_state(5, 60.0, rng);
-  const DppSlotResult result = controller.step(state, rng);
+  const DppSlotResult result = controller->step(state, rng);
   EXPECT_NEAR(result.energy_cost,
               instance.energy_cost(result.decision.frequencies,
                                    state.price_per_mwh),
@@ -64,15 +66,15 @@ TEST(Dpp, HighPriceShrinksFrequencies) {
   DppConfig config;
   config.v = 2000.0;
   config.initial_queue = 100.0;
-  DppController cheap_controller(instance, config);
-  DppController pricey_controller(instance, config);
+  const auto cheap_controller = make_dpp_pipeline(instance, config);
+  const auto pricey_controller = make_dpp_pipeline(instance, config);
   util::Rng rng_a(10);
   util::Rng rng_b(10);
   SlotState state = test::random_state(6, 2, rng);
   state.price_per_mwh = 15.0;
-  const auto cheap = cheap_controller.step(state, rng_a);
+  const auto cheap = cheap_controller->step(state, rng_a);
   state.price_per_mwh = 150.0;
-  const auto pricey = pricey_controller.step(state, rng_b);
+  const auto pricey = pricey_controller->step(state, rng_b);
   double cheap_sum = 0.0;
   double pricey_sum = 0.0;
   for (std::size_t n = 0; n < instance.num_servers(); ++n) {
@@ -92,16 +94,16 @@ TEST(Dpp, LongRunMeetsBudgetWhenFeasible) {
   ASSERT_LT(min_possible, 10.0);
   DppConfig config;
   config.v = 50.0;
-  DppController controller(instance, config);
+  const auto controller = make_dpp_pipeline(instance, config);
   MetricsCollector metrics;
   for (int t = 0; t < 600; ++t) {
     const double price = 40.0 + 30.0 * ((t % 24) >= 12 ? 1.0 : -1.0) +
                          rng.uniform(-5.0, 5.0);
-    metrics.record(controller.step(priced_state(4, price, rng), rng));
+    metrics.record(controller->step(priced_state(4, price, rng), rng));
   }
   EXPECT_LE(metrics.average_energy_cost(), 10.0 * 1.02);
   // The queue stays bounded (stability).
-  EXPECT_LT(controller.queue(), 1000.0);
+  EXPECT_LT(metrics.queue_series().back(), 1000.0);
 }
 
 TEST(Dpp, LargerVGivesLowerLatencyAndBiggerQueue) {
@@ -109,13 +111,13 @@ TEST(Dpp, LargerVGivesLowerLatencyAndBiggerQueue) {
   auto run = [&](double v) {
     DppConfig config;
     config.v = v;
-    DppController controller(instance, config);
+    const auto controller = make_dpp_pipeline(instance, config);
     util::Rng rng(99);  // identical streams across v
     MetricsCollector metrics;
     for (int t = 0; t < 300; ++t) {
       const double price =
           50.0 + 40.0 * std::sin(2.0 * 3.14159 * (t % 24) / 24.0);
-      metrics.record(controller.step(priced_state(6, price, rng), rng));
+      metrics.record(controller->step(priced_state(6, price, rng), rng));
     }
     return metrics;
   };
@@ -128,23 +130,27 @@ TEST(Dpp, LargerVGivesLowerLatencyAndBiggerQueue) {
 TEST(Dpp, ResetClearsQueue) {
   util::Rng rng(5);
   const Instance instance = test::tiny_instance(3, /*budget=*/0.1);
-  DppController controller(instance, DppConfig{});
+  const auto controller = make_dpp_pipeline(instance, DppConfig{});
+  DppSlotResult slot;
   for (int t = 0; t < 5; ++t) {
-    (void)controller.step(priced_state(3, 80.0, rng), rng);
+    slot = controller->step(priced_state(3, 80.0, rng), rng);
   }
-  EXPECT_GT(controller.queue(), 0.0);
-  controller.reset();
-  EXPECT_DOUBLE_EQ(controller.queue(), 0.0);
+  EXPECT_GT(slot.queue_after, 0.0);
+  controller->reset();
+  slot = controller->step(priced_state(3, 80.0, rng), rng);
+  EXPECT_DOUBLE_EQ(slot.queue_before, 0.0);
 }
 
 TEST(Dpp, RejectsBadConfig) {
   const Instance instance = test::tiny_instance(2);
   DppConfig config;
   config.v = 0.0;
-  EXPECT_THROW(DppController(instance, config), std::invalid_argument);
+  EXPECT_THROW((void)make_dpp_pipeline(instance, config),
+               std::invalid_argument);
   config = {};
   config.initial_queue = -1.0;
-  EXPECT_THROW(DppController(instance, config), std::invalid_argument);
+  EXPECT_THROW((void)make_dpp_pipeline(instance, config),
+               std::invalid_argument);
 }
 
 TEST(Metrics, AggregatesSeries) {

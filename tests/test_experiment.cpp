@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "sim/decision_log.h"
+#include "sim/registry.h"
 
 namespace eotora::sim {
 namespace {
@@ -25,12 +26,10 @@ ScenarioConfig tiny() {
 }
 
 PolicyFactory dpp_factory(double v = 50.0) {
-  return [v](const core::Instance& instance) {
-    core::DppConfig config;
-    config.v = v;
-    config.bdma.iterations = 1;
-    return std::make_unique<DppPolicy>(instance, config);
-  };
+  PolicyParams params;
+  params.v = v;
+  params.bdma_iterations = 1;
+  return policy_factory("dpp-bdma", params);
 }
 
 TEST(Replicate, RunsRequestedReplications) {
@@ -80,14 +79,14 @@ TEST(Replicate, RejectsBadArguments) {
 
 TEST(DecisionLog, RecordsAndSerializes) {
   Scenario scenario(tiny());
-  core::DppConfig config;
-  config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
   DecisionLog log;
   util::Rng rng(1);
   for (int t = 0; t < 5; ++t) {
     const auto state = scenario.next_state();
-    log.record(state, policy.step(state, rng));
+    log.record(state, policy->step(state, rng));
   }
   EXPECT_EQ(log.rows(), 5u);
   const std::string csv = log.to_csv();
@@ -103,13 +102,13 @@ TEST(DecisionLog, EmptyLogRejectsSerialization) {
 
 TEST(DecisionLog, SaveWritesFile) {
   Scenario scenario(tiny());
-  core::DppConfig config;
-  config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
   DecisionLog log;
   util::Rng rng(2);
   const auto state = scenario.next_state();
-  log.record(state, policy.step(state, rng));
+  log.record(state, policy->step(state, rng));
   const std::string path = "/tmp/eotora_test_decision_log.csv";
   log.save(path);
   std::ifstream file(path);

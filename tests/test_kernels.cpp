@@ -1,14 +1,12 @@
 // Kernel-layer contracts (core/kernels): every compiled-in backend the CPU
-// supports must reproduce the scalar reference BIT FOR BIT on the default
-// path, for all three kernels, across randomized shapes — this is what lets
-// the golden fixtures hold on every backend. Fast-math relaxes the contract
-// to a 1e-9 relative bound, pinned here against the exact path.
+// supports must reproduce the scalar reference BIT FOR BIT, for all three
+// kernels, across randomized shapes — this is what lets the golden fixtures
+// hold on every backend.
 #include "core/kernels/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -28,24 +26,15 @@ constexpr int kFuzzSeeds = 25;
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Restores the process-global backend/fast-math selection a test overrides.
+// Restores the process-global backend selection a test overrides.
 class KernelStateGuard {
  public:
-  KernelStateGuard() : backend_(backend_name()), fast_(fast_math()) {}
-  ~KernelStateGuard() {
-    set_backend(backend_);
-    set_fast_math(fast_);
-  }
+  KernelStateGuard() : backend_(backend_name()) {}
+  ~KernelStateGuard() { set_backend(backend_); }
 
  private:
   std::string backend_;
-  bool fast_;
 };
-
-double relative_gap(double a, double b) {
-  const double scale = std::max({std::abs(a), std::abs(b), 1.0});
-  return std::abs(a - b) / scale;
-}
 
 // ---------------------------------------------------------------------------
 // Backend registry
@@ -217,12 +206,8 @@ TEST(KernelFuzz, Lemma1BatchBitIdenticalAcrossBackends) {
       util::Rng replay_rng(3000 + seed);
       Lemma1Fixture candidate(replay_rng);
       set_backend(b->name);
-      // Fast-math must not change Lemma 1: the shares come from lane-exact
-      // sqrt/divide plus the scalar device-order scatter on every path.
-      set_fast_math(seed % 2 == 1);
       const Lemma1Io io = candidate.io();
       lemma1_batch(io);
-      set_fast_math(false);
       for (std::size_t i = 0; i < reference.devices; ++i) {
         ASSERT_EQ(bits(candidate.phi[i]), bits(reference.phi[i]))
             << b->name << " seed=" << seed << " i=" << i;
@@ -307,10 +292,9 @@ struct ScanFixture {
     return best;
   }
 
-  ScanHit run(const Backend& b, bool fast) const {
+  ScanHit run(const Backend& b) const {
     return b.scan(tc.data(), server_of_entry.data(), groups.data(),
-                  groups.size(), ta.data(), tf.data(), skip_entry, bound,
-                  fast);
+                  groups.size(), ta.data(), tf.data(), skip_entry, bound);
   }
 };
 
@@ -320,42 +304,9 @@ TEST(KernelFuzz, BestResponseScanBitIdenticalAcrossBackends) {
     const ScanFixture fixture(rng);
     const ScanHit expected = fixture.expected();
     for (const Backend* b : available_backends()) {
-      const ScanHit hit = fixture.run(*b, /*fast=*/false);
+      const ScanHit hit = fixture.run(*b);
       ASSERT_EQ(hit.entry, expected.entry) << b->name << " seed=" << seed;
       ASSERT_EQ(bits(hit.cost), bits(expected.cost))
-          << b->name << " seed=" << seed;
-    }
-  }
-}
-
-TEST(KernelFuzz, BestResponseScanFastMathWithinTolerance) {
-  for (int seed = 0; seed < kFuzzSeeds; ++seed) {
-    util::Rng rng(5000 + seed);
-    const ScanFixture fixture(rng);
-    for (const Backend* b : available_backends()) {
-      const ScanHit hit = fixture.run(*b, /*fast=*/true);
-      if (hit.entry == kNoEntry) {
-        // Nothing beat the bound; the exact path must agree within the drift
-        // budget (the bound itself is exact, so costs near it may flip).
-        const ScanHit exact = fixture.expected();
-        if (exact.entry != kNoEntry) {
-          EXPECT_LE(relative_gap(exact.cost, fixture.bound), 1e-9)
-              << b->name << " seed=" << seed;
-        }
-        continue;
-      }
-      // Whatever entry fast mode picked, its reported cost must sit within
-      // 1e-9 relative of that entry's exact left-associated cost.
-      const ScanGroup* home = nullptr;
-      for (const ScanGroup& grp : fixture.groups) {
-        if (hit.entry >= grp.begin && hit.entry < grp.end) home = &grp;
-      }
-      ASSERT_NE(home, nullptr) << b->name << " seed=" << seed;
-      const double exact_cost =
-          (fixture.tc[fixture.server_of_entry[hit.entry]] +
-           fixture.ta[home->bs]) +
-          fixture.tf[home->bs];
-      EXPECT_LE(relative_gap(hit.cost, exact_cost), 1e-9)
           << b->name << " seed=" << seed;
     }
   }
@@ -449,7 +400,8 @@ TEST(KernelFuzz, P2bBisectMatchesMathDerivativeBisection) {
 // ---------------------------------------------------------------------------
 // weighted_sumsq
 
-TEST(KernelFuzz, WeightedSumsqExactBitIdenticalFastWithinTolerance) {
+TEST(KernelFuzz, WeightedSumsqBitIdenticalAcrossBackends) {
+  const KernelStateGuard guard;
   for (int seed = 0; seed < kFuzzSeeds; ++seed) {
     util::Rng rng(8000 + seed);
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 129));
@@ -459,14 +411,13 @@ TEST(KernelFuzz, WeightedSumsqExactBitIdenticalFastWithinTolerance) {
       w[i] = rng.uniform(1e-10, 10.0);
       x[i] = rng.uniform(0.0, 1e4);
     }
-    const double reference =
-        available_backends()[0]->weighted_sumsq(w.data(), x.data(), n);
+    // The contract's left-to-right Σ ((w·x)·x).
+    double reference = 0.0;
+    for (std::size_t i = 0; i < n; ++i) reference += w[i] * x[i] * x[i];
     for (const Backend* b : available_backends()) {
-      const double exact = b->weighted_sumsq(w.data(), x.data(), n);
-      ASSERT_EQ(bits(exact), bits(reference)) << b->name << " seed=" << seed;
-      const double fast = b->weighted_sumsq_fast(w.data(), x.data(), n);
-      EXPECT_LE(relative_gap(fast, reference), 1e-9)
-          << b->name << " seed=" << seed;
+      set_backend(b->name);
+      const double sum = weighted_sumsq(w.data(), x.data(), n);
+      ASSERT_EQ(bits(sum), bits(reference)) << b->name << " seed=" << seed;
     }
   }
 }

@@ -2,23 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/pipeline/assemblies.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
 namespace eotora::core {
 namespace {
 
+using sim::pipeline::make_dpp_pipeline;
+
 TEST(Lyapunov, DriftIdentityHoldsPerSlot) {
   util::Rng rng(1);
   const Instance instance = test::tiny_instance(4, /*budget=*/1.0);
   DppConfig config;
   config.v = 50.0;
-  DppController controller(instance, config);
+  const auto controller = make_dpp_pipeline(instance, config);
   LyapunovAnalyzer analyzer(config.v);
   for (int t = 0; t < 100; ++t) {
     SlotState state = test::random_state(4, 2, rng);
     state.price_per_mwh = rng.uniform(10.0, 150.0);
-    const auto slot = controller.step(state, rng);
+    const auto slot = controller->step(state, rng);
     const auto rec = analyzer.record(slot);
     // Δ(t) <= ½θ² + Qθ always; equality when the queue did not clip at 0.
     EXPECT_LE(rec.drift, rec.drift_bound + 1e-9);
@@ -36,11 +39,11 @@ TEST(Lyapunov, DriftTelescopes) {
   DppConfig config;
   config.v = 20.0;
   config.initial_queue = 5.0;
-  DppController controller(instance, config);
+  const auto controller = make_dpp_pipeline(instance, config);
   LyapunovAnalyzer analyzer(config.v);
   for (int t = 0; t < 60; ++t) {
     SlotState state = test::random_state(3, 2, rng);
-    analyzer.record(controller.step(state, rng));
+    analyzer.record(controller->step(state, rng));
   }
   EXPECT_NEAR(analyzer.drift_sum(), analyzer.telescoped_drift(),
               1e-6 * (1.0 + std::abs(analyzer.drift_sum())));

@@ -10,7 +10,7 @@
 #include "core/cgba.h"
 #include "core/wcg.h"
 #include "sim/decision_log.h"
-#include "sim/policy.h"
+#include "sim/registry.h"
 #include "sim/scenario.h"
 #include "test_helpers.h"
 #include "trace/price_trace.h"
@@ -136,14 +136,14 @@ TEST(DecisionLogCsv, ParsesBackThroughTraceIo) {
   config.servers_per_cluster = 2;
   config.seed = 21;
   Scenario scenario(config);
-  core::DppConfig dpp;
-  dpp.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), dpp);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
   DecisionLog log;
   util::Rng rng(1);
   for (int t = 0; t < 6; ++t) {
     const auto state = scenario.next_state();
-    log.record(state, policy.step(state, rng));
+    log.record(state, policy->step(state, rng));
   }
   std::stringstream buffer(log.to_csv());
   const auto series = trace::read_csv(buffer);
@@ -166,10 +166,10 @@ TEST(GreedyBudget, InfeasibleBudgetRunsAtFloor) {
   config.seed = 22;
   config.budget_per_slot = 1e-6;  // impossible
   Scenario scenario(config);
-  GreedyBudgetPolicy policy(scenario.instance());
+  const auto policy = make_policy("greedy-budget", scenario.instance());
   util::Rng rng(2);
   const auto state = scenario.next_state();
-  const auto slot = policy.step(state, rng);
+  const auto slot = policy->step(state, rng);
   const auto floor = scenario.instance().min_frequencies();
   for (std::size_t n = 0; n < floor.size(); ++n) {
     EXPECT_DOUBLE_EQ(slot.decision.frequencies[n], floor[n]);

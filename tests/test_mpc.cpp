@@ -1,8 +1,12 @@
+// The receding-horizon "mpc" policy, as the registry builds it.
 #include "sim/mpc_policy.h"
 
 #include <gtest/gtest.h>
 
 #include "core/latency.h"
+#include "sim/pipeline/graph.h"
+#include "sim/pipeline/stages.h"
+#include "sim/registry.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -21,13 +25,26 @@ ScenarioConfig small_config() {
   return config;
 }
 
+// "mpc" with its audit tap recording each slot's forecast length: one price
+// while bootstrapping, `window` prices once the trends have seen a period.
+std::unique_ptr<Policy> mpc_recording_forecasts(
+    const core::Instance& instance, std::vector<std::size_t>& lengths) {
+  auto policy = make_policy("mpc", instance);
+  auto& graph = dynamic_cast<pipeline::PolicyGraph&>(*policy);
+  dynamic_cast<pipeline::AuditTapStage&>(*graph.find_stage("audit_tap"))
+      .set_tap([&lengths](const pipeline::StageContext& ctx) {
+        lengths.push_back(ctx.forecast.prices.size());
+      });
+  return policy;
+}
+
 TEST(Mpc, ProducesFeasibleDecisionsFromSlotOne) {
   Scenario scenario(small_config());
-  MpcPolicy policy(scenario.instance(), MpcConfig{});
+  const auto policy = make_policy("mpc", scenario.instance());
   util::Rng rng(1);
   for (int t = 0; t < 30; ++t) {
     const auto state = scenario.next_state();
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     EXPECT_TRUE(
         scenario.instance().frequencies_feasible(slot.decision.frequencies));
     EXPECT_TRUE(core::allocation_feasible(scenario.instance(),
@@ -39,36 +56,40 @@ TEST(Mpc, ProducesFeasibleDecisionsFromSlotOne) {
 
 TEST(Mpc, StartsForecastingAfterOnePeriod) {
   Scenario scenario(small_config());
-  MpcPolicy policy(scenario.instance(), MpcConfig{});
+  std::vector<std::size_t> lengths;
+  const auto policy = mpc_recording_forecasts(scenario.instance(), lengths);
   util::Rng rng(2);
-  for (int t = 0; t < 24; ++t) {
-    EXPECT_FALSE(policy.forecasting()) << "slot " << t;
-    (void)policy.step(scenario.next_state(), rng);
+  for (int t = 0; t < 24; ++t) (void)policy->step(scenario.next_state(), rng);
+  ASSERT_EQ(lengths.size(), 24u);
+  // The 24th observation completes the first period.
+  for (std::size_t t = 0; t + 1 < lengths.size(); ++t) {
+    EXPECT_EQ(lengths[t], 1u) << "slot " << t;
   }
-  EXPECT_TRUE(policy.forecasting());
+  EXPECT_EQ(lengths.back(), MpcConfig{}.window);
 }
 
 TEST(Mpc, ResetForgetsTrends) {
   Scenario scenario(small_config());
-  MpcPolicy policy(scenario.instance(), MpcConfig{});
+  std::vector<std::size_t> lengths;
+  const auto policy = mpc_recording_forecasts(scenario.instance(), lengths);
   util::Rng rng(3);
-  for (int t = 0; t < 30; ++t) (void)policy.step(scenario.next_state(), rng);
-  EXPECT_TRUE(policy.forecasting());
-  policy.reset();
-  EXPECT_FALSE(policy.forecasting());
+  for (int t = 0; t < 30; ++t) (void)policy->step(scenario.next_state(), rng);
+  EXPECT_EQ(lengths.back(), MpcConfig{}.window);
+  policy->reset();
+  (void)policy->step(scenario.next_state(), rng);
+  EXPECT_EQ(lengths.back(), 1u);
 }
 
 TEST(Mpc, WindowBudgetRoughlyRespectedOnceForecasting) {
   ScenarioConfig config = small_config();
   Scenario scenario(config);
-  MpcPolicy policy(scenario.instance(), MpcConfig{});
+  const auto policy = make_policy("mpc", scenario.instance());
   const auto states = scenario.generate_states(24 * 8);
   util::Rng rng(4);
-  policy.reset();
   double tail_cost = 0.0;
   int tail_slots = 0;
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     if (state.slot >= 24 * 4) {  // trends converged
       tail_cost += slot.energy_cost;
       ++tail_slots;
@@ -91,14 +112,13 @@ TEST(Mpc, SpendsMoreInCheapForecastHours) {
   // multiplier is positive and the clock actually moves with the price.
   config.budget_per_slot = 0.5;
   Scenario scenario(config);
-  MpcPolicy policy(scenario.instance(), MpcConfig{});
+  const auto policy = make_policy("mpc", scenario.instance());
   const auto states = scenario.generate_states(24 * 8);
   util::Rng rng(5);
-  policy.reset();
   std::vector<double> prices;
   std::vector<double> clocks;
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     if (state.slot >= 24 * 4) {
       prices.push_back(state.price_per_mwh);
       double mean = 0.0;
@@ -111,13 +131,13 @@ TEST(Mpc, SpendsMoreInCheapForecastHours) {
 
 TEST(Mpc, RejectsBadConfig) {
   Scenario scenario(small_config());
-  MpcConfig config;
-  config.window = 0;
-  EXPECT_THROW(MpcPolicy(scenario.instance(), config),
+  PolicyParams params;
+  params.mpc.window = 0;
+  EXPECT_THROW((void)make_policy("mpc", scenario.instance(), params),
                std::invalid_argument);
-  config = {};
-  config.bisection_iterations = 0;
-  EXPECT_THROW(MpcPolicy(scenario.instance(), config),
+  params = {};
+  params.mpc.bisection_iterations = 0;
+  EXPECT_THROW((void)make_policy("mpc", scenario.instance(), params),
                std::invalid_argument);
 }
 

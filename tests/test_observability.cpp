@@ -229,7 +229,7 @@ TEST(CountersTest, RunPolicyReportsSolverEffort) {
   // One engine rebuild per cgba() solve, one warm-started solve per
   // iteration: 12 solves total.
   EXPECT_EQ(bdma.counters.engine_rebuilds, 12u);
-  // DppController calls optimal_allocation once per slot.
+  // The DPP decision stage calls optimal_allocation once per slot.
   EXPECT_EQ(bdma.counters.lemma1_evaluations, 6u);
   EXPECT_EQ(bdma.counters.mcba_proposals, 0u);
 

@@ -1,8 +1,8 @@
-// GreedyBudgetPolicy and cross-policy behavioural comparisons.
+// The "greedy-budget" policy and cross-policy behavioural comparisons.
 #include <gtest/gtest.h>
 
 #include "core/latency.h"
-#include "sim/policy.h"
+#include "sim/registry.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -24,11 +24,11 @@ ScenarioConfig small_config() {
 TEST(GreedyBudget, NeverExceedsBudgetInAnySlot) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(24);
-  GreedyBudgetPolicy policy(scenario.instance());
+  const auto policy = make_policy("greedy-budget", scenario.instance());
   util::Rng rng(1);
   const double budget = scenario.instance().budget_per_slot();
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     const double floor_cost = scenario.instance().energy_cost(
         scenario.instance().min_frequencies(), state.price_per_mwh);
     if (floor_cost <= budget) {
@@ -59,10 +59,10 @@ TEST(GreedyBudget, SpendsTheBudgetWhenBeneficial) {
   tuned.budget_per_slot = 0.5 * (lo + hi);
   Scenario scenario(tuned);
   const auto states = scenario.generate_states(24);
-  GreedyBudgetPolicy policy(scenario.instance());
+  const auto policy = make_policy("greedy-budget", scenario.instance());
   util::Rng rng(2);
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     const double floor_cost = scenario.instance().energy_cost(
         scenario.instance().min_frequencies(), state.price_per_mwh);
     const double ceil_cost = scenario.instance().energy_cost(
@@ -80,10 +80,10 @@ TEST(GreedyBudget, SpendsTheBudgetWhenBeneficial) {
 TEST(GreedyBudget, ChoosesFeasibleAllocationsAndFrequencies) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(6);
-  GreedyBudgetPolicy policy(scenario.instance());
+  const auto policy = make_policy("greedy-budget", scenario.instance());
   util::Rng rng(3);
   for (const auto& state : states) {
-    const auto slot = policy.step(state, rng);
+    const auto slot = policy->step(state, rng);
     EXPECT_TRUE(
         scenario.instance().frequencies_feasible(slot.decision.frequencies));
     EXPECT_TRUE(core::allocation_feasible(scenario.instance(),
@@ -102,15 +102,15 @@ TEST(GreedyBudget, DppBeatsGreedyOnLatencyAtEqualAverageSpend) {
   Scenario scenario(config);
   const auto states = scenario.generate_states(24 * 6);
 
-  GreedyBudgetPolicy greedy(scenario.instance());
-  const auto greedy_result = run_policy(greedy, states, 4);
-
-  core::DppConfig dpp;
-  dpp.v = 100.0;
-  dpp.initial_queue = 10.0;
-  dpp.bdma.iterations = 3;
-  DppPolicy dpp_policy(scenario.instance(), dpp);
-  const auto dpp_result = run_policy(dpp_policy, states, 4);
+  PolicyParams params;
+  params.v = 100.0;
+  params.initial_queue = 10.0;
+  params.bdma_iterations = 3;
+  const auto greedy =
+      make_policy("greedy-budget", scenario.instance(), params);
+  const auto greedy_result = run_policy(*greedy, states, 4);
+  const auto dpp_policy = make_policy("dpp-bdma", scenario.instance(), params);
+  const auto dpp_result = run_policy(*dpp_policy, states, 4);
 
   EXPECT_LT(dpp_result.metrics.average_latency(),
             greedy_result.metrics.average_latency() * 1.02);
@@ -118,8 +118,8 @@ TEST(GreedyBudget, DppBeatsGreedyOnLatencyAtEqualAverageSpend) {
 
 TEST(GreedyBudget, NameIsStable) {
   Scenario scenario(small_config());
-  GreedyBudgetPolicy policy(scenario.instance());
-  EXPECT_EQ(policy.name(), "Greedy per-slot budget");
+  const auto policy = make_policy("greedy-budget", scenario.instance());
+  EXPECT_EQ(policy->name(), "Greedy per-slot budget");
 }
 
 }  // namespace

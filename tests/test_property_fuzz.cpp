@@ -12,6 +12,7 @@
 #include "core/mcba.h"
 #include "core/ropt.h"
 #include "energy/quadratic_energy.h"
+#include "sim/pipeline/assemblies.h"
 #include "test_helpers.h"
 #include "topology/builder.h"
 #include "util/rng.h"
@@ -145,10 +146,10 @@ TEST_P(FuzzSweep, BdmaAndDppStayFeasibleUnderAdversarialStates) {
   DppConfig config;
   config.v = rng.uniform(1.0, 500.0);
   config.bdma.iterations = 1 + rng.index(4);
-  DppController controller(instance, config);
+  const auto controller = sim::pipeline::make_dpp_pipeline(instance, config);
   for (int t = 0; t < 5; ++t) {
     const SlotState state = random_sparse_state(*topo, rng);
-    const DppSlotResult slot = controller.step(state, rng);
+    const DppSlotResult slot = controller->step(state, rng);
     EXPECT_TRUE(instance.frequencies_feasible(slot.decision.frequencies));
     EXPECT_TRUE(allocation_feasible(instance, slot.decision.assignment,
                                     slot.decision.allocation));
@@ -177,11 +178,12 @@ TEST(FailureInjection, DeviceWithNoUsableLinkIsReportedNotSilentlyDropped) {
 TEST(FailureInjection, ExtremePricesKeepDecisionsFinite) {
   util::Rng rng(32);
   const Instance instance = test::tiny_instance(4, /*budget=*/1.0);
-  DppController controller(instance, DppConfig{});
+  const auto controller =
+      sim::pipeline::make_dpp_pipeline(instance, DppConfig{});
   for (double price : {1e-6, 1.0, 1e4, 1e7}) {
     SlotState state = test::random_state(4, 2, rng);
     state.price_per_mwh = price;
-    const auto slot = controller.step(state, rng);
+    const auto slot = controller->step(state, rng);
     EXPECT_TRUE(std::isfinite(slot.latency));
     EXPECT_TRUE(std::isfinite(slot.energy_cost));
     EXPECT_TRUE(instance.frequencies_feasible(slot.decision.frequencies));
@@ -206,22 +208,23 @@ TEST(FailureInjection, QueueRecoversAfterPriceShock) {
   const Instance instance = test::tiny_instance(3, /*budget=*/5.0);
   DppConfig config;
   config.v = 20.0;
-  DppController controller(instance, config);
+  const auto controller = sim::pipeline::make_dpp_pipeline(instance, config);
   // Sustained shock: 20 slots of 50x prices build a backlog.
+  double backlog = 0.0;
   for (int t = 0; t < 20; ++t) {
     SlotState state = test::random_state(3, 2, rng);
     state.price_per_mwh = 2500.0;
-    (void)controller.step(state, rng);
+    backlog = controller->step(state, rng).queue_after;
   }
-  const double backlog_after_shock = controller.queue();
+  const double backlog_after_shock = backlog;
   EXPECT_GT(backlog_after_shock, 0.0);
   // Recovery: cheap slots drain it.
-  for (int t = 0; t < 200 && controller.queue() > 0.0; ++t) {
+  for (int t = 0; t < 200 && backlog > 0.0; ++t) {
     SlotState state = test::random_state(3, 2, rng);
     state.price_per_mwh = 10.0;
-    (void)controller.step(state, rng);
+    backlog = controller->step(state, rng).queue_after;
   }
-  EXPECT_LT(controller.queue(), backlog_after_shock);
+  EXPECT_LT(backlog, backlog_after_shock);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -119,6 +120,53 @@ TEST(Registry, SolverKindSelectsDistinctPolicies) {
   EXPECT_NE(bdma->name(), mcba->name());
   EXPECT_NE(bdma->name(), ropt->name());
   EXPECT_NE(mcba->name(), ropt->name());
+}
+
+// A 4-district metro world: the WCG splits into one component per district.
+ScenarioConfig metro() {
+  ScenarioConfig config;
+  config.metro_districts = 4;
+  config.devices = 32;
+  config.servers_per_cluster = 2;
+  return config;
+}
+
+// Every name eotora_cli accepts --shards for (all but dpp-ropt and
+// beta-only) runs its P2-A solve sharded when shard_workers > 0: the same
+// decisions as the global solve, and one shard per district reported by
+// the P2-A stage.
+TEST(Registry, ShardWorkersShardEveryCgbaOrMcbaPolicy) {
+  Scenario scenario(metro());
+  const auto states = scenario.generate_states(3);
+  for (const auto& name : registered_policies()) {
+    if (name == "dpp-ropt" || name == "beta-only") continue;
+    PolicyParams params = fast_params();
+    const auto global = make_policy(name, scenario.instance(), params);
+    params.shard_workers = 2;
+    const auto sharded = make_policy(name, scenario.instance(), params);
+    util::Rng global_rng(5);
+    util::Rng sharded_rng(5);
+    for (std::size_t t = 0; t < states.size(); ++t) {
+      const auto a = global->step(states[t], global_rng);
+      const auto b = sharded->step(states[t], sharded_rng);
+      const std::string where = name + " slot " + std::to_string(t);
+      EXPECT_EQ(a.decision.assignment.bs_of, b.decision.assignment.bs_of)
+          << where;
+      EXPECT_EQ(a.decision.assignment.server_of,
+                b.decision.assignment.server_of)
+          << where;
+      EXPECT_EQ(a.decision.frequencies, b.decision.frequencies) << where;
+      EXPECT_EQ(a.latency, b.latency) << where;
+      EXPECT_EQ(a.energy_cost, b.energy_cost) << where;
+    }
+    const std::string p2a_stage =
+        name.rfind("dpp-", 0) == 0 ? "p2a_solve" : "cgba_assign";
+    std::size_t shards = 0;
+    for (const auto& stage : sharded->stage_stats()) {
+      if (stage.name == p2a_stage) shards = stage.shards.size();
+    }
+    EXPECT_EQ(shards, 4u) << name;
+  }
 }
 
 TEST(Registry, FactoryMatchesDirectConstruction) {

@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "sim/policy.h"
+#include "sim/registry.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -57,11 +57,11 @@ TEST_F(ReplayTest, ReplayDrivesIdenticalSimulation) {
   const auto states = scenario.generate_states(8);
   save_states(path_, states);
   const auto loaded = load_states(path_);
-  core::DppConfig config;
-  config.bdma.iterations = 2;
-  DppPolicy policy(scenario.instance(), config);
-  const auto original = run_policy(policy, states, 9);
-  const auto replayed = run_policy(policy, loaded, 9);
+  PolicyParams params;
+  params.bdma_iterations = 2;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
+  const auto original = run_policy(*policy, states, 9);
+  const auto replayed = run_policy(*policy, loaded, 9);
   EXPECT_EQ(original.metrics.latency_series(),
             replayed.metrics.latency_series());
   EXPECT_EQ(original.metrics.queue_series(), replayed.metrics.queue_series());

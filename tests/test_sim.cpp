@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "sim/policy.h"
+#include "sim/registry.h"
 #include "sim/report.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -103,16 +103,13 @@ TEST(Simulator, RunsAllPolicyKinds) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(24);
   std::vector<SimulationResult> results;
-  for (core::P2aSolverKind kind :
-       {core::P2aSolverKind::kCgba, core::P2aSolverKind::kMcba,
-        core::P2aSolverKind::kRopt}) {
-    core::DppConfig config;
-    config.v = 50.0;
-    config.bdma.solver = kind;
-    config.bdma.iterations = 2;
-    config.bdma.mcba.iterations = 300;
-    DppPolicy policy(scenario.instance(), config);
-    results.push_back(run_policy(policy, states));
+  PolicyParams params;
+  params.v = 50.0;
+  params.bdma_iterations = 2;
+  params.mcba_iterations = 300;
+  for (const char* name : {"dpp-bdma", "dpp-mcba", "dpp-ropt"}) {
+    const auto policy = make_policy(name, scenario.instance(), params);
+    results.push_back(run_policy(*policy, states));
     EXPECT_EQ(results.back().metrics.slots(), 24u);
     EXPECT_GT(results.back().metrics.average_latency(), 0.0);
   }
@@ -128,11 +125,11 @@ TEST(Simulator, RunsAllPolicyKinds) {
 TEST(Simulator, DeterministicGivenSeed) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(12);
-  core::DppConfig config;
-  config.bdma.iterations = 2;
-  DppPolicy policy(scenario.instance(), config);
-  const auto a = run_policy(policy, states, 5);
-  const auto b = run_policy(policy, states, 5);
+  PolicyParams params;
+  params.bdma_iterations = 2;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
+  const auto a = run_policy(*policy, states, 5);
+  const auto b = run_policy(*policy, states, 5);
   EXPECT_EQ(a.metrics.latency_series(), b.metrics.latency_series());
   EXPECT_EQ(a.metrics.queue_series(), b.metrics.queue_series());
 }
@@ -143,13 +140,14 @@ TEST(Simulator, ResetHappensBetweenRuns) {
   tight.budget_per_slot = 0.05;  // infeasibly tight: queue definitely grows
   Scenario tight_scenario(tight);
   const auto states = tight_scenario.generate_states(12);
-  core::DppConfig config;
-  config.bdma.iterations = 1;
-  DppPolicy policy(tight_scenario.instance(), config);
-  const auto first = run_policy(policy, states);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy =
+      make_policy("dpp-bdma", tight_scenario.instance(), params);
+  const auto first = run_policy(*policy, states);
   // Queue grew during the first run...
-  EXPECT_GT(policy.queue(), 0.0);
-  const auto second = run_policy(policy, states);
+  EXPECT_GT(first.metrics.queue_series().back(), 0.0);
+  const auto second = run_policy(*policy, states);
   // ...but reset() gave the second run the same trajectory.
   EXPECT_EQ(first.metrics.queue_series(), second.metrics.queue_series());
 }
@@ -157,10 +155,10 @@ TEST(Simulator, ResetHappensBetweenRuns) {
 TEST(Simulator, TailAveragesMatchManualComputation) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(10);
-  core::DppConfig config;
-  config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
-  const auto result = run_policy(policy, states);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
+  const auto result = run_policy(*policy, states);
   const auto tail = tail_averages(result, 4);
   const auto& series = result.metrics.latency_series();
   double expected = 0.0;
@@ -173,25 +171,28 @@ TEST(Simulator, TailAveragesMatchManualComputation) {
 TEST(FixedFrequency, RunsAndRespectsFraction) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(6);
-  FixedFrequencyPolicy max_policy(scenario.instance(), 1.0);
-  FixedFrequencyPolicy min_policy(scenario.instance(), 0.0);
-  const auto fast = run_policy(max_policy, states);
-  const auto slow = run_policy(min_policy, states);
+  const auto max_policy = make_policy("fixed-max", scenario.instance());
+  const auto min_policy = make_policy("fixed-min", scenario.instance());
+  const auto fast = run_policy(*max_policy, states);
+  const auto slow = run_policy(*min_policy, states);
   // Full frequency: lower latency, higher energy cost.
   EXPECT_LT(fast.metrics.average_latency(), slow.metrics.average_latency());
   EXPECT_GT(fast.metrics.average_energy_cost(),
             slow.metrics.average_energy_cost());
-  EXPECT_THROW(FixedFrequencyPolicy(scenario.instance(), 1.5),
-               std::invalid_argument);
+  PolicyParams params;
+  params.fixed_fraction = 1.5;
+  EXPECT_THROW(
+      (void)make_policy("fixed-frequency", scenario.instance(), params),
+      std::invalid_argument);
 }
 
 TEST(Report, PrintsComparisonAndScenario) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(4);
-  core::DppConfig config;
-  config.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), config);
-  const auto result = run_policy(policy, states);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
+  const auto result = run_policy(*policy, states);
   std::ostringstream oss;
   print_comparison(oss, {result}, scenario.config().budget_per_slot);
   EXPECT_NE(oss.str().find("BDMA-based DPP"), std::string::npos);
@@ -219,11 +220,11 @@ TEST(ScenarioVariants, GaussMarkovAndLogDistanceChannelWork) {
   config.channel.attenuation =
       topology::ChannelConfig::Attenuation::kLogDistance;
   Scenario scenario(config);
-  core::DppConfig dpp;
-  dpp.bdma.iterations = 1;
-  DppPolicy policy(scenario.instance(), dpp);
+  PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
   const auto states = scenario.generate_states(24);
-  const auto result = run_policy(policy, states);
+  const auto result = run_policy(*policy, states);
   EXPECT_EQ(result.metrics.slots(), 24u);
   EXPECT_GT(result.metrics.average_latency(), 0.0);
 }

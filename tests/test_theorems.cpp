@@ -8,6 +8,7 @@
 #include "core/dpp.h"
 #include "core/latency.h"
 #include "core/p2b.h"
+#include "sim/pipeline/assemblies.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -101,18 +102,21 @@ TEST(Theorem4, TimeAverageThetaApproachesNonPositive) {
   ASSERT_LT(instance.energy_cost(instance.min_frequencies(), 90.0), 8.0);
   DppConfig config;
   config.v = 30.0;
-  DppController controller(instance, config);
+  const auto controller = sim::pipeline::make_dpp_pipeline(instance, config);
   double theta_sum = 0.0;
+  double backlog = 0.0;
   const int horizon = 800;
   for (int t = 0; t < horizon; ++t) {
     SlotState state = test::random_state(4, 2, rng);
     state.price_per_mwh =
         50.0 + 35.0 * std::sin(2.0 * 3.141592653589793 * (t % 24) / 24.0);
-    theta_sum += controller.step(state, rng).theta;
+    const DppSlotResult slot = controller->step(state, rng);
+    theta_sum += slot.theta;
+    backlog = slot.queue_after;
   }
   // Q(T)/T bounds the constraint violation: both should be small.
   EXPECT_LE(theta_sum / horizon, 0.05);
-  EXPECT_LE(controller.queue() / horizon, 0.05);
+  EXPECT_LE(backlog / horizon, 0.05);
 }
 
 // Theorem 4, trade-off half: latency decreases (weakly) in V while the
@@ -122,7 +126,8 @@ TEST(Theorem4, LatencyGapShrinksWithV) {
   auto average_latency = [&](double v, double& backlog_out) {
     DppConfig config;
     config.v = v;
-    DppController controller(instance, config);
+    const auto controller =
+        sim::pipeline::make_dpp_pipeline(instance, config);
     util::Rng rng(42);
     double total = 0.0;
     const int horizon = 400;
@@ -130,9 +135,10 @@ TEST(Theorem4, LatencyGapShrinksWithV) {
       SlotState state = test::random_state(5, 2, rng);
       state.price_per_mwh =
           50.0 + 35.0 * std::sin(2.0 * 3.141592653589793 * (t % 24) / 24.0);
-      total += controller.step(state, rng).latency;
+      const DppSlotResult slot = controller->step(state, rng);
+      total += slot.latency;
+      backlog_out = slot.queue_after;
     }
-    backlog_out = controller.queue();
     return total / horizon;
   };
   double backlog_small = 0.0;
