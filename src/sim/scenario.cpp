@@ -6,20 +6,19 @@
 #include "energy/fit.h"
 #include "topology/builder.h"
 #include "util/check.h"
+#include "util/trace.h"
 
 namespace eotora::sim {
 
 namespace {
 
 // The metro layout (ScenarioConfig::metro_districts): a square grid of
-// self-contained districts. Also fills `device_boxes` with each device's
-// waypoint confinement box so the caller can install it on the mobility
-// process. All geometric constants are fractions of the (square) tile side:
-// station jitter ±0.05, coverage 0.57, device inner box [0.15, 0.85] — see
-// the coverage/exclusion margins derived in scenario.h.
+// self-contained districts, each device roaming its district's inner box.
+// All geometric constants are fractions of the (square) tile side: station
+// jitter ±0.05, coverage 0.57, device inner box [0.15, 0.85] — see the
+// coverage/exclusion margins derived in scenario.h.
 std::shared_ptr<topology::Topology> build_metro_topology(
-    const ScenarioConfig& config, util::Rng& rng,
-    std::vector<topology::BoundingBox>& device_boxes) {
+    const ScenarioConfig& config, util::Rng& rng) {
   EOTORA_REQUIRE(config.stations_per_district >= 1);
   EOTORA_REQUIRE(config.servers_per_cluster >= 1);
   EOTORA_REQUIRE(config.devices >= 1);
@@ -65,8 +64,6 @@ std::shared_ptr<topology::Topology> build_metro_topology(
     }
   }
 
-  device_boxes.clear();
-  device_boxes.reserve(config.devices);
   for (std::size_t i = 0; i < config.devices; ++i) {
     const std::size_t d = i % districts;
     const double origin_x = static_cast<double>(d % grid) * tile;
@@ -75,11 +72,10 @@ std::shared_ptr<topology::Topology> build_metro_topology(
                                     origin_y + 0.15 * tile,
                                     origin_x + 0.85 * tile,
                                     origin_y + 0.85 * tile};
-    device_boxes.push_back(box);
     builder.add_device("device-" + std::to_string(i),
                        topology::Point{rng.uniform(box.min_x, box.max_x),
                                        rng.uniform(box.min_y, box.max_y)},
-                       /*speed_mps=*/rng.uniform(0.5, 2.5));
+                       /*speed_mps=*/rng.uniform(0.5, 2.5), box);
   }
 
   return std::make_shared<topology::Topology>(builder.build());
@@ -189,21 +185,27 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   burst_rng_ = rng.fork();
   active_.assign(config.devices, 1);
 
-  std::vector<topology::BoundingBox> device_boxes;
-  if (config.metro_districts > 0) {
-    EOTORA_REQUIRE_MSG(
-        config.mobility == ScenarioConfig::Mobility::kRandomWaypoint,
-        "metro scenarios require random-waypoint mobility (waypoints are "
-        "confined to district boxes; Gauss-Markov walks would leave coverage)");
-    topology_ = build_metro_topology(config, topo_rng, device_boxes);
-  } else {
-    topology_ = build_topology(config, topo_rng);
+  {
+    EOTORA_TRACE_SPAN("setup/topology");
+    if (config.metro_districts > 0) {
+      EOTORA_REQUIRE_MSG(
+          config.mobility == ScenarioConfig::Mobility::kRandomWaypoint,
+          "metro scenarios require random-waypoint mobility (waypoints are "
+          "drawn in district boxes; Gauss-Markov walks would pile up on the "
+          "box edges)");
+      topology_ = build_metro_topology(config, topo_rng);
+    } else {
+      topology_ = build_topology(config, topo_rng);
+    }
   }
-  instance_ = std::make_unique<core::Instance>(
-      topology_,
-      core::Instance::random_sigma(config.devices, topology_->num_servers(),
-                                   sigma_rng),
-      config.budget_per_slot, config.slot_hours);
+  {
+    EOTORA_TRACE_SPAN("setup/sigma");
+    instance_ = std::make_unique<core::Instance>(
+        topology_,
+        core::Instance::random_sigma(config.devices, topology_->num_servers(),
+                                     sigma_rng),
+        config.budget_per_slot, config.slot_hours);
+  }
 
   trace::WorkloadTraceConfig task_config;
   task_config.period = config.period;
@@ -225,8 +227,11 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   price_config.period = config.period;
   price_trace_ = std::make_unique<trace::PriceTrace>(price_config, price_rng);
 
-  channel_ = std::make_unique<topology::ChannelModel>(
-      config.channel, *topology_, channel_rng);
+  {
+    EOTORA_TRACE_SPAN("setup/channel");
+    channel_ = std::make_unique<topology::ChannelModel>(
+        config.channel, *topology_, channel_rng);
+  }
   // Devices move a bounded distance per slot (a few hundred meters at
   // pedestrian speed) so coverage changes gradually instead of resampling
   // uniformly every slot.
@@ -236,9 +241,6 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
             /*slot_duration_s=*/config.mobility_slot_seconds,
             /*pause_probability=*/0.1},
         config.devices, mobility_rng);
-    if (!device_boxes.empty()) {
-      waypoint_mobility_->set_bounding_boxes(std::move(device_boxes));
-    }
   } else {
     topology::GaussMarkovMobility::Config gm_config;
     gm_config.slot_duration_s = config.mobility_slot_seconds;
@@ -254,15 +256,24 @@ core::SlotState Scenario::next_state() {
 }
 
 void Scenario::next_state(core::SlotState& out) {
-  if (waypoint_mobility_ != nullptr) {
-    waypoint_mobility_->step(*topology_);
-  } else {
-    gauss_markov_mobility_->step(*topology_);
+  {
+    EOTORA_TRACE_SPAN("scenario/mobility");
+    if (waypoint_mobility_ != nullptr) {
+      waypoint_mobility_->step(*topology_);
+    } else {
+      gauss_markov_mobility_->step(*topology_);
+    }
   }
   out.slot = slot_++;
-  task_trace_->next_into(out.task_cycles);
-  data_trace_->next_into(out.data_bits);
-  channel_->step_into(*topology_, out.channel);
+  {
+    EOTORA_TRACE_SPAN("scenario/workload");
+    task_trace_->next_into(out.task_cycles);
+    data_trace_->next_into(out.data_bits);
+  }
+  {
+    EOTORA_TRACE_SPAN("scenario/channel");
+    channel_->step_into(*topology_, out.channel);
+  }
   out.price_per_mwh = price_trace_->next();
 
   // Scenario-diversity transforms, applied on top of the drawn state.

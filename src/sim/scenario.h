@@ -49,17 +49,19 @@ struct ScenarioConfig {
   // (must be a perfect square). Each district gets its own server room with
   // `servers_per_cluster` servers, `stations_per_district` mid-band
   // stations jittered around the tile center (coverage radius 0.57 tile),
-  // and an equal round-robin share of the devices, confined for the whole
-  // horizon to the tile's inner box [0.15, 0.85]². The geometry guarantees
-  // every device is always covered by every own-district station (max
-  // distance 0.40·√2 ≈ 0.566 tile) and never by a neighboring district's
-  // (min distance 0.60 tile), and fronthaul wires stations only to the
-  // local room — so the WCG decomposes into exactly one connected component
-  // per district. This is the scenario the sharded P2-A drivers
-  // (core/sharded) and bench/scaling's metro study exercise at 10⁵+
-  // devices. Metro mode requires kRandomWaypoint mobility (waypoints are
-  // box-confined) and ignores mid_band_stations / low_band_stations /
-  // clusters.
+  // and an equal round-robin share of the devices, whose roaming box
+  // (topology::MobileDevice::box) is the tile's inner box [0.15, 0.85]².
+  // The geometry guarantees every device is always covered by every
+  // own-district station (max distance 0.40·√2 ≈ 0.566 tile) and never by
+  // a neighboring district's (min distance 0.60 tile), so a device's
+  // coverable stations are exactly its own district's and the channel model
+  // draws shadowing for devices × stations_per_district pairs only. Fronthaul
+  // wires stations only to the local room — so the WCG decomposes into
+  // exactly one connected component per district. This is the scenario the
+  // sharded P2-A drivers (core/sharded) and bench/scaling's metro study
+  // exercise at 10⁵+ devices. Metro mode requires kRandomWaypoint mobility
+  // (waypoints are drawn in the box) and ignores mid_band_stations /
+  // low_band_stations / clusters.
   std::size_t metro_districts = 0;
   std::size_t stations_per_district = 2;
   std::uint64_t seed = 42;

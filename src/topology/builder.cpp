@@ -41,9 +41,11 @@ BaseStationId TopologyBuilder::add_base_station(
 }
 
 DeviceId TopologyBuilder::add_device(std::string name, Point position,
-                                     double speed_mps) {
+                                     double speed_mps,
+                                     std::optional<BoundingBox> box) {
   const DeviceId id{devices_.size()};
-  devices_.push_back(MobileDevice{id, std::move(name), position, speed_mps});
+  devices_.push_back(
+      MobileDevice{id, std::move(name), position, speed_mps, box});
   return id;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,11 @@ class TopologyBuilder {
                                  double fronthaul_spectral_efficiency,
                                  std::vector<ClusterId> clusters);
 
+  // Adds a device; `box`, when given, is its roaming box (see
+  // MobileDevice::box) and must contain `position`.
   DeviceId add_device(std::string name, Point position,
-                      double speed_mps = 1.5);
+                      double speed_mps = 1.5,
+                      std::optional<BoundingBox> box = std::nullopt);
 
   // Validates and produces the immutable topology. The builder can be reused
   // afterwards (its state is unchanged).

@@ -6,6 +6,12 @@
 // with distance from the base station, plus per-pair AR(1) shadowing; the
 // result is clamped back into [h_min, h_max]. Devices outside a BS's
 // coverage get efficiency 0, which marks the link unusable.
+//
+// Shadowing is kept only for the (device, station) pairs that can ever be
+// covered (Topology::coverable_stations); a station that can never cover a
+// device has no shadowing state and draws nothing. Without roaming boxes
+// every pair is coverable, so hand-built and paper topologies consume the
+// same RNG stream as a model over the full I x K grid.
 #pragma once
 
 #include <vector>
@@ -28,8 +34,8 @@ struct ChannelConfig {
   // Efficiency multiplier at the coverage edge (1.0 at the BS itself).
   double edge_factor = 0.6;
   Attenuation attenuation = Attenuation::kLinear;
-  double pathloss_exponent = 2.0;     // kLogDistance only
-  double reference_distance_m = 10.0; // d0 for kLogDistance
+  double pathloss_exponent = 2.0;     // kLogDistance only; finite, > 0
+  double reference_distance_m = 10.0; // d0 for kLogDistance; finite, > 0
   // AR(1) shadowing: s_{t+1} = rho * s_t + noise, noise stddev in bps/Hz.
   double shadowing_rho = 0.9;
   double shadowing_stddev = 2.0;
@@ -40,12 +46,14 @@ using ChannelMatrix = std::vector<std::vector<double>>;
 
 class ChannelModel {
  public:
-  // Draws per-BS baselines and initializes shadowing states.
+  // Draws per-BS baselines and initializes the shadowing state of every
+  // coverable pair, device-major and station-ascending.
   ChannelModel(const ChannelConfig& config, const Topology& topology,
                util::Rng rng);
 
-  // Advances shadowing one slot and evaluates h for the devices' current
-  // positions. Requires the same topology shape the model was built with.
+  // Advances every coverable pair's shadowing one slot (same order) and
+  // evaluates h for the devices' current positions. Requires the same
+  // topology shape, coverable pairs included, the model was built with.
   [[nodiscard]] ChannelMatrix step(const Topology& topology);
 
   // Same advance, refilling `out` in place (resized to I x K). Identical
@@ -62,8 +70,9 @@ class ChannelModel {
   ChannelConfig config_;
   std::size_t num_devices_;
   std::size_t num_base_stations_;
-  std::vector<double> base_efficiency_;        // per BS
-  std::vector<std::vector<double>> shadowing_; // per (device, BS)
+  std::vector<double> base_efficiency_;  // per BS
+  // One state per coverable pair, in Topology::coverable_stations order.
+  std::vector<double> shadowing_;
   util::Rng rng_;
 };
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,11 @@ struct MobileDevice {
   std::string name;
   Point position;
   double speed_mps = 1.5;  // pedestrian by default
+  // Roaming box: when set, the device starts inside it and never leaves it
+  // (Topology::set_device_position clamps into it), so only the stations
+  // whose coverage disc meets the box can ever cover the device. Unset
+  // means the device roams the whole region.
+  std::optional<BoundingBox> box;
 };
 
 }  // namespace eotora::topology

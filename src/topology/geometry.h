@@ -35,4 +35,21 @@ struct Region {
   }
 };
 
+// Axis-aligned rectangle a device roams in (MobileDevice::box).
+struct BoundingBox {
+  double min_x = 0.0;
+  double min_y = 0.0;
+  double max_x = 0.0;
+  double max_y = 0.0;
+
+  [[nodiscard]] bool contains(Point p) const {
+    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
+  }
+
+  [[nodiscard]] Point clamp(Point p) const {
+    return Point{p.x < min_x ? min_x : (p.x > max_x ? max_x : p.x),
+                 p.y < min_y ? min_y : (p.y > max_y ? max_y : p.y)};
+  }
+};
+
 }  // namespace eotora::topology

@@ -1,7 +1,6 @@
 #include "topology/mobility.h"
 
 #include <cmath>
-#include <utility>
 
 #include "util/check.h"
 
@@ -16,19 +15,6 @@ RandomWaypointMobility::RandomWaypointMobility(const MobilityConfig& config,
                  config.pause_probability <= 1.0);
 }
 
-void RandomWaypointMobility::set_bounding_boxes(
-    std::vector<BoundingBox> boxes) {
-  EOTORA_REQUIRE_MSG(boxes.empty() || boxes.size() == states_.size(),
-                     "boxes=" << boxes.size()
-                              << " devices=" << states_.size());
-  for (const BoundingBox& box : boxes) {
-    EOTORA_REQUIRE_MSG(box.min_x <= box.max_x && box.min_y <= box.max_y,
-                       "[" << box.min_x << "," << box.max_x << "]x["
-                           << box.min_y << "," << box.max_y << "]");
-  }
-  boxes_ = std::move(boxes);
-}
-
 void RandomWaypointMobility::step(Topology& topology) {
   EOTORA_REQUIRE_MSG(states_.size() == topology.num_devices(),
                      "mobility built for " << states_.size()
@@ -41,13 +27,13 @@ void RandomWaypointMobility::step(Topology& topology) {
     DeviceState& state = states_[i];
     if (!state.has_waypoint) {
       if (rng_.bernoulli(config_.pause_probability)) continue;
-      if (boxes_.empty()) {
-        state.waypoint = Point{rng_.uniform(0.0, region.width),
-                               rng_.uniform(0.0, region.height)};
-      } else {
-        const BoundingBox& box = boxes_[i];
+      if (device.box) {
+        const BoundingBox& box = *device.box;
         state.waypoint = Point{rng_.uniform(box.min_x, box.max_x),
                                rng_.uniform(box.min_y, box.max_y)};
+      } else {
+        state.waypoint = Point{rng_.uniform(0.0, region.width),
+                               rng_.uniform(0.0, region.height)};
       }
       state.has_waypoint = true;
     }

@@ -16,26 +16,15 @@ struct MobilityConfig {
   double pause_probability = 0.1; // chance of pausing a slot at a waypoint
 };
 
-// Axis-aligned waypoint bounds for one device (see set_bounding_boxes).
-struct BoundingBox {
-  double min_x = 0.0;
-  double min_y = 0.0;
-  double max_x = 0.0;
-  double max_y = 0.0;
-};
-
+// Waypoints are drawn in the device's roaming box (MobileDevice::box) when
+// it has one, else in the whole region. A boxed device starts inside its
+// box and walks straight toward in-box waypoints, so it never leaves it;
+// that is how metro scenarios keep every device under its own district's
+// coverage.
 class RandomWaypointMobility {
  public:
   RandomWaypointMobility(const MobilityConfig& config, std::size_t num_devices,
                          util::Rng rng);
-
-  // Confines device i's future waypoints to boxes[i]. A device that starts
-  // inside its box then never leaves it (it always walks straight toward an
-  // in-box waypoint), which is how metro scenarios keep every device under
-  // its own district's coverage. `boxes` must be empty — legacy behaviour,
-  // whole-region waypoints with an unchanged RNG stream — or have one entry
-  // per device with min <= max on both axes.
-  void set_bounding_boxes(std::vector<BoundingBox> boxes);
 
   // Advances every device one slot and writes positions back into `topology`.
   void step(Topology& topology);
@@ -48,7 +37,6 @@ class RandomWaypointMobility {
 
   MobilityConfig config_;
   std::vector<DeviceState> states_;
-  std::vector<BoundingBox> boxes_;
   util::Rng rng_;
 };
 

@@ -73,8 +73,26 @@ Topology::Topology(std::vector<BaseStation> base_stations,
                        server.name << " has no energy model");
   }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    EOTORA_REQUIRE(devices_[i].id.value == i);
-    devices_[i].position = region_.clamp(devices_[i].position);
+    MobileDevice& device = devices_[i];
+    EOTORA_REQUIRE(device.id.value == i);
+    if (!device.box) {
+      device.position = region_.clamp(device.position);
+      continue;
+    }
+    // A boxed device must start inside its box; set_device_position keeps
+    // it there, which is what makes the coverable-station list sound.
+    const BoundingBox& box = *device.box;
+    EOTORA_REQUIRE_MSG(box.min_x <= box.max_x && box.min_y <= box.max_y,
+                       device.name << ": inverted box [" << box.min_x << ","
+                                   << box.max_x << "]x[" << box.min_y << ","
+                                   << box.max_y << "]");
+    EOTORA_REQUIRE_MSG(region_.contains({box.min_x, box.min_y}) &&
+                           region_.contains({box.max_x, box.max_y}),
+                       device.name << ": box leaves the region");
+    EOTORA_REQUIRE_MSG(box.contains(device.position),
+                       device.name << " starts at (" << device.position.x
+                                   << "," << device.position.y
+                                   << "), outside its box");
   }
 
   // Precompute the fronthaul reachability map N(.) used by constraint (3).
@@ -89,6 +107,23 @@ Topology::Topology(std::vector<BaseStation> base_stations,
     reachable_[k].erase(
         std::unique(reachable_[k].begin(), reachable_[k].end()),
         reachable_[k].end());
+  }
+
+  // Coverable stations: a disc meets a box iff the box point nearest the
+  // disc center lies in the disc. Rounding is monotone, so that distance
+  // never exceeds the distance to any in-box position: a station skipped
+  // here fails covers() for every position the device can take.
+  coverable_offsets_.reserve(devices_.size() + 1);
+  coverable_offsets_.push_back(0);
+  for (const MobileDevice& device : devices_) {
+    for (const BaseStation& bs : base_stations_) {
+      const bool coverable =
+          !device.box ||
+          distance(bs.position, device.box->clamp(bs.position)) <=
+              bs.coverage_radius_m;
+      if (coverable) coverable_.push_back(bs.id);
+    }
+    coverable_offsets_.push_back(coverable_.size());
   }
 }
 
@@ -132,9 +167,19 @@ const std::vector<ServerId>& Topology::reachable_servers(
   return reachable_[k.value];
 }
 
+std::span<const BaseStationId> Topology::coverable_stations(
+    DeviceId i) const {
+  EOTORA_REQUIRE(i.value < devices_.size());
+  return std::span<const BaseStationId>(coverable_)
+      .subspan(coverable_offsets_[i.value],
+               coverable_offsets_[i.value + 1] - coverable_offsets_[i.value]);
+}
+
 void Topology::set_device_position(DeviceId i, Point position) {
   EOTORA_REQUIRE(i.value < devices_.size());
-  devices_[i.value].position = region_.clamp(position);
+  MobileDevice& device = devices_[i.value];
+  device.position =
+      device.box ? device.box->clamp(position) : region_.clamp(position);
 }
 
 }  // namespace eotora::topology

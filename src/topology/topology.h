@@ -4,8 +4,11 @@
 //   - coverage:      D_i can use B_k only when within B_k's coverage radius
 //   - fronthaul:     B_k reaches the servers of its connected clusters
 //   - N_i(x): servers reachable by device i given its base-station choice
+//   - coverable: the stations that can ever cover device i — those whose
+//     coverage disc meets its roaming box, or all of them when it has none
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "topology/entities.h"
@@ -17,7 +20,8 @@ class Topology {
   // Takes ownership of fully populated entity lists and validates global
   // invariants (ids dense and in order, clusters/servers consistent, every
   // BS connected to >= 1 existing cluster, every cluster non-empty, server
-  // frequency ranges sane). Throws std::invalid_argument on violations.
+  // frequency ranges sane, every roaming box upright, inside the region and
+  // containing its device). Throws std::invalid_argument on violations.
   Topology(std::vector<BaseStation> base_stations,
            std::vector<Cluster> clusters, std::vector<Server> servers,
            std::vector<MobileDevice> devices, Region region);
@@ -58,8 +62,20 @@ class Topology {
   [[nodiscard]] const std::vector<ServerId>& reachable_servers(
       BaseStationId k) const;
 
+  // Stations that can ever cover device i, in id order: those whose
+  // coverage disc meets the device's roaming box, or every station when
+  // the device has no box. A station outside this list never covers the
+  // device, wherever it moves.
+  [[nodiscard]] std::span<const BaseStationId> coverable_stations(
+      DeviceId i) const;
+
+  // Total (device, coverable station) pairs, summed over all devices.
+  [[nodiscard]] std::size_t num_coverable_pairs() const {
+    return coverable_.size();
+  }
+
   // Updates a device position (mobility). The position is clamped to the
-  // region.
+  // device's roaming box, or to the region when it has none.
   void set_device_position(DeviceId i, Point position);
 
  private:
@@ -70,6 +86,10 @@ class Topology {
   Region region_;
   // reachable_[k] = sorted server ids reachable from base station k.
   std::vector<std::vector<ServerId>> reachable_;
+  // CSR: device i's coverable stations are
+  // coverable_[coverable_offsets_[i] .. coverable_offsets_[i + 1]).
+  std::vector<std::size_t> coverable_offsets_;
+  std::vector<BaseStationId> coverable_;
 };
 
 }  // namespace eotora::topology

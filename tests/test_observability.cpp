@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -262,6 +263,34 @@ TEST(CountersTest, TracingDoesNotPerturbResultsOrCounters) {
   EXPECT_EQ(traced.metrics.latency_series(), baseline.metrics.latency_series());
   EXPECT_EQ(traced.metrics.cost_series(), baseline.metrics.cost_series());
   EXPECT_EQ(traced.metrics.queue_series(), baseline.metrics.queue_series());
+}
+
+// Scenario set-up and state generation are attributed: the constructor
+// emits one setup/* span per phase, and every next_state() one
+// scenario/* span per generator.
+TEST(TraceTest, ScenarioSetupAndStateGenerationEmitTheirSpans) {
+  TraceGuard guard;
+  util::trace::set_enabled(true);
+  constexpr int kSlots = 3;
+  {
+    sim::Scenario scenario(tiny());
+    core::SlotState state;
+    for (int t = 0; t < kSlots; ++t) scenario.next_state(state);
+  }
+  util::trace::set_enabled(false);
+  const util::Json doc = util::trace::to_chrome_json();
+  const util::Json& events = doc.at("traceEvents");
+  std::map<std::string, int> spans;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ++spans[events.at(i).at("name").as_string()];
+  }
+  for (const char* name : {"setup/topology", "setup/sigma", "setup/channel"}) {
+    EXPECT_EQ(spans[name], 1) << name;
+  }
+  for (const char* name :
+       {"scenario/mobility", "scenario/workload", "scenario/channel"}) {
+    EXPECT_EQ(spans[name], kSlots) << name;
+  }
 }
 
 // Phase timing decomposition: every phase a run actually executed reports

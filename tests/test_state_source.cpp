@@ -31,6 +31,17 @@ ScenarioConfig tiny() {
   return config;
 }
 
+// A 4-district metro world: every device has a roaming box, so the channel
+// model keeps shadowing only for its own district's stations.
+ScenarioConfig small_metro() {
+  ScenarioConfig config;
+  config.metro_districts = 4;
+  config.devices = 16;
+  config.servers_per_cluster = 2;
+  config.seed = 7;
+  return config;
+}
+
 void expect_states_equal(const core::SlotState& a, const core::SlotState& b,
                          std::size_t t) {
   EXPECT_EQ(a.slot, b.slot) << "slot index " << t;
@@ -89,13 +100,16 @@ TEST(ScenarioSourceTest, MatchesGenerateStatesExactly) {
 }
 
 TEST(ScenarioSourceTest, ResetReplaysTheIdenticalSequence) {
-  ScenarioSource source(tiny(), 6);
-  const auto first = drain(source);
-  source.reset();
-  const auto second = drain(source);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t t = 0; t < first.size(); ++t) {
-    expect_states_equal(first[t], second[t], t);
+  for (const ScenarioConfig& config : {tiny(), small_metro()}) {
+    SCOPED_TRACE("metro_districts=" + std::to_string(config.metro_districts));
+    ScenarioSource source(config, 6);
+    const auto first = drain(source);
+    source.reset();
+    const auto second = drain(source);
+    ASSERT_EQ(first.size(), second.size());
+    for (std::size_t t = 0; t < first.size(); ++t) {
+      expect_states_equal(first[t], second[t], t);
+    }
   }
 }
 
@@ -305,8 +319,10 @@ TEST(PrefetchSourceTest, StatsCountDeliveriesAndRestartOnReset) {
 TEST(StreamingDifferentialTest, StreamingEqualsMaterializedForAllPolicies) {
   const std::size_t horizon = 6;
   for (const std::string& name : registered_policies()) {
-    for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      ScenarioConfig config = tiny();
+    for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+      // Seed 4 runs the metro layout, whose boxed devices take the
+      // coverage-shaped channel path.
+      ScenarioConfig config = seed == 4 ? small_metro() : tiny();
       config.seed = 100 + seed;
       PolicyParams params;
       params.bdma_iterations = 2;

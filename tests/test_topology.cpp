@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "energy/quadratic_energy.h"
@@ -141,6 +142,94 @@ TEST(Topology, DevicePositionsClampToRegion) {
   EXPECT_DOUBLE_EQ(topo.device(d).position.y, 42.0);
 }
 
+// One 1000 m square room with a station at each end of the x axis.
+TopologyBuilder two_station_builder() {
+  TopologyBuilder builder;
+  builder.set_region({1000.0, 1000.0});
+  const auto room = builder.add_cluster("room", {500.0, 500.0});
+  builder.add_server("s", room, 64, 1.8, 3.6, model());
+  builder.add_base_station("west", {0.0, 500.0}, Band::kMid, 300.0, 75e6,
+                           0.7e9, 10.0, {room});
+  builder.add_base_station("east", {1000.0, 500.0}, Band::kMid, 300.0, 75e6,
+                           0.7e9, 10.0, {room});
+  return builder;
+}
+
+TEST(RoamingBox, RejectsInvertedBox) {
+  TopologyBuilder builder = two_station_builder();
+  builder.add_device("d", {500.0, 500.0}, 1.5,
+                     BoundingBox{600.0, 400.0, 400.0, 600.0});
+  EXPECT_THROW((void)builder.build(), std::invalid_argument);
+  TopologyBuilder builder_y = two_station_builder();
+  builder_y.add_device("d", {500.0, 500.0}, 1.5,
+                       BoundingBox{400.0, 600.0, 600.0, 400.0});
+  EXPECT_THROW((void)builder_y.build(), std::invalid_argument);
+}
+
+TEST(RoamingBox, RejectsStartOutsideTheBox) {
+  TopologyBuilder builder = two_station_builder();
+  builder.add_device("d", {100.0, 500.0}, 1.5,
+                     BoundingBox{400.0, 400.0, 600.0, 600.0});
+  EXPECT_THROW((void)builder.build(), std::invalid_argument);
+}
+
+TEST(RoamingBox, RejectsBoxLeavingTheRegion) {
+  TopologyBuilder builder = two_station_builder();
+  builder.add_device("d", {500.0, 500.0}, 1.5,
+                     BoundingBox{400.0, 400.0, 1200.0, 600.0});
+  EXPECT_THROW((void)builder.build(), std::invalid_argument);
+}
+
+TEST(RoamingBox, SetDevicePositionClampsIntoTheBox) {
+  TopologyBuilder builder = two_station_builder();
+  const auto d = builder.add_device("d", {500.0, 500.0}, 1.5,
+                                    BoundingBox{400.0, 450.0, 600.0, 550.0});
+  Topology topo = builder.build();
+  topo.set_device_position(d, {-5.0, 900.0});
+  EXPECT_EQ(topo.device(d).position, (Point{400.0, 550.0}));
+  topo.set_device_position(d, {580.0, 470.0});  // inside: kept as is
+  EXPECT_EQ(topo.device(d).position, (Point{580.0, 470.0}));
+}
+
+TEST(RoamingBox, CoverableStationsAreThoseWhoseDiscMeetsTheBox) {
+  TopologyBuilder builder = two_station_builder();
+  // Box reaches x = 250, inside west's 300 m disc; east is 750 m away.
+  const auto boxed = builder.add_device(
+      "boxed", {300.0, 500.0}, 1.5, BoundingBox{250.0, 450.0, 450.0, 550.0});
+  // A box strictly between the discs (west reaches x = 300, east x = 700)
+  // meets neither.
+  const auto between = builder.add_device(
+      "between", {500.0, 500.0}, 1.5, BoundingBox{320.0, 0.0, 680.0, 1000.0});
+  const auto free = builder.add_device("free", {500.0, 500.0});
+  const Topology topo = builder.build();
+  const auto boxed_list = topo.coverable_stations(boxed);
+  ASSERT_EQ(boxed_list.size(), 1u);
+  EXPECT_EQ(boxed_list[0], BaseStationId{0});
+  EXPECT_TRUE(topo.coverable_stations(between).empty());
+  const auto free_list = topo.coverable_stations(free);
+  ASSERT_EQ(free_list.size(), 2u);
+  EXPECT_EQ(free_list[0], BaseStationId{0});
+  EXPECT_EQ(free_list[1], BaseStationId{1});
+  EXPECT_EQ(topo.num_coverable_pairs(), 3u);
+}
+
+TEST(RoamingBox, WaypointWalkNeverLeavesTheBox) {
+  TopologyBuilder builder = two_station_builder();
+  const BoundingBox box{250.0, 450.0, 450.0, 550.0};
+  const auto d = builder.add_device("d", {300.0, 500.0}, 2.5, box);
+  Topology topo = builder.build();
+  RandomWaypointMobility mobility(MobilityConfig{120.0, 0.0}, 1,
+                                  util::Rng(9));
+  bool moved = false;
+  for (int t = 0; t < 500; ++t) {
+    mobility.step(topo);
+    const Point pos = topo.device(d).position;
+    ASSERT_TRUE(box.contains(pos)) << "slot " << t;
+    moved |= pos.x != 300.0;
+  }
+  EXPECT_TRUE(moved);
+}
+
 TEST(Server, CapacityAndPowerScaleWithCores) {
   Server server;
   server.cores = 64;
@@ -210,6 +299,26 @@ TEST_F(ChannelFixture, RejectsBadConfig) {
   config2.max_efficiency = 15.0;
   EXPECT_THROW(ChannelModel(config2, *topo_, util::Rng(1)),
                std::invalid_argument);
+  // Log-distance parameters outside (0, inf). d0 = -10 makes every covered
+  // h NaN and d0 = 0 makes h NaN for a device on its station (0 / 0).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double d0 : {-10.0, 0.0, inf, nan}) {
+    ChannelConfig bad;
+    bad.attenuation = ChannelConfig::Attenuation::kLogDistance;
+    bad.reference_distance_m = d0;
+    EXPECT_THROW(ChannelModel(bad, *topo_, util::Rng(1)),
+                 std::invalid_argument)
+        << "reference_distance_m=" << d0;
+  }
+  for (const double eta : {-2.5, 0.0, inf, nan}) {
+    ChannelConfig bad;
+    bad.attenuation = ChannelConfig::Attenuation::kLogDistance;
+    bad.pathloss_exponent = eta;
+    EXPECT_THROW(ChannelModel(bad, *topo_, util::Rng(1)),
+                 std::invalid_argument)
+        << "pathloss_exponent=" << eta;
+  }
 }
 
 TEST_F(ChannelFixture, MobilityMovesDevicesWithinRegion) {
