@@ -36,7 +36,8 @@ int main() {
     params.bdma_iterations = 3;
     for (const char* name : {"dpp-bdma", "mpc", "greedy-budget"}) {
       const auto policy = sim::make_policy(name, instance, params);
-      const auto result = sim::run_policy(*policy, states, 2);
+      sim::MaterializedSource source(states);
+      const auto result = sim::run_policy(*policy, source, 2);
       const auto tail = sim::tail_averages(result, horizon - window);
       table.add_row({util::format_double(noise, 1), policy->name(),
                      util::format_double(tail.latency, 3),

@@ -20,12 +20,12 @@ int main(int argc, char** argv) {
         argc, argv, {"devices", "seed", "horizon", "seeds", "threads", "out"});
     sim::SweepSpec spec;
     spec.name = "ablation_seeds";
-    spec.base.devices = static_cast<std::size_t>(args.get_int("devices", 80));
+    spec.base.devices = args.get_uint("devices", 80);
     spec.base.budget_per_slot = 1.0;
-    spec.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 9000));
-    spec.horizon = static_cast<std::size_t>(args.get_int("horizon", 24 * 4));
+    spec.base.seed = args.get_uint("seed", 9000);
+    spec.horizon = args.get_uint("horizon", 24 * 4);
     spec.window = spec.horizon;  // full-run averages, as the seed version
-    spec.seeds = static_cast<std::size_t>(args.get_int("seeds", 5));
+    spec.seeds = args.get_uint("seeds", 5);
     spec.policies = {"dpp-bdma", "dpp-mcba", "dpp-ropt"};
     spec.params.v = 100.0;
     spec.params.initial_queue = 20.0;
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
     std::cout << "Ablation: policy ranking across " << spec.seeds
               << " independent scenario seeds (I = " << spec.base.devices
               << ", " << spec.horizon << " slots each)\n\n";
-    const auto result =
-        sim::run_sweep(spec, static_cast<std::size_t>(args.get_int("threads", 0)));
+    const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
     std::cout << "\nreading: the BDMA < MCBA < ROPT latency ranking holds for "
                  "every seed, and the CI separation shows it is not a "

@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv,
                           {"devices", "horizon", "seed", "rate", "out"});
-    const auto devices = static_cast<std::size_t>(args.get_int("devices", 24));
-    const auto horizon = static_cast<std::size_t>(args.get_int("horizon", 48));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    const auto devices = args.get_uint("devices", 24);
+    const auto horizon = args.get_uint("horizon", 48);
+    const auto seed = args.get_uint("seed", 7);
     const double rate = args.get_double("rate", 4.0);
 
     const std::vector<std::string> policies = {"dpp-bdma", "dpp-mcba",

@@ -31,7 +31,8 @@ int main() {
     params.bdma_iterations = 5;
     const auto policy =
         sim::make_policy("dpp-bdma", scenario.instance(), params);
-    const auto result = sim::run_policy(*policy, states);
+    sim::MaterializedSource source(states);
+    const auto result = sim::run_policy(*policy, source);
     backlogs.push_back(result.metrics.queue_series());
   }
 

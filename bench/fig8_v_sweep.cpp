@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
                           {"devices", "seed", "horizon", "threads", "out"});
     sim::SweepSpec spec;
     spec.name = "fig8_v_sweep";
-    spec.base.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    spec.base.devices = args.get_uint("devices", 100);
     spec.base.budget_per_slot = 1.0;
-    spec.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 2023));
-    spec.horizon = static_cast<std::size_t>(args.get_int("horizon", 24 * 14));
+    spec.base.seed = args.get_uint("seed", 2023);
+    spec.horizon = args.get_uint("horizon", 24 * 14);
     spec.window = std::min<std::size_t>(72, spec.horizon);
     spec.axes = {{"v", {10.0, 50.0, 100.0, 150.0, 200.0, 500.0}}};
     spec.policies = {"dpp-bdma"};
@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
     std::cout << "Fig. 8 reproduction: average queue backlog and latency of "
                  "BDMA-based DPP vs V (I = "
               << spec.base.devices << ", z = 5)\n\n";
-    const auto result =
-        sim::run_sweep(spec, static_cast<std::size_t>(args.get_int("threads", 0)));
+    const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
     std::cout << "\nexpected shape: backlog increases (roughly linearly) with "
                  "V; latency decreases toward its floor as V grows.\n";

@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
                           {"devices", "seed", "horizon", "threads", "out"});
     sim::SweepSpec spec;
     spec.name = "fig9_budget_sweep";
-    spec.base.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    spec.base.devices = args.get_uint("devices", 100);
     // Same seed for every budget: identical topology + state draws.
-    spec.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 2023));
+    spec.base.seed = args.get_uint("seed", 2023);
     // 12 days; report the last 48 slots.
-    spec.horizon = static_cast<std::size_t>(args.get_int("horizon", 24 * 12));
+    spec.horizon = args.get_uint("horizon", 24 * 12);
     spec.window = std::min<std::size_t>(48, spec.horizon);
     spec.axes = {{"budget", {0.85, 0.95, 1.05, 1.15, 1.25, 1.35}}};
     spec.policies = {"dpp-bdma", "dpp-mcba", "dpp-ropt"};
@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
                  "(I = "
               << spec.base.devices << ", V = 100, z = 5, "
               << spec.window << "-slot averages)\n\n";
-    const auto result =
-        sim::run_sweep(spec, static_cast<std::size_t>(args.get_int("threads", 0)));
+    const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
     std::cout << "\nexpected shape: BDMA-based DPP has the lowest latency at "
                  "every budget; tail energy cost tracks at or below the "

@@ -10,15 +10,7 @@
 // divide by --horizon for the per-slot cost. CGBA solution quality versus
 // the certified lower bound is tracked separately by fig4_p2a_objective.
 //
-// A second, optional dimension (--stream-out) scales the HORIZON instead
-// of the system: 1k / 10k / 100k slots at I = 50, streaming
-// (SweepSpec::stream, O(1) memory) vs materialized (O(horizon) states
-// up front), recording peak RSS and decision throughput per cell into an
-// eotora-sweep-v1 JSON artifact (committed baseline: BENCH_streaming.json).
-// Streaming cells run first so the process RSS high-water mark is not
-// already polluted by the materialized horizons.
-//
-// A third dimension (--metro-out) swaps in the metro-district scenario
+// A second dimension (--metro-out) swaps in the metro-district scenario
 // (ScenarioConfig::metro_districts) and compares the sharded P2-A drivers
 // (core/sharded) against the global solve on identical instances, devices
 // 10^3 -> 10^5 with the district grid growing alongside (committed
@@ -27,7 +19,6 @@
 // of independent components instead of one metro-wide game.
 //
 //   --devices-max=N --seed=S --horizon=T --threads=K --out=path.json
-//   --stream-out=path.json [--slots-max=N]
 //   --metro-out=path.json [--metro-devices-max=N]
 #include <algorithm>
 #include <iostream>
@@ -37,105 +28,6 @@
 namespace {
 
 using namespace eotora;
-
-// The horizon-scaling study: one single-cell sweep per (mode, horizon),
-// run sequentially so per-cell peak-RSS measurements don't overlap.
-void run_streaming_study(const std::string& out_path, long slots_max,
-                         std::uint64_t seed) {
-  std::vector<std::size_t> horizons;
-  for (const long h : {1000L, 10000L, 100000L}) {
-    if (h <= slots_max) horizons.push_back(static_cast<std::size_t>(h));
-  }
-  if (horizons.empty()) {
-    throw std::invalid_argument("--slots-max must be >= 1000");
-  }
-
-  std::cout << "\nHorizon-scaling study: BDMA(3), I = 50, streaming vs "
-               "materialized\n\n";
-  util::Json records = util::Json::array();
-  double total_seconds = 0.0;
-  for (const bool stream_mode : {true, false}) {
-    for (const std::size_t horizon : horizons) {
-      sim::SweepSpec spec;
-      spec.name = "streaming_scaling";
-      spec.base.devices = 50;
-      spec.base.seed = seed;
-      spec.horizon = horizon;
-      spec.window = std::min<std::size_t>(48, horizon);
-      spec.policies = {"dpp-bdma"};
-      spec.params.v = 100.0;
-      spec.params.bdma_iterations = 3;
-      spec.stream = stream_mode;
-
-      const bool rss_reset = util::reset_peak_rss();
-      const auto result = sim::run_sweep(spec, 1);
-      const std::uint64_t peak = util::peak_rss_bytes();
-      const sim::SweepCell& cell = result.cells.front();
-
-      util::Json record = util::Json::object();
-      record["horizon"] = horizon;
-      record["stream"] = stream_mode;
-      record["devices"] = std::size_t{50};
-      record["policy"] = cell.policy;
-      record["tail_latency"] = cell.tail.latency;
-      record["avg_latency"] = cell.avg_latency;
-      record["avg_cost"] = cell.avg_cost;
-      record["avg_backlog"] = cell.avg_backlog;
-      // Wall-clock and memory fields: NOT deterministic across machines.
-      record["decision_seconds"] = cell.decision_seconds;
-      record["wall_seconds"] = cell.wall_seconds;
-      record["slots_per_sec"] =
-          static_cast<double>(horizon) / cell.decision_seconds;
-      record["peak_rss_bytes"] = static_cast<double>(peak);
-      // Whether the kernel honored the watermark reset; without it the
-      // peak is the monotone process-lifetime high-water mark.
-      record["rss_reset"] = rss_reset;
-      records.push_back(std::move(record));
-      total_seconds += result.wall_seconds;
-
-      std::cout << "  " << (stream_mode ? "streaming   " : "materialized")
-                << "  horizon=" << horizon << "  peak RSS "
-                << peak / (1024 * 1024) << " MiB  "
-                << static_cast<double>(horizon) / cell.decision_seconds
-                << " slots/s\n";
-    }
-  }
-
-  util::Json doc = util::Json::object();
-  doc["schema"] = "eotora-sweep-v1";
-  doc["commit"] = util::build_info().commit;
-  doc["build_type"] = util::build_info().build_type;
-  doc["name"] = "streaming_scaling";
-  doc["horizon"] = horizons.back();
-  doc["window"] = std::size_t{48};
-  doc["seeds"] = std::size_t{1};
-  util::Json axes = util::Json::array();
-  {
-    util::Json axis = util::Json::object();
-    axis["name"] = "horizon";
-    util::Json values = util::Json::array();
-    for (const std::size_t h : horizons) values.push_back(h);
-    axis["values"] = std::move(values);
-    axes.push_back(std::move(axis));
-  }
-  {
-    util::Json axis = util::Json::object();
-    axis["name"] = "stream";
-    util::Json values = util::Json::array();
-    values.push_back(1.0);
-    values.push_back(0.0);
-    axis["values"] = std::move(values);
-    axes.push_back(std::move(axis));
-  }
-  doc["axes"] = std::move(axes);
-  util::Json policies = util::Json::array();
-  policies.push_back("dpp-bdma");
-  doc["policies"] = std::move(policies);
-  doc["records"] = std::move(records);
-  doc["wall_seconds"] = total_seconds;
-  util::write_json_file(out_path, doc);
-  std::cout << "\nwrote " << out_path << "\n";
-}
 
 // The metro study: sharded vs global P2-A on the metro-district scenario
 // (sim::ScenarioConfig::metro_districts), devices 10^3 -> 10^5 with the
@@ -181,7 +73,6 @@ void run_metro_study(const std::string& out_path, long devices_max,
       spec.params.v = 100.0;
       spec.params.bdma_iterations = 3;
       spec.params.shard_workers = workers;
-      spec.stream = true;  // O(devices) memory, not O(horizon)
 
       const auto result = sim::run_sweep(spec, 1);
       const sim::SweepCell& cell = result.cells.front();
@@ -290,14 +181,13 @@ int main(int argc, char** argv) {
   try {
     const util::Args args(argc, argv,
                           {"devices-max", "seed", "horizon", "threads", "out",
-                           "stream-out", "slots-max", "metro-out",
-                           "metro-devices-max"});
+                           "metro-out", "metro-devices-max"});
     const auto devices_max = args.get_int("devices-max", 400);
 
     sim::SweepSpec spec;
     spec.name = "scaling";
-    spec.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 4000));
-    spec.horizon = static_cast<std::size_t>(args.get_int("horizon", 6));
+    spec.base.seed = args.get_uint("seed", 4000);
+    spec.horizon = args.get_uint("horizon", 6);
     spec.window = spec.horizon;  // averages over the full (short) run
     sim::SweepAxis devices{"devices", {}};
     for (const double i : {50.0, 100.0, 200.0, 400.0}) {
@@ -320,8 +210,7 @@ int main(int argc, char** argv) {
 
     std::cout << "Scaling study: BDMA(3) decision time vs system size ("
               << spec.horizon << "-slot runs)\n\n";
-    const auto result =
-        sim::run_sweep(spec, static_cast<std::size_t>(args.get_int("threads", 0)));
+    const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
     std::cout << "\nreading: the \"run s\" column divided by " << spec.horizon
               << " slots is the per-slot decision time; a full BDMA(3) slot "
@@ -332,15 +221,10 @@ int main(int argc, char** argv) {
       result.write_json(path);
       std::cout << "wrote " << path << "\n";
     }
-    if (args.has("stream-out")) {
-      run_streaming_study(args.get("stream-out", ""),
-                          args.get_int("slots-max", 100000),
-                          static_cast<std::uint64_t>(args.get_int("seed", 4000)));
-    }
     if (args.has("metro-out")) {
       run_metro_study(args.get("metro-out", ""),
                       args.get_int("metro-devices-max", 100000),
-                      static_cast<std::uint64_t>(args.get_int("seed", 4000)));
+                      args.get_uint("seed", 4000));
     }
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

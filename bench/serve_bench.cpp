@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   using namespace eotora;
   try {
     const util::Args args(argc, argv, {"slots", "seed", "out"});
-    const auto slots = static_cast<std::size_t>(args.get_int("slots", 2000));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    const auto slots = args.get_uint("slots", 2000);
+    const auto seed = args.get_uint("seed", 42);
     const std::vector<std::size_t> device_counts = {30, 100};
 
     std::vector<ServeCell> cells;

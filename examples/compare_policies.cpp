@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
                           {"devices", "seed", "horizon", "threads", "out"});
     sim::SweepSpec spec;
     spec.name = "compare_policies";
-    spec.base.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    spec.base.devices = args.get_uint("devices", 100);
     spec.base.budget_per_slot = 1.0;
-    spec.base.seed = static_cast<std::uint64_t>(args.get_int("seed", 4242));
-    spec.horizon = static_cast<std::size_t>(args.get_int("horizon", 24 * 10));
+    spec.base.seed = args.get_uint("seed", 4242);
+    spec.horizon = args.get_uint("horizon", 24 * 10);
     spec.window = spec.horizon;  // full-run averages
     spec.policies = {"dpp-bdma",      "dpp-mcba",  "dpp-ropt", "greedy-budget",
                      "fixed-max",     "fixed-min", "mpc"};
@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
     std::cout << "\nrecorded " << replayed.size() << " slots to " << trace_path
               << " and replayed them\n\n";
 
-    const auto result =
-        sim::run_sweep(spec, static_cast<std::size_t>(args.get_int("threads", 0)));
+    const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
 
     std::cout

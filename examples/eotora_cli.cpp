@@ -6,7 +6,11 @@
 //   $ ./examples/eotora_cli --policy=bdma --v=200 --days=7 --budget=1.1
 //   $ ./examples/eotora_cli --policy=greedy --devices=60 --record=run.csv
 //   $ ./examples/eotora_cli --policy=mcba --replay=run.csv
-//   $ ./examples/eotora_cli --policy=bdma --devices=50 --horizon=100000 --stream
+//   $ ./examples/eotora_cli --policy=bdma --devices=50 --horizon=100000
+//
+// States are pulled one slot at a time (sim::StateSource), so memory stays
+// O(devices x stations) no matter how long the run; only aggregate metrics
+// are kept.
 #include <iostream>
 #include <memory>
 
@@ -14,6 +18,7 @@
 #include "eotora/eotora.h"
 #include "sim/pipeline/graph.h"
 #include "util/args.h"
+#include "util/timer.h"
 #include "util/trace.h"
 
 namespace {
@@ -52,12 +57,8 @@ options (all --key=value):
   --record   write the generated state trace to this CSV path
   --replay   read states from this CSV instead of generating
   --log      write a per-slot decision log (CSV) to this path
-  --stream   pull states one slot at a time instead of materializing
-             the horizon: memory stays O(devices x stations) no matter
-             how long the run, and only aggregate metrics are kept
-             (results are bit-identical to the materialized mode)
-  --prefetch with --stream: generate the next state on a background
-             thread while the policy decides the current slot
+  --prefetch generate the next state on a background thread while
+             the policy decides the current slot
   --audit    re-validate every slot against the P1 constraint set
              (sim/audit.h): "every" (default when the flag is bare),
              "sample" (every 16th slot), or "off"; exits 3 on violations
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
                           {"policy", "devices", "days", "horizon", "budget",
                            "v", "q0", "z", "seed", "scenario", "shards",
                            "districts", "graph", "record", "replay", "log",
-                           "stream", "prefetch", "audit", "trace-out",
+                           "prefetch", "audit", "trace-out",
                            "kernel-backend", "list-kernels",
                            "list-policies", "list-scenarios", "help"});
     if (args.has("help")) {
@@ -195,9 +196,9 @@ int main(int argc, char** argv) {
     if (args.has("scenario")) {
       sim::apply_scenario_preset(args.get("scenario", ""), config);
     }
-    config.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    config.devices = args.get_uint("devices", 100, 1);
     config.budget_per_slot = args.get_double("budget", 1.0);
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.seed = args.get_uint("seed", 42);
     if (args.has("districts")) {
       const long districts = args.get_int("districts", 0);
       if (districts <= 0) {
@@ -207,18 +208,13 @@ int main(int argc, char** argv) {
       }
       config.metro_districts = static_cast<std::size_t>(districts);
     }
-    const auto days = static_cast<std::size_t>(args.get_int("days", 7));
     const std::size_t horizon =
         args.has("horizon")
-            ? static_cast<std::size_t>(args.get_int("horizon", 0))
-            : 24 * days;
+            ? args.get_uint("horizon", 0, 1)
+            : 24 * args.get_uint("days", 7, 1);
 
     // Reject contradictory flag combinations up front, before any file or
     // scenario work happens, so mistakes fail fast with a clear message.
-    const bool stream = args.has("stream");
-    if (args.has("prefetch") && !stream) {
-      throw std::invalid_argument("--prefetch requires --stream");
-    }
     if (args.has("record") && args.has("replay")) {
       throw std::invalid_argument(
           "--record and --replay are mutually exclusive: a replayed run "
@@ -243,7 +239,7 @@ int main(int argc, char** argv) {
     sim::PolicyParams params;
     params.v = args.get_double("v", 100.0);
     params.initial_queue = args.get_double("q0", 0.0);
-    params.bdma_iterations = static_cast<std::size_t>(args.get_int("z", 5));
+    params.bdma_iterations = args.get_uint("z", 5, 1);
     if (args.has("shards")) {
       const long shards = args.get_int("shards", 0);
       if (shards <= 0) {
@@ -266,9 +262,8 @@ int main(int argc, char** argv) {
     }
     const bool auditing = audit.mode != sim::AuditMode::kOff;
 
-    // Build the state provider. Streaming mode keeps exactly one Scenario
-    // alive (inside the ScenarioSource) and never materializes the horizon;
-    // the materialized branch below is the historical behavior.
+    // Build the state source: the scenario (or a replay file) pulled one
+    // slot at a time, optionally teed into a recording and prefetched.
     std::unique_ptr<sim::Scenario> replay_world;  // instance for --replay
     std::unique_ptr<sim::ScenarioSource> scenario_source;
     std::unique_ptr<sim::ReplaySource> replay_source;
@@ -276,55 +271,34 @@ int main(int argc, char** argv) {
     std::unique_ptr<sim::PrefetchSource> prefetch_source;
     sim::StateSource* source = nullptr;
     const core::Instance* instance = nullptr;
-    std::vector<core::SlotState> states;  // materialized mode only
-
-    if (stream) {
-      if (args.has("replay")) {
-        replay_world = std::make_unique<sim::Scenario>(config);
-        sim::print_scenario(std::cout, *replay_world);
-        replay_source =
-            std::make_unique<sim::ReplaySource>(args.get("replay", ""));
-        if (replay_source->devices() != config.devices) {
-          throw std::invalid_argument(
-              "replay file has " + std::to_string(replay_source->devices()) +
-              " devices but the scenario has " +
-              std::to_string(config.devices) + "; pass matching --devices");
-        }
-        source = replay_source.get();
-        instance = &replay_world->instance();
-        std::cout << "streaming replay from " << args.get("replay", "")
-                  << "\n";
-      } else {
-        scenario_source = std::make_unique<sim::ScenarioSource>(config, horizon);
-        sim::print_scenario(std::cout, scenario_source->scenario());
-        source = scenario_source.get();
-        instance = &scenario_source->instance();
-      }
-      if (args.has("record")) {
-        recording_source = std::make_unique<sim::RecordingSource>(
-            *source, args.get("record", ""));
-        source = recording_source.get();
-      }
-      if (args.has("prefetch")) {
-        prefetch_source = std::make_unique<sim::PrefetchSource>(*source);
-        source = prefetch_source.get();
-      }
-    } else {
+    if (args.has("replay")) {
       replay_world = std::make_unique<sim::Scenario>(config);
       sim::print_scenario(std::cout, *replay_world);
+      replay_source =
+          std::make_unique<sim::ReplaySource>(args.get("replay", ""));
+      if (replay_source->devices() != config.devices) {
+        throw std::invalid_argument(
+            "replay file has " + std::to_string(replay_source->devices()) +
+            " devices but the scenario has " +
+            std::to_string(config.devices) + "; pass matching --devices");
+      }
+      source = replay_source.get();
       instance = &replay_world->instance();
-      if (args.has("replay")) {
-        states = sim::load_states(args.get("replay", ""));
-        std::cout << "replaying " << states.size() << " slots from "
-                  << args.get("replay", "") << "\n";
-      } else {
-        states = replay_world->generate_states(horizon);
-      }
-      if (args.has("record")) {
-        sim::save_states(args.get("record", ""), states);
-        std::cout << "recorded " << states.size() << " slots to "
-                  << args.get("record", "") << "\n";
-      }
+      std::cout << "streaming replay from " << args.get("replay", "") << "\n";
+    } else {
+      scenario_source = std::make_unique<sim::ScenarioSource>(config, horizon);
+      sim::print_scenario(std::cout, scenario_source->scenario());
+      source = scenario_source.get();
+      instance = &scenario_source->instance();
+    }
+    if (args.has("record")) {
+      recording_source = std::make_unique<sim::RecordingSource>(
+          *source, args.get("record", ""));
+      source = recording_source.get();
+    }
+    if (args.has("prefetch")) {
+      prefetch_source = std::make_unique<sim::PrefetchSource>(*source);
+      source = prefetch_source.get();
     }
 
     std::unique_ptr<sim::Policy> policy;
@@ -336,10 +310,13 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    // keep_series=false keeps the run O(1) in the horizon; the printed
+    // comparison only needs the aggregates.
     sim::SimulationResult result;
-    if (args.has("log") && stream) {
-      // Manual streaming loop: each slot is logged straight to disk (and
-      // audited in-line); only aggregates are kept in memory.
+    if (args.has("log")) {
+      // run_policy's loop with each slot's row written straight to disk.
+      // The phases are timed and traced exactly as in run_policy, so
+      // wall_seconds stays the summed policy.step() time.
       policy->reset();
       util::Rng rng(1);
       result.policy_name = policy->name();
@@ -349,61 +326,47 @@ int main(int argc, char** argv) {
       core::SlotState state;
       core::DppSlotResult slot;
       util::Timer timer;
-      while (source->next(state)) {
+      for (;;) {
+        bool have_state;
         {
-          // Scope only the decision, matching run_policy: audit-time
-          // re-solves must not pollute the counters.
+          EOTORA_TRACE_SPAN("slot/state");
+          timer.reset();
+          have_state = source->next(state);
+          result.state_seconds += timer.elapsed_seconds();
+        }
+        if (!have_state) break;
+        {
+          // Scope only the decision: audit-time re-solves must not
+          // pollute the counters.
+          EOTORA_TRACE_SPAN("slot/decide");
           const core::counters::Scope scope(result.counters);
+          timer.reset();
           slot = policy->step(state, rng);
+          result.wall_seconds += timer.elapsed_seconds();
+        }
+        if (auditing) {
+          EOTORA_TRACE_SPAN("slot/audit");
+          timer.reset();
+          auditor.observe(state, slot);
+          result.audit_seconds += timer.elapsed_seconds();
         }
         result.metrics.record(slot);
         log.record(state, slot);
-        if (auditing) auditor.observe(state, slot);
       }
-      result.wall_seconds = timer.elapsed_seconds();
       result.stages = policy->stage_stats();
       result.audit = auditor.report();
       log.close();
       std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
-    } else if (args.has("log")) {
-      // Manual loop so each slot can be logged (and audited in-line).
-      policy->reset();
-      util::Rng rng(1);
-      result.policy_name = policy->name();
-      sim::DecisionLog log;
-      sim::SlotAuditor auditor(*instance, audit);
-      core::DppSlotResult slot;
-      util::Timer timer;
-      for (const auto& state : states) {
-        {
-          const core::counters::Scope scope(result.counters);
-          slot = policy->step(state, rng);
-        }
-        result.metrics.record(slot);
-        log.record(state, slot);
-        if (auditing) auditor.observe(state, slot);
-      }
-      result.wall_seconds = timer.elapsed_seconds();
-      result.stages = policy->stage_stats();
-      result.audit = auditor.report();
-      log.save(args.get("log", ""));
-      std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
-    } else if (stream) {
-      // keep_series=false keeps the run O(1) in the horizon; the printed
-      // comparison only needs the aggregates.
+    } else {
       result = auditing
                    ? sim::run_policy(*policy, *instance, *source, audit, 1,
                                      /*keep_series=*/false)
                    : sim::run_policy(*policy, *source, 1,
                                      /*keep_series=*/false);
-      if (recording_source != nullptr) {
-        std::cout << "recorded " << result.metrics.slots() << " slots to "
-                  << args.get("record", "") << "\n";
-      }
-    } else if (auditing) {
-      result = sim::run_policy(*policy, *instance, states, audit);
-    } else {
-      result = sim::run_policy(*policy, states);
+    }
+    if (recording_source != nullptr) {
+      std::cout << "recorded " << result.metrics.slots() << " slots to "
+                << args.get("record", "") << "\n";
     }
     std::cout << "\n";
     sim::print_comparison(std::cout, {result}, config.budget_per_slot);

@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
     if (args.has("scenario")) {
       sim::apply_scenario_preset(args.get("scenario", ""), config);
     }
-    config.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    config.devices = args.get_uint("devices", 100);
     config.budget_per_slot = args.get_double("budget", 1.0);
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.seed = args.get_uint("seed", 42);
     sim::ScenarioSource source(config, static_cast<std::size_t>(slots));
     const core::Instance& instance = source.instance();
 

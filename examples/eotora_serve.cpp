@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
     if (args.has("scenario")) {
       sim::apply_scenario_preset(args.get("scenario", ""), config);
     }
-    config.devices = static_cast<std::size_t>(args.get_int("devices", 100));
+    config.devices = args.get_uint("devices", 100, 1);
     config.budget_per_slot = args.get_double("budget", 1.0);
-    config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    config.seed = args.get_uint("seed", 42);
     sim::Scenario world(config);
     const core::Instance& instance = world.instance();
 
@@ -96,12 +96,12 @@ int main(int argc, char** argv) {
     sim::PolicyParams params;
     params.v = args.get_double("v", 100.0);
     params.initial_queue = args.get_double("q0", 0.0);
-    params.bdma_iterations = static_cast<std::size_t>(args.get_int("z", 5));
+    params.bdma_iterations = args.get_uint("z", 5, 1);
     std::unique_ptr<sim::Policy> policy = sim::make_policy(
         resolve_policy(args.get("policy", "bdma")), instance, params);
 
     serve::ServeOptions options;
-    options.rng_seed = static_cast<std::uint64_t>(args.get_int("rng-seed", 1));
+    options.rng_seed = args.get_uint("rng-seed", 1);
     options.ring_capacity = static_cast<std::size_t>(ring);
     serve::ServeLoop loop(instance, std::move(policy), options);
 

@@ -38,7 +38,8 @@ int main() {
   std::vector<sim::SimulationResult> results;
   for (const char* name : {"dpp-bdma", "fixed-max", "fixed-min"}) {
     const auto policy = sim::make_policy(name, scenario.instance(), params);
-    results.push_back(sim::run_policy(*policy, states));
+    sim::MaterializedSource source(states);
+    results.push_back(sim::run_policy(*policy, source));
   }
 
   std::cout << "\n";

@@ -11,23 +11,22 @@ int main() {
 
   // 1. The paper's simulation setting (§VI-A): 6 base stations, 2 server
   //    rooms with 8 servers each, 100 mobile devices, NYISO-like prices.
+  //    The source draws one simulated week of hourly slots, one at a time.
   sim::ScenarioConfig config;
   config.devices = 100;
   config.budget_per_slot = 1.0;  // $ per hourly slot
   config.seed = 7;
-  sim::Scenario scenario(config);
-  sim::print_scenario(std::cout, scenario);
+  sim::ScenarioSource source(config, 24 * 7);
+  sim::print_scenario(std::cout, source.scenario());
 
   // 2. The online controller: Algorithm 1 (DPP) with BDMA(z = 5) inside.
   sim::PolicyParams params;
   params.v = 100.0;
   params.bdma_iterations = 5;
-  const auto policy =
-      sim::make_policy("dpp-bdma", scenario.instance(), params);
+  const auto policy = sim::make_policy("dpp-bdma", source.instance(), params);
 
-  // 3. One simulated week of hourly slots.
-  const auto states = scenario.generate_states(24 * 7);
-  const auto result = sim::run_policy(*policy, states);
+  // 3. Observe β_t, decide α_t, slot by slot.
+  const auto result = sim::run_policy(*policy, source);
   const auto& queue_series = result.metrics.queue_series();
 
   // 4. Results.

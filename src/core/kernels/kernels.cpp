@@ -21,7 +21,6 @@ std::vector<const Backend*> compiled_backends() {
   std::vector<const Backend*> out;
   out.push_back(detail::scalar_backend());
   if (const Backend* b = detail::avx2_backend()) out.push_back(b);
-  if (const Backend* b = detail::neon_backend()) out.push_back(b);
   return out;
 }
 

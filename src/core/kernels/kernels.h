@@ -11,8 +11,8 @@
 //                        lockstep lanes (core/p2b.h).
 // plus weighted_sumsq, the Σ m_r P_r² social-cost reduction.
 //
-// Backends: a portable scalar backend (always available) and SIMD backends
-// (AVX2 on x86-64, NEON on aarch64) selected at runtime by dispatch().
+// Backends: a portable scalar backend (always available) and an AVX2
+// backend on x86-64, selected at runtime by dispatch().
 // Selection order is "most specialized supported backend"; the
 // EOTORA_KERNEL_BACKEND environment variable or set_backend() overrides it
 // (eotora_cli surfaces the choice as --kernel-backend / --list-kernels).

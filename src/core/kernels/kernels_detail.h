@@ -15,7 +15,6 @@ namespace eotora::core::kernels::detail {
 // nullptr when the backend is not compiled in on this target).
 [[nodiscard]] const Backend* scalar_backend();
 [[nodiscard]] const Backend* avx2_backend();
-[[nodiscard]] const Backend* neon_backend();
 
 inline void sqrt_div_scalar(const double* num, const double* den, double* out,
                             std::size_t n) {

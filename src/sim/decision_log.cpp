@@ -118,21 +118,6 @@ DecisionLog DecisionLog::from_csv(const std::string& csv) {
   return log;
 }
 
-void DecisionLog::save(const std::string& path) const {
-  // Serialize first: an empty log must throw before the file is created.
-  const std::string csv = to_csv();
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("DecisionLog::save: cannot open '" + path + "'");
-  }
-  file << csv;
-  file.flush();
-  if (!file) {
-    throw std::runtime_error("DecisionLog::save: write to '" + path +
-                             "' failed");
-  }
-}
-
 DecisionLogWriter::DecisionLogWriter(std::string path)
     : path_(std::move(path)) {}
 

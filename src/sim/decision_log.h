@@ -5,9 +5,9 @@
 // exact format to_csv() emits (precision 17 round-trips every double), so
 // a saved log can be reloaded and compared row-for-row in tests.
 //
-// DecisionLog accumulates rows in memory; DecisionLogWriter streams them
-// to disk one row at a time (for long streaming runs), producing
-// byte-identical files from the same inputs.
+// DecisionLog accumulates rows in memory; DecisionLogWriter is the one file
+// writer: it streams rows to disk one at a time, and its file is
+// byte-identical to DecisionLog::to_csv() on the same slots.
 #pragma once
 
 #include <fstream>
@@ -51,11 +51,6 @@ class DecisionLog {
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   [[nodiscard]] const std::vector<Row>& entries() const { return rows_; }
 
-  // Writes the accumulated rows as CSV. Throws std::runtime_error (naming
-  // the path) when the file cannot be opened or the write fails, and
-  // std::invalid_argument when the log is empty.
-  void save(const std::string& path) const;
-
   [[nodiscard]] std::string to_csv() const;
 
   // Inverse of to_csv(): parses header + rows back into a log. Throws
@@ -67,11 +62,10 @@ class DecisionLog {
   std::vector<Row> rows_;
 };
 
-// Streams decision rows straight to disk — the O(1)-memory counterpart of
-// DecisionLog + save() for long streaming runs. The file is created and
-// the header written on the first record() (an unused writer leaves no
-// file behind); close() flushes and verifies the write. Output is
-// byte-identical to DecisionLog::save() on the same slot sequence, so
+// Streams decision rows straight to disk in O(1) memory. The file is
+// created and the header written on the first record() (an unused writer
+// leaves no file behind); close() flushes and verifies the write. Output is
+// byte-identical to DecisionLog::to_csv() on the same slot sequence, so
 // DecisionLog::from_csv parses it.
 class DecisionLogWriter {
  public:

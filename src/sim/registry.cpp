@@ -127,14 +127,4 @@ bool policy_tracks_queue(const std::string& name) {
   return name.rfind("dpp-", 0) == 0;
 }
 
-PolicyFactory policy_factory(const std::string& name,
-                             const PolicyParams& params) {
-  // Resolve the name eagerly so a typo throws at sweep-construction time,
-  // not from inside a worker thread.
-  if (!is_registered_policy(name)) throw_unknown_policy(name);
-  return [name, params](const core::Instance& instance) {
-    return make_policy(name, instance, params);
-  };
-}
-
 }  // namespace eotora::sim

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/instance.h"
-#include "sim/experiment.h"
 #include "sim/mpc_policy.h"
 #include "sim/policy.h"
 #include "sim/policy_params.h"
@@ -57,10 +56,5 @@ namespace eotora::sim {
 [[nodiscard]] std::unique_ptr<Policy> make_policy(
     const std::string& name, const core::Instance& instance,
     const PolicyParams& params = {});
-
-// The same construction packaged as a replication/sweep factory (safe to
-// call concurrently; every call builds an independent policy).
-[[nodiscard]] PolicyFactory policy_factory(const std::string& name,
-                                           const PolicyParams& params = {});
 
 }  // namespace eotora::sim

@@ -144,9 +144,7 @@ void validate(const SweepSpec& spec) {
     apply_sweep_axis(axis.name, axis.values.front(), config, params);
   }
   for (const auto& policy : spec.policies) {
-    if (!is_registered_policy(policy)) {
-      (void)policy_factory(policy);  // throws the descriptive error
-    }
+    (void)policy_description(policy);  // throws for an unknown name
   }
 }
 
@@ -202,26 +200,12 @@ SweepCell run_cell(const SweepSpec& spec, const AxisAssignment& assignment,
   for (std::size_t r = 0; r < spec.seeds; ++r) {
     ScenarioConfig seeded = config;
     seeded.seed = config.seed + r;
-    SimulationResult result;
-    if (spec.stream) {
-      // Pull states slot-by-slot; the generated sequence is identical to
-      // generate_states on the same seed, so every deterministic field
-      // below matches the materialized branch bit-for-bit.
-      ScenarioSource source(seeded, spec.horizon);
-      auto policy = make_policy(policy_name, source.instance(), params);
-      result = audit.mode == AuditMode::kOff
-                   ? run_policy(*policy, source, 1 + r)
-                   : run_policy(*policy, source.instance(), source, audit,
-                                1 + r);
-    } else {
-      Scenario scenario(seeded);
-      const auto states = scenario.generate_states(spec.horizon);
-      auto policy = make_policy(policy_name, scenario.instance(), params);
-      result = audit.mode == AuditMode::kOff
-                   ? run_policy(*policy, states, 1 + r)
-                   : run_policy(*policy, scenario.instance(), states, audit,
-                                1 + r);
-    }
+    ScenarioSource source(seeded, spec.horizon);
+    auto policy = make_policy(policy_name, source.instance(), params);
+    const SimulationResult result =
+        audit.mode == AuditMode::kOff
+            ? run_policy(*policy, source, 1 + r)
+            : run_policy(*policy, source.instance(), source, audit, 1 + r);
     cell.audited_slots += result.audit.slots_audited;
     cell.audit_violations += result.audit.total_violations();
     const auto tail = tail_averages(result, spec.window);
@@ -304,7 +288,6 @@ SweepResult run_sweep(const SweepSpec& spec, std::size_t threads) {
   result.horizon = spec.horizon;
   result.window = spec.window;
   result.seeds = spec.seeds;
-  result.stream = spec.stream;
   result.audit_mode = spec.audit.mode;
   result.cells.resize(keys.size());
 
@@ -371,7 +354,6 @@ util::Json SweepResult::to_json() const {
   doc["horizon"] = horizon;
   doc["window"] = window;
   doc["seeds"] = seeds;
-  doc["stream"] = stream;
   if (audited) {
     doc["audit_mode"] =
         audit_mode == AuditMode::kEverySlot ? "every-slot" : "sampled";

@@ -5,11 +5,12 @@
 // knobs, a set of registry policies, seeds, horizon, reporting window);
 // run_sweep decides HOW: it enumerates the cross product of axis values ×
 // policies × nothing else into independent cells and executes them over the
-// shared util::ThreadPool. Every cell builds its own Scenario from its own
-// seed and draws its own state sequence, so cell results depend only on the
-// spec — never on worker count or scheduling order — and the emitted table
-// and JSON artifact are reproducible byte-for-byte across thread counts
-// (the wall-clock fields are the one documented exception).
+// shared util::ThreadPool. Every cell streams its states slot by slot
+// through its own sim::ScenarioSource, built from its own seed, so a cell's
+// memory is O(devices × stations) regardless of horizon and cell results
+// depend only on the spec — never on worker count or scheduling order. The
+// emitted table and JSON artifact are reproducible byte-for-byte across
+// thread counts (the wall-clock fields are the one documented exception).
 //
 // The JSON artifact ("eotora-sweep-v1", one record per cell) is the
 // machine-readable output scripts/reproduce.sh collects under bench/out/
@@ -53,15 +54,9 @@ struct SweepSpec {
   PolicyParams params;
   std::size_t horizon = 24 * 12;
   std::size_t window = 48;  // tail-averaging window, <= horizon
-  std::size_t seeds = 1;    // replications per cell; seed r uses base.seed+r
-  // Streaming mode: each cell pulls its states slot-by-slot through a
-  // sim::ScenarioSource instead of materializing the whole horizon, so a
-  // cell's memory is O(devices × stations) regardless of horizon. The
-  // state sequence is generated from the same seeds in the same order, so
-  // every deterministic result field is bit-identical to the materialized
-  // mode — policies "share" one generated stream per seed by replaying it
-  // deterministically (each cell re-seeds its own source).
-  bool stream = false;
+  // Replications per cell: replication r runs scenario seed base.seed + r
+  // with policy rng seed 1 + r.
+  std::size_t seeds = 1;
   // Optional deterministic hook applied after the built-in axis mapping,
   // for couplings a single knob cannot express (e.g. the scaling bench
   // grows clusters with the device count). Must be a pure function of the
@@ -119,7 +114,6 @@ struct SweepResult {
   std::size_t horizon = 0;
   std::size_t window = 0;
   std::size_t seeds = 0;
-  bool stream = false;  // whether cells streamed their states
   AuditMode audit_mode = AuditMode::kOff;
   std::vector<SweepCell> cells;  // axis-major, policy-minor order
   double wall_seconds = 0.0;

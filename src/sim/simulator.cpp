@@ -13,9 +13,9 @@ namespace eotora::sim {
 
 namespace {
 
-// The one streaming loop every run_policy overload funnels through. One
-// SlotState buffer is reused across the whole drain, so the loop itself
-// allocates nothing per slot once the source's shapes have stabilized.
+// The one loop both run_policy overloads funnel through. One SlotState
+// buffer is reused across the whole drain, so the loop itself allocates
+// nothing per slot once the source's shapes have stabilized.
 SimulationResult run_policy_stream(Policy& policy,
                                    const core::Instance* instance,
                                    StateSource& source,
@@ -91,22 +91,6 @@ SimulationResult run_policy(Policy& policy, const core::Instance& instance,
                             std::uint64_t seed, bool keep_series) {
   return run_policy_stream(policy, &instance, source, &audit, seed,
                            keep_series);
-}
-
-SimulationResult run_policy(Policy& policy,
-                            const std::vector<core::SlotState>& states,
-                            std::uint64_t seed) {
-  EOTORA_REQUIRE(!states.empty());
-  MaterializedSource source(states);
-  return run_policy(policy, source, seed);
-}
-
-SimulationResult run_policy(Policy& policy, const core::Instance& instance,
-                            const std::vector<core::SlotState>& states,
-                            const AuditConfig& audit, std::uint64_t seed) {
-  EOTORA_REQUIRE(!states.empty());
-  MaterializedSource source(states);
-  return run_policy(policy, instance, source, audit, seed);
 }
 
 WindowAverages tail_averages(const SimulationResult& result,

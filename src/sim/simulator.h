@@ -1,13 +1,12 @@
 // The slot-driven simulation loop.
 //
 // run_policy() drives one policy across a state stream, collecting the
-// per-slot and aggregate metrics. The StateSource overloads are the
-// primary form: they pull one slot at a time into a reused buffer, so
-// memory stays O(1) in the horizon. The std::vector overloads wrap the
-// same loop over a MaterializedSource so different policies can be
-// compared on IDENTICAL inputs (as the paper's Fig. 9 requires); metrics
-// are bit-for-bit identical between the two forms on equal state
-// sequences.
+// per-slot and aggregate metrics. It pulls one slot at a time into a reused
+// buffer, so memory stays O(1) in the horizon. To compare policies on
+// IDENTICAL inputs (as the paper's Fig. 9 requires), drain one
+// MaterializedSource over a pre-drawn state vector per run, or reset() it
+// between runs; metrics are bit-for-bit identical to draining a
+// ScenarioSource built from the same config.
 #pragma once
 
 #include <string>
@@ -27,7 +26,7 @@ struct SimulationResult {
   core::MetricsCollector metrics;
   // Total decision-making time: the summed per-slot policy.step() cost.
   // State generation, prefetch, audit, and metric bookkeeping are excluded,
-  // so streaming and materialized runs report comparable numbers.
+  // so runs over different sources report comparable numbers.
   double wall_seconds = 0.0;
   // The other two per-slot phases, so a run's time fully decomposes:
   // state_seconds is spent pulling slots from the source (generation,
@@ -66,16 +65,6 @@ struct SimulationResult {
                                           const AuditConfig& audit,
                                           std::uint64_t seed = 1,
                                           bool keep_series = true);
-
-// Materialized forms: run over a pre-generated state vector.
-[[nodiscard]] SimulationResult run_policy(
-    Policy& policy, const std::vector<core::SlotState>& states,
-    std::uint64_t seed = 1);
-
-[[nodiscard]] SimulationResult run_policy(
-    Policy& policy, const core::Instance& instance,
-    const std::vector<core::SlotState>& states, const AuditConfig& audit,
-    std::uint64_t seed = 1);
 
 // Convenience: averages of the last `window` slots (the paper averages over
 // 48-slot windows in Fig. 9). Requires the per-slot series (a run with

@@ -15,15 +15,14 @@
 //                       matrix in place, so the steady state allocates
 //                       nothing per slot. reset() rebuilds the Scenario
 //                       from its config — generation is deterministic in
-//                       the seed, so the replay is bit-identical (this is
-//                       the "replayable tee" the sweep runner leans on to
-//                       share one stream across policies).
+//                       the seed, so the replay is bit-identical.
 //   ReplaySource        streams the replay CSV (sim/replay.h schema) row by
 //                       row instead of slurping the file; errors name the
 //                       offending line.
 //   MaterializedSource  adapts an existing std::vector<SlotState>, so
-//                       Fig.-9-style identical-input comparisons and all
-//                       pre-generated call sites keep working unchanged.
+//                       Fig.-9-style identical-input comparisons (several
+//                       policies over one pre-drawn vector) go through the
+//                       same run_policy as every other drain.
 //   RecordingSource     tee: passes states through while appending them to
 //                       a replay CSV (streaming save_states).
 //   PrefetchSource      double-buffered producer: generates the next state
@@ -99,7 +98,9 @@ class MaterializedSource final : public StateSource {
 
 // Streams `horizon` states from a Scenario built from `config`, refilling
 // the buffer in place (no steady-state allocations). reset() rebuilds the
-// Scenario, which replays the identical sequence.
+// Scenario, which replays the identical sequence — and replaces the
+// Instance that instance() returns, so a policy built on the old one must
+// not be run after a reset().
 class ScenarioSource final : public StateSource {
  public:
   ScenarioSource(const ScenarioConfig& config, std::size_t horizon);

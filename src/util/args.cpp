@@ -65,4 +65,27 @@ long Args::get_int(const std::string& key, long fallback) const {
   }
 }
 
+std::uint64_t Args::get_uint(const std::string& key, std::uint64_t fallback,
+                             std::uint64_t min) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  long value = -1;
+  try {
+    value = parse_long(it->second);
+  } catch (const std::invalid_argument&) {
+    // Reported below with the same message as a negative value.
+  }
+  if (value < 0) {
+    throw std::invalid_argument("option '--" + key +
+                                "' expects a non-negative integer, got '" +
+                                it->second + "'");
+  }
+  if (static_cast<std::uint64_t>(value) < min) {
+    throw std::invalid_argument("option '--" + key + "' must be at least " +
+                                std::to_string(min) + ", got '" + it->second +
+                                "'");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 }  // namespace eotora::util

@@ -4,6 +4,7 @@
 // so typos fail loudly instead of silently running defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -27,6 +28,12 @@ class Args {
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
   [[nodiscard]] long get_int(const std::string& key, long fallback) const;
+  // For counts, sizes and seeds: a negative value is rejected by name
+  // instead of wrapping to a huge unsigned one, and so is a value below
+  // `min` (min = 1 for counts that must be positive).
+  [[nodiscard]] std::uint64_t get_uint(const std::string& key,
+                                       std::uint64_t fallback,
+                                       std::uint64_t min = 0) const;
 
  private:
   std::map<std::string, std::string> values_;

@@ -28,17 +28,6 @@ std::size_t status_kb(const std::string& key) {
 
 }  // namespace
 
-std::size_t current_rss_bytes() { return status_kb("VmRSS") * 1024; }
-
 std::size_t peak_rss_bytes() { return status_kb("VmHWM") * 1024; }
-
-bool reset_peak_rss() {
-  // "5" asks the kernel to reset the peak RSS watermark (man 5 proc).
-  std::ofstream clear_refs("/proc/self/clear_refs");
-  if (!clear_refs) return false;
-  clear_refs << "5";
-  clear_refs.flush();
-  return static_cast<bool>(clear_refs);
-}
 
 }  // namespace eotora::util

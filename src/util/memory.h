@@ -1,26 +1,15 @@
-// Process memory introspection for the streaming benches and CI smokes.
+// Process memory introspection for the benchmarks.
 //
-// Linux-only by implementation (/proc/self/status, /proc/self/clear_refs);
-// every function degrades gracefully elsewhere (0 / false) so callers can
-// emit "unknown" instead of failing. Peak RSS (VmHWM) is process-global and
-// monotone, so per-phase peaks require reset_peak_rss() between phases and
-// are only meaningful for single-threaded measurement sections.
+// Linux-only by implementation (/proc/self/status); degrades gracefully
+// elsewhere (0) so callers can emit "unknown" instead of failing. Peak RSS
+// (VmHWM) is process-global and monotone.
 #pragma once
 
 #include <cstddef>
 
 namespace eotora::util {
 
-// Current resident set size (VmRSS) in bytes; 0 when unavailable.
-[[nodiscard]] std::size_t current_rss_bytes();
-
 // Peak resident set size (VmHWM) in bytes; 0 when unavailable.
 [[nodiscard]] std::size_t peak_rss_bytes();
-
-// Resets the kernel's peak-RSS watermark to the current RSS, so a following
-// peak_rss_bytes() reports the peak of the code in between. Returns false
-// when the platform does not support resetting (the watermark then keeps
-// its historical value).
-bool reset_peak_rss();
 
 }  // namespace eotora::util

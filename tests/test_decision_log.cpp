@@ -1,11 +1,16 @@
-// DecisionLog: CSV round-trips, entries() accessors, and save() error paths.
+// DecisionLog: CSV round-trips and entries() accessors; DecisionLogWriter:
+// the file writer's bytes and error paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 
 #include "core/dpp.h"
 #include "sim/decision_log.h"
+#include "sim/registry.h"
+#include "sim/scenario.h"
 #include "test_helpers.h"
 
 namespace eotora {
@@ -22,16 +27,36 @@ core::DppSlotResult slot_result(double latency, double cost, double queue,
   return result;
 }
 
-sim::DecisionLog sample_log() {
-  sim::DecisionLog log;
+struct Sample {
+  core::SlotState state;
+  core::DppSlotResult slot;
+};
+
+std::vector<Sample> samples() {
   core::SlotState state = test::uniform_state(3, 2);
   state.slot = 0;
   state.price_per_mwh = 42.5;
-  log.record(state, slot_result(0.125, 1.75, 0.75, {1.8, 2.7, 3.6}));
+  std::vector<Sample> out;
+  out.push_back({state, slot_result(0.125, 1.75, 0.75, {1.8, 2.7, 3.6})});
   state.slot = 1;
   state.price_per_mwh = 61.0 / 7.0;  // not exactly representable in decimal
-  log.record(state, slot_result(1.0 / 3.0, 0.9, 0.0, {2.0, 2.0, 2.0}));
+  out.push_back({state, slot_result(1.0 / 3.0, 0.9, 0.0, {2.0, 2.0, 2.0})});
+  return out;
+}
+
+sim::DecisionLog sample_log() {
+  sim::DecisionLog log;
+  for (const Sample& sample : samples()) log.record(sample.state, sample.slot);
   return log;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
 }
 
 TEST(DecisionLog, RecordTracksRowsAndFrequencyStats) {
@@ -57,16 +82,44 @@ TEST(DecisionLog, CsvRoundTripReproducesEveryRowExactly) {
   EXPECT_EQ(back.to_csv(), log.to_csv());
 }
 
-TEST(DecisionLog, SaveThenLoadRoundTrips) {
-  const sim::DecisionLog log = sample_log();
-  const std::string path = "test_decision_log_roundtrip.csv";
-  log.save(path);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const sim::DecisionLog back = sim::DecisionLog::from_csv(text);
-  ASSERT_EQ(back.rows(), log.rows());
-  EXPECT_EQ(back.entries(), log.entries());
+// A policy's real slots: one row each, header first.
+TEST(DecisionLog, RecordsPolicySlotsAndSerializes) {
+  sim::ScenarioConfig config;
+  config.devices = 6;
+  config.mid_band_stations = 1;
+  config.low_band_stations = 1;
+  config.clusters = 1;
+  config.servers_per_cluster = 2;
+  config.seed = 100;
+  sim::Scenario scenario(config);
+  sim::PolicyParams params;
+  params.bdma_iterations = 1;
+  const auto policy = sim::make_policy("dpp-bdma", scenario.instance(), params);
+  sim::DecisionLog log;
+  util::Rng rng(1);
+  for (int t = 0; t < 5; ++t) {
+    const auto state = scenario.next_state();
+    log.record(state, policy->step(state, rng));
+  }
+  EXPECT_EQ(log.rows(), 5u);
+  const std::string csv = log.to_csv();
+  EXPECT_EQ(csv.rfind("slot,price,latency", 0), 0u);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 6);  // header + 5 rows
+}
+
+TEST(DecisionLogWriter, FileBytesEqualToCsvOfTheSameSlots) {
+  const std::string path = "test_decision_log_writer.csv";
+  sim::DecisionLogWriter writer(path);
+  for (const Sample& sample : samples()) {
+    writer.record(sample.state, sample.slot);
+  }
+  EXPECT_EQ(writer.rows(), 2u);
+  writer.close();
+  writer.close();  // idempotent
+  const std::string text = read_file(path);
+  EXPECT_EQ(text, sample_log().to_csv());
+  EXPECT_EQ(sim::DecisionLog::from_csv(text).entries(),
+            sample_log().entries());
   std::remove(path.c_str());
 }
 
@@ -89,11 +142,12 @@ TEST(DecisionLog, FromCsvRejectsMalformedInput) {
             1u);
 }
 
-TEST(DecisionLog, SaveErrorsNameThePath) {
-  const sim::DecisionLog log = sample_log();
+TEST(DecisionLogWriter, UnopenablePathThrowsNamingIt) {
   const std::string bad_path = "/nonexistent-dir/decision_log.csv";
+  sim::DecisionLogWriter writer(bad_path);
+  const Sample sample = samples().front();
   try {
-    log.save(bad_path);
+    writer.record(sample.state, sample.slot);
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(bad_path), std::string::npos)
@@ -105,11 +159,20 @@ TEST(DecisionLog, EmptyLogRefusesToSerialize) {
   const sim::DecisionLog empty;
   EXPECT_EQ(empty.rows(), 0u);
   EXPECT_THROW(empty.to_csv(), std::invalid_argument);
-  EXPECT_THROW(empty.save("test_decision_log_empty.csv"),
-               std::invalid_argument);
-  // The failed save must not leave a file behind.
-  std::ifstream check("test_decision_log_empty.csv");
-  EXPECT_FALSE(check.good());
+}
+
+TEST(DecisionLogWriter, CloseWithNoRowsThrows) {
+  const std::string path = "test_decision_log_writer_empty.csv";
+  sim::DecisionLogWriter writer(path);
+  EXPECT_THROW(writer.close(), std::invalid_argument);
+  EXPECT_FALSE(file_exists(path));
+}
+
+TEST(DecisionLogWriter, UnusedWriterLeavesNoFile) {
+  const std::string path = "test_decision_log_writer_unused.csv";
+  std::remove(path.c_str());
+  { const sim::DecisionLogWriter writer(path); }
+  EXPECT_FALSE(file_exists(path));
 }
 
 }  // namespace

@@ -299,7 +299,8 @@ TEST(DeltaSource, RunPolicyMatchesBatchBitForBit) {
   for (const std::string& name : registered_policies()) {
     auto batch_policy =
         make_policy(name, scenario.instance(), PolicyParams{});
-    const auto batch = run_policy(*batch_policy, states);
+    MaterializedSource batch_source(states);
+    const auto batch = run_policy(*batch_policy, batch_source);
 
     DeltaSource source(deltas, tiny().devices,
                        states[0].channel[0].size());

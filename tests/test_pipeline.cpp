@@ -42,10 +42,12 @@ PolicyParams fast_params() {
 
 TEST(Pipeline, ResetRestartsTheGraphExactly) {
   Scenario scenario(tiny(7));
-  const auto states = scenario.generate_states(4);
+  MaterializedSource source(scenario.generate_states(4));
   auto policy = make_policy("dpp-bdma", scenario.instance(), fast_params());
-  const auto first = run_policy(*policy, states, 3);
-  const auto second = run_policy(*policy, states, 3);  // reset() inside
+  const auto first = run_policy(*policy, source, 3);
+  source.reset();
+  // run_policy calls policy.reset() itself.
+  const auto second = run_policy(*policy, source, 3);
   EXPECT_EQ(first.metrics.average_latency(), second.metrics.average_latency());
   EXPECT_EQ(first.counters, second.counters);
 }
@@ -56,7 +58,8 @@ TEST(Pipeline, StageCountersSumExactlyToRunTotals) {
   const PolicyParams params = fast_params();
   for (const auto& name : registered_policies()) {
     auto policy = make_policy(name, scenario.instance(), params);
-    const auto result = run_policy(*policy, states, 2);
+    MaterializedSource source(states);
+    const auto result = run_policy(*policy, source, 2);
     ASSERT_FALSE(result.stages.empty()) << name;
     core::counters::SolverCounters sum;
     for (const auto& stage : result.stages) sum.merge(stage.counters);
@@ -65,16 +68,15 @@ TEST(Pipeline, StageCountersSumExactlyToRunTotals) {
 }
 
 TEST(Pipeline, LoopStagesRunOncePerBdmaIterationPerSlot) {
-  Scenario scenario(tiny(5));
-  const auto states = scenario.generate_states(5);
+  ScenarioSource source(tiny(5), 5);
   PolicyParams params = fast_params();
   params.bdma_iterations = 3;
-  auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto result = run_policy(*policy, states, 2);
+  auto policy = make_policy("dpp-bdma", source.instance(), params);
+  const auto result = run_policy(*policy, source, 2);
   for (const auto& stage : result.stages) {
     const bool in_loop = stage.name == "p2a_solve" || stage.name == "p2b_solve";
     const std::uint64_t expected =
-        states.size() * (in_loop ? params.bdma_iterations : 1);
+        source.horizon() * (in_loop ? params.bdma_iterations : 1);
     EXPECT_EQ(stage.runs, expected) << stage.name;
   }
 }

@@ -108,9 +108,11 @@ TEST(GreedyBudget, DppBeatsGreedyOnLatencyAtEqualAverageSpend) {
   params.bdma_iterations = 3;
   const auto greedy =
       make_policy("greedy-budget", scenario.instance(), params);
-  const auto greedy_result = run_policy(*greedy, states, 4);
+  MaterializedSource source(states);
+  const auto greedy_result = run_policy(*greedy, source, 4);
   const auto dpp_policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto dpp_result = run_policy(*dpp_policy, states, 4);
+  source.reset();
+  const auto dpp_result = run_policy(*dpp_policy, source, 4);
 
   EXPECT_LT(dpp_result.metrics.average_latency(),
             greedy_result.metrics.average_latency() * 1.02);

@@ -60,8 +60,10 @@ TEST_F(ReplayTest, ReplayDrivesIdenticalSimulation) {
   PolicyParams params;
   params.bdma_iterations = 2;
   const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto original = run_policy(*policy, states, 9);
-  const auto replayed = run_policy(*policy, loaded, 9);
+  MaterializedSource original_source(states);
+  MaterializedSource replayed_source(loaded);
+  const auto original = run_policy(*policy, original_source, 9);
+  const auto replayed = run_policy(*policy, replayed_source, 9);
   EXPECT_EQ(original.metrics.latency_series(),
             replayed.metrics.latency_series());
   EXPECT_EQ(original.metrics.queue_series(), replayed.metrics.queue_series());

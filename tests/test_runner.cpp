@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -111,39 +112,6 @@ TEST(Runner, SweepRecordsAreByteIdenticalAcrossThreadsAndReruns) {
   EXPECT_EQ(baseline, strip_timing(rerun.to_json()).dump());
 }
 
-TEST(Runner, StreamingSweepMatchesMaterializedExactly) {
-  // SweepSpec::stream flips the per-cell state generation to a
-  // ScenarioSource; every deterministic field of every cell must stay
-  // bit-identical to the materialized path, threaded or not.
-  SweepSpec materialized = small_two_axis_spec();
-  materialized.seeds = 2;
-  SweepSpec streamed = materialized;
-  streamed.stream = true;
-  const auto base = run_sweep(materialized, 2);
-  const auto stream = run_sweep(streamed, 2);
-  ASSERT_EQ(base.cells.size(), stream.cells.size());
-  for (std::size_t i = 0; i < base.cells.size(); ++i) {
-    const auto& a = base.cells[i];
-    const auto& b = stream.cells[i];
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.tail.latency, b.tail.latency) << a.policy;
-    EXPECT_EQ(a.tail.energy_cost, b.tail.energy_cost) << a.policy;
-    EXPECT_EQ(a.tail.queue, b.tail.queue) << a.policy;
-    EXPECT_EQ(a.avg_latency, b.avg_latency) << a.policy;
-    EXPECT_EQ(a.avg_cost, b.avg_cost) << a.policy;
-    EXPECT_EQ(a.avg_backlog, b.avg_backlog) << a.policy;
-    EXPECT_EQ(a.tail_latency_stats.mean(), b.tail_latency_stats.mean());
-  }
-  // Only the `stream` flag differs in the artifact (besides wall clocks).
-  EXPECT_TRUE(stream.to_json().contains("stream"));
-  EXPECT_TRUE(stream.to_json().at("stream").as_bool());
-  util::Json lhs = strip_timing(base.to_json());
-  util::Json rhs = strip_timing(stream.to_json());
-  lhs.erase("stream");
-  rhs.erase("stream");
-  EXPECT_EQ(lhs.dump(), rhs.dump());
-}
-
 TEST(Runner, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   // The new solver counters join the determinism contract: identical
   // totals for --threads 1 vs 8 and across same-seed reruns (they ride
@@ -202,24 +170,6 @@ TEST(Runner, TracedSweepWritesChromeJsonAndChangesNoResultBytes) {
   }
   EXPECT_TRUE(saw_cell_span);
   std::remove(traced_spec.trace.c_str());
-}
-
-TEST(Runner, StreamingAuditedSweepStaysClean) {
-  SweepSpec spec;
-  spec.name = "audited-stream";
-  spec.base = tiny();
-  spec.policies = {"dpp-bdma", "beta-only"};
-  spec.params.bdma_iterations = 1;
-  spec.horizon = 6;
-  spec.window = 3;
-  spec.stream = true;
-  spec.audit.mode = AuditMode::kEverySlot;
-  const auto result = run_sweep(spec, 1);
-  ASSERT_EQ(result.cells.size(), 2u);
-  for (const auto& cell : result.cells) {
-    EXPECT_EQ(cell.audited_slots, spec.horizon) << cell.policy;
-    EXPECT_EQ(cell.audit_violations, 0u) << cell.policy;
-  }
 }
 
 TEST(Runner, ArtifactCarriesBuildProvenance) {
@@ -286,10 +236,38 @@ TEST(Runner, SeedsAggregateAndReportCi) {
   EXPECT_GT(cell.tail_latency_stats.stddev(), 0.0);  // seeds differ
   EXPECT_GT(cell.tail_latency_ci_halfwidth(), 0.0);
   EXPECT_GE(cell.tail_latency_stats.max(), cell.tail_latency_stats.min());
-  // Matches a direct replicate() over the same seeds (full-run averages
-  // correspond to window == horizon tails only in expectation; here we
-  // check the runner's own aggregation is the plain mean).
+  // The runner's own aggregation is the plain mean.
   EXPECT_NEAR(cell.tail.latency, cell.tail_latency_stats.mean(), 1e-15);
+  // ~95% normal-approximation half-width: 1.96 * sample stddev / sqrt(R).
+  const double n = 3.0;
+  const double sample_stddev =
+      cell.tail_latency_stats.stddev() * std::sqrt(n / (n - 1.0));
+  EXPECT_NEAR(cell.tail_latency_ci_halfwidth(),
+              1.96 * sample_stddev / std::sqrt(n), 1e-12);
+
+  // Replication r is scenario seed base.seed + r with policy rng 1 + r:
+  // the same drains run by hand aggregate to the same bits.
+  util::RunningStats tail_latency;
+  util::RunningStats avg_latency;
+  for (std::size_t r = 0; r < spec.seeds; ++r) {
+    ScenarioConfig seeded = spec.base;
+    seeded.seed = spec.base.seed + r;
+    ScenarioSource source(seeded, spec.horizon);
+    auto policy = make_policy("dpp-bdma", source.instance(), spec.params);
+    const auto run = run_policy(*policy, source, 1 + r);
+    tail_latency.add(tail_averages(run, spec.window).latency);
+    avg_latency.add(run.metrics.average_latency());
+    EXPECT_EQ(cell.policy_label, run.policy_name);
+  }
+  EXPECT_EQ(cell.tail_latency_stats.mean(), tail_latency.mean());
+  EXPECT_EQ(cell.tail_latency_stats.stddev(), tail_latency.stddev());
+  EXPECT_EQ(cell.avg_latency, avg_latency.mean());
+
+  // One seed: a zero-width interval.
+  spec.seeds = 1;
+  const auto single = run_sweep(spec, 1).cells.front();
+  EXPECT_EQ(single.tail_latency_stats.count(), 1u);
+  EXPECT_EQ(single.tail_latency_ci_halfwidth(), 0.0);
 }
 
 TEST(Runner, TableMatchesCellsAndJsonSchema) {
@@ -340,6 +318,23 @@ TEST(Runner, ConfigureHookShapesTheCell) {
 TEST(Runner, ValidatesTheSpec) {
   SweepSpec spec = small_two_axis_spec();
   spec.policies = {"no-such-policy"};
+  try {
+    (void)run_sweep(spec, 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    // The registry's own error: the bad name and the registered ones.
+    const std::string message = error.what();
+    EXPECT_NE(message.find("no-such-policy"), std::string::npos) << message;
+    EXPECT_NE(message.find("dpp-bdma"), std::string::npos) << message;
+  }
+
+  spec = small_two_axis_spec();
+  spec.horizon = 0;
+  spec.window = 0;
+  EXPECT_THROW((void)run_sweep(spec, 1), std::invalid_argument);
+
+  spec = small_two_axis_spec();
+  spec.seeds = 0;
   EXPECT_THROW((void)run_sweep(spec, 1), std::invalid_argument);
 
   spec = small_two_axis_spec();

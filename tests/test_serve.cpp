@@ -289,7 +289,8 @@ TEST(ServeLoop, DecisionsMatchRunPolicyBitForBit) {
 
   auto batch_policy =
       sim::make_policy("dpp-bdma", scenario.instance(), sim::PolicyParams{});
-  const auto batch = sim::run_policy(*batch_policy, states);
+  sim::MaterializedSource batch_source(states);
+  const auto batch = sim::run_policy(*batch_policy, batch_source);
 
   ServeOptions options;
   options.ring_capacity = 8;  // force back-pressure on the producer

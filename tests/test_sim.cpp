@@ -109,7 +109,8 @@ TEST(Simulator, RunsAllPolicyKinds) {
   params.mcba_iterations = 300;
   for (const char* name : {"dpp-bdma", "dpp-mcba", "dpp-ropt"}) {
     const auto policy = make_policy(name, scenario.instance(), params);
-    results.push_back(run_policy(*policy, states));
+    MaterializedSource source(states);
+    results.push_back(run_policy(*policy, source));
     EXPECT_EQ(results.back().metrics.slots(), 24u);
     EXPECT_GT(results.back().metrics.average_latency(), 0.0);
   }
@@ -128,37 +129,38 @@ TEST(Simulator, DeterministicGivenSeed) {
   PolicyParams params;
   params.bdma_iterations = 2;
   const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto a = run_policy(*policy, states, 5);
-  const auto b = run_policy(*policy, states, 5);
+  MaterializedSource source(states);
+  const auto a = run_policy(*policy, source, 5);
+  source.reset();
+  const auto b = run_policy(*policy, source, 5);
   EXPECT_EQ(a.metrics.latency_series(), b.metrics.latency_series());
   EXPECT_EQ(a.metrics.queue_series(), b.metrics.queue_series());
 }
 
 TEST(Simulator, ResetHappensBetweenRuns) {
-  Scenario scenario(small_config());
   ScenarioConfig tight = small_config();
   tight.budget_per_slot = 0.05;  // infeasibly tight: queue definitely grows
   Scenario tight_scenario(tight);
-  const auto states = tight_scenario.generate_states(12);
+  MaterializedSource source(tight_scenario.generate_states(12));
   PolicyParams params;
   params.bdma_iterations = 1;
   const auto policy =
       make_policy("dpp-bdma", tight_scenario.instance(), params);
-  const auto first = run_policy(*policy, states);
+  const auto first = run_policy(*policy, source);
   // Queue grew during the first run...
   EXPECT_GT(first.metrics.queue_series().back(), 0.0);
-  const auto second = run_policy(*policy, states);
-  // ...but reset() gave the second run the same trajectory.
+  source.reset();
+  const auto second = run_policy(*policy, source);
+  // ...but the policy's reset() gave the second run the same trajectory.
   EXPECT_EQ(first.metrics.queue_series(), second.metrics.queue_series());
 }
 
 TEST(Simulator, TailAveragesMatchManualComputation) {
-  Scenario scenario(small_config());
-  const auto states = scenario.generate_states(10);
+  ScenarioSource source(small_config(), 10);
   PolicyParams params;
   params.bdma_iterations = 1;
-  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto result = run_policy(*policy, states);
+  const auto policy = make_policy("dpp-bdma", source.instance(), params);
+  const auto result = run_policy(*policy, source);
   const auto tail = tail_averages(result, 4);
   const auto& series = result.metrics.latency_series();
   double expected = 0.0;
@@ -173,8 +175,10 @@ TEST(FixedFrequency, RunsAndRespectsFraction) {
   const auto states = scenario.generate_states(6);
   const auto max_policy = make_policy("fixed-max", scenario.instance());
   const auto min_policy = make_policy("fixed-min", scenario.instance());
-  const auto fast = run_policy(*max_policy, states);
-  const auto slow = run_policy(*min_policy, states);
+  MaterializedSource source(states);
+  const auto fast = run_policy(*max_policy, source);
+  source.reset();
+  const auto slow = run_policy(*min_policy, source);
   // Full frequency: lower latency, higher energy cost.
   EXPECT_LT(fast.metrics.average_latency(), slow.metrics.average_latency());
   EXPECT_GT(fast.metrics.average_energy_cost(),
@@ -187,12 +191,12 @@ TEST(FixedFrequency, RunsAndRespectsFraction) {
 }
 
 TEST(Report, PrintsComparisonAndScenario) {
-  Scenario scenario(small_config());
-  const auto states = scenario.generate_states(4);
+  ScenarioSource source(small_config(), 4);
+  const Scenario& scenario = source.scenario();
   PolicyParams params;
   params.bdma_iterations = 1;
-  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto result = run_policy(*policy, states);
+  const auto policy = make_policy("dpp-bdma", source.instance(), params);
+  const auto result = run_policy(*policy, source);
   std::ostringstream oss;
   print_comparison(oss, {result}, scenario.config().budget_per_slot);
   EXPECT_NE(oss.str().find("BDMA-based DPP"), std::string::npos);
@@ -219,12 +223,11 @@ TEST(ScenarioVariants, GaussMarkovAndLogDistanceChannelWork) {
   config.mobility = ScenarioConfig::Mobility::kGaussMarkov;
   config.channel.attenuation =
       topology::ChannelConfig::Attenuation::kLogDistance;
-  Scenario scenario(config);
+  ScenarioSource source(config, 24);
   PolicyParams params;
   params.bdma_iterations = 1;
-  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  const auto states = scenario.generate_states(24);
-  const auto result = run_policy(*policy, states);
+  const auto policy = make_policy("dpp-bdma", source.instance(), params);
+  const auto result = run_policy(*policy, source);
   EXPECT_EQ(result.metrics.slots(), 24u);
   EXPECT_GT(result.metrics.average_latency(), 0.0);
 }

@@ -313,9 +313,10 @@ TEST(PrefetchSourceTest, StatsCountDeliveriesAndRestartOnReset) {
 
 // The tentpole guarantee: for EVERY registered policy and several seeds,
 // run_policy over a ScenarioSource is bit-for-bit identical to run_policy
-// over the pre-generated vector of the same scenario. This is the
-// differential that lets the 12 golden fixtures stand byte-identical with
-// zero regeneration.
+// over a MaterializedSource of the same scenario's pre-generated states.
+// This is the differential that lets streaming drains and identical-input
+// comparisons share one run path, and the golden fixtures stand
+// byte-identical.
 TEST(StreamingDifferentialTest, StreamingEqualsMaterializedForAllPolicies) {
   const std::size_t horizon = 6;
   for (const std::string& name : registered_policies()) {
@@ -330,9 +331,10 @@ TEST(StreamingDifferentialTest, StreamingEqualsMaterializedForAllPolicies) {
       params.mpc.window = 2;
 
       Scenario scenario(config);
-      const auto states = scenario.generate_states(horizon);
+      MaterializedSource pre_drawn(scenario.generate_states(horizon));
       auto materialized_policy = make_policy(name, scenario.instance(), params);
-      const auto materialized = run_policy(*materialized_policy, states, seed);
+      const auto materialized =
+          run_policy(*materialized_policy, pre_drawn, seed);
 
       ScenarioSource source(config, horizon);
       auto streaming_policy = make_policy(name, source.instance(), params);
@@ -365,10 +367,10 @@ TEST(StreamingRunPolicyTest, AuditedOverloadMatchesMaterialized) {
   audit.mode = AuditMode::kEverySlot;
 
   Scenario scenario(config);
-  const auto states = scenario.generate_states(horizon);
+  MaterializedSource pre_drawn(scenario.generate_states(horizon));
   auto policy_a = make_policy("dpp-bdma", scenario.instance());
   const auto materialized =
-      run_policy(*policy_a, scenario.instance(), states, audit, 4);
+      run_policy(*policy_a, scenario.instance(), pre_drawn, audit, 4);
 
   ScenarioSource source(config, horizon);
   auto policy_b = make_policy("dpp-bdma", source.instance());
@@ -398,9 +400,9 @@ TEST(StreamingRunPolicyTest, KeepSeriesFalseKeepsAggregatesOnly) {
   const auto lean = run_policy(*policy, source, 1, /*keep_series=*/false);
 
   Scenario scenario(config);
-  const auto states = scenario.generate_states(horizon);
+  MaterializedSource pre_drawn(scenario.generate_states(horizon));
   auto reference_policy = make_policy("dpp-bdma", scenario.instance());
-  const auto full = run_policy(*reference_policy, states, 1);
+  const auto full = run_policy(*reference_policy, pre_drawn, 1);
 
   EXPECT_FALSE(lean.metrics.keeps_series());
   EXPECT_TRUE(lean.metrics.latency_series().empty());
@@ -423,10 +425,9 @@ TEST(MetricsKeepSeriesTest, CannotFlipAfterRecording) {
 }
 
 TEST(TailAveragesTest, OversizedWindowNamesBothValues) {
-  Scenario scenario(tiny());
-  const auto states = scenario.generate_states(4);
-  auto policy = make_policy("fixed-min", scenario.instance());
-  const auto result = run_policy(*policy, states, 1);
+  ScenarioSource source(tiny(), 4);
+  auto policy = make_policy("fixed-min", source.instance());
+  const auto result = run_policy(*policy, source, 1);
   try {
     (void)tail_averages(result, 10);
     FAIL() << "expected std::invalid_argument";

@@ -94,6 +94,54 @@ TEST(Args, GetIntRejectsNonFiniteAndOverflow) {
                std::invalid_argument);
 }
 
+// Counts, sizes and seeds used to be static_cast from get_int, so a negative
+// value wrapped to a huge unsigned one (--horizon=-5 ran ~forever).
+TEST(Args, GetUintRejectsNegativeValuesNamingTheOption) {
+  try {
+    (void)make({"--horizon=-5"}, {"horizon"}).get_uint("horizon", 0);
+    FAIL() << "negative value was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "option '--horizon' expects a non-negative integer, got '-5'");
+  }
+  EXPECT_THROW((void)make({"--n=-1"}, {"n"}).get_uint("n", 0),
+               std::invalid_argument);
+}
+
+TEST(Args, GetUintParsesCountsAndDefaults) {
+  EXPECT_EQ(make({"--n=0"}, {"n"}).get_uint("n", 7), 0u);
+  EXPECT_EQ(make({"--n=12"}, {"n"}).get_uint("n", 7), 12u);
+  EXPECT_EQ(make({}, {"n"}).get_uint("n", 7), 7u);
+  EXPECT_EQ(make({"--n=9007199254740993"}, {"n"}).get_uint("n", 0),
+            9007199254740993u);
+}
+
+TEST(Args, GetUintEnforcesTheMinimumNamingTheOption) {
+  try {
+    (void)make({"--days=0"}, {"days"}).get_uint("days", 7, 1);
+    FAIL() << "a value below the minimum was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "option '--days' must be at least 1, got '0'");
+  }
+  EXPECT_EQ(make({"--days=1"}, {"days"}).get_uint("days", 7, 1), 1u);
+  EXPECT_EQ(make({}, {"days"}).get_uint("days", 7, 1), 7u);
+}
+
+TEST(Args, GetUintRejectsNonIntegers) {
+  for (const char* token :
+       {"--n=1.5", "--n=abc", "--n=", "--n=inf", "--n=99999999999999999999"}) {
+    try {
+      (void)make({token}, {"n"}).get_uint("n", 0);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("non-negative integer"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(Args, GetDoubleRejectsNonFinite) {
   EXPECT_THROW((void)make({"--v=inf"}, {"v"}).get_double("v", 0.0),
                std::invalid_argument);
