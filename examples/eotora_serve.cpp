@@ -10,7 +10,8 @@
 //          ──kShutdown──▶ drain, close, exit
 //
 // The policy object lives for the whole session, so solver warm-start state
-// (WCG arena, DPP virtual queue) carries across slots exactly as in a batch
+// (WCG arena, DPP virtual queue, the carried CGBA assignment each slot's
+// first P2-A solve starts from) carries across slots exactly as in a batch
 // run — decisions are bit-identical to run_policy over the same stream.
 //
 //   $ ./examples/eotora_serve --socket=/tmp/eotora.sock --devices=30 &

@@ -42,23 +42,23 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
   };
   // Line 3: solve P2-A at the current Ω.
   switch (config.solver) {
-    case P2aSolverKind::kCgba:
+    case P2aSolverKind::kCgba: {
+      // Iteration 0 starts from the assignment the workspace carried over
+      // from the previous slot (a random start where there is none); the
+      // later iterations from the previous iteration's solution.
+      Profile start = iteration == 0
+                          ? problem.warm_profile(workspace.carried, rng)
+                          : loop.previous.profile;
       if (config.cgba.shard_workers > 0) {
-        record_shards(
-            (iteration == 0 || loop.previous.profile.empty())
-                ? cgba_sharded(problem, config.cgba, rng,
-                               config.cgba.shard_workers, &workspace.sharded)
-                : cgba_sharded_from(problem, config.cgba,
-                                    loop.previous.profile,
-                                    config.cgba.shard_workers,
-                                    &workspace.sharded));
+        record_shards(cgba_sharded_from(problem, config.cgba,
+                                        std::move(start),
+                                        config.cgba.shard_workers,
+                                        &workspace.sharded));
       } else {
-        loop.p2a =
-            (iteration == 0 || loop.previous.profile.empty())
-                ? cgba(problem, config.cgba, rng)
-                : cgba_from(problem, config.cgba, loop.previous.profile);
+        loop.p2a = cgba_from(problem, config.cgba, std::move(start));
       }
       break;
+    }
     case P2aSolverKind::kMcba:
       if (config.mcba.shard_workers > 0) {
         record_shards(mcba_sharded(problem, config.mcba, rng,
@@ -75,6 +75,7 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
   loop.previous = loop.p2a;
   loop.best.p2a_iterations += loop.p2a.iterations;
   loop.assignment = problem.to_assignment(loop.p2a.profile);
+  workspace.carried = loop.assignment;
 }
 
 namespace {

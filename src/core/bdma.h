@@ -6,7 +6,10 @@
 //   P2-B: fix (x, y), solve the frequencies by per-server convex search.
 // The best (x, y, Ω) by the P2 objective f = V·T + Q·Θ across iterations is
 // returned (line 5-8 of Algorithm 2). Ω starts at Ω^L, which is what the
-// approximation proof of Theorem 3 relies on.
+// approximation proof of Theorem 3 relies on. The paper leaves the first
+// CGBA start of a slot open, and Theorem 2's factor holds for whatever
+// equilibrium the dynamics reach from any start, so a caller that keeps a
+// BdmaWorkspace starts each slot from the previous slot's last assignment.
 #pragma once
 
 #include <vector>
@@ -45,12 +48,21 @@ struct BdmaResult {
   std::vector<double> objective_history;
 };
 
-// Reusable per-slot scratch state. bdma() rebuilds the workspace problem in
-// place (WcgProblem::rebuild), so a caller that keeps one workspace across
-// the simulation horizon pays no per-slot arena/index reallocation. Not
+// Reusable per-slot scratch state, plus the one piece of solver state a
+// slot hands to the next. bdma() rebuilds the workspace problem in place
+// (WcgProblem::rebuild), so a caller that keeps one workspace across the
+// simulation horizon pays no per-slot arena/index reallocation. Not
 // thread-safe: use one workspace per concurrent caller.
 struct BdmaWorkspace {
   WcgProblem problem;
+  // The assignment of the last P2-A solve (every iterate overwrites it). At
+  // the next slot's iteration 0, CGBA starts from it through
+  // WcgProblem::warm_profile: each device keeps its carried (bs, server)
+  // where that is still an option. Empty (a cold random start) in a fresh
+  // workspace; only assigning a fresh workspace clears it, which is what a
+  // policy reset() does. bdma() without a workspace therefore always
+  // starts cold.
+  Assignment carried;
   // Scratch for the sharded P2-A drivers (used only when the inner solver
   // config enables shard_workers).
   ShardedWorkspace sharded;
@@ -66,7 +78,7 @@ struct BdmaWorkspace {
 // bit-identical by construction.
 struct BdmaLoopState {
   Frequencies omega;      // Ω fed into the next P2-A solve
-  SolveResult previous;   // last P2-A solution (CGBA warm start)
+  SolveResult previous;   // last P2-A solution (start of CGBA iterations 1+)
   SolveResult p2a;        // current iteration's P2-A solution
   Assignment assignment;  // current iteration's (x, y)
   BdmaResult best;        // lines 5-8: running best by the P2 objective
@@ -78,13 +90,17 @@ struct BdmaLoopState {
 };
 
 // Line 1 of Algorithm 2: reset `loop`, set Ω = Ω^L, and rebuild the
-// workspace problem for this slot's state.
+// workspace problem for this slot's state. The workspace's carried
+// assignment survives: it is the previous slot's, and seeds iteration 0.
 void bdma_begin_slot(const Instance& instance, const SlotState& state,
                      BdmaWorkspace& workspace, BdmaLoopState& loop);
 
 // Line 3: one P2-A solve at the current Ω (`iteration` is 0-based; the
 // first iteration keeps the frequencies installed by bdma_begin_slot, later
-// ones re-derive the compute weights from loop.omega first).
+// ones re-derive the compute weights from loop.omega first). CGBA's first
+// iteration starts from workspace.carried (see BdmaWorkspace), its later
+// ones from loop.previous; every iterate then stores its assignment in
+// workspace.carried.
 void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
                       const BdmaConfig& config, std::size_t iteration,
                       util::Rng& rng, BdmaWorkspace& workspace,

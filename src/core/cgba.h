@@ -50,16 +50,18 @@ struct CgbaConfig {
   std::size_t shard_workers = 0;
 };
 
-// Runs CGBA from a uniformly random initial profile.
+// Runs CGBA from a uniformly random initial profile (a cold start).
 [[nodiscard]] SolveResult cgba(const WcgProblem& problem,
                                const CgbaConfig& config, util::Rng& rng);
 
-// Runs CGBA from a caller-supplied initial profile (used by BDMA to warm
-// start successive iterations). When `final_loads` is non-null it receives
-// the solver's final tracked per-resource loads P_r — the exact bits
-// result.cost was summed from. The sharded driver (core/sharded) scatters
-// these into a global load buffer to reproduce the global solve's cost
-// summation without a from-scratch re-evaluation.
+// Runs CGBA from a caller-supplied initial profile. The controllers start
+// every slot's first solve from WcgProblem::warm_profile of the assignment
+// they carried over from the previous slot, and BDMA's later iterations
+// from the previous iteration's profile. When `final_loads` is non-null it
+// receives the solver's final tracked per-resource loads P_r — the exact
+// bits result.cost was summed from. The sharded driver (core/sharded)
+// scatters these into a global load buffer to reproduce the global solve's
+// cost summation without a from-scratch re-evaluation.
 [[nodiscard]] SolveResult cgba_from(const WcgProblem& problem,
                                     const CgbaConfig& config, Profile initial,
                                     std::vector<double>* final_loads = nullptr);

@@ -63,15 +63,6 @@ void merge_results(const WcgComponents& split, const ShardedWorkspace& ws,
 
 }  // namespace
 
-ShardedResult cgba_sharded(const WcgProblem& problem, const CgbaConfig& config,
-                           util::Rng& rng, std::size_t workers,
-                           ShardedWorkspace* workspace) {
-  // One global draw, exactly as cgba() makes it, then split per shard —
-  // this is what keeps sharded == global bit-for-bit.
-  return cgba_sharded_from(problem, config, problem.random_profile(rng),
-                           workers, workspace);
-}
-
 ShardedResult cgba_sharded_from(const WcgProblem& problem,
                                 const CgbaConfig& config, Profile initial,
                                 std::size_t workers,

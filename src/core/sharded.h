@@ -13,8 +13,8 @@
 // identical for every worker count.
 //
 // Exactness contracts (pinned by tests/test_sharded.cpp):
-//   * cgba_sharded(_from) returns the SAME SolveResult bits as the global
-//     cgba(_from) call for runs that converge within max_moves, under both
+//   * cgba_sharded_from returns the SAME SolveResult bits as the global
+//     cgba_from call for runs that converge within max_moves, under both
 //     selection rules. Round-robin visits a component's devices in the same
 //     order globally and locally; max-gap's global argmax restricted to a
 //     component is that component's argmax (loads elsewhere never change a
@@ -75,16 +75,9 @@ struct ShardedWorkspace {
   std::vector<double> merged_loads;
 };
 
-// CGBA over the components, from a random initial profile drawn globally
-// (the same single draw the global cgba() makes, so results match it
-// bit-for-bit). `workers` >= 1 caps the pool workers used for the fan-out.
-[[nodiscard]] ShardedResult cgba_sharded(const WcgProblem& problem,
-                                         const CgbaConfig& config,
-                                         util::Rng& rng, std::size_t workers,
-                                         ShardedWorkspace* workspace = nullptr);
-
-// CGBA over the components from a caller-supplied initial profile (the
-// sharded counterpart of cgba_from, used for BDMA warm starts).
+// CGBA over the components from a caller-supplied global initial profile,
+// split per component — the sharded counterpart of cgba_from, with the same
+// result bits. `workers` >= 1 caps the pool workers used for the fan-out.
 [[nodiscard]] ShardedResult cgba_sharded_from(
     const WcgProblem& problem, const CgbaConfig& config, Profile initial,
     std::size_t workers, ShardedWorkspace* workspace = nullptr);

@@ -244,6 +244,35 @@ Profile WcgProblem::random_profile(util::Rng& rng) const {
   return z;
 }
 
+Profile WcgProblem::warm_profile(const Assignment& carried,
+                                 util::Rng& rng) const {
+  Profile z = random_profile(rng);
+  if (carried.bs_of.empty() && carried.server_of.empty()) return z;
+  EOTORA_REQUIRE_MSG(carried.bs_of.size() == num_devices() &&
+                         carried.server_of.size() == num_devices(),
+                     "carried assignment entries=" << carried.bs_of.size()
+                                                   << "/"
+                                                   << carried.server_of.size()
+                                                   << ", devices="
+                                                   << num_devices());
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const std::size_t o =
+        find_option(i, carried.bs_of[i], carried.server_of[i]);
+    if (o < offsets_[i + 1] - offsets_[i]) z[i] = o;
+  }
+  return z;
+}
+
+std::size_t WcgProblem::find_option(std::size_t device, std::size_t bs,
+                                    std::size_t server) const {
+  const std::span<const Option> opts = options(device);
+  std::size_t o = 0;
+  while (o < opts.size() && (opts[o].bs != bs || opts[o].server != server)) {
+    ++o;
+  }
+  return o;
+}
+
 void WcgProblem::loads_into(const Profile& z, std::vector<double>& p) const {
   EOTORA_REQUIRE(z.size() == num_devices());
   p.assign(weights_.size(), 0.0);
@@ -328,20 +357,12 @@ Profile WcgProblem::to_profile(const Assignment& assignment) const {
   EOTORA_REQUIRE(assignment.server_of.size() == num_devices());
   Profile z(num_devices(), 0);
   for (std::size_t i = 0; i < z.size(); ++i) {
-    const std::span<const Option> opts = options(i);
-    bool found = false;
-    for (std::size_t o = 0; o < opts.size(); ++o) {
-      if (opts[o].bs == assignment.bs_of[i] &&
-          opts[o].server == assignment.server_of[i]) {
-        z[i] = o;
-        found = true;
-        break;
-      }
-    }
-    EOTORA_REQUIRE_MSG(found, "device " << i << " assignment (bs="
-                                        << assignment.bs_of[i] << ", server="
-                                        << assignment.server_of[i]
-                                        << ") is not a feasible option");
+    z[i] = find_option(i, assignment.bs_of[i], assignment.server_of[i]);
+    EOTORA_REQUIRE_MSG(z[i] < offsets_[i + 1] - offsets_[i],
+                       "device " << i << " assignment (bs="
+                                 << assignment.bs_of[i] << ", server="
+                                 << assignment.server_of[i]
+                                 << ") is not a feasible option");
   }
   return z;
 }

@@ -164,6 +164,16 @@ class WcgProblem {
   // Uniform random feasible profile.
   [[nodiscard]] Profile random_profile(util::Rng& rng) const;
 
+  // A start profile seeded from `carried`, an assignment decided on an
+  // earlier build (the controllers carry their last P2-A assignment across
+  // slots). Draws random_profile(rng) first, so the rng advances exactly as
+  // there, then every device whose carried (bs, server) pair is still one of
+  // its options keeps that option; the others keep their draw. An empty
+  // `carried` is a cold start and returns the draw unchanged. Throws if
+  // `carried` is non-empty and does not cover exactly num_devices() devices.
+  [[nodiscard]] Profile warm_profile(const Assignment& carried,
+                                     util::Rng& rng) const;
+
   // Social cost T_t(z) = Σ_r m_r P_r(z)² — evaluates from scratch. The
   // scratch overload reuses `scratch` for the per-resource loads so loops
   // stay allocation-free.
@@ -237,6 +247,10 @@ class WcgProblem {
 
  private:
   void loads_into(const Profile& z, std::vector<double>& p) const;
+  // Index of the (bs, server) pair in device i's option list, or
+  // options(i).size() when the pair is not one of its options.
+  [[nodiscard]] std::size_t find_option(std::size_t device, std::size_t bs,
+                                        std::size_t server) const;
 
   std::vector<Option> arena_;          // all options, device-major
   std::vector<std::size_t> offsets_;   // num_devices + 1 spans into arena_

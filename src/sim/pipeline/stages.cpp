@@ -104,15 +104,17 @@ void MinFrequencyStage::run(StageContext& ctx) {
 
 void CgbaAssignStage::run(StageContext& ctx) {
   problem_.rebuild(*ctx.instance, *ctx.state, ctx.frequencies);
+  core::Profile start = problem_.warm_profile(carried_, *ctx.rng);
   if (config_.shard_workers > 0) {
-    core::ShardedResult sharded = core::cgba_sharded(
-        problem_, config_, *ctx.rng, config_.shard_workers, &sharded_);
+    core::ShardedResult sharded = core::cgba_sharded_from(
+        problem_, config_, std::move(start), config_.shard_workers, &sharded_);
     ctx.p2a = std::move(sharded.result);
     fold_shards(sharded.shard_counters, shard_counters_);
   } else {
-    ctx.p2a = core::cgba(problem_, config_, *ctx.rng);
+    ctx.p2a = core::cgba_from(problem_, config_, std::move(start));
   }
   ctx.assignment = problem_.to_assignment(ctx.p2a.profile);
+  carried_ = ctx.assignment;
 }
 
 void CgbaDecisionOutStage::run(StageContext& ctx) {

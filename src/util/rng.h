@@ -42,9 +42,16 @@ class Rng {
   // Standard normal (mean 0, stddev 1).
   double normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
 
-  // Normal with given mean and stddev. Requires stddev >= 0.
+  // Normal with given mean and stddev. Requires stddev >= 0. stddev == 0
+  // returns `mean` and still draws a standard normal, so the engine advances
+  // exactly as for any other stddev (std::normal_distribution itself
+  // requires stddev > 0).
   double normal(double mean, double stddev) {
     EOTORA_REQUIRE_MSG(stddev >= 0.0, "stddev=" << stddev);
+    if (stddev == 0.0) {
+      (void)normal();
+      return mean;
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

@@ -3,9 +3,9 @@
 //   - the union-find component finder against a naive label-propagation
 //     oracle over 25 random multi-component instances;
 //   - extract_component repacking each component bit-for-bit;
-//   - cgba_sharded == cgba and mcba_sharded == mcba EXACTLY (EXPECT_EQ on
-//     doubles) — the paper-figure reproducibility guarantee extends to the
-//     sharded drivers for every worker count;
+//   - cgba_sharded_from == cgba_from and mcba_sharded == mcba EXACTLY
+//     (EXPECT_EQ on doubles) — the paper-figure reproducibility guarantee
+//     extends to the sharded drivers for every worker count;
 //   - per-shard counters partitioning the solve's flushed totals;
 //   - subproblems extracted once per build and reused across solves:
 //     sharded BDMA over several metro slots == global BDMA, and a workspace
@@ -217,8 +217,10 @@ TEST_P(ShardedFuzz, CgbaShardedEqualsGlobalBothSelectionModes) {
     util::Rng rng_one(seed);
     util::Rng rng_eight(seed);
     const SolveResult global = cgba(problem, config, rng_global);
-    const ShardedResult one = cgba_sharded(problem, config, rng_one, 1);
-    const ShardedResult eight = cgba_sharded(problem, config, rng_eight, 8);
+    const ShardedResult one = cgba_sharded_from(
+        problem, config, problem.random_profile(rng_one), 1);
+    const ShardedResult eight = cgba_sharded_from(
+        problem, config, problem.random_profile(rng_eight), 8);
     ASSERT_GE(one.shards, 1u);
     ASSERT_EQ(one.shards, problem.components().count);
     for (const ShardedResult* sharded : {&one, &eight}) {
@@ -281,7 +283,8 @@ TEST_P(ShardedFuzz, ShardCountersSumToFlushedTotals) {
   {
     const counters::Scope scope(observed);
     util::Rng solve_rng(180'000 + GetParam());
-    sharded = cgba_sharded(problem, {}, solve_rng, 4);
+    sharded =
+        cgba_sharded_from(problem, {}, problem.random_profile(solve_rng), 4);
   }
   counters::SolverCounters summed;
   for (const counters::SolverCounters& shard : sharded.shard_counters) {
@@ -313,7 +316,8 @@ TEST(ShardedPaperScenario, SingleComponentMatchesGlobal) {
   util::Rng rng_global(5);
   util::Rng rng_sharded(5);
   const SolveResult global = cgba(problem, {}, rng_global);
-  const ShardedResult sharded = cgba_sharded(problem, {}, rng_sharded, 8);
+  const ShardedResult sharded =
+      cgba_sharded_from(problem, {}, problem.random_profile(rng_sharded), 8);
   ASSERT_EQ(sharded.shards, 1u);
   ASSERT_EQ(sharded.result.profile, global.profile);
   ASSERT_EQ(sharded.result.cost, global.cost);
@@ -526,10 +530,12 @@ TEST(ShardedMetroScenario, WorkspaceAlternatingProblemsEqualsFreshWorkspace) {
     {
       const counters::Scope scope(cgba_counters);
       util::Rng rng(500 + t);
-      reused = cgba_sharded(problem, {}, rng, 2, &shared);
+      reused = cgba_sharded_from(problem, {}, problem.random_profile(rng), 2,
+                                 &shared);
     }
     util::Rng fresh_rng(500 + t);
-    const ShardedResult fresh = cgba_sharded(problem, {}, fresh_rng, 2);
+    const ShardedResult fresh = cgba_sharded_from(
+        problem, {}, problem.random_profile(fresh_rng), 2);
     ASSERT_EQ(reused.result.profile, fresh.result.profile);
     ASSERT_EQ(reused.result.cost, fresh.result.cost);  // exact bits
     ASSERT_EQ(reused.result.iterations, fresh.result.iterations);

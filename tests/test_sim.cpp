@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/registry.h"
 #include "sim/report.h"
@@ -123,18 +125,60 @@ TEST(Simulator, RunsAllPolicyKinds) {
             results[2].metrics.average_latency());
 }
 
+// Forwards to a policy and keeps every slot's assignment; reset() forwards
+// too and starts a new recording.
+class AssignmentRecorder final : public Policy {
+ public:
+  explicit AssignmentRecorder(Policy& inner) : inner_(inner) {}
+
+  core::DppSlotResult step(const core::SlotState& state,
+                           util::Rng& rng) override {
+    core::DppSlotResult result = inner_.step(state, rng);
+    bs_of.push_back(result.decision.assignment.bs_of);
+    server_of.push_back(result.decision.assignment.server_of);
+    return result;
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void reset() override {
+    inner_.reset();
+    bs_of.clear();
+    server_of.clear();
+  }
+
+  std::vector<std::vector<std::size_t>> bs_of;
+  std::vector<std::vector<std::size_t>> server_of;
+
+ private:
+  Policy& inner_;
+};
+
+// Two drains of one policy object with the same seed decide every slot the
+// same. The names below carry their last CGBA assignment into the next
+// slot's start, so this also pins that reset() clears that carry: a stale
+// one would start the second drain's first slot from the first drain's
+// last assignment.
 TEST(Simulator, DeterministicGivenSeed) {
   Scenario scenario(small_config());
   const auto states = scenario.generate_states(12);
   PolicyParams params;
   params.bdma_iterations = 2;
-  const auto policy = make_policy("dpp-bdma", scenario.instance(), params);
-  MaterializedSource source(states);
-  const auto a = run_policy(*policy, source, 5);
-  source.reset();
-  const auto b = run_policy(*policy, source, 5);
-  EXPECT_EQ(a.metrics.latency_series(), b.metrics.latency_series());
-  EXPECT_EQ(a.metrics.queue_series(), b.metrics.queue_series());
+  for (const char* name :
+       {"dpp-bdma", "greedy-budget", "fixed-max", "fixed-min", "mpc"}) {
+    SCOPED_TRACE(name);
+    const auto policy = make_policy(name, scenario.instance(), params);
+    AssignmentRecorder recorder(*policy);
+    MaterializedSource source(states);
+    const auto a = run_policy(recorder, source, 5);
+    const auto first_bs = recorder.bs_of;
+    const auto first_server = recorder.server_of;
+    source.reset();
+    const auto b = run_policy(recorder, source, 5);
+    EXPECT_EQ(a.metrics.latency_series(), b.metrics.latency_series());
+    EXPECT_EQ(a.metrics.queue_series(), b.metrics.queue_series());
+    ASSERT_EQ(first_bs.size(), states.size());
+    EXPECT_EQ(recorder.bs_of, first_bs);
+    EXPECT_EQ(recorder.server_of, first_server);
+  }
 }
 
 TEST(Simulator, ResetHappensBetweenRuns) {

@@ -1,0 +1,79 @@
+// Deterministic work pins: the exact SolverCounters a fixed dpp-bdma drain
+// spends, on the paper scenario and on a sharded metro world.
+//
+// The counters are integers that depend only on the scenario, the policy
+// parameters and the rng seed — never on the machine, the thread count or
+// the kernel backend — so a change in solver work (a lost warm start, an
+// extra rebuild, a slower best-response path) fails here as an exact
+// count, where a timing would only drift. Like a golden fixture, these
+// numbers move only with a CHANGES.md note saying why (docs/TESTING.md).
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "core/counters.h"
+#include "sim/registry.h"
+#include "sim/scenario.h"
+#include "sim/simulator.h"
+#include "sim/state_source.h"
+
+namespace eotora::sim {
+namespace {
+
+constexpr std::size_t kSlots = 24;
+
+struct PinnedWork {
+  std::uint64_t cgba_rounds;
+  std::uint64_t cgba_moves;
+  std::uint64_t engine_rebuilds;
+  std::uint64_t engine_term_refreshes;
+  std::uint64_t bdma_iterations;
+};
+
+// dpp-bdma at the paper's z = 5 and V = 100, drained for kSlots slots with
+// run_policy's default rng seed.
+core::counters::SolverCounters drain_dpp_bdma(const ScenarioConfig& config,
+                                              std::size_t shard_workers) {
+  ScenarioSource source(config, kSlots);
+  PolicyParams params;
+  params.v = 100.0;
+  params.bdma_iterations = 5;
+  params.shard_workers = shard_workers;
+  const auto policy = make_policy("dpp-bdma", source.instance(), params);
+  return run_policy(*policy, source).counters;
+}
+
+void expect_work(const core::counters::SolverCounters& actual,
+                 const PinnedWork& pinned) {
+  EXPECT_EQ(actual.cgba_rounds, pinned.cgba_rounds);
+  EXPECT_EQ(actual.cgba_moves, pinned.cgba_moves);
+  EXPECT_EQ(actual.engine_rebuilds, pinned.engine_rebuilds);
+  EXPECT_EQ(actual.engine_term_refreshes, pinned.engine_term_refreshes);
+  EXPECT_EQ(actual.bdma_iterations, pinned.bdma_iterations);
+}
+
+TEST(SolverWork, PaperScenarioDppBdmaSpendsPinnedWork) {
+  const ScenarioConfig config;  // the paper scenario, 100 devices
+  ASSERT_EQ(config.devices, 100u);
+  expect_work(drain_dpp_bdma(config, 0),
+              {.cgba_rounds = 894,
+               .cgba_moves = 774,
+               .engine_rebuilds = 120,
+               .engine_term_refreshes = 268082,
+               .bdma_iterations = 120});
+}
+
+TEST(SolverWork, ShardedMetroDppBdmaSpendsPinnedWork) {
+  ScenarioConfig config;
+  config.metro_districts = 4;
+  config.devices = 400;
+  expect_work(drain_dpp_bdma(config, 2),
+              {.cgba_rounds = 2209,
+               .cgba_moves = 1729,
+               .engine_rebuilds = 480,
+               .engine_term_refreshes = 641800,
+               .bdma_iterations = 120});
+}
+
+}  // namespace
+}  // namespace eotora::sim

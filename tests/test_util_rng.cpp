@@ -81,6 +81,22 @@ TEST(Rng, NormalMomentsRoughlyCorrect) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
+// std::normal_distribution requires stddev > 0, so stddev == 0 must not
+// reach it — yet the draw still has to advance the engine exactly as any
+// other stddev does, or every stream after a zero-shadowing channel draw
+// would shift.
+TEST(Rng, NormalWithZeroStddevReturnsMeanAndAdvancesLikeAnyDraw) {
+  for (const double mean : {-3.5, 0.0, 12.25}) {
+    Rng zero(17);
+    Rng unit(17);
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_EQ(zero.normal(mean, 0.0), mean);
+      (void)unit.normal(mean, 1.0);
+      ASSERT_EQ(zero.engine(), unit.engine()) << "mean=" << mean << " i=" << i;
+    }
+  }
+}
+
 TEST(Rng, NormalWithParamsRejectsNegativeStddev) {
   Rng rng;
   EXPECT_THROW((void)rng.normal(0.0, -1.0), std::invalid_argument);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/latency.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -173,6 +175,80 @@ TEST(Wcg, ToProfileRejectsInfeasiblePair) {
   bad.bs_of = {1};
   bad.server_of = {0};  // bs1 does not reach server 0
   EXPECT_THROW((void)problem.to_profile(bad), std::invalid_argument);
+}
+
+// warm_profile seeds every controller's first CGBA solve of a slot from the
+// previous slot's assignment. A device keeps its carried (bs, server) pair
+// while that is still an option; otherwise it takes exactly the option
+// random_profile draws, and the rng advances as random_profile advances it.
+TEST(Wcg, WarmProfileKeepsSurvivingPairsAndDrawsTheRest) {
+  constexpr std::size_t kDevices = 6;
+  const Instance instance = test::tiny_instance(kDevices);
+  SlotState state = test::uniform_state(kDevices, 2);
+  // Devices 1 and 4 lose bs-1, and with it their carried (bs-1, s2) pair.
+  state.channel[1][1] = 0.0;
+  state.channel[4][1] = 0.0;
+  const WcgProblem problem(instance, state, instance.max_frequencies());
+  Assignment carried;
+  carried.bs_of = {0, 1, 0, 1, 1, 0};
+  carried.server_of = {1, 2, 2, 2, 2, 0};
+  bool carry_overrode_a_draw = false;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    util::Rng warm_rng(seed);
+    util::Rng cold_rng(seed);
+    const Profile warm = problem.warm_profile(carried, warm_rng);
+    const Profile cold = problem.random_profile(cold_rng);
+    EXPECT_EQ(warm_rng.engine(), cold_rng.engine()) << seed;
+    ASSERT_EQ(warm.size(), kDevices);
+    for (std::size_t i = 0; i < kDevices; ++i) {
+      if (i == 1 || i == 4) {
+        EXPECT_EQ(warm[i], cold[i]) << "seed " << seed << " device " << i;
+        continue;
+      }
+      const Option& kept = problem.options(i)[warm[i]];
+      EXPECT_EQ(kept.bs, carried.bs_of[i])
+          << "seed " << seed << " device " << i;
+      EXPECT_EQ(kept.server, carried.server_of[i])
+          << "seed " << seed << " device " << i;
+      carry_overrode_a_draw = carry_overrode_a_draw || warm[i] != cold[i];
+    }
+  }
+  EXPECT_TRUE(carry_overrode_a_draw);
+}
+
+TEST(Wcg, WarmProfileFromAnEmptyCarryIsTheRandomProfile) {
+  util::Rng rng(49);
+  const Instance instance = test::tiny_instance(5);
+  const SlotState state = test::random_state(5, 2, rng);
+  const WcgProblem problem(instance, state, instance.max_frequencies());
+  util::Rng warm_rng(50);
+  util::Rng cold_rng(50);
+  EXPECT_EQ(problem.warm_profile(Assignment{}, warm_rng),
+            problem.random_profile(cold_rng));
+  EXPECT_EQ(warm_rng.engine(), cold_rng.engine());
+}
+
+// A carry that does not cover the problem's devices is a caller bug (a
+// workspace reused across instances), not a cold start.
+TEST(Wcg, WarmProfileRejectsACarryOfTheWrongLength) {
+  const Instance instance = test::tiny_instance(3);
+  const WcgProblem problem(instance, test::uniform_state(3, 2),
+                           instance.max_frequencies());
+  util::Rng rng(51);
+  Assignment short_carry;
+  short_carry.bs_of = {0, 0};
+  short_carry.server_of = {0, 0};
+  EXPECT_THROW((void)problem.warm_profile(short_carry, rng),
+               std::invalid_argument);
+  Assignment long_carry;
+  long_carry.bs_of = {0, 0, 0, 0};
+  long_carry.server_of = {0, 0, 0, 0};
+  EXPECT_THROW((void)problem.warm_profile(long_carry, rng),
+               std::invalid_argument);
+  Assignment ragged;
+  ragged.bs_of = {0, 0, 0};
+  ragged.server_of = {0, 0};
+  EXPECT_THROW((void)problem.warm_profile(ragged, rng), std::invalid_argument);
 }
 
 TEST(Wcg, SingletonLowerBoundIsValid) {
