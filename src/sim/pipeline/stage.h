@@ -10,7 +10,7 @@
 // existing observability layer 1:1.
 //
 // Scratch ownership rule: anything a stage keeps across slots (virtual
-// queue backlog, WCG problem arenas, CGBA warm-start profiles, trend
+// queue backlog, WCG problem arenas, carried CGBA assignments, trend
 // estimators) is a member of that stage and of no other; reset() must
 // return it to the freshly-constructed state. Values that flow BETWEEN
 // stages within one slot live in the StageContext blackboard and are

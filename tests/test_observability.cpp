@@ -227,8 +227,8 @@ TEST(CountersTest, RunPolicyReportsSolverEffort) {
   EXPECT_EQ(bdma.counters.bdma_iterations, 12u);
   EXPECT_GT(bdma.counters.cgba_rounds, 0u);
   EXPECT_GE(bdma.counters.cgba_rounds, bdma.counters.cgba_moves);
-  // One engine rebuild per cgba() solve, one warm-started solve per
-  // iteration: 12 solves total.
+  // One engine rebuild per CGBA solve, one solve per BDMA iteration: 12
+  // solves total.
   EXPECT_EQ(bdma.counters.engine_rebuilds, 12u);
   // The DPP decision stage calls optimal_allocation once per slot.
   EXPECT_EQ(bdma.counters.lemma1_evaluations, 6u);
