@@ -158,6 +158,28 @@ const std::vector<GoldenScenario>& golden_preset_scenarios() {
   return scenarios;
 }
 
+const GoldenScenario& golden_metro_scenario() {
+  static const GoldenScenario scenario = [] {
+    GoldenScenario gs;
+    gs.name = "metro-4";
+    gs.config.metro_districts = 4;
+    gs.config.devices = 24;
+    // Two servers a district keep F^L at $0.36/slot, inside the default $1
+    // budget (eight would cost $1.49 and make the world infeasible).
+    gs.config.servers_per_cluster = 2;
+    gs.config.seed = 77;
+    gs.horizon = 16;
+    return gs;
+  }();
+  return scenario;
+}
+
+const std::vector<std::string>& golden_metro_policies() {
+  static const std::vector<std::string> policies = {
+      "dpp-bdma", "dpp-mcba", "dpp-ropt", "greedy-budget"};
+  return policies;
+}
+
 const std::vector<GoldenCase>& golden_cases() {
   static const std::vector<GoldenCase> cases = [] {
     std::vector<GoldenCase> list;
@@ -168,6 +190,9 @@ const std::vector<GoldenCase>& golden_cases() {
     }
     for (const GoldenScenario& gs : golden_preset_scenarios()) {
       list.push_back(GoldenCase{&gs, "dpp-bdma"});
+    }
+    for (const std::string& policy : golden_metro_policies()) {
+      list.push_back(GoldenCase{&golden_metro_scenario(), policy});
     }
     return list;
   }();

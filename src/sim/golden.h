@@ -46,6 +46,13 @@ struct GoldenScenario {
 // only — the presets drift-gate the GENERATORS, the 3x8 matrix above
 // drift-gates the policies.
 [[nodiscard]] const std::vector<GoldenScenario>& golden_preset_scenarios();
+// The multi-component fixture: a 4-district metro world whose WCG splits
+// into one component per district at every slot, paired with the four
+// P2-A entry points (golden_metro_policies(): dpp-bdma, dpp-mcba, dpp-ropt,
+// greedy-budget) — the one world that pins per-component solving against
+// a recording of the whole-problem solve.
+[[nodiscard]] const GoldenScenario& golden_metro_scenario();
+[[nodiscard]] const std::vector<std::string>& golden_metro_policies();
 
 // One committed fixture: a scenario plus the policy recorded over it.
 struct GoldenCase {
@@ -54,7 +61,8 @@ struct GoldenCase {
 };
 // Every committed fixture, in fixture-file order: the full
 // golden_scenarios() x golden_policies() product (24), then
-// golden_preset_scenarios() x dpp-bdma (4). golden_tool and the drift
+// golden_preset_scenarios() x dpp-bdma (4), then golden_metro_scenario() x
+// golden_metro_policies() (4). golden_tool and the drift
 // gates iterate THIS list — new fixtures only need a new entry here.
 [[nodiscard]] const std::vector<GoldenCase>& golden_cases();
 // The fixed PolicyParams every golden trace is recorded with.

@@ -127,11 +127,17 @@ TEST(GoldenFixtures, FilenameAndMatrixShape) {
   // One preset fixture per registered non-paper scenario generator.
   EXPECT_EQ(sim::golden_preset_scenarios().size(),
             sim::registered_scenarios().size() - 1);
-  // The case list is the 3x8 product plus the preset x dpp-bdma fixtures.
+  // The case list is the 3x8 product, the preset x dpp-bdma fixtures and
+  // the metro world's four P2-A entry points.
+  EXPECT_EQ(sim::golden_metro_policies().size(), 4u);
   EXPECT_EQ(sim::golden_cases().size(),
             sim::golden_scenarios().size() * sim::golden_policies().size() +
-                sim::golden_preset_scenarios().size());
+                sim::golden_preset_scenarios().size() +
+                sim::golden_metro_policies().size());
   for (const std::string& policy : sim::golden_policies()) {
+    EXPECT_TRUE(sim::is_registered_policy(policy)) << policy;
+  }
+  for (const std::string& policy : sim::golden_metro_policies()) {
     EXPECT_TRUE(sim::is_registered_policy(policy)) << policy;
   }
   for (const GoldenScenario& gs : sim::golden_preset_scenarios()) {
@@ -183,7 +189,7 @@ TEST(GoldenFixtures, RecordingIsDeterministic) {
 }
 
 TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
-  // One cell of the matrix in-process; golden_tool check covers all 28.
+  // One cell of the matrix in-process; golden_tool check covers all 32.
   const GoldenScenario& gs = sim::golden_scenarios().front();
   const std::string path = std::string(EOTORA_GOLDEN_DIR) + "/" +
                            sim::golden_fixture_filename(gs.name, "dpp-bdma");
@@ -194,8 +200,9 @@ TEST(GoldenFixtures, CommittedFixtureMatchesFreshRecording) {
 }
 
 // The observability inertness gate over the whole fixture list: with
-// util/trace enabled, every committed fixture (the 3x8 policy matrix plus
-// the scenario-preset cases) must still re-derive byte-identically. Tracing
+// util/trace enabled, every committed fixture (the 3x8 policy matrix, the
+// scenario-preset cases and the metro world) must still re-derive
+// byte-identically. Tracing
 // reads clocks and appends to its own buffers but never touches an RNG or a
 // result value; a divergence here means instrumentation leaked into the
 // decision path.
@@ -216,7 +223,7 @@ TEST(GoldenFixtures, AllFixturesAreByteIdenticalWithTracingEnabled) {
         << " diverged with tracing on: " << div.describe();
     ++checked;
   }
-  EXPECT_EQ(checked, 28u);
+  EXPECT_EQ(checked, 32u);
   EXPECT_GT(util::trace::event_count(), 0u);  // tracing really was live
   util::trace::set_enabled(was_enabled);
   util::trace::clear();
