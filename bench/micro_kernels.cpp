@@ -92,34 +92,6 @@ void BM_WcgRebuild(benchmark::State& bench) {
 }
 BENCHMARK(BM_WcgRebuild);
 
-// Component decomposition cost: a from-scratch union-find sweep (forced by
-// rebuild(), which invalidates the cache) vs the signature-reuse fast path
-// that per-slot rebuilds hit when coverage is unchanged (the steady state
-// of the metro scenario). Pairs with the shard/plan span in core/sharded.
-void BM_ComponentFindFromScratch(benchmark::State& bench) {
-  auto& f = fixture();
-  const auto& instance = f.scenario->instance();
-  core::WcgProblem problem(instance, f.state, instance.max_frequencies());
-  for (auto _ : bench) {
-    problem.rebuild(instance, f.state, instance.max_frequencies());
-    problem.invalidate_component_signature();
-    benchmark::DoNotOptimize(problem.components().count);
-  }
-}
-BENCHMARK(BM_ComponentFindFromScratch);
-
-void BM_ComponentFindIncremental(benchmark::State& bench) {
-  auto& f = fixture();
-  const auto& instance = f.scenario->instance();
-  core::WcgProblem problem(instance, f.state, instance.max_frequencies());
-  benchmark::DoNotOptimize(problem.components().count);  // prime the cache
-  for (auto _ : bench) {
-    problem.rebuild(instance, f.state, instance.max_frequencies());
-    benchmark::DoNotOptimize(problem.components().count);
-  }
-}
-BENCHMARK(BM_ComponentFindIncremental);
-
 void BM_TotalCost(benchmark::State& bench) {
   auto& f = fixture();
   for (auto _ : bench) {

@@ -43,10 +43,12 @@ options (all --key=value):
              (paper | handover | churn | bursty | price-spike): a
              pure ScenarioConfig transform applied BEFORE the other
              flags, so --devices/--budget/... still win          [paper]
-  --shards   run the P2-A solve sharded: decompose the WCG into its
-             connected components and solve them with up to this many
-             workers (results are bit-identical to the global solve for
-             every value >= 1); only CGBA/MCBA-backed policies shard
+  --shards   workers for each slot's per-component work: every slot
+             is built and solved per connected component of the WCG,
+             and this sets how many pool workers run the components
+             (1 runs them inline on the calling thread; results are
+             bit-identical for every value); only CGBA/MCBA-backed
+             policies take it                                     [inline]
   --districts  metro-scale layout: tile the region with this many
              self-contained districts (must be a perfect square); each
              district gets its own server room, local mid-band stations,
@@ -250,7 +252,7 @@ int main(int argc, char** argv) {
       if (policy_name == "dpp-ropt" || policy_name == "beta-only") {
         throw std::invalid_argument(
             "--shards needs a policy whose P2-A solve runs CGBA or MCBA; '" +
-            policy_name + "' bypasses the shardable solvers");
+            policy_name + "' has no per-component solve to run on workers");
       }
       params.shard_workers = static_cast<std::size_t>(shards);
     }

@@ -12,14 +12,15 @@
 // BdmaWorkspace starts each slot from the previous slot's last assignment.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cgba.h"
+#include "core/components.h"
 #include "core/counters.h"
 #include "core/instance.h"
 #include "core/mcba.h"
 #include "core/p2b.h"
-#include "core/sharded.h"
 #include "core/solve_result.h"
 #include "core/wcg.h"
 #include "util/rng.h"
@@ -49,24 +50,36 @@ struct BdmaResult {
 };
 
 // Reusable per-slot scratch state, plus the one piece of solver state a
-// slot hands to the next. bdma() rebuilds the workspace problem in place
-// (WcgProblem::rebuild), so a caller that keeps one workspace across the
-// simulation horizon pays no per-slot arena/index reallocation. Not
-// thread-safe: use one workspace per concurrent caller.
+// slot hands to the next. BDMA runs every phase of the slot per connected
+// component of the WCG (core/components.h): iteration 0 builds the
+// components on the shared pool, and each iteration's fan-out solves P2-A
+// on every component and sums that component's P2-B loads. The calling
+// thread then runs the per-server bisection and sums T and Θ in global
+// resource order, so Algorithm 2's pick sees dpp_objective's bits. A caller
+// that keeps one workspace across the simulation horizon pays no per-slot
+// arena/index reallocation. Not thread-safe: use one workspace per
+// concurrent caller.
 struct BdmaWorkspace {
-  WcgProblem problem;
-  // The assignment of the last P2-A solve (every iterate overwrites it). At
-  // the next slot's iteration 0, CGBA starts from it through
-  // WcgProblem::warm_profile: each device keeps its carried (bs, server)
-  // where that is still an option. Empty (a cold random start) in a fresh
-  // workspace; only assigning a fresh workspace clears it, which is what a
-  // policy reset() does. bdma() without a workspace therefore always
+  // The slot's WCG, as its components; num_options() is the slot's option
+  // count from bdma_begin_slot on.
+  WcgComponents problem;
+  // The assignment of the previous slot's last P2-A solve, written by
+  // bdma_finish_slot. At the next slot's iteration 0, CGBA starts from it:
+  // each device keeps its carried (bs, server) where that is still an
+  // option (WcgComponents::keep_carried). Empty (a cold random start) in a
+  // fresh workspace; only assigning a fresh workspace clears it, which is
+  // what a policy reset() does. bdma() without a workspace therefore always
   // starts cold.
   Assignment carried;
-  // Scratch for the sharded P2-A drivers (used only when the inner solver
-  // config enables shard_workers).
-  ShardedWorkspace sharded;
-  // Scratch for the per-iteration P2-B solve (batched kernel lanes).
+  // Per component: the current iteration's P2-A profile, the best
+  // iteration's, the current solve's moves, and the chain seeds of a
+  // several-component MCBA solve.
+  std::vector<Profile> profiles;
+  std::vector<Profile> best_profiles;
+  std::vector<std::size_t> iterations;
+  std::vector<std::uint64_t> seeds;
+  // P2-B: p2b.loads holds the load sums the P2-A fan-out leaves, by global
+  // server and station id; the rest is the bisection's lanes.
   P2bWorkspace p2b;
   P2bResult p2b_result;
 };
@@ -77,52 +90,49 @@ struct BdmaWorkspace {
 // the exact same statements in the exact same order, so their results are
 // bit-identical by construction.
 struct BdmaLoopState {
-  Frequencies omega;      // Ω fed into the next P2-A solve
-  SolveResult previous;   // last P2-A solution (start of CGBA iterations 1+)
-  SolveResult p2a;        // current iteration's P2-A solution
-  Assignment assignment;  // current iteration's (x, y)
-  BdmaResult best;        // lines 5-8: running best by the P2 objective
-  // Sharding telemetry of the LAST bdma_p2a_iterate call — component count
-  // and per-shard effort of that one solve. 0 / empty when the solve ran
-  // unsharded; overwritten each iterate so stage wrappers can accumulate.
+  Frequencies omega;  // Ω fed into the next P2-A solve
+  BdmaResult best;    // lines 5-8: running best by the P2 objective
+  // Component count and per-component effort of the LAST
+  // bdma_p2a_iterate call; overwritten each iterate so stage wrappers can
+  // accumulate.
   std::size_t p2a_shards = 0;
   std::vector<counters::SolverCounters> p2a_shard_counters;
+  // The workspace bdma_begin_slot started the slot in. The pipeline's P2-B
+  // and decision stages reach the P2-A stage's components through it.
+  BdmaWorkspace* workspace = nullptr;
 };
 
-// Line 1 of Algorithm 2: reset `loop`, set Ω = Ω^L, and rebuild the
-// workspace problem for this slot's state. The workspace's carried
-// assignment survives: it is the previous slot's, and seeds iteration 0.
+// Line 1 of Algorithm 2: reset `loop`, set Ω = Ω^L, and start the slot's
+// WCG (WcgComponents::begin). The workspace's carried assignment survives:
+// it is the previous slot's, and seeds iteration 0.
 void bdma_begin_slot(const Instance& instance, const SlotState& state,
                      BdmaWorkspace& workspace, BdmaLoopState& loop);
 
-// Line 3: one P2-A solve at the current Ω (`iteration` is 0-based; the
-// first iteration keeps the frequencies installed by bdma_begin_slot, later
-// ones re-derive the compute weights from loop.omega first). CGBA's first
-// iteration starts from workspace.carried (see BdmaWorkspace), its later
-// ones from loop.previous; every iterate then stores its assignment in
-// workspace.carried.
+// Line 3: one P2-A solve at the current Ω (`iteration` is 0-based).
+// Iteration 0 builds the slot's components at Ω^L on the configured
+// solver's shard_workers; later ones re-derive each component's compute
+// weights from loop.omega first. Draws happen on the calling thread in
+// global device order, so the rng stream is the global solve's: CGBA's
+// iteration 0 draws random_profile and keeps workspace.carried's pairs,
+// its later iterations start from the previous profile; MCBA runs one
+// chain on the caller's rng for a one-component slot, else one per
+// component seeded from the rng in component order; ROPT draws a random
+// profile every iteration. Each component then sums its P2-B loads.
 void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
                       const BdmaConfig& config, std::size_t iteration,
                       util::Rng& rng, BdmaWorkspace& workspace,
                       BdmaLoopState& loop);
 
-// Lines 4-8: one P2-B solve at the fixed assignment (reading the per-server
-// loads from the workspace problem's option arena), best-pair tracking by
-// the P2 objective, and the Ω hand-off to the next iteration.
+// Lines 4-8: one P2-B solve from the load sums the P2-A iterate left in
+// `workspace` (the one bdma_begin_slot started the slot in), best-pair
+// tracking by the P2 objective, and the Ω hand-off to the next iteration.
 void bdma_p2b_iterate(const Instance& instance, const SlotState& state,
                       double v, double q, const BdmaConfig& config,
                       BdmaWorkspace& workspace, BdmaLoopState& loop);
 
-// As above for drivers without a BdmaWorkspace (the sim::pipeline P2-B
-// stage): the per-server loads come from the sqrt-chain overload of
-// solve_p2b, which carries the same bits as the arena path.
-void bdma_p2b_iterate(const Instance& instance, const SlotState& state,
-                      double v, double q, const BdmaConfig& config,
-                      P2bWorkspace& p2b_workspace, P2bResult& p2b_result,
-                      BdmaLoopState& loop);
-
-// Derives the reported latency and Θ for loop.best after the last
-// iteration (Algorithm 2's return values).
+// Algorithm 2's return: writes loop.best's assignment (its latency and Θ
+// are the best iteration's) and the workspace's carried assignment (the
+// last iteration's) — the slot's only two global per-device writes.
 void bdma_finish_slot(const Instance& instance, const SlotState& state,
                       BdmaLoopState& loop);
 

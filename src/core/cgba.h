@@ -42,11 +42,10 @@ struct CgbaConfig {
   // naive path exists only as the reference the fast path is checked
   // against and for the micro-benchmark baseline.
   bool naive_scan = false;
-  // 0 = one global solve. >= 1 routes the solve through the sharded driver
-  // (core/sharded.h): connected components solved concurrently on at most
-  // this many pool workers, with results bit-identical to the global solve
-  // for every worker count. Callers that dispatch on this knob (BDMA, the
-  // pipeline stages) do so; cgba()/cgba_from() themselves ignore it.
+  // How many pool workers the slot's per-component work runs on
+  // (core/components.h): the build, the solves and the P2-B load sums.
+  // 0 and 1 run every component inline. Results are the same for every
+  // value; cgba()/cgba_from() themselves ignore it.
   std::size_t shard_workers = 0;
 };
 
@@ -59,9 +58,9 @@ struct CgbaConfig {
 // they carried over from the previous slot, and BDMA's later iterations
 // from the previous iteration's profile. When `final_loads` is non-null it
 // receives the solver's final tracked per-resource loads P_r — the exact
-// bits result.cost was summed from. The sharded driver (core/sharded)
-// scatters these into a global load buffer to reproduce the global solve's
-// cost summation without a from-scratch re-evaluation.
+// bits result.cost was summed from. WcgComponents::total_cost scatters a
+// slot's per-component loads into the global layout to reproduce the global
+// solve's cost summation without a from-scratch re-evaluation.
 [[nodiscard]] SolveResult cgba_from(const WcgProblem& problem,
                                     const CgbaConfig& config, Profile initial,
                                     std::vector<double>* final_loads = nullptr);

@@ -22,8 +22,6 @@ void SolverCounters::merge(const SolverCounters& other) {
   component_reuses += other.component_reuses;
   arena_precomputes += other.arena_precomputes;
   arena_precompute_reuses += other.arena_precompute_reuses;
-  shard_extractions += other.shard_extractions;
-  shard_extraction_reuses += other.shard_extraction_reuses;
 }
 
 bool SolverCounters::operator==(const SolverCounters& other) const {
@@ -37,9 +35,7 @@ bool SolverCounters::operator==(const SolverCounters& other) const {
          component_finds == other.component_finds &&
          component_reuses == other.component_reuses &&
          arena_precomputes == other.arena_precomputes &&
-         arena_precompute_reuses == other.arena_precompute_reuses &&
-         shard_extractions == other.shard_extractions &&
-         shard_extraction_reuses == other.shard_extraction_reuses;
+         arena_precompute_reuses == other.arena_precompute_reuses;
 }
 
 util::Json SolverCounters::to_json() const {
@@ -58,8 +54,6 @@ util::Json SolverCounters::to_json() const {
   out["component_reuses"] = component_reuses;
   out["arena_precomputes"] = arena_precomputes;
   out["arena_precompute_reuses"] = arena_precompute_reuses;
-  out["shard_extractions"] = shard_extractions;
-  out["shard_extraction_reuses"] = shard_extraction_reuses;
   return out;
 }
 

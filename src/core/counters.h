@@ -45,19 +45,16 @@ struct SolverCounters {
   std::uint64_t engine_term_refreshes = 0;
   // Closed-form Lemma-1 allocations evaluated (core/lemma1.cpp).
   std::uint64_t lemma1_evaluations = 0;
-  // WcgProblem::components(): from-scratch union-find sweeps vs. cache
-  // reuses when a rebuild kept the same (bs, server) option structure.
+  // WcgComponents (core/components.h), one per slot: plans derived from
+  // the slot's coverage vs. plans reused because every device covers the
+  // same stations as at the last plan.
   std::uint64_t component_finds = 0;
   std::uint64_t component_reuses = 0;
-  // WcgProblem::rebuild(): slot-invariant station-table derivations vs.
-  // reuses when the raw bandwidths/spectral efficiencies are bit-unchanged.
+  // StationTables::refresh(), once per build of a slot's WCG:
+  // slot-invariant station-table derivations vs. reuses when the raw
+  // bandwidths/spectral efficiencies are bit-unchanged.
   std::uint64_t arena_precomputes = 0;
   std::uint64_t arena_precompute_reuses = 0;
-  // core/sharded drivers, per component: subproblems extracted after a
-  // rebuild() of the global problem vs. subproblems reused (weights
-  // re-copied only) by a later solve of the same build.
-  std::uint64_t shard_extractions = 0;
-  std::uint64_t shard_extraction_reuses = 0;
 
   void merge(const SolverCounters& other);
   void reset() { *this = SolverCounters{}; }

@@ -4,22 +4,12 @@
 #include <cstdint>
 
 #include "core/counters.h"
-#include "core/sharded.h"
 #include "util/check.h"
 
 namespace eotora::core {
 
-// mcba() is the serial driver of the component-aware decomposition; the
-// actual plan/solve/merge skeleton lives in core/sharded.cpp so the serial
-// and concurrent drivers are the same code (workers == 1 degenerates to a
-// plain loop on the calling thread).
 SolveResult mcba(const WcgProblem& problem, const McbaConfig& config,
                  util::Rng& rng) {
-  return mcba_sharded(problem, config, rng, /*workers=*/1).result;
-}
-
-SolveResult mcba_chain(const WcgProblem& problem, const McbaConfig& config,
-                       util::Rng& rng) {
   EOTORA_REQUIRE(config.iterations > 0);
   EOTORA_REQUIRE(config.initial_temperature_fraction > 0.0);
   EOTORA_REQUIRE(config.final_temperature_fraction > 0.0);

@@ -24,32 +24,17 @@ struct McbaConfig {
   // delta_cost. Kept as the reference the fast path is checked against
   // (tests/test_wcg_incremental.cpp) and for the micro-benchmark baseline.
   bool naive_scan = false;
-  // 0 = serial component-aware mcba(). >= 1 routes through mcba_sharded
-  // (core/sharded.h) with at most this many pool workers — identical bits,
-  // concurrent chains, per-shard effort reporting. Dispatch happens in the
-  // callers (BDMA, the pipeline stages); mcba() itself ignores it.
+  // How many pool workers BDMA's per-component chains run on
+  // (core/components.h); 0 and 1 run them inline. Results are the same for
+  // every value. mcba() itself ignores it.
   std::size_t shard_workers = 0;
 };
 
-// Runs MCBA and returns the best profile visited. Component-aware: on a
-// problem whose device↔resource graph has a single connected component
-// (every paper scenario — the full-coverage low-band stations tie the whole
-// graph together) this is exactly one annealing chain, bit-for-bit the
-// historical behaviour. On a multi-component problem (metro scenarios with
-// localized coverage) it runs one INDEPENDENT chain per component — each on
-// the extracted subproblem, each with its own child rng seeded sequentially
-// from `rng` in component order, each running config.iterations proposals —
-// and combines the per-component best profiles (the social cost separates
-// across components, so the combination is at least as good as any jointly
-// visited state). The combined cost is re-evaluated as
-// problem.total_cost(merged). core::mcba_sharded runs the same chains
-// concurrently and is bit-identical to this by construction.
+// Runs one annealing chain from a uniformly random initial profile and
+// returns the best profile visited. The chain ignores the problem's
+// connected components: BDMA runs one chain per component of the slot
+// (core/bdma.h), each on that component's own problem.
 [[nodiscard]] SolveResult mcba(const WcgProblem& problem,
                                const McbaConfig& config, util::Rng& rng);
-
-// One annealing chain from a random initial profile — the unit of work
-// mcba() runs per component. Exposed for the sharded driver (core/sharded).
-[[nodiscard]] SolveResult mcba_chain(const WcgProblem& problem,
-                                     const McbaConfig& config, util::Rng& rng);
 
 }  // namespace eotora::core

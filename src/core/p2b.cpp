@@ -34,18 +34,20 @@ bool affine_derivative(const energy::EnergyModel& model, double& slope,
   return false;
 }
 
-// Shared solve body; expects workspace.load already filled. Servers with an
-// affine derivative accumulate into the batch lanes and solve through the
-// kernel layer; the rest run math::derivative_bisection exactly as the
+// The frequency half of the solve, from the per-server loads. Servers with
+// an affine derivative accumulate into the batch lanes and solve through
+// the kernel layer; the rest run math::derivative_bisection exactly as the
 // pre-kernel code did.
-void solve_from_loads(const Instance& instance, const SlotState& state,
-                      const Assignment& assignment, double v, double q,
-                      double tolerance, P2bWorkspace& w, P2bResult& result) {
+void solve_frequencies(const Instance& instance, const SlotState& state,
+                       const std::vector<double>& load, double v, double q,
+                       double tolerance, P2bWorkspace& w,
+                       Frequencies& frequencies) {
   EOTORA_REQUIRE_MSG(v >= 0.0, "V=" << v);
   EOTORA_REQUIRE_MSG(q >= 0.0, "Q=" << q);
   const auto& topo = instance.topology();
   const std::size_t servers = topo.num_servers();
-  result.frequencies.resize(servers);
+  EOTORA_REQUIRE(load.size() == servers);
+  frequencies.resize(servers);
   const double price = state.price_per_mwh;
   const double cost_scale = q * price * instance.slot_hours() / 1e6;
 
@@ -58,16 +60,16 @@ void solve_from_loads(const Instance& instance, const SlotState& state,
   w.lane_server.clear();
   for (std::size_t n = 0; n < servers; ++n) {
     const auto& server = topo.server(topology::ServerId{n});
-    const double a_n = w.load[n] * w.load[n];
+    const double a_n = load[n] * load[n];
     if (q == 0.0 && a_n > 0.0) {
       // No queue pressure: latency dominates, run flat out.
-      result.frequencies[n] = server.freq_max_ghz;
+      frequencies[n] = server.freq_max_ghz;
       continue;
     }
     if (a_n == 0.0) {
       // Idle server: only the energy term remains; its minimum over a convex
       // nondecreasing cost is the lowest frequency.
-      result.frequencies[n] = server.freq_min_ghz;
+      frequencies[n] = server.freq_min_ghz;
       continue;
     }
     const double cores = static_cast<double>(server.cores);
@@ -94,7 +96,7 @@ void solve_from_loads(const Instance& instance, const SlotState& state,
     const auto minimum = math::derivative_bisection(
         objective, derivative, server.freq_min_ghz, server.freq_max_ghz,
         tolerance);
-    result.frequencies[n] = minimum.x;
+    frequencies[n] = minimum.x;
   }
 
   if (!w.lane_server.empty()) {
@@ -111,11 +113,9 @@ void solve_from_loads(const Instance& instance, const SlotState& state,
     w.x.resize(batch.n);
     kernels::p2b_batch(batch, w.x.data());
     for (std::size_t lane = 0; lane < batch.n; ++lane) {
-      result.frequencies[w.lane_server[lane]] = w.x[lane];
+      frequencies[w.lane_server[lane]] = w.x[lane];
     }
   }
-  result.objective =
-      dpp_objective(instance, state, assignment, result.frequencies, v, q);
 }
 
 }  // namespace
@@ -134,40 +134,62 @@ void solve_p2b(const Instance& instance, const SlotState& state,
                double tolerance, P2bWorkspace& workspace, P2bResult& out) {
   const auto& topo = instance.topology();
   const std::size_t devices = instance.num_devices();
+  EOTORA_REQUIRE(assignment.bs_of.size() == devices);
   EOTORA_REQUIRE(assignment.server_of.size() == devices);
+  EOTORA_REQUIRE(state.task_cycles.size() == devices);
+  EOTORA_REQUIRE(state.data_bits.size() == devices);
+  EOTORA_REQUIRE(state.channel.size() == devices);
 
-  // Per-server load sums Σ_{i on n} sqrt(f_i / σ_{i,n}).
-  workspace.load.assign(topo.num_servers(), 0.0);
+  // The load sums of Eqs. (18)-(19), in device order, exactly as
+  // reduced_latency_breakdown accumulates them.
+  P2bLoads& loads = workspace.loads;
+  loads.compute.assign(topo.num_servers(), 0.0);
+  loads.access.assign(topo.num_base_stations(), 0.0);
+  loads.fronthaul.assign(topo.num_base_stations(), 0.0);
   for (std::size_t i = 0; i < devices; ++i) {
+    const std::size_t k = assignment.bs_of[i];
     const std::size_t n = assignment.server_of[i];
+    EOTORA_REQUIRE(k < topo.num_base_stations());
     EOTORA_REQUIRE(n < topo.num_servers());
-    workspace.load[n] +=
+    const double h = state.channel[i][k];
+    EOTORA_REQUIRE_MSG(h > 0.0, "device " << i << " channel is unusable");
+    const auto& bs = topo.base_station(topology::BaseStationId{k});
+    loads.compute[n] +=
         std::sqrt(state.task_cycles[i] / instance.suitability(i, n));
+    loads.access[k] += std::sqrt(state.data_bits[i] / h);
+    loads.fronthaul[k] +=
+        std::sqrt(state.data_bits[i] / bs.fronthaul_spectral_efficiency);
   }
-  solve_from_loads(instance, state, assignment, v, q, tolerance, workspace,
-                   out);
+  solve_p2b(instance, state, loads, v, q, tolerance, workspace, out);
 }
 
 void solve_p2b(const Instance& instance, const SlotState& state,
-               const Assignment& assignment, const WcgProblem& problem,
-               const Profile& profile, double v, double q, double tolerance,
+               const P2bLoads& loads, double v, double q, double tolerance,
                P2bWorkspace& workspace, P2bResult& out) {
-  const std::size_t devices = instance.num_devices();
-  EOTORA_REQUIRE(assignment.server_of.size() == devices);
-  EOTORA_REQUIRE(profile.size() == devices);
-
-  // Same device-order accumulation as the sqrt-chain overload; p_compute of
-  // the chosen option carries the identical sqrt(f_i / σ_{i,n}) bits the
-  // arena was built from.
-  workspace.load.assign(problem.num_servers(), 0.0);
-  for (std::size_t i = 0; i < devices; ++i) {
-    const Option& opt =
-        problem.option_at(problem.arena_offset(i) + profile[i]);
-    EOTORA_REQUIRE(opt.server == assignment.server_of[i]);
-    workspace.load[opt.server] += opt.p_compute;
+  const auto& topo = instance.topology();
+  EOTORA_REQUIRE(loads.access.size() == topo.num_base_stations());
+  EOTORA_REQUIRE(loads.fronthaul.size() == topo.num_base_stations());
+  solve_frequencies(instance, state, loads.compute, v, q, tolerance, workspace,
+                    out.frequencies);
+  // T_t and Θ summed term by term as reduced_latency_breakdown and
+  // Instance::theta sum them, so the objective has dpp_objective's bits.
+  double processing = 0.0;
+  for (std::size_t n = 0; n < topo.num_servers(); ++n) {
+    const auto& server = topo.server(topology::ServerId{n});
+    processing += loads.compute[n] * loads.compute[n] /
+                  server.capacity_hz(out.frequencies[n]);
   }
-  solve_from_loads(instance, state, assignment, v, q, tolerance, workspace,
-                   out);
+  double communication = 0.0;
+  for (std::size_t k = 0; k < topo.num_base_stations(); ++k) {
+    const auto& bs = topo.base_station(topology::BaseStationId{k});
+    communication +=
+        loads.access[k] * loads.access[k] / bs.access_bandwidth_hz;
+    communication +=
+        loads.fronthaul[k] * loads.fronthaul[k] / bs.fronthaul_bandwidth_hz;
+  }
+  out.latency = processing + communication;
+  out.theta = instance.theta(out.frequencies, state.price_per_mwh);
+  out.objective = v * out.latency + q * out.theta;
 }
 
 P2bResult solve_p2b_reference(const Instance& instance, const SlotState& state,

@@ -13,7 +13,6 @@
 
 #include "core/instance.h"
 #include "core/types.h"
-#include "core/wcg.h"
 
 namespace eotora::core {
 
@@ -21,16 +20,29 @@ struct P2bResult {
   Frequencies frequencies;
   // Full drift-plus-penalty objective f(x, y, Ω) = V·T_t + Q·Θ at the
   // optimal frequencies (includes the frequency-independent communication
-  // latency and the -Q·C̄ term).
+  // latency and the -Q·C̄ term), with the same bits as dpp_objective.
   double objective = 0.0;
+  // Its two parts: T_t(x, y, Ω, β) with reduced_latency's bits and
+  // Θ(Ω, p) with Instance::theta's.
+  double latency = 0.0;
+  double theta = 0.0;
 };
 
-// Reusable buffers for solve_p2b: the per-server load sums plus the SoA
-// lanes of the batched bisection (servers whose energy model has an affine
-// power derivative — the quadratic and linear models — solve as lockstep
-// kernel lanes; other models stay on the per-server scalar path).
+// The per-resource load sums of one assignment, by global id — what
+// Eqs. (18)-(19) square. Each sum runs in ascending device order, as
+// reduced_latency_breakdown accumulates it.
+struct P2bLoads {
+  std::vector<double> compute;    // Σ_{i on n} sqrt(f_i / σ_{i,n})
+  std::vector<double> access;     // Σ_{i on k} sqrt(d_i / h_{i,k})
+  std::vector<double> fronthaul;  // Σ_{i on k} sqrt(d_i / h^F_k)
+};
+
+// Reusable buffers for solve_p2b: the load sums plus the SoA lanes of the
+// batched bisection (servers whose energy model has an affine power
+// derivative — the quadratic and linear models — solve as lockstep kernel
+// lanes; other models stay on the per-server scalar path).
 struct P2bWorkspace {
-  std::vector<double> load;  // Σ_{i on n} sqrt(f_i / σ_{i,n})
+  P2bLoads loads;
   std::vector<double> neg_va, cores, lo, hi, d_slope, d_intercept, x;
   std::vector<std::uint32_t> lane_server;  // lane -> server index
 };
@@ -46,14 +58,13 @@ void solve_p2b(const Instance& instance, const SlotState& state,
                const Assignment& assignment, double v, double q,
                double tolerance, P2bWorkspace& workspace, P2bResult& out);
 
-// Arena-load overload: reads each device's sqrt(f_i / σ_{i,n}) straight from
-// the WCG option arena (p_compute of the chosen option, accumulated in
-// device order — the same bits the sqrt chain above recomputes) instead of
-// re-deriving it. `assignment` must decode `profile` — BDMA already has both
-// in hand.
+// Load-sum overload: solves from `loads` (one entry per server and per
+// station of the instance) instead of re-deriving them from an assignment.
+// Loads summed in the same order as the sqrt chain give the same bits —
+// BDMA sums its components' loads from the WCG option arena, whose p-values
+// carry the sqrt chain's bits.
 void solve_p2b(const Instance& instance, const SlotState& state,
-               const Assignment& assignment, const WcgProblem& problem,
-               const Profile& profile, double v, double q, double tolerance,
+               const P2bLoads& loads, double v, double q, double tolerance,
                P2bWorkspace& workspace, P2bResult& out);
 
 // Pre-kernel per-server scalar path, kept verbatim as the differential

@@ -1,7 +1,6 @@
 #include "core/wcg.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -13,23 +12,39 @@ namespace eotora::core {
 
 namespace {
 constexpr std::uint32_t kUnreached = 0xffffffffu;
-
-// Source of WcgProblem::build_id(); 0 is never handed out.
-std::uint64_t next_build_id() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1);
-}
-
-// Resource index layout: [0, N) compute, [N, N+K) access, [N+K, N+2K) fronthaul.
-std::size_t compute_index(std::size_t n) { return n; }
-std::size_t access_index(std::size_t n_servers, std::size_t k) {
-  return n_servers + k;
-}
-std::size_t fronthaul_index(std::size_t n_servers, std::size_t n_bs,
-                            std::size_t k) {
-  return n_servers + n_bs + k;
-}
 }  // namespace
+
+void StationTables::refresh(const topology::Topology& topo) {
+  const std::size_t stations = topo.num_base_stations();
+  // Reuse iff every raw bandwidth and fronthaul spectral efficiency is
+  // bitwise unchanged — then the cached reciprocals are trivially the exact
+  // bits a recompute would produce.
+  bool reuse = access_bw.size() == stations;
+  for (std::size_t k = 0; reuse && k < stations; ++k) {
+    const auto& bs = topo.base_station(topology::BaseStationId{k});
+    reuse = access_bw[k] == bs.access_bandwidth_hz &&
+            fronthaul_bw[k] == bs.fronthaul_bandwidth_hz &&
+            fronthaul_se[k] == bs.fronthaul_spectral_efficiency;
+  }
+  if (reuse) {
+    ++counters::active().arena_precompute_reuses;
+    return;
+  }
+  access_bw.resize(stations);
+  fronthaul_bw.resize(stations);
+  inv_access_bw.resize(stations);
+  inv_fronthaul_bw.resize(stations);
+  fronthaul_se.resize(stations);
+  for (std::size_t k = 0; k < stations; ++k) {
+    const auto& bs = topo.base_station(topology::BaseStationId{k});
+    access_bw[k] = bs.access_bandwidth_hz;
+    fronthaul_bw[k] = bs.fronthaul_bandwidth_hz;
+    inv_access_bw[k] = 1.0 / bs.access_bandwidth_hz;
+    inv_fronthaul_bw[k] = 1.0 / bs.fronthaul_bandwidth_hz;
+    fronthaul_se[k] = bs.fronthaul_spectral_efficiency;
+  }
+  ++counters::active().arena_precomputes;
+}
 
 WcgProblem::WcgProblem(const Instance& instance, const SlotState& state,
                        const Frequencies& frequencies) {
@@ -39,117 +54,126 @@ WcgProblem::WcgProblem(const Instance& instance, const SlotState& state,
 void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
                          const Frequencies& frequencies) {
   EOTORA_TRACE_SPAN("wcg/rebuild");
-  // A rebuild that throws part-way leaves an id nothing was extracted from.
-  build_id_ = 0;
   const auto& topo = instance.topology();
-  num_servers_ = topo.num_servers();
-  num_base_stations_ = topo.num_base_stations();
-  const std::size_t devices = topo.num_devices();
+  tables_.refresh(topo);
+  const std::size_t ids = std::max({topo.num_devices(), topo.num_servers(),
+                                    topo.num_base_stations()});
+  for (std::size_t i = identity_.size(); i < ids; ++i) {
+    identity_.push_back(static_cast<std::uint32_t>(i));
+  }
+  const std::span<const std::uint32_t> identity(identity_);
+  WcgSubset all;
+  all.devices = identity.first(topo.num_devices());
+  all.stations = identity.first(topo.num_base_stations());
+  all.servers = identity.first(topo.num_servers());
+  all.station_local = all.stations;
+  all.server_local = all.servers;
+  (void)build(instance, state, frequencies, all, tables_);
+}
 
-  EOTORA_REQUIRE_MSG(state.task_cycles.size() == devices,
+bool WcgProblem::build(const Instance& instance, const SlotState& state,
+                       const Frequencies& frequencies, const WcgSubset& subset,
+                       const StationTables& tables) {
+  const auto& topo = instance.topology();
+  const std::size_t all_devices = topo.num_devices();
+  const std::size_t all_stations = topo.num_base_stations();
+  const std::size_t servers = subset.servers.size();
+  const std::size_t stations = subset.stations.size();
+  const bool check = !subset.coverage_offsets.empty();
+
+  EOTORA_REQUIRE_MSG(state.task_cycles.size() == all_devices,
                      "task_cycles entries=" << state.task_cycles.size());
-  EOTORA_REQUIRE_MSG(state.data_bits.size() == devices,
+  EOTORA_REQUIRE_MSG(state.data_bits.size() == all_devices,
                      "data_bits entries=" << state.data_bits.size());
-  EOTORA_REQUIRE_MSG(state.channel.size() == devices,
+  EOTORA_REQUIRE_MSG(state.channel.size() == all_devices,
                      "channel rows=" << state.channel.size());
-  for (std::size_t i = 0; i < devices; ++i) {
-    EOTORA_REQUIRE(state.channel[i].size() == num_base_stations_);
-    EOTORA_REQUIRE_MSG(state.task_cycles[i] > 0.0,
-                       "device " << i << " f=" << state.task_cycles[i]);
-    EOTORA_REQUIRE_MSG(state.data_bits[i] > 0.0,
-                       "device " << i << " d=" << state.data_bits[i]);
-  }
+  EOTORA_REQUIRE(tables.fronthaul_se.size() == all_stations);
+  const SuitabilityMatrix& sigma = instance.sigma();
+  EOTORA_REQUIRE(sigma.size() == all_devices);
 
-  weights_.assign(num_servers_ + 2 * num_base_stations_, 0.0);
+  station_ids_.assign(subset.stations.begin(), subset.stations.end());
+  server_ids_.assign(subset.servers.begin(), subset.servers.end());
+  weights_.assign(servers + 2 * stations, 0.0);
   set_frequencies(instance, frequencies);
-  // Slot-invariant station tables: reuse iff every raw bandwidth and
-  // fronthaul spectral efficiency is bitwise unchanged — then the cached
-  // reciprocals are trivially the exact bits a recompute would produce.
-  bool reuse = station_access_bw_.size() == num_base_stations_;
-  for (std::size_t k = 0; reuse && k < num_base_stations_; ++k) {
-    const auto& bs = topo.base_station(topology::BaseStationId{k});
-    reuse = station_access_bw_[k] == bs.access_bandwidth_hz &&
-            station_fronthaul_bw_[k] == bs.fronthaul_bandwidth_hz &&
-            fronthaul_se_[k] == bs.fronthaul_spectral_efficiency;
-  }
-  if (reuse) {
-    ++counters::active().arena_precompute_reuses;
-  } else {
-    station_access_bw_.resize(num_base_stations_);
-    station_fronthaul_bw_.resize(num_base_stations_);
-    inv_access_bw_.resize(num_base_stations_);
-    inv_fronthaul_bw_.resize(num_base_stations_);
-    fronthaul_se_.resize(num_base_stations_);
-    for (std::size_t k = 0; k < num_base_stations_; ++k) {
-      const auto& bs = topo.base_station(topology::BaseStationId{k});
-      station_access_bw_[k] = bs.access_bandwidth_hz;
-      station_fronthaul_bw_[k] = bs.fronthaul_bandwidth_hz;
-      inv_access_bw_[k] = 1.0 / bs.access_bandwidth_hz;
-      inv_fronthaul_bw_[k] = 1.0 / bs.fronthaul_bandwidth_hz;
-      fronthaul_se_[k] = bs.fronthaul_spectral_efficiency;
-    }
-    ++counters::active().arena_precomputes;
-  }
-  for (std::size_t k = 0; k < num_base_stations_; ++k) {
-    weights_[access_index(num_servers_, k)] = inv_access_bw_[k];
-    weights_[fronthaul_index(num_servers_, num_base_stations_, k)] =
-        inv_fronthaul_bw_[k];
+  for (std::size_t k = 0; k < stations; ++k) {
+    weights_[servers + k] = tables.inv_access_bw[subset.stations[k]];
+    weights_[servers + stations + k] =
+        tables.inv_fronthaul_bw[subset.stations[k]];
   }
 
   arena_.clear();
   offsets_.clear();
-  offsets_.reserve(devices + 1);
+  offsets_.reserve(subset.devices.size() + 1);
   offsets_.push_back(0);
-  const SuitabilityMatrix& sigma = instance.sigma();
-  EOTORA_REQUIRE(sigma.size() == devices);
-  // Stamps are device indices, so they must not survive into the next
-  // rebuild: a leftover stamp would point device i at the previous slot's
-  // compact-row position.
-  reach_stamp_.assign(num_servers_, kUnreached);
-  reach_slot_.resize(num_servers_);
-  task_cycles_row_.resize(num_servers_);
-  sigma_row_.resize(num_servers_);
-  sqrt_compute_row_.resize(num_servers_);
-  for (std::size_t i = 0; i < devices; ++i) {
-    EOTORA_REQUIRE(sigma[i].size() == num_servers_);
+  // Stamps are local device indices, so they must not survive into the
+  // next build: a leftover stamp would point device j at the previous
+  // build's compact-row position.
+  reach_stamp_.assign(servers, kUnreached);
+  reach_slot_.resize(servers);
+  task_cycles_row_.resize(servers);
+  sigma_row_.resize(servers);
+  sqrt_compute_row_.resize(servers);
+  covered_.resize(all_stations);
+  for (std::size_t j = 0; j < subset.devices.size(); ++j) {
+    const std::size_t i = subset.devices[j];
     const std::vector<double>& channel = state.channel[i];
-    // Gather σ_{i,n} of every server a covering station reaches into a
-    // compact row, once per server however many stations reach it, and
-    // batch sqrt(f_i / σ_{i,n}) over that row: the same operands and
-    // rounding as the per-option chain, on every kernel backend. Gathering
-    // in its own pass, ahead of the arena writes, measured 1.3-1.8x faster
-    // than gathering while laying out the options (x86-64, AVX2 backend).
-    const auto stamp = static_cast<std::uint32_t>(i);
+    EOTORA_REQUIRE(channel.size() == all_stations);
+    EOTORA_REQUIRE_MSG(state.task_cycles[i] > 0.0,
+                       "device " << i << " f=" << state.task_cycles[i]);
+    EOTORA_REQUIRE_MSG(state.data_bits[i] > 0.0,
+                       "device " << i << " d=" << state.data_bits[i]);
+    EOTORA_REQUIRE(sigma[i].size() == topo.num_servers());
+    // One pass over the dense row finds the covering stations (and checks
+    // them against the plan) and gathers σ_{i,s} of every server a covering
+    // station reaches into a compact row, once per server however many
+    // stations reach it; sqrt(f_i / σ_{i,s}) is then batched over that row:
+    // the same operands and rounding as the per-option chain, on every
+    // kernel backend. Gathering in its own pass, ahead of the arena writes,
+    // measured 1.3-1.8x faster than gathering while laying out the options
+    // (x86-64, AVX2 backend).
+    const auto stamp = static_cast<std::uint32_t>(j);
+    std::size_t covering = 0;
     std::size_t reached = 0;
-    for (std::size_t k = 0; k < num_base_stations_; ++k) {
-      if (channel[k] <= 0.0) continue;
+    std::size_t expected = check ? subset.coverage_offsets[i] : 0;
+    for (std::size_t k = 0; k < all_stations; ++k) {
+      if (channel[k] <= 0.0) continue;  // not covered / unusable link
+      if (check) {
+        if (expected == subset.coverage_offsets[i + 1] ||
+            subset.coverage[expected] != k) {
+          return false;
+        }
+        ++expected;
+      }
+      covered_[covering++] = static_cast<std::uint32_t>(k);
       for (topology::ServerId s :
            topo.reachable_servers(topology::BaseStationId{k})) {
-        if (reach_stamp_[s.value] == stamp) continue;
-        reach_stamp_[s.value] = stamp;
-        reach_slot_[s.value] = static_cast<std::uint32_t>(reached);
+        const std::uint32_t local = subset.server_local[s.value];
+        if (reach_stamp_[local] == stamp) continue;
+        reach_stamp_[local] = stamp;
+        reach_slot_[local] = static_cast<std::uint32_t>(reached);
         sigma_row_[reached++] = sigma[i][s.value];
       }
     }
+    if (check && expected != subset.coverage_offsets[i + 1]) return false;
     std::fill_n(task_cycles_row_.begin(), reached, state.task_cycles[i]);
     kernels::dispatch().sqrt_div(task_cycles_row_.data(), sigma_row_.data(),
                                  sqrt_compute_row_.data(), reached);
-    for (std::size_t k = 0; k < num_base_stations_; ++k) {
-      const double h = channel[k];
-      if (h <= 0.0) continue;  // not covered / unusable link
-      const double p_access = std::sqrt(state.data_bits[i] / h);
+    for (std::size_t c = 0; c < covering; ++c) {
+      const std::size_t k = covered_[c];
+      const double p_access = std::sqrt(state.data_bits[i] / channel[k]);
       const double p_fronthaul =
-          std::sqrt(state.data_bits[i] / fronthaul_se_[k]);
+          std::sqrt(state.data_bits[i] / tables.fronthaul_se[k]);
+      const std::size_t bs = subset.station_local[k];
       for (topology::ServerId s :
            topo.reachable_servers(topology::BaseStationId{k})) {
+        const std::size_t server = subset.server_local[s.value];
         Option opt;
-        opt.bs = k;
-        opt.server = s.value;
-        opt.r_compute = compute_index(s.value);
-        opt.r_access = access_index(num_servers_, k);
-        opt.r_fronthaul =
-            fronthaul_index(num_servers_, num_base_stations_, k);
-        opt.p_compute = sqrt_compute_row_[reach_slot_[s.value]];
+        opt.bs = bs;
+        opt.server = server;
+        opt.r_compute = server;
+        opt.r_access = servers + bs;
+        opt.r_fronthaul = servers + stations + bs;
+        opt.p_compute = sqrt_compute_row_[reach_slot_[server]];
         opt.p_access = p_access;
         opt.p_fronthaul = p_fronthaul;
         arena_.push_back(opt);
@@ -164,9 +188,9 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
   }
 
   device_of_.resize(arena_.size());
-  for (std::size_t i = 0; i < devices; ++i) {
-    for (std::size_t a = offsets_[i]; a < offsets_[i + 1]; ++a) {
-      device_of_[a] = static_cast<std::uint32_t>(i);
+  for (std::size_t j = 0; j + 1 < offsets_.size(); ++j) {
+    for (std::size_t a = offsets_[j]; a < offsets_[j + 1]; ++a) {
+      device_of_[a] = static_cast<std::uint32_t>(j);
     }
   }
 
@@ -198,11 +222,7 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
     index_offsets_[r] = index_offsets_[r - 1];
   }
   index_offsets_[0] = 0;
-
-  // The connectivity structure may have changed; components() re-checks the
-  // signature (and reuses the decomposition when it matches) on next use.
-  components_valid_ = false;
-  build_id_ = next_build_id();
+  return true;
 }
 
 std::span<const Option> WcgProblem::options(std::size_t device) const {
@@ -225,14 +245,18 @@ double WcgProblem::weight(std::size_t resource) const {
 
 void WcgProblem::set_frequencies(const Instance& instance,
                                  const Frequencies& frequencies) {
-  EOTORA_REQUIRE_MSG(frequencies.size() == num_servers_,
-                     "frequency entries=" << frequencies.size());
-  EOTORA_REQUIRE_MSG(instance.frequencies_feasible(frequencies),
-                     "frequencies outside [F^L, F^U]");
   const auto& topo = instance.topology();
-  for (std::size_t n = 0; n < num_servers_; ++n) {
-    const auto& server = topo.server(topology::ServerId{n});
-    weights_[compute_index(n)] = 1.0 / server.capacity_hz(frequencies[n]);
+  EOTORA_REQUIRE_MSG(frequencies.size() == topo.num_servers(),
+                     "frequency entries=" << frequencies.size());
+  for (std::size_t s = 0; s < server_ids_.size(); ++s) {
+    const auto& server = topo.server(topology::ServerId{server_ids_[s]});
+    const double ghz = frequencies[server_ids_[s]];
+    // The tolerance of Instance::frequencies_feasible.
+    EOTORA_REQUIRE_MSG(ghz >= server.freq_min_ghz - 1e-12 &&
+                           ghz <= server.freq_max_ghz + 1e-12,
+                       "frequencies outside [F^L, F^U]: server "
+                           << server_ids_[s] << " at " << ghz << " GHz");
+    weights_[s] = 1.0 / server.capacity_hz(ghz);
   }
 }
 
@@ -267,7 +291,8 @@ std::size_t WcgProblem::find_option(std::size_t device, std::size_t bs,
                                     std::size_t server) const {
   const std::span<const Option> opts = options(device);
   std::size_t o = 0;
-  while (o < opts.size() && (opts[o].bs != bs || opts[o].server != server)) {
+  while (o < opts.size() && (station_ids_[opts[o].bs] != bs ||
+                             server_ids_[opts[o].server] != server)) {
     ++o;
   }
   return o;
@@ -346,8 +371,8 @@ Assignment WcgProblem::to_assignment(const Profile& z) const {
   for (std::size_t i = 0; i < z.size(); ++i) {
     EOTORA_REQUIRE(z[i] < offsets_[i + 1] - offsets_[i]);
     const Option& opt = arena_[offsets_[i] + z[i]];
-    a.bs_of[i] = opt.bs;
-    a.server_of[i] = opt.server;
+    a.bs_of[i] = station_ids_[opt.bs];
+    a.server_of[i] = server_ids_[opt.server];
   }
   return a;
 }
@@ -381,217 +406,6 @@ double WcgProblem::singleton_lower_bound() const {
     bound += best;
   }
   return bound;
-}
-
-const WcgComponents& WcgProblem::components() const {
-  if (components_valid_) return components_;
-
-  // Signature check: if the (bs, server) structure and the offset table are
-  // unchanged since the last find, the decomposition is still valid —
-  // per-slot state changes magnitudes, not which links exist.
-  bool same = signature_valid_ && signature_offsets_ == offsets_ &&
-              signature_options_.size() == arena_.size();
-  if (same) {
-    for (std::size_t a = 0; a < arena_.size(); ++a) {
-      const std::uint64_t sig =
-          (static_cast<std::uint64_t>(arena_[a].bs) << 32) |
-          static_cast<std::uint64_t>(arena_[a].server);
-      if (signature_options_[a] != sig) {
-        same = false;
-        break;
-      }
-    }
-  }
-  if (same) {
-    ++counters::active().component_reuses;
-    components_valid_ = true;
-    return components_;
-  }
-
-  // Union-find over resources with path halving; every option unions its
-  // three resources into the root of its device's first compute resource,
-  // so all resources a device can ever touch end up in one set.
-  const std::size_t resources = weights_.size();
-  std::vector<std::uint32_t> parent(resources);
-  for (std::size_t r = 0; r < resources; ++r) {
-    parent[r] = static_cast<std::uint32_t>(r);
-  }
-  auto find = [&parent](std::uint32_t r) {
-    while (parent[r] != r) {
-      parent[r] = parent[parent[r]];
-      r = parent[r];
-    }
-    return r;
-  };
-  const std::size_t devices = num_devices();
-  for (std::size_t i = 0; i < devices; ++i) {
-    const std::uint32_t anchor =
-        find(static_cast<std::uint32_t>(arena_[offsets_[i]].r_compute));
-    for (std::size_t a = offsets_[i]; a < offsets_[i + 1]; ++a) {
-      parent[find(static_cast<std::uint32_t>(arena_[a].r_compute))] = anchor;
-      parent[find(static_cast<std::uint32_t>(arena_[a].r_access))] = anchor;
-      parent[find(static_cast<std::uint32_t>(arena_[a].r_fronthaul))] = anchor;
-    }
-  }
-
-  // Dense component ids in order of first device appearance.
-  WcgComponents& out = components_;
-  out.count = 0;
-  out.device_component.assign(devices, WcgComponents::kNone);
-  out.resource_component.assign(resources, WcgComponents::kNone);
-  std::vector<std::uint32_t> root_component(resources, WcgComponents::kNone);
-  for (std::size_t i = 0; i < devices; ++i) {
-    const std::uint32_t root =
-        find(static_cast<std::uint32_t>(arena_[offsets_[i]].r_compute));
-    if (root_component[root] == WcgComponents::kNone) {
-      root_component[root] = static_cast<std::uint32_t>(out.count++);
-    }
-    out.device_component[i] = root_component[root];
-  }
-  out.resource_local.assign(resources, WcgComponents::kNone);
-  for (std::size_t r = 0; r < resources; ++r) {
-    // Only resources some option touches belong to a component; find(r) of
-    // an untouched resource is its own singleton root with no id assigned.
-    out.resource_component[r] =
-        root_component[find(static_cast<std::uint32_t>(r))];
-  }
-
-  // CSR membership lists: counting sort keeps both lists ascending.
-  out.device_offsets.assign(out.count + 1, 0);
-  for (std::size_t i = 0; i < devices; ++i) {
-    ++out.device_offsets[out.device_component[i] + 1];
-  }
-  for (std::size_t c = 0; c < out.count; ++c) {
-    out.device_offsets[c + 1] += out.device_offsets[c];
-  }
-  out.device_list.resize(devices);
-  {
-    std::vector<std::size_t> cursor(out.device_offsets.begin(),
-                                    out.device_offsets.end() - 1);
-    for (std::size_t i = 0; i < devices; ++i) {
-      out.device_list[cursor[out.device_component[i]]++] =
-          static_cast<std::uint32_t>(i);
-    }
-  }
-  out.resource_offsets.assign(out.count + 1, 0);
-  for (std::size_t r = 0; r < resources; ++r) {
-    if (out.resource_component[r] != WcgComponents::kNone) {
-      ++out.resource_offsets[out.resource_component[r] + 1];
-    }
-  }
-  for (std::size_t c = 0; c < out.count; ++c) {
-    out.resource_offsets[c + 1] += out.resource_offsets[c];
-  }
-  out.resource_list.resize(out.resource_offsets[out.count]);
-  {
-    std::vector<std::size_t> cursor(out.resource_offsets.begin(),
-                                    out.resource_offsets.end() - 1);
-    for (std::size_t r = 0; r < resources; ++r) {
-      const std::uint32_t c = out.resource_component[r];
-      if (c == WcgComponents::kNone) continue;
-      out.resource_local[r] = static_cast<std::uint32_t>(
-          cursor[c] - out.resource_offsets[c]);
-      out.resource_list[cursor[c]++] = static_cast<std::uint32_t>(r);
-    }
-  }
-
-  signature_offsets_ = offsets_;
-  signature_options_.resize(arena_.size());
-  for (std::size_t a = 0; a < arena_.size(); ++a) {
-    signature_options_[a] = (static_cast<std::uint64_t>(arena_[a].bs) << 32) |
-                            static_cast<std::uint64_t>(arena_[a].server);
-  }
-  signature_valid_ = true;
-  components_valid_ = true;
-  ++counters::active().component_finds;
-  return components_;
-}
-
-void WcgProblem::extract_component(const WcgComponents& split, std::size_t c,
-                                   WcgProblem& out) const {
-  EOTORA_REQUIRE(c < split.count);
-  const std::span<const std::uint32_t> member_devices = split.devices_of(c);
-  const std::span<const std::uint32_t> member_resources = split.resources_of(c);
-
-  // The ascending global resource run is [compute][access][fronthaul], and a
-  // station's access and fronthaul resources always co-occur, so position in
-  // the run (resource_local) is directly the local id in the same layout.
-  std::size_t local_servers = 0;
-  std::size_t local_stations = 0;
-  for (const std::uint32_t r : member_resources) {
-    if (r < num_servers_) ++local_servers;
-    else if (r < num_servers_ + num_base_stations_) ++local_stations;
-  }
-  out.num_servers_ = local_servers;
-  out.num_base_stations_ = local_stations;
-  out.build_id_ = 0;
-
-  out.weights_.resize(member_resources.size());
-  copy_component_weights(split, c, out);
-
-  out.arena_.clear();
-  out.offsets_.clear();
-  out.offsets_.reserve(member_devices.size() + 1);
-  out.offsets_.push_back(0);
-  for (const std::uint32_t i : member_devices) {
-    for (std::size_t a = offsets_[i]; a < offsets_[i + 1]; ++a) {
-      Option opt = arena_[a];
-      opt.server = split.resource_local[opt.r_compute];
-      opt.bs = split.resource_local[opt.r_access] - local_servers;
-      opt.r_compute = split.resource_local[opt.r_compute];
-      opt.r_access = split.resource_local[opt.r_access];
-      opt.r_fronthaul = split.resource_local[opt.r_fronthaul];
-      out.arena_.push_back(opt);
-    }
-    out.offsets_.push_back(out.arena_.size());
-  }
-
-  out.device_of_.resize(out.arena_.size());
-  for (std::size_t i = 0; i < member_devices.size(); ++i) {
-    for (std::size_t a = out.offsets_[i]; a < out.offsets_[i + 1]; ++a) {
-      out.device_of_[a] = static_cast<std::uint32_t>(i);
-    }
-  }
-
-  // Same CSR build as rebuild(): local entries keep the relative order of
-  // the global index restricted to the component, so every engine sweep
-  // enumerates devices in the same relative order as the global problem.
-  const std::size_t resources = out.weights_.size();
-  out.index_offsets_.assign(resources + 1, 0);
-  for (const Option& opt : out.arena_) {
-    ++out.index_offsets_[opt.r_compute + 1];
-    ++out.index_offsets_[opt.r_access + 1];
-    ++out.index_offsets_[opt.r_fronthaul + 1];
-  }
-  for (std::size_t r = 0; r < resources; ++r) {
-    out.index_offsets_[r + 1] += out.index_offsets_[r];
-  }
-  out.index_entries_.resize(3 * out.arena_.size());
-  for (std::size_t a = 0; a < out.arena_.size(); ++a) {
-    const Option& opt = out.arena_[a];
-    out.index_entries_[out.index_offsets_[opt.r_compute]++] =
-        static_cast<std::uint32_t>(a);
-    out.index_entries_[out.index_offsets_[opt.r_access]++] =
-        static_cast<std::uint32_t>(a);
-    out.index_entries_[out.index_offsets_[opt.r_fronthaul]++] =
-        static_cast<std::uint32_t>(a);
-  }
-  for (std::size_t r = resources; r > 0; --r) {
-    out.index_offsets_[r] = out.index_offsets_[r - 1];
-  }
-  out.index_offsets_[0] = 0;
-  out.components_valid_ = false;
-  out.signature_valid_ = false;
-}
-
-void WcgProblem::copy_component_weights(const WcgComponents& split,
-                                        std::size_t c, WcgProblem& out) const {
-  EOTORA_REQUIRE(c < split.count);
-  const std::span<const std::uint32_t> member_resources = split.resources_of(c);
-  EOTORA_REQUIRE(out.weights_.size() == member_resources.size());
-  for (std::size_t t = 0; t < member_resources.size(); ++t) {
-    out.weights_[t] = weights_[member_resources[t]];
-  }
 }
 
 LoadTracker::LoadTracker(const WcgProblem& problem, Profile profile)

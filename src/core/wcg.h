@@ -23,7 +23,7 @@
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "The WCG hot path"): options live
 // in one contiguous arena with per-device offset spans, a resource→option
-// inverted index is derived at rebuild() time, and BestResponseEngine caches
+// inverted index is derived at build time, and BestResponseEngine caches
 // the per-(device, resource) cost terms option costs factor into, re-deriving
 // only the terms a move's changed loads invalidate — every best response it
 // returns is bit-identical to a from-scratch LoadTracker evaluation.
@@ -57,44 +57,43 @@ struct Option {
 // z: per-device index into that device's option list.
 using Profile = std::vector<std::size_t>;
 
-// Connected components of the device↔resource bipartite graph (a device is
-// adjacent to the three resources of each of its options). Devices in
-// different components never share a resource, so the social cost — and
-// every best-response trajectory — decomposes exactly across components;
-// this is what makes the sharded CGBA/MCBA drivers in core/sharded lossless.
-//
-// Component ids are dense, in order of first device appearance; resources
-// no option touches get kNone. Both CSR lists enumerate members in
-// ascending global id, so a component's resource run is automatically laid
-// out [compute servers][access stations][fronthaul stations] with matching
-// station order in the access and fronthaul blocks — the invariant
-// extract_component relies on to keep local resource ids in the global
-// layout scheme.
-struct WcgComponents {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-  std::size_t count = 0;
-  std::vector<std::uint32_t> device_component;    // device -> component id
-  std::vector<std::uint32_t> resource_component;  // resource -> id or kNone
-  // CSR: devices of each component, ascending device id.
-  std::vector<std::size_t> device_offsets;  // count + 1
-  std::vector<std::uint32_t> device_list;
-  // CSR: global resource ids of each component, ascending.
-  std::vector<std::size_t> resource_offsets;  // count + 1
-  std::vector<std::uint32_t> resource_list;
-  // resource -> its position within its component's resource run; this IS
-  // the resource's local id in the extracted subproblem (kNone if unused).
-  std::vector<std::uint32_t> resource_local;
+// The slot-invariant per-station tables every build reads: the bandwidth
+// reciprocals 1/W^A_k, 1/W^F_k and the fronthaul spectral efficiencies
+// h^F_k. They depend only on instance parameters, so refresh() re-derives
+// them only when a raw input changed bits (reuse keeps the reciprocals'
+// exact bits trivially — the inputs are identical). The raw values double
+// as the validation key, so a different instance at the same address can
+// never smuggle stale tables in. Counted as
+// counters::active().arena_precomputes / arena_precompute_reuses.
+struct StationTables {
+  std::vector<double> access_bw;     // raw W^A_k (validation key)
+  std::vector<double> fronthaul_bw;  // raw W^F_k (validation key)
+  std::vector<double> inv_access_bw;
+  std::vector<double> inv_fronthaul_bw;
+  std::vector<double> fronthaul_se;  // h^F_k
 
-  [[nodiscard]] std::span<const std::uint32_t> devices_of(
-      std::size_t component) const {
-    return {device_list.data() + device_offsets[component],
-            device_offsets[component + 1] - device_offsets[component]};
-  }
-  [[nodiscard]] std::span<const std::uint32_t> resources_of(
-      std::size_t component) const {
-    return {resource_list.data() + resource_offsets[component],
-            resource_offsets[component + 1] - resource_offsets[component]};
-  }
+  void refresh(const topology::Topology& topo);
+};
+
+// What WcgProblem::build() builds over: a subset of a slot's devices and
+// the global ids of every station and server their options touch, each
+// list ascending. The built problem numbers devices, stations and servers
+// by position in these lists, so its resource layout keeps the global
+// [compute][access][fronthaul] scheme with the global relative order.
+struct WcgSubset {
+  std::span<const std::uint32_t> devices;
+  std::span<const std::uint32_t> stations;
+  std::span<const std::uint32_t> servers;
+  // Global station / server id -> position in `stations` / `servers`, read
+  // only at the ids a subset device's options touch.
+  std::span<const std::uint32_t> station_local;
+  std::span<const std::uint32_t> server_local;
+  // Optional coverage check, CSR over global device ids: the stations with
+  // h > 0 each device had when the subset was planned. When present, build()
+  // compares every scanned row against it and stops at the first row that
+  // differs, returning false.
+  std::span<const std::size_t> coverage_offsets;
+  std::span<const std::uint32_t> coverage;
 };
 
 class WcgProblem {
@@ -110,18 +109,21 @@ class WcgProblem {
 
   // Re-derives everything for a new slot, reusing the existing allocations
   // (option arena, offset table, weights, inverted index). Equivalent to
-  // constructing a fresh problem, without the per-slot heap churn — policies
-  // and BDMA reuse one problem across the whole simulation horizon.
+  // constructing a fresh problem, without the per-slot heap churn. This is
+  // the one-subset case of build(): every device, station and server, with
+  // local ids equal to global ids.
   void rebuild(const Instance& instance, const SlotState& state,
                const Frequencies& frequencies);
 
-  // Process-unique id of the last successful rebuild(): no two rebuilds
-  // share one, and default-constructed or extract_component() problems
-  // carry 0. Equal nonzero ids mean identical options and p-values (a copy
-  // keeps its source's id); only the weights may differ, through
-  // set_frequencies. The sharded drivers key their extracted subproblems
-  // on it.
-  [[nodiscard]] std::uint64_t build_id() const { return build_id_; }
+  // Builds the problem over `subset` (see WcgSubset), reading the station
+  // tables from `tables`. Options keep the order rebuild() lays them out in
+  // and the same p-value bits; weights are the global resources' weights.
+  // Returns false, leaving the problem unusable, when the subset carries a
+  // coverage check and a scanned row differs from it; throws where
+  // rebuild() throws.
+  bool build(const Instance& instance, const SlotState& state,
+             const Frequencies& frequencies, const WcgSubset& subset,
+             const StationTables& tables);
 
   [[nodiscard]] std::size_t num_devices() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
@@ -130,9 +132,17 @@ class WcgProblem {
   // All resource weights m_r in the [compute][access][fronthaul] layout —
   // the contiguous span the kernel-layer reductions run over.
   [[nodiscard]] std::span<const double> weights() const { return weights_; }
-  [[nodiscard]] std::size_t num_servers() const { return num_servers_; }
+  [[nodiscard]] std::size_t num_servers() const { return server_ids_.size(); }
   [[nodiscard]] std::size_t num_base_stations() const {
-    return num_base_stations_;
+    return station_ids_.size();
+  }
+  // Global id of the problem's base station / server `local` (the identity
+  // on a rebuild() problem).
+  [[nodiscard]] std::size_t station_id(std::size_t local) const {
+    return station_ids_[local];
+  }
+  [[nodiscard]] std::size_t server_id(std::size_t local) const {
+    return server_ids_[local];
   }
   [[nodiscard]] std::span<const Option> options(std::size_t device) const;
   [[nodiscard]] double weight(std::size_t resource) const;
@@ -155,9 +165,10 @@ class WcgProblem {
   [[nodiscard]] std::span<const std::uint32_t> options_on_resource(
       std::size_t resource) const;
 
-  // Re-derives the compute-resource weights for new frequencies; option
-  // lists, p-values, and the inverted index are frequency-independent and
-  // stay valid.
+  // Re-derives the compute-resource weights for new frequencies (one entry
+  // per server of the instance); option lists, p-values, and the inverted
+  // index are frequency-independent and stay valid. Checks only the
+  // frequencies of the problem's own servers against [F^L, F^U].
   void set_frequencies(const Instance& instance,
                        const Frequencies& frequencies);
 
@@ -173,6 +184,12 @@ class WcgProblem {
   // `carried` is non-empty and does not cover exactly num_devices() devices.
   [[nodiscard]] Profile warm_profile(const Assignment& carried,
                                      util::Rng& rng) const;
+
+  // Index of the option with global base station `bs` and server `server`
+  // in device i's option list, or options(i).size() when the pair is not
+  // one of its options.
+  [[nodiscard]] std::size_t find_option(std::size_t device, std::size_t bs,
+                                        std::size_t server) const;
 
   // Social cost T_t(z) = Σ_r m_r P_r(z)² — evaluates from scratch. The
   // scratch overload reuses `scratch` for the per-resource loads so loops
@@ -194,7 +211,8 @@ class WcgProblem {
                                  std::vector<double>& loads_scratch,
                                  std::vector<double>& squares_scratch) const;
 
-  // Decodes a profile into the (x, y) Assignment.
+  // Decodes a profile into the (x, y) Assignment, in global station and
+  // server ids.
   [[nodiscard]] Assignment to_assignment(const Profile& z) const;
 
   // Encodes an Assignment back into a profile. Throws if the assignment uses
@@ -207,71 +225,24 @@ class WcgProblem {
   // reported alongside heuristic solutions.
   [[nodiscard]] double singleton_lower_bound() const;
 
-  // Connected components of the device↔resource graph, computed lazily by a
-  // linear union-find sweep over the arena and cached until the next
-  // rebuild(). Coverage patterns usually persist across slots (only channel
-  // MAGNITUDES change per slot, not which links exist), so a rebuild whose
-  // (bs, server) option structure matches the previous one reuses the
-  // cached decomposition instead of re-finding it — the two cases are
-  // counted as counters::active().component_reuses / component_finds.
-  // set_frequencies never invalidates the cache (weights don't change
-  // connectivity). NOT thread-safe: call once on the owning thread before
-  // fanning shards out (the core/sharded drivers do).
-  [[nodiscard]] const WcgComponents& components() const;
-
-  // Repacks component `c` of `split` into `out` as a self-contained
-  // WcgProblem: the component's devices in ascending id order keep their
-  // option lists in arena order, with resource / base-station / server ids
-  // remapped to the component-local dense layout and every p-value and
-  // weight copied bitwise. Reuses out's allocations (rebuild()-style).
-  // Any per-component best-response trajectory on the extracted problem is
-  // bit-identical to the same trajectory on this problem projected to the
-  // component, because player costs only read component-local loads.
-  void extract_component(const WcgComponents& split, std::size_t c,
-                         WcgProblem& out) const;
-
-  // Re-copies this problem's current weights into `out`, which must hold
-  // component `c` of `split` as extract_component() produced it from this
-  // build — the O(resources) refresh a set_frequencies() call needs.
-  void copy_component_weights(const WcgComponents& split, std::size_t c,
-                              WcgProblem& out) const;
-
-  // Drops the cached structure signature so the next components() call runs
-  // the full union-find sweep even if the structure is unchanged. Only for
-  // benchmarks and tests that need to time/pin the from-scratch path;
-  // results are unaffected either way.
-  void invalidate_component_signature() const {
-    components_valid_ = false;
-    signature_valid_ = false;
-  }
-
  private:
   void loads_into(const Profile& z, std::vector<double>& p) const;
-  // Index of the (bs, server) pair in device i's option list, or
-  // options(i).size() when the pair is not one of its options.
-  [[nodiscard]] std::size_t find_option(std::size_t device, std::size_t bs,
-                                        std::size_t server) const;
 
   std::vector<Option> arena_;          // all options, device-major
   std::vector<std::size_t> offsets_;   // num_devices + 1 spans into arena_
   std::vector<std::uint32_t> device_of_;  // arena index -> owning device
   std::vector<double> weights_;        // m_r
+  std::vector<std::uint32_t> station_ids_;  // local -> global base station
+  std::vector<std::uint32_t> server_ids_;   // local -> global server
 
-  // Slot-invariant station tables: the bandwidth reciprocals and fronthaul
-  // spectral efficiencies depend only on instance parameters, so rebuild()
-  // re-derives them only when the raw inputs changed bits (reuse keeps the
-  // reciprocals' exact bits trivially — the inputs are identical). The raw
-  // values double as the validation key, so a different instance at the
-  // same address can never smuggle stale tables in. Counted as
-  // counters::active().arena_precomputes / arena_precompute_reuses.
-  std::vector<double> station_access_bw_;     // raw W^A_k (validation key)
-  std::vector<double> station_fronthaul_bw_;  // raw W^F_k (validation key)
-  std::vector<double> inv_access_bw_;         // 1 / W^A_k
-  std::vector<double> inv_fronthaul_bw_;      // 1 / W^F_k
-  std::vector<double> fronthaul_se_;          // h^F_k
-  // rebuild() scratch for the batched per-device sqrt(f_i / σ_{i,s}) over
-  // the servers device i reaches: server s sits at position reach_slot_[s]
-  // of the compact rows iff reach_stamp_[s] == i.
+  // rebuild()'s own station tables and its identity subset lists.
+  StationTables tables_;
+  std::vector<std::uint32_t> identity_;
+  // build() scratch: the covered stations of the device being laid out, and
+  // the batched per-device sqrt(f_i / σ_{i,s}) over the servers device i
+  // reaches — local server s sits at position reach_slot_[s] of the compact
+  // rows iff reach_stamp_[s] == i.
+  std::vector<std::uint32_t> covered_;
   std::vector<std::uint32_t> reach_stamp_;
   std::vector<std::uint32_t> reach_slot_;
   std::vector<double> task_cycles_row_;
@@ -280,18 +251,6 @@ class WcgProblem {
   // resource -> arena indices of options touching it (CSR layout).
   std::vector<std::size_t> index_offsets_;  // num_resources + 1
   std::vector<std::uint32_t> index_entries_;
-  std::size_t num_servers_ = 0;
-  std::size_t num_base_stations_ = 0;
-  std::uint64_t build_id_ = 0;
-
-  // Lazy component cache (see components()). The signature captures the
-  // connectivity structure — per-option (bs, server) plus the offset table —
-  // so an identical-structure rebuild can reuse the decomposition.
-  mutable WcgComponents components_;
-  mutable bool components_valid_ = false;
-  mutable bool signature_valid_ = false;
-  mutable std::vector<std::size_t> signature_offsets_;
-  mutable std::vector<std::uint64_t> signature_options_;  // (bs << 32) | server
 };
 
 // Incremental load bookkeeping for search algorithms (CGBA, MCBA, B&B).

@@ -213,7 +213,7 @@ std::vector<StageStats> PolicyGraph::stage_stats() const {
   stats.reserve(slots_.size());
   for (const auto& slot : slots_) {
     stats.push_back(slot.stats);
-    // Per-shard breakdowns live in the stage (it owns the sharded solves);
+    // Per-component breakdowns live in the stage (it owns the solves);
     // attach them at read time so run_slot's hot path stays untouched.
     stats.back().shards = slot.stage->shard_counters();
   }

@@ -86,10 +86,11 @@ class Stage {
   // back to the freshly-constructed state. Default: stateless stage.
   virtual void reset() {}
 
-  // Per-shard solver effort accumulated since the last reset(), by
-  // component index, for stages that route their P2-A solves through the
-  // sharded drivers (core/sharded). Default: empty (stage never shards).
-  // PolicyGraph::stage_stats() folds this into StageStats::shards.
+  // Per-component solver effort accumulated since the last reset(), by
+  // component index, for stages that solve P2-A per connected component of
+  // the WCG (core/components.h). Default: empty (the stage solves nothing
+  // per component). PolicyGraph::stage_stats() folds this into
+  // StageStats::shards.
   [[nodiscard]] virtual std::vector<core::counters::SolverCounters>
   shard_counters() const {
     return {};

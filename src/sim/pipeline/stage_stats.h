@@ -23,11 +23,11 @@ struct StageStats {
   std::uint64_t runs = 0;  // stage invocations (loop stages run z× per slot)
   double seconds = 0.0;
   core::counters::SolverCounters counters;
-  // Per-shard effort breakdown for stages that run the sharded P2-A
-  // drivers (core/sharded), accumulated by component index across the
-  // stage's runs; empty for unsharded stages. Deterministic for every
-  // worker count, and the in-shard fields (cgba_*, mcba_*, engine_*) sum
-  // exactly to this stage's `counters` totals.
+  // Per-component effort breakdown for stages that solve P2-A per
+  // connected component of the WCG (core/components.h), accumulated by
+  // component index across the stage's runs; empty for other stages.
+  // Deterministic for every worker count, and the in-shard fields (cgba_*,
+  // mcba_*, engine_*) sum exactly to this stage's `counters` totals.
   std::vector<core::counters::SolverCounters> shards;
 };
 

@@ -77,10 +77,10 @@ class QueueUpdateStage final : public Stage {
 };
 
 // Line 3 of Algorithm 2: one P2-A solve at the current Ω. Owns the BDMA
-// workspace (WCG arena + the assignment carried across slots, which reset()
-// clears with the workspace); the first loop iteration of each slot runs
-// bdma_begin_slot. Its "bdma_loop" input is loop-carried: iteration k+1
-// consumes the Ω the downstream P2-B stage wrote at k.
+// workspace (the slot's WCG components + the assignment carried across
+// slots, which reset() clears with the workspace); the first loop iteration
+// of each slot runs bdma_begin_slot. Its "bdma_loop" input is loop-carried:
+// iteration k+1 consumes the Ω the downstream P2-B stage wrote at k.
 class P2aSolveStage final : public Stage {
  public:
   explicit P2aSolveStage(core::BdmaConfig config) : config_(config) {}
@@ -109,13 +109,15 @@ class P2aSolveStage final : public Stage {
  private:
   core::BdmaConfig config_;
   core::BdmaWorkspace workspace_;
-  // Per-component effort accumulated across every sharded P2-A solve this
-  // stage ran (empty while shard_workers is 0).
+  // Per-component effort accumulated across every P2-A solve this stage
+  // ran, by component index.
   std::vector<core::counters::SolverCounters> shard_counters_;
 };
 
 // Lines 4-8 of Algorithm 2: one P2-B solve at the fixed assignment, the
-// best-pair tracking, and the Ω hand-off to the next P2-A iteration.
+// best-pair tracking, and the Ω hand-off to the next P2-A iteration. It
+// reads the load sums the P2-A stage's components left, through the
+// workspace the "bdma_loop" port names, and keeps no state of its own.
 class P2bSolveStage final : public Stage {
  public:
   P2bSolveStage(double v, core::BdmaConfig config) : v_(v), config_(config) {}
@@ -134,19 +136,10 @@ class P2bSolveStage final : public Stage {
             {"best", PortType::kBestSolution}};
   }
   void run(StageContext& ctx) override;
-  void reset() override {
-    p2b_ = core::P2bWorkspace{};
-    p2b_result_ = core::P2bResult{};
-  }
 
  private:
   double v_;
   core::BdmaConfig config_;
-  // P2-B solve scratch (batched kernel lanes), reused across slots. The
-  // stage prices loads through the sqrt-chain overload — same bits as
-  // bdma()'s arena-load path, which lives in the P2-A stage's workspace.
-  core::P2bWorkspace p2b_;
-  core::P2bResult p2b_result_;
 };
 
 // Observation point between the solvers and the decision: calls the
@@ -252,10 +245,16 @@ class MinFrequencyStage final : public Stage {
   void run(StageContext& ctx) override;
 };
 
-// One CGBA assignment solve at the published frequencies. Owns the WCG
-// problem arena (rebuilt in place every slot) and the slot's assignment,
-// which seeds the next slot's CGBA start (WcgProblem::warm_profile) until
-// reset() clears it.
+// One CGBA assignment solve at the published frequencies, per connected
+// component of the slot's WCG (core/components.h): the components are
+// built and solved on up to shard_workers pool workers, from the draws of
+// random_profile in global device order with each device keeping its
+// carried (bs, server) pair where that is still an option. Owns the
+// components (rebuilt in place every slot) and the slot's assignment, which
+// seeds the next slot's start until reset() clears it. The reported cost is
+// the final loads' social cost summed in global resource order — the
+// global solve's bits; the "p2a" port carries no per-device profile (the
+// assignment port does).
 class CgbaAssignStage final : public Stage {
  public:
   explicit CgbaAssignStage(core::CgbaConfig config) : config_(config) {}
@@ -274,9 +273,8 @@ class CgbaAssignStage final : public Stage {
   }
   void run(StageContext& ctx) override;
   void reset() override {
-    problem_ = core::WcgProblem{};
+    wcg_ = core::WcgComponents{};
     carried_ = core::Assignment{};
-    sharded_ = core::ShardedWorkspace{};
     shard_counters_.clear();
   }
   [[nodiscard]] std::vector<core::counters::SolverCounters> shard_counters()
@@ -286,9 +284,16 @@ class CgbaAssignStage final : public Stage {
 
  private:
   core::CgbaConfig config_;
-  core::WcgProblem problem_;
+  core::WcgComponents wcg_;
   core::Assignment carried_;  // the previous slot's assignment
-  core::ShardedWorkspace sharded_;
+  // Per-run scratch, per component: the solve's profile, final tracked
+  // loads, moves, convergence and effort.
+  std::vector<core::Profile> profiles_;
+  std::vector<std::vector<double>> loads_;
+  std::vector<std::size_t> moves_;
+  std::vector<char> converged_;
+  std::vector<core::counters::SolverCounters> slot_counters_;
+  // Per-component effort accumulated across every run, by component index.
   std::vector<core::counters::SolverCounters> shard_counters_;
 };
 

@@ -8,8 +8,8 @@ core::DppConfig dpp_config_from(const PolicyParams& params,
                                 core::P2aSolverKind solver) {
   if (params.shard_workers > 0 && solver == core::P2aSolverKind::kRopt) {
     throw std::invalid_argument(
-        "shard_workers requires a shardable P2-A solver (CGBA or MCBA); "
-        "ROPT has no sharded driver");
+        "shard_workers requires a P2-A solver that runs on workers (CGBA "
+        "or MCBA); ROPT only draws a random profile");
   }
   core::DppConfig config;
   config.v = params.v;

@@ -21,12 +21,12 @@ struct PolicyParams {
   std::size_t bdma_iterations = 5;   // the paper's z
   std::size_t mcba_iterations = 3000;
   double fixed_fraction = 1.0;       // for "fixed-frequency"
-  // 0 = global P2-A solves (historical behaviour). >= 1 routes every CGBA
-  // / MCBA P2-A solve through the connected-component sharded drivers
-  // (core/sharded) with at most this many pool workers. Results are
-  // bit-identical for every value; only wall-clock and the per-shard
-  // effort breakdown in the artifact change. dpp_config_from throws for
-  // solvers without a sharded path (ROPT).
+  // How many pool workers a slot's per-component work runs on: the WCG
+  // build, the CGBA / MCBA P2-A solves and the P2-B load sums of every
+  // connected component (core/components.h). 0 and 1 run every component
+  // inline on the calling thread. Results are bit-identical for every
+  // value; only wall-clock changes. dpp_config_from throws for ROPT, which
+  // has no solve to spread over workers.
   std::size_t shard_workers = 0;
   MpcConfig mpc;                     // for "mpc"
 };
@@ -44,8 +44,8 @@ struct PolicyParams {
 [[nodiscard]] core::CgbaConfig baseline_cgba_config_from(
     const PolicyParams& params);
 
-// MpcConfig for "mpc": params.mpc, with its CGBA assignment sharded by
-// shard_workers like the other CGBA baselines.
+// MpcConfig for "mpc": params.mpc, with its CGBA assignment on
+// shard_workers workers like the other CGBA baselines.
 [[nodiscard]] MpcConfig mpc_config_from(const PolicyParams& params);
 
 }  // namespace eotora::sim

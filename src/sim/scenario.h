@@ -58,10 +58,10 @@ struct ScenarioConfig {
   // draws shadowing for devices × stations_per_district pairs only. Fronthaul
   // wires stations only to the local room — so the WCG decomposes into
   // exactly one connected component per district. This is the scenario the
-  // sharded P2-A drivers (core/sharded) and bench/scaling's metro study
-  // exercise at 10⁵+ devices. Metro mode requires kRandomWaypoint mobility
-  // (waypoints are drawn in the box) and ignores mid_band_stations /
-  // low_band_stations / clusters.
+  // component-parallel slot (core/components) and perfbench's metro-10k
+  // workload exercise at 10⁴-10⁵ devices. Metro mode requires
+  // kRandomWaypoint mobility (waypoints are drawn in the box) and ignores
+  // mid_band_stations / low_band_stations / clusters.
   std::size_t metro_districts = 0;
   std::size_t stations_per_district = 2;
   std::uint64_t seed = 42;

@@ -6,7 +6,7 @@
 // which RESULTS are combined. Callers that store result i into slot i of a
 // pre-sized vector and merge slots in index order therefore produce output
 // that is bit-identical to a serial loop, regardless of thread count (this
-// is the guarantee sim::run_sweep and the sharded P2-A drivers rely on).
+// is the guarantee sim::run_sweep and the component-parallel slot rely on).
 //
 // Exceptions thrown by the body are captured; the first one (by completion
 // order) is rethrown on the calling thread after every index finished or

@@ -451,16 +451,26 @@ TEST(KernelDifferential, SolveP2bMatchesReferenceOnEveryBackend) {
       }
       ASSERT_EQ(bits(result.objective), bits(expected.objective))
           << b->name << " seed=" << seed;
-      // The arena-load overload prices the chosen options straight from the
-      // WCG arena; same bits as the sqrt-chain recompute above.
-      solve_p2b(instance, state, assignment, problem, profile, v, q, 1e-7,
-                workspace, result);
+      // The load-sum overload, fed the chosen options' p-values summed in
+      // device order from the WCG arena (as BDMA sums each component's):
+      // same bits as the sqrt-chain recompute above.
+      P2bLoads loads;
+      loads.compute.assign(instance.num_servers(), 0.0);
+      loads.access.assign(instance.num_base_stations(), 0.0);
+      loads.fronthaul.assign(instance.num_base_stations(), 0.0);
+      for (std::size_t i = 0; i < profile.size(); ++i) {
+        const Option& opt = problem.options(i)[profile[i]];
+        loads.compute[opt.server] += opt.p_compute;
+        loads.access[opt.bs] += opt.p_access;
+        loads.fronthaul[opt.bs] += opt.p_fronthaul;
+      }
+      solve_p2b(instance, state, loads, v, q, 1e-7, workspace, result);
       for (std::size_t s = 0; s < expected.frequencies.size(); ++s) {
         ASSERT_EQ(bits(result.frequencies[s]), bits(expected.frequencies[s]))
-            << b->name << " seed=" << seed << " server=" << s << " (arena)";
+            << b->name << " seed=" << seed << " server=" << s << " (loads)";
       }
       ASSERT_EQ(bits(result.objective), bits(expected.objective))
-          << b->name << " seed=" << seed << " (arena)";
+          << b->name << " seed=" << seed << " (loads)";
     }
   }
 }

@@ -156,8 +156,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   b.lemma1_evaluations = 8;
   b.component_finds = 9;
   b.component_reuses = 10;
-  b.shard_extractions = 11;
-  b.shard_extraction_reuses = 12;
+  b.arena_precomputes = 11;
+  b.arena_precompute_reuses = 12;
   SolverCounters merged = a;
   merged.merge(b);
   EXPECT_EQ(merged.cgba_rounds, 1u);
@@ -170,8 +170,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   EXPECT_EQ(merged.lemma1_evaluations, 8u);
   EXPECT_EQ(merged.component_finds, 9u);
   EXPECT_EQ(merged.component_reuses, 10u);
-  EXPECT_EQ(merged.shard_extractions, 11u);
-  EXPECT_EQ(merged.shard_extraction_reuses, 12u);
+  EXPECT_EQ(merged.arena_precomputes, 11u);
+  EXPECT_EQ(merged.arena_precompute_reuses, 12u);
   EXPECT_NE(merged, a);
   SolverCounters again = a;
   again.merge(b);
@@ -190,8 +190,7 @@ TEST(CountersTest, ToJsonListsEveryCounterFieldInOrder) {
       "bdma_iterations",   "engine_rebuilds",
       "engine_term_refreshes", "lemma1_evaluations",
       "component_finds",   "component_reuses",
-      "arena_precomputes", "arena_precompute_reuses",
-      "shard_extractions", "shard_extraction_reuses"};
+      "arena_precomputes", "arena_precompute_reuses"};
   ASSERT_EQ(json.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(json.items()[i].first, expected[i]) << i;

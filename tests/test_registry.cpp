@@ -131,9 +131,8 @@ ScenarioConfig metro() {
 }
 
 // Every name eotora_cli accepts --shards for (all but dpp-ropt and
-// beta-only) runs its P2-A solve sharded when shard_workers > 0: the same
-// decisions as the global solve, and one shard per district reported by
-// the P2-A stage.
+// beta-only) gives the same decisions with its components on pool workers
+// as inline, and its P2-A stage reports one component per district.
 TEST(Registry, ShardWorkersShardEveryCgbaOrMcbaPolicy) {
   Scenario scenario(metro());
   const auto states = scenario.generate_states(3);

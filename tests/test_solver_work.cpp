@@ -1,8 +1,8 @@
 // Deterministic work pins: the exact SolverCounters a fixed dpp-bdma drain
-// spends, on the paper scenario and on a sharded metro world.
+// spends, on the paper scenario and on a multi-component metro world.
 //
 // The counters are integers that depend only on the scenario, the policy
-// parameters and the rng seed — never on the machine, the thread count or
+// parameters and the rng seed — never on the machine, the worker count or
 // the kernel backend — so a change in solver work (a lost warm start, an
 // extra rebuild, a slower best-response path) fails here as an exact
 // count, where a timing would only drift. Like a golden fixture, these
@@ -63,16 +63,22 @@ TEST(SolverWork, PaperScenarioDppBdmaSpendsPinnedWork) {
                .bdma_iterations = 120});
 }
 
-TEST(SolverWork, ShardedMetroDppBdmaSpendsPinnedWork) {
+// A 4-district metro world solves one component per district; the work is
+// the same whichever number of workers the components run on (0 and 1 run
+// them inline).
+TEST(SolverWork, MetroDppBdmaSpendsPinnedWorkOnEveryWorkerCount) {
   ScenarioConfig config;
   config.metro_districts = 4;
   config.devices = 400;
-  expect_work(drain_dpp_bdma(config, 2),
-              {.cgba_rounds = 2209,
-               .cgba_moves = 1729,
-               .engine_rebuilds = 480,
-               .engine_term_refreshes = 641800,
-               .bdma_iterations = 120});
+  for (const std::size_t workers : {0, 1, 2, 4}) {
+    SCOPED_TRACE(workers);
+    expect_work(drain_dpp_bdma(config, workers),
+                {.cgba_rounds = 2209,
+                 .cgba_moves = 1729,
+                 .engine_rebuilds = 480,
+                 .engine_term_refreshes = 641800,
+                 .bdma_iterations = 120});
+  }
 }
 
 }  // namespace
