@@ -12,11 +12,16 @@ BetaOnlyResult solve_beta_only(const Instance& instance,
   EOTORA_REQUIRE(config.max_multiplier > 0.0);
   EOTORA_REQUIRE(config.iterations > 0);
 
+  // One workspace for every probe of the slot, so the probes share the
+  // slot's component plan and arenas; each starts cold, as a fresh one would.
+  BdmaWorkspace workspace;
   auto run = [&](double q) {
     // Identical randomization across multiplier probes keeps the bisection
     // monotone in q (the only thing that changes is the energy pressure).
     util::Rng probe_rng(12345);
-    return bdma(instance, state, /*v=*/1.0, q, config.bdma, probe_rng);
+    workspace.carried = Assignment{};
+    return bdma(instance, state, /*v=*/1.0, q, config.bdma, probe_rng,
+                workspace);
   };
   (void)rng;
 
