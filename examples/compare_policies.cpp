@@ -5,13 +5,10 @@
 //
 // The policies are selected by registry name and executed by the sweep
 // runner (sim/runner.h), which also emits the machine-readable artifact
-// when --out is given. Also demonstrates the record/replay workflow: the
-// scenario's state sequence survives a CSV round trip bit-for-bit, so any
-// run here can be reproduced from the file alone.
+// when --out is given.
 //
 //   $ ./examples/compare_policies [--devices=N] [--seed=S] [--horizon=T]
 //                                 [--threads=K] [--out=path.json]
-#include <cstdio>
 #include <iostream>
 
 #include "eotora/eotora.h"
@@ -40,16 +37,7 @@ int main(int argc, char** argv) {
     sim::Scenario scenario(spec.base);
     sim::print_scenario(std::cout, scenario);
 
-    // Record + replay round trip: the exact state sequence every cell below
-    // regenerates from the seed can also be frozen to CSV and reloaded, so
-    // the comparison is reproducible from the file alone.
-    const auto generated = scenario.generate_states(spec.horizon);
-    const std::string trace_path = "/tmp/eotora_compare_trace.csv";
-    sim::save_states(trace_path, generated);
-    const auto replayed = sim::load_states(trace_path);
-    std::cout << "\nrecorded " << replayed.size() << " slots to " << trace_path
-              << " and replayed them\n\n";
-
+    std::cout << "\n";
     const auto result = sim::run_sweep(spec, args.get_uint("threads", 0));
     result.table().print(std::cout);
 
@@ -67,7 +55,6 @@ int main(int argc, char** argv) {
       result.write_json(path);
       std::cout << "wrote " << path << "\n";
     }
-    std::remove(trace_path.c_str());
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -4,8 +4,8 @@
 //
 //   $ ./examples/eotora_cli --help
 //   $ ./examples/eotora_cli --policy=bdma --v=200 --days=7 --budget=1.1
-//   $ ./examples/eotora_cli --policy=greedy --devices=60 --record=run.csv
-//   $ ./examples/eotora_cli --policy=mcba --replay=run.csv
+//   $ ./examples/eotora_cli --policy=greedy --devices=60 --record=run.eot
+//   $ ./examples/eotora_cli --policy=mcba --devices=60 --replay=run.eot
 //   $ ./examples/eotora_cli --policy=bdma --devices=50 --horizon=100000
 //
 // States are pulled one slot at a time (sim::StateSource), so memory stays
@@ -56,8 +56,12 @@ options (all --key=value):
              one component per district
   --graph    print the stage/port wiring of this policy's decision
              pipeline (sim/pipeline graph), then exit
-  --record   write the generated state trace to this CSV path
-  --replay   read states from this CSV instead of generating
+  --record   write the run's states to this state log: the EOT1
+             session eotora_serve ingests (a hello, then one delta
+             frame per slot; serve/state_log.h)
+  --replay   read states from a state log instead of generating
+             them; its devices x base stations must match the
+             scenario built from the other flags
   --log      write a per-slot decision log (CSV) to this path
   --prefetch generate the next state on a background thread while
              the policy decides the current slot
@@ -161,18 +165,9 @@ int main(int argc, char** argv) {
       core::kernels::set_backend(args.get("kernel-backend", ""));
     }
 
-    // The historical short names stay as aliases everywhere a policy name
-    // is accepted.
-    const auto resolve_policy = [](std::string name) {
-      if (name == "bdma") return std::string("dpp-bdma");
-      if (name == "mcba") return std::string("dpp-mcba");
-      if (name == "ropt") return std::string("dpp-ropt");
-      if (name == "greedy") return std::string("greedy-budget");
-      return name;
-    };
-
     if (args.has("graph")) {
-      const std::string name = resolve_policy(args.get("graph", ""));
+      const std::string name =
+          sim::resolve_policy_alias(args.get("graph", ""));
       if (name.empty()) {
         throw std::invalid_argument("--graph requires a policy name");
       }
@@ -220,7 +215,7 @@ int main(int argc, char** argv) {
     if (args.has("record") && args.has("replay")) {
       throw std::invalid_argument(
           "--record and --replay are mutually exclusive: a replayed run "
-          "would just copy the input CSV");
+          "would just copy the input log");
     }
     if (args.has("replay") && (args.has("horizon") || args.has("days"))) {
       throw std::invalid_argument(
@@ -236,8 +231,9 @@ int main(int argc, char** argv) {
       util::trace::set_enabled(true);
     }
 
-    // Policies come from the registry; short names resolve above.
-    const std::string policy_name = resolve_policy(args.get("policy", "bdma"));
+    // Policies come from the registry; the short names stay as aliases.
+    const std::string policy_name =
+        sim::resolve_policy_alias(args.get("policy", "bdma"));
     sim::PolicyParams params;
     params.v = args.get_double("v", 100.0);
     params.initial_queue = args.get_double("q0", 0.0);
@@ -264,28 +260,34 @@ int main(int argc, char** argv) {
     }
     const bool auditing = audit.mode != sim::AuditMode::kOff;
 
-    // Build the state source: the scenario (or a replay file) pulled one
+    // Build the state source: the scenario (or a state log) pulled one
     // slot at a time, optionally teed into a recording and prefetched.
     std::unique_ptr<sim::Scenario> replay_world;  // instance for --replay
     std::unique_ptr<sim::ScenarioSource> scenario_source;
-    std::unique_ptr<sim::ReplaySource> replay_source;
-    std::unique_ptr<sim::RecordingSource> recording_source;
+    std::unique_ptr<serve::StateLogSource> replay_source;
+    std::unique_ptr<serve::RecordingSource> recording_source;
     std::unique_ptr<sim::PrefetchSource> prefetch_source;
     sim::StateSource* source = nullptr;
     const core::Instance* instance = nullptr;
     if (args.has("replay")) {
       replay_world = std::make_unique<sim::Scenario>(config);
+      instance = &replay_world->instance();
       sim::print_scenario(std::cout, *replay_world);
       replay_source =
-          std::make_unique<sim::ReplaySource>(args.get("replay", ""));
-      if (replay_source->devices() != config.devices) {
+          std::make_unique<serve::StateLogSource>(args.get("replay", ""));
+      // The log's shape must be the instance's before the first slot; the
+      // applier then checks every slot's rows and values.
+      if (replay_source->devices() != instance->num_devices() ||
+          replay_source->base_stations() != instance->num_base_stations()) {
         throw std::invalid_argument(
-            "replay file has " + std::to_string(replay_source->devices()) +
-            " devices but the scenario has " +
-            std::to_string(config.devices) + "; pass matching --devices");
+            "replay log has " + std::to_string(replay_source->devices()) +
+            " devices x " + std::to_string(replay_source->base_stations()) +
+            " base stations but the scenario has " +
+            std::to_string(instance->num_devices()) + " devices x " +
+            std::to_string(instance->num_base_stations()) +
+            " base stations; pass the recording's world flags");
       }
       source = replay_source.get();
-      instance = &replay_world->instance();
       std::cout << "streaming replay from " << args.get("replay", "") << "\n";
     } else {
       scenario_source = std::make_unique<sim::ScenarioSource>(config, horizon);
@@ -294,7 +296,7 @@ int main(int argc, char** argv) {
       instance = &scenario_source->instance();
     }
     if (args.has("record")) {
-      recording_source = std::make_unique<sim::RecordingSource>(
+      recording_source = std::make_unique<serve::RecordingSource>(
           *source, args.get("record", ""));
       source = recording_source.get();
     }

@@ -1,22 +1,27 @@
-// eotora_loadgen: drives an eotora_serve daemon with a recorded delta
-// stream at full wire speed and reports the achieved ingest rate plus the
+// eotora_loadgen: drives an eotora_serve daemon with a recorded state log
+// at full wire speed and reports the achieved ingest rate plus the
 // daemon's final metrics.
 //
-// The stream is produced exactly like a batch run would see it: a scenario
-// generates SlotStates, DeltaRecorder diffs consecutive states into
-// SlotDeltas (first delta = full snapshot), and every frame is pre-encoded
-// before the timer starts — so the measured slots/sec is the end-to-end
-// ingest path (socket write, daemon read, frame decode, ring submit), not
-// scenario generation.
+// The log (eotora_cli --record, serve/state_log.h) already is the session
+// a client sends: a hello naming the instance shape, then one delta frame
+// per slot, the first a full snapshot. Every frame is read before the
+// loadgen connects, so the measured slots/sec is the end-to-end ingest
+// path (socket write, daemon read, frame decode, ring submit), not file
+// reads. The loadgen sends its own hello (with --want-decisions set) and
+// then the recorded deltas verbatim.
 //
+//   $ ./examples/eotora_cli --policy=greedy --devices=30 --horizon=1000
+//         --record=run.eot
 //   $ ./examples/eotora_serve --socket=/tmp/eotora.sock --devices=30 &
-//   $ ./examples/eotora_loadgen --socket=/tmp/eotora.sock --devices=30
-//         --slots=1000 --metrics-out=metrics.json  (one command line)
+//   $ ./examples/eotora_loadgen --socket=/tmp/eotora.sock --replay=run.eot
+//         --metrics-out=metrics.json  (one command line each)
+#include <fstream>
 #include <iostream>
 
 #include "eotora/eotora.h"
 #include "serve/codec.h"
 #include "serve/socket.h"
+#include "serve/state_log.h"
 #include "util/args.h"
 #include "util/timer.h"
 
@@ -24,15 +29,12 @@ namespace {
 
 void print_usage() {
   std::cout <<
-      R"(eotora_loadgen - replay a scenario's delta stream into eotora_serve
+      R"(eotora_loadgen - replay a recorded state log into eotora_serve
 
 options (all --key=value):
   --socket   daemon's Unix-domain socket path                 (required)
-  --devices  scenario device count (must match the daemon's)  [100]
-  --slots    number of slots to stream                        [1000]
-  --budget   energy budget in $ per slot                      [1.0]
-  --seed     scenario seed (must match the daemon's)          [42]
-  --scenario named preset applied before the flags above      [paper]
+  --replay   state log to send (eotora_cli --record); its devices x
+             base stations must match the daemon's instance   (required)
   --want-decisions  subscribe to per-slot kDecision frames and read
              them in lock-step (one per delta); slows ingest to the
              solver's pace, so leave it off for throughput runs
@@ -51,9 +53,8 @@ int main(int argc, char** argv) {
   using namespace eotora;
   try {
     const util::Args args(argc, argv,
-                          {"socket", "devices", "slots", "budget", "seed",
-                           "scenario", "want-decisions", "metrics-out",
-                           "help"});
+                          {"socket", "replay", "want-decisions",
+                           "metrics-out", "help"});
     if (args.has("help")) {
       print_usage();
       return 0;
@@ -62,40 +63,31 @@ int main(int argc, char** argv) {
     if (socket_path.empty()) {
       throw std::invalid_argument("--socket requires a socket path");
     }
-    const long slots = args.get_int("slots", 1000);
-    if (slots <= 0) {
-      throw std::invalid_argument("--slots must be a positive count, got " +
-                                  args.get("slots", ""));
+    const std::string log_path = args.get("replay", "");
+    if (log_path.empty()) {
+      throw std::invalid_argument("--replay requires a state log path");
     }
 
-    sim::ScenarioConfig config;
-    if (args.has("scenario")) {
-      sim::apply_scenario_preset(args.get("scenario", ""), config);
-    }
-    config.devices = args.get_uint("devices", 100);
-    config.budget_per_slot = args.get_double("budget", 1.0);
-    config.seed = args.get_uint("seed", 42);
-    sim::ScenarioSource source(config, static_cast<std::size_t>(slots));
-    const core::Instance& instance = source.instance();
-
-    // Record and pre-encode the whole stream before connecting, so the
-    // timed loop below measures transport + ingest only.
-    const std::vector<sim::SlotDelta> deltas = sim::record_deltas(source);
+    // Read every delta frame before connecting, so the timed loop below
+    // measures transport + ingest only.
+    std::ifstream log;
+    serve::FrameAssembler log_assembler;
+    serve::Hello hello =
+        serve::open_state_log(log_path, log, log_assembler);
     std::vector<std::vector<std::uint8_t>> frames;
-    frames.reserve(deltas.size());
-    for (const sim::SlotDelta& delta : deltas) {
-      frames.push_back(serve::encode_frame(serve::FrameType::kDelta,
-                                           serve::encode_delta(delta)));
+    serve::Frame frame;
+    while (serve::read_frame(log, log_assembler, frame)) {
+      if (frame.type != serve::FrameType::kDelta) {
+        throw std::runtime_error("state log '" + log_path +
+                                 "' holds a non-delta frame after its hello");
+      }
+      frames.push_back(
+          serve::encode_frame(serve::FrameType::kDelta, frame.payload));
     }
 
     const bool want_decisions = args.has("want-decisions");
     serve::Fd fd = serve::connect_unix(socket_path);
     serve::FrameAssembler assembler;
-    serve::Frame frame;
-    serve::Hello hello;
-    hello.devices = static_cast<std::uint32_t>(instance.num_devices());
-    hello.base_stations =
-        static_cast<std::uint32_t>(instance.num_base_stations());
     hello.want_decisions = want_decisions;
     serve::send_frame(fd, serve::FrameType::kHello,
                       serve::encode_hello(hello));
@@ -154,10 +146,10 @@ int main(int argc, char** argv) {
     }
 
     const double rate =
-        stream_seconds > 0.0 ? static_cast<double>(deltas.size()) /
+        stream_seconds > 0.0 ? static_cast<double>(frames.size()) /
                                    stream_seconds
                              : 0.0;
-    std::cout << "ingest: " << deltas.size() << " slots in " << stream_seconds
+    std::cout << "ingest: " << frames.size() << " slots in " << stream_seconds
               << " s (" << rate << " slots/sec)\n";
     if (want_decisions) {
       std::cout << "decisions received: " << decisions_seen << "\n";
@@ -165,9 +157,9 @@ int main(int argc, char** argv) {
     std::cout << metrics.dump(2) << std::endl;
     const std::uint64_t decided = static_cast<std::uint64_t>(
         metrics.at("slots_decided").as_number());
-    if (decided != deltas.size()) {
+    if (decided != frames.size()) {
       std::cerr << "error: daemon decided " << decided << " of "
-                << deltas.size() << " submitted slots\n";
+                << frames.size() << " submitted slots\n";
       return 1;
     }
     return 0;

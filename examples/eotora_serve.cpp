@@ -15,7 +15,7 @@
 // run — decisions are bit-identical to run_policy over the same stream.
 //
 //   $ ./examples/eotora_serve --socket=/tmp/eotora.sock --devices=30 &
-//   $ ./examples/eotora_loadgen --socket=/tmp/eotora.sock --slots=1000
+//   $ ./examples/eotora_loadgen --socket=/tmp/eotora.sock --replay=run.eot
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -87,19 +87,13 @@ int main(int argc, char** argv) {
     sim::Scenario world(config);
     const core::Instance& instance = world.instance();
 
-    const auto resolve_policy = [](std::string name) {
-      if (name == "bdma") return std::string("dpp-bdma");
-      if (name == "mcba") return std::string("dpp-mcba");
-      if (name == "ropt") return std::string("dpp-ropt");
-      if (name == "greedy") return std::string("greedy-budget");
-      return name;
-    };
     sim::PolicyParams params;
     params.v = args.get_double("v", 100.0);
     params.initial_queue = args.get_double("q0", 0.0);
     params.bdma_iterations = args.get_uint("z", 5, 1);
-    std::unique_ptr<sim::Policy> policy = sim::make_policy(
-        resolve_policy(args.get("policy", "bdma")), instance, params);
+    std::unique_ptr<sim::Policy> policy =
+        sim::make_policy(sim::resolve_policy_alias(args.get("policy", "bdma")),
+                         instance, params);
 
     serve::ServeOptions options;
     options.rng_seed = args.get_uint("rng-seed", 1);

@@ -28,6 +28,10 @@
 // trailing bytes, unknown frame types, and length prefixes above
 // kMaxFramePayload all throw CodecError rather than yielding a partial
 // value.
+//
+// A state log (serve/state_log.h) is an EOT1 session on disk: the kHello a
+// client would send, then one kDelta per slot. eotora_cli --record writes
+// one, and eotora_cli --replay and eotora_loadgen --replay read it.
 #pragma once
 
 #include <cstddef>

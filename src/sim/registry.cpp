@@ -105,6 +105,14 @@ bool is_registered_policy(const std::string& name) {
   return entries().count(name) > 0;
 }
 
+std::string resolve_policy_alias(const std::string& name) {
+  if (name == "bdma") return "dpp-bdma";
+  if (name == "mcba") return "dpp-mcba";
+  if (name == "ropt") return "dpp-ropt";
+  if (name == "greedy") return "greedy-budget";
+  return name;
+}
+
 std::string policy_description(const std::string& name) {
   const auto it = entries().find(name);
   if (it == entries().end()) throw_unknown_policy(name);

@@ -40,6 +40,10 @@ namespace eotora::sim {
 
 [[nodiscard]] bool is_registered_policy(const std::string& name);
 
+// Maps the historical short names (bdma, mcba, ropt, greedy) to their
+// registry names; every other name is returned unchanged.
+[[nodiscard]] std::string resolve_policy_alias(const std::string& name);
+
 // One-line human description of the named policy (for --list-policies and
 // similar listings). Throws std::invalid_argument for an unknown name,
 // listing the registered ones.

@@ -1,12 +1,9 @@
 #include "sim/state_source.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
-#include "sim/replay.h"
 #include "util/check.h"
-#include "util/strings.h"
 #include "util/trace.h"
 
 namespace eotora::sim {
@@ -49,146 +46,6 @@ void ScenarioSource::reset() {
   if (produced_ == 0) return;  // still at the first slot; nothing to rewind
   scenario_ = std::make_unique<Scenario>(config_);
   produced_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// ReplaySource
-
-ReplaySource::ReplaySource(const std::string& path) : path_(path) {
-  open_and_parse_header();
-}
-
-void ReplaySource::fail(const std::string& message) const {
-  throw std::invalid_argument(path_ + ":" + std::to_string(line_) + ": " +
-                              message);
-}
-
-std::string ReplaySource::column_name(std::size_t index) const {
-  if (index == 0) return "slot";
-  if (index == 1) return "price";
-  index -= 2;
-  if (index < devices_) return replay_column_f(index);
-  index -= devices_;
-  if (index < devices_) return replay_column_d(index);
-  index -= devices_;
-  return replay_column_h(index / base_stations_, index % base_stations_);
-}
-
-void ReplaySource::open_and_parse_header() {
-  in_.close();
-  in_.clear();
-  in_.open(path_);
-  if (!in_) {
-    throw std::runtime_error("ReplaySource: cannot open '" + path_ + "'");
-  }
-  line_ = 1;
-  std::string header;
-  if (!std::getline(in_, header)) {
-    fail("replay file is empty");
-  }
-  std::vector<std::string> names;
-  for (const auto& name : util::split(util::trim(header), ',')) {
-    names.push_back(util::trim(name));
-  }
-  if (names.size() < 4) {
-    fail("replay file has too few columns (" + std::to_string(names.size()) +
-         ")");
-  }
-  if (names[0] != "slot" || names[1] != "price") {
-    fail("replay file does not start with slot,price columns");
-  }
-  devices_ = 0;
-  while (2 + devices_ < names.size() &&
-         names[2 + devices_] == replay_column_f(devices_)) {
-    ++devices_;
-  }
-  if (devices_ == 0) fail("replay file has no f_i columns");
-  const std::size_t d_start = 2 + devices_;
-  for (std::size_t i = 0; i < devices_; ++i) {
-    if (d_start + i >= names.size() ||
-        names[d_start + i] != replay_column_d(i)) {
-      fail("replay file d_i columns malformed");
-    }
-  }
-  const std::size_t h_start = 2 + 2 * devices_;
-  const std::size_t h_columns = names.size() - h_start;
-  if (h_columns == 0 || h_columns % devices_ != 0) {
-    fail("replay file h columns not divisible by device count");
-  }
-  base_stations_ = h_columns / devices_;
-  for (std::size_t i = 0; i < devices_; ++i) {
-    for (std::size_t k = 0; k < base_stations_; ++k) {
-      if (names[h_start + i * base_stations_ + k] != replay_column_h(i, k)) {
-        fail("replay file h columns malformed at device " +
-             std::to_string(i));
-      }
-    }
-  }
-  columns_ = names.size();
-}
-
-bool ReplaySource::next(core::SlotState& out) {
-  std::string row;
-  while (std::getline(in_, row)) {
-    ++line_;
-    const std::string trimmed = util::trim(row);
-    if (trimmed.empty()) continue;
-    const auto fields = util::split(trimmed, ',');
-    if (fields.size() != columns_) {
-      fail("row has " + std::to_string(fields.size()) +
-           " fields, expected " + std::to_string(columns_));
-    }
-    auto parse = [&](std::size_t column) {
-      try {
-        return util::parse_double(fields[column]);
-      } catch (const std::invalid_argument& error) {
-        fail("column '" + column_name(column) + "': " + error.what());
-      }
-    };
-    out.slot = static_cast<std::size_t>(parse(0));
-    out.price_per_mwh = parse(1);
-    out.task_cycles.resize(devices_);
-    out.data_bits.resize(devices_);
-    out.channel.resize(devices_);
-    for (std::size_t i = 0; i < devices_; ++i) {
-      out.task_cycles[i] = parse(2 + i);
-      out.data_bits[i] = parse(2 + devices_ + i);
-      auto& row_h = out.channel[i];
-      row_h.resize(base_stations_);
-      const std::size_t h_start = 2 + 2 * devices_ + i * base_stations_;
-      for (std::size_t k = 0; k < base_stations_; ++k) {
-        row_h[k] = parse(h_start + k);
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-void ReplaySource::reset() { open_and_parse_header(); }
-
-// ---------------------------------------------------------------------------
-// RecordingSource
-
-RecordingSource::RecordingSource(StateSource& inner, const std::string& path)
-    : inner_(&inner),
-      path_(path),
-      writer_(std::make_unique<ReplayWriter>(path)) {}
-
-RecordingSource::~RecordingSource() = default;
-
-bool RecordingSource::next(core::SlotState& out) {
-  if (!inner_->next(out)) {
-    if (writer_->rows() > 0) writer_->close();
-    return false;
-  }
-  writer_->record(out);
-  return true;
-}
-
-void RecordingSource::reset() {
-  inner_->reset();
-  writer_ = std::make_unique<ReplayWriter>(path_);
 }
 
 // ---------------------------------------------------------------------------

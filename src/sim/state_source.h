@@ -16,19 +16,18 @@
 //                       nothing per slot. reset() rebuilds the Scenario
 //                       from its config — generation is deterministic in
 //                       the seed, so the replay is bit-identical.
-//   ReplaySource        streams the replay CSV (sim/replay.h schema) row by
-//                       row instead of slurping the file; errors name the
-//                       offending line.
 //   MaterializedSource  adapts an existing std::vector<SlotState>, so
 //                       Fig.-9-style identical-input comparisons (several
 //                       policies over one pre-drawn vector) go through the
 //                       same run_policy as every other drain.
-//   RecordingSource     tee: passes states through while appending them to
-//                       a replay CSV (streaming save_states).
 //   PrefetchSource      double-buffered producer: generates the next state
 //                       on a background thread while the consumer decides
 //                       the current slot. Output is bit-identical to the
 //                       wrapped source; only wall-clock overlap changes.
+//
+// Recorded runs live elsewhere: sim::DeltaSource replays an in-memory delta
+// stream (sim/delta.h), and serve::RecordingSource / serve::StateLogSource
+// write and stream a state log, an EOT1 frame file (serve/state_log.h).
 //
 // Determinism contract: a StateSource is a pure position in a deterministic
 // stream. next() fills the buffer and advances; reset() rewinds to the
@@ -40,10 +39,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,11 +49,9 @@
 
 namespace eotora::sim {
 
-class ReplayWriter;  // sim/replay.h
-
 class StateSource {
  public:
-  // size_hint() value when the remaining length is unknown (ReplaySource).
+  // size_hint() value when the remaining length is unknown (a state log).
   static constexpr std::size_t kUnknownSize = static_cast<std::size_t>(-1);
 
   virtual ~StateSource() = default;
@@ -120,56 +115,6 @@ class ScenarioSource final : public StateSource {
   std::size_t horizon_;
   std::unique_ptr<Scenario> scenario_;
   std::size_t produced_ = 0;
-};
-
-// Streams a replay CSV (the sim/replay.h wide schema) row by row in O(1)
-// memory. The header is validated up front; every schema or shape error
-// names the file and the 1-based line it was found on. Construction throws
-// std::runtime_error when the file cannot be opened and
-// std::invalid_argument on a malformed header.
-class ReplaySource final : public StateSource {
- public:
-  explicit ReplaySource(const std::string& path);
-
-  bool next(core::SlotState& out) override;
-  void reset() override;
-
-  [[nodiscard]] std::size_t devices() const { return devices_; }
-  [[nodiscard]] std::size_t base_stations() const { return base_stations_; }
-
- private:
-  void open_and_parse_header();
-  [[nodiscard]] std::string column_name(std::size_t index) const;
-  [[noreturn]] void fail(const std::string& message) const;
-
-  std::string path_;
-  std::ifstream in_;
-  std::size_t devices_ = 0;
-  std::size_t base_stations_ = 0;
-  std::size_t columns_ = 0;
-  std::size_t line_ = 0;  // 1-based; the header is line 1
-};
-
-// Tee: forwards `inner` unchanged while appending every state to a replay
-// CSV at `path` (the streaming equivalent of save_states). The file is
-// finalized when the stream is exhausted or the source is destroyed.
-// reset() resets the inner source and truncates the recording.
-class RecordingSource final : public StateSource {
- public:
-  // `inner` must outlive this source.
-  RecordingSource(StateSource& inner, const std::string& path);
-  ~RecordingSource() override;
-
-  bool next(core::SlotState& out) override;
-  void reset() override;
-  [[nodiscard]] std::size_t size_hint() const override {
-    return inner_->size_hint();
-  }
-
- private:
-  StateSource* inner_;
-  std::string path_;
-  std::unique_ptr<ReplayWriter> writer_;
 };
 
 // Double-buffered prefetch: a dedicated producer thread pulls from `inner`

@@ -269,6 +269,37 @@ TEST(DeltaRecorder, MinusZeroCountsAsAChange) {
   ASSERT_EQ(delta.channels.size(), 1u);
 }
 
+// A stream's shape is fixed by its first state: dropping a device or
+// resizing one channel row later is rejected, not diffed.
+TEST(DeltaRecorder, RejectsAMidStreamShapeChange) {
+  Scenario scenario(tiny());
+  const auto states = scenario.generate_states(2);
+  SlotDelta delta;
+  {
+    DeltaRecorder recorder;
+    recorder.diff(states[0], delta);
+    core::SlotState fewer = states[1];
+    fewer.task_cycles.pop_back();
+    fewer.data_bits.pop_back();
+    fewer.channel.pop_back();
+    EXPECT_THROW(recorder.diff(fewer, delta), std::invalid_argument);
+  }
+  {
+    DeltaRecorder recorder;
+    recorder.diff(states[0], delta);
+    core::SlotState narrower = states[1];
+    narrower.channel[3].pop_back();
+    EXPECT_THROW(recorder.diff(narrower, delta), std::invalid_argument);
+  }
+  {
+    DeltaRecorder recorder;
+    recorder.diff(states[0], delta);
+    core::SlotState ragged = states[1];
+    ragged.data_bits.pop_back();  // one vector shorter than the others
+    EXPECT_THROW(recorder.diff(ragged, delta), std::invalid_argument);
+  }
+}
+
 TEST(DeltaSource, ReconstructsRecordedStatesByteForByte) {
   Scenario scenario(tiny());
   const auto states = scenario.generate_states(48);

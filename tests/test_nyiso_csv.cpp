@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "sim/replay.h"
 #include "sim/scenario.h"
 
 namespace eotora::trace {

@@ -1,23 +1,35 @@
 // The serve layer: wire codec round trips (fuzzed), strict decode of
 // malformed frames, incremental frame reassembly, the SPSC ring under a
-// real two-thread producer/consumer, and the ServeLoop differential — the
-// daemon's decide loop must reproduce run_policy bit for bit.
+// real two-thread producer/consumer, the ServeLoop differential — the
+// daemon's decide loop must reproduce run_policy bit for bit — and state
+// logs, whose replay must reproduce the recorded run bit for bit and
+// reject every file or slot the instance cannot take.
 #include "serve/codec.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/ring.h"
 #include "serve/server.h"
+#include "serve/state_log.h"
 #include "sim/delta.h"
 #include "sim/registry.h"
 #include "sim/scenario.h"
+#include "sim/scenario_registry.h"
 #include "sim/simulator.h"
+#include "sim/state_source.h"
 #include "util/rng.h"
 
 namespace eotora::serve {
@@ -370,6 +382,274 @@ TEST(ServeLoop, RejectedDeltaPoisonsTheLoop) {
   EXPECT_NE(metrics.error.find("out-of-order slot"), std::string::npos)
       << metrics.error;
   EXPECT_FALSE(loop.submit(deltas[0]));  // poisoned loops accept nothing
+}
+
+// ---------------------------------------------------------------------------
+// State logs
+
+// A log path unique to the running test and process, removed on scope exit.
+struct ScratchLog {
+  explicit ScratchLog(const std::string& tag = "") {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    path = (std::filesystem::temp_directory_path() /
+            ("eotora_" + std::string(test->name()) + tag + "_" +
+             std::to_string(::getpid()) + ".eot"))
+               .string();
+    std::remove(path.c_str());
+  }
+  ~ScratchLog() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// The session a client would send: a hello, then one frame per delta.
+std::vector<std::uint8_t> session_bytes(
+    const core::Instance& instance, const std::vector<sim::SlotDelta>& deltas) {
+  Hello hello;
+  hello.devices = static_cast<std::uint32_t>(instance.num_devices());
+  hello.base_stations =
+      static_cast<std::uint32_t>(instance.num_base_stations());
+  std::vector<std::uint8_t> bytes =
+      encode_frame(FrameType::kHello, encode_hello(hello));
+  for (const sim::SlotDelta& delta : deltas) {
+    const auto frame = encode_frame(FrameType::kDelta, encode_delta(delta));
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+std::vector<core::SlotState> drain(sim::StateSource& source) {
+  std::vector<core::SlotState> states;
+  core::SlotState state;
+  while (source.next(state)) states.push_back(state);
+  return states;
+}
+
+// Bit-for-bit equality of two state sequences: SlotDelta's == compares
+// IEEE-754 bit patterns, and a sequence's recorded stream starts with a
+// full snapshot, so equal streams mean equal bits in every field.
+void expect_bit_identical(const std::vector<core::SlotState>& a,
+                          const std::vector<core::SlotState>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_TRUE(sim::record_deltas(a) == sim::record_deltas(b));
+}
+
+// Opening the log fails, naming what is wrong with the file.
+void expect_open_fails(const std::string& path, const std::string& what) {
+  try {
+    StateLogSource source(path);
+    ADD_FAILURE() << "opened " << path;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+        << error.what();
+  }
+}
+
+// The tee writes exactly the session eotora_serve ingests: a hello with
+// want_decisions off, then DeltaRecorder's stream, one frame per slot.
+TEST(StateLog, TeeWritesTheSessionAClientWouldSend) {
+  const ScratchLog log;
+  sim::ScenarioSource inner(tiny(), 12);
+  RecordingSource tee(inner, log.path);
+  const auto states = drain(tee);
+  EXPECT_EQ(file_bytes(log.path),
+            session_bytes(inner.instance(), sim::record_deltas(states)));
+}
+
+// The hello's base-station count comes from the first row, so a state with
+// a row of another width cannot be recorded.
+TEST(StateLog, TeeRejectsARaggedChannelRow) {
+  const ScratchLog log;
+  sim::Scenario scenario(tiny());
+  auto states = scenario.generate_states(1);
+  states[0].channel[2].pop_back();
+  sim::MaterializedSource inner(states);
+  RecordingSource tee(inner, log.path);
+  core::SlotState state;
+  EXPECT_THROW((void)tee.next(state), std::invalid_argument);
+}
+
+// Every registered preset on a small paper world, plus a 4-district metro
+// world whose devices see only their own district's stations.
+TEST(StateLog, EveryPresetAndAMetroWorldReplayBitForBit) {
+  std::vector<std::pair<std::string, sim::ScenarioConfig>> worlds;
+  for (const std::string& name : sim::registered_scenarios()) {
+    sim::ScenarioConfig config;
+    sim::apply_scenario_preset(name, config);
+    config.devices = 8;
+    config.seed = 7;
+    worlds.emplace_back(name, config);
+  }
+  sim::ScenarioConfig metro;
+  metro.metro_districts = 4;
+  metro.devices = 16;
+  metro.servers_per_cluster = 2;
+  metro.seed = 7;
+  worlds.emplace_back("metro-4", metro);
+
+  for (const auto& [name, config] : worlds) {
+    SCOPED_TRACE(name);
+    const ScratchLog log(name);
+    sim::ScenarioSource inner(config, 24);
+    RecordingSource tee(inner, log.path);
+    const auto recorded = drain(tee);
+    ASSERT_EQ(recorded.size(), 24u);
+    const auto bytes = file_bytes(log.path);
+
+    StateLogSource replay(log.path);
+    EXPECT_EQ(replay.devices(), inner.instance().num_devices());
+    EXPECT_EQ(replay.base_stations(), inner.instance().num_base_stations());
+    expect_bit_identical(drain(replay), recorded);
+    replay.reset();
+    expect_bit_identical(drain(replay), recorded);
+
+    // The tee's reset() starts the log again and rewrites the same bytes.
+    tee.reset();
+    EXPECT_EQ(drain(tee).size(), recorded.size());
+    EXPECT_EQ(file_bytes(log.path), bytes);
+  }
+}
+
+// The log differential: a dpp-bdma run over the log decides exactly what
+// the run that recorded it decided, queue and solver work included.
+TEST(StateLog, DppBdmaOverTheLogDecidesWhatTheRecordingRunDecided) {
+  const ScratchLog log;
+  sim::ScenarioSource inner(tiny(), 48);
+  RecordingSource tee(inner, log.path);
+  auto live_policy =
+      sim::make_policy("dpp-bdma", inner.instance(), sim::PolicyParams{});
+  const auto live = sim::run_policy(*live_policy, tee);
+
+  StateLogSource replay(log.path);
+  auto replay_policy =
+      sim::make_policy("dpp-bdma", inner.instance(), sim::PolicyParams{});
+  const auto replayed = sim::run_policy(*replay_policy, replay);
+
+  EXPECT_EQ(live.metrics.latency_series(), replayed.metrics.latency_series());
+  EXPECT_EQ(live.metrics.cost_series(), replayed.metrics.cost_series());
+  EXPECT_EQ(live.metrics.queue_series(), replayed.metrics.queue_series());
+  EXPECT_TRUE(live.counters == replayed.counters);
+}
+
+TEST(StateLog, MissingFileIsRejected) {
+  const ScratchLog log;
+  expect_open_fails(log.path, "cannot open state log");
+}
+
+TEST(StateLog, EmptyFileIsRejected) {
+  const ScratchLog log;
+  write_bytes(log.path, {});
+  expect_open_fails(log.path, "is empty");
+}
+
+TEST(StateLog, LogWithoutALeadingHelloIsRejected) {
+  const ScratchLog log;
+  write_bytes(log.path,
+              encode_frame(FrameType::kDelta, encode_delta(sim::SlotDelta{})));
+  expect_open_fails(log.path, "does not start with a kHello");
+}
+
+// A shape whose snapshot could not fit one frame cannot come from a
+// recording, and is refused before anything is sized for it.
+TEST(StateLog, HelloWithAnImpossibleShapeIsRejected) {
+  const ScratchLog log;
+  for (const auto& [devices, stations] :
+       {std::pair<std::uint32_t, std::uint32_t>{0, 6},
+        {30, 0},
+        {1u << 20, 1u << 20},
+        {1, 0xFFFFFFFFu},
+        {0xFFFFFFFFu, 1}}) {
+    Hello hello;
+    hello.devices = devices;
+    hello.base_stations = stations;
+    write_bytes(log.path, encode_frame(FrameType::kHello, encode_hello(hello)));
+    expect_open_fails(log.path, "impossible shape");
+  }
+}
+
+// A log cut mid-frame delivers its whole slots, then fails on the partial
+// one instead of ending cleanly one slot short.
+TEST(StateLog, TruncatedTailIsRejected) {
+  const ScratchLog log;
+  sim::ScenarioSource inner(tiny(), 4);
+  RecordingSource tee(inner, log.path);
+  auto recorded = drain(tee);
+  auto bytes = file_bytes(log.path);
+  bytes.resize(bytes.size() - 5);
+  write_bytes(log.path, bytes);
+
+  StateLogSource replay(log.path);
+  std::vector<core::SlotState> delivered(recorded.size() - 1);
+  for (core::SlotState& state : delivered) ASSERT_TRUE(replay.next(state));
+  recorded.pop_back();
+  expect_bit_identical(delivered, recorded);
+  core::SlotState state;
+  EXPECT_THROW((void)replay.next(state), CodecError);
+}
+
+// Slot 1 of a clean 2-slot log, corrupted one way per case: the applier
+// rejects it with the matching kind, naming slot 1 and the device.
+TEST(StateLog, OutOfDomainSlotIsRejectedNamingSlotAndDevice) {
+  sim::Scenario scenario(tiny());
+  const auto states = scenario.generate_states(2);
+  const auto clean = sim::record_deltas(states);
+  ASSERT_EQ(clean[1].slot, 1u);
+  using Kind = sim::DeltaError::Kind;
+  const auto expect_rejected = [&](const std::string& name, Kind kind,
+                                   std::size_t device, auto corrupt) {
+    SCOPED_TRACE(name);
+    sim::SlotDelta slot1 = clean[1];
+    corrupt(slot1);
+    const ScratchLog log(name);
+    write_bytes(log.path,
+                session_bytes(scenario.instance(), {clean[0], slot1}));
+    StateLogSource replay(log.path);
+    core::SlotState state;
+    ASSERT_TRUE(replay.next(state));
+    try {
+      (void)replay.next(state);
+      FAIL() << "the corrupt slot was applied";
+    } catch (const sim::DeltaError& error) {
+      EXPECT_EQ(error.kind(), kind) << error.what();
+      EXPECT_EQ(error.slot(), 1u) << error.what();
+      EXPECT_EQ(error.device(), device) << error.what();
+    }
+  };
+  const core::SlotState& live = states[1];
+  expect_rejected("negative_price", Kind::kBadValue,
+                  sim::DeltaError::kNoDevice, [](sim::SlotDelta& delta) {
+                    delta.has_price = true;
+                    delta.price = -40.0;
+                  });
+  expect_rejected("negative_channel", Kind::kBadValue, 2,
+                  [&](sim::SlotDelta& delta) {
+                    delta.channels.push_back({2, live.channel[2]});
+                    delta.channels.back().row[0] = -3.0;
+                  });
+  expect_rejected("negative_task", Kind::kBadValue, 3,
+                  [&](sim::SlotDelta& delta) {
+                    delta.workloads.push_back({3, -5e8, live.data_bits[3]});
+                  });
+  expect_rejected("zero_task", Kind::kBadValue, 4, [&](sim::SlotDelta& delta) {
+    delta.workloads.push_back({4, 0.0, live.data_bits[4]});
+  });
+  expect_rejected("short_row", Kind::kBadShape, 1,
+                  [&](sim::SlotDelta& delta) {
+                    delta.channels.push_back({1, live.channel[1]});
+                    delta.channels.back().row.pop_back();
+                  });
 }
 
 }  // namespace

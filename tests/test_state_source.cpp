@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
 #include "sim/registry.h"
-#include "sim/replay.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 
@@ -143,51 +141,6 @@ TEST(ScenarioSourceTest, InPlaceAndValueFormsDrawTheSameStream) {
   }
 }
 
-TEST(ReplaySourceTest, StreamsWhatLoadStatesParses) {
-  const std::string path = "/tmp/eotora_test_state_source_replay.csv";
-  Scenario scenario(tiny());
-  const auto states = scenario.generate_states(7);
-  save_states(path, states);
-  const auto loaded = load_states(path);
-  ReplaySource source(path);
-  EXPECT_EQ(source.devices(), tiny().devices);
-  const auto streamed = drain(source);
-  std::remove(path.c_str());
-  ASSERT_EQ(streamed.size(), loaded.size());
-  for (std::size_t t = 0; t < loaded.size(); ++t) {
-    expect_states_equal(streamed[t], loaded[t], t);
-  }
-}
-
-TEST(ReplaySourceTest, ResetRewindsToTheFirstRow) {
-  const std::string path = "/tmp/eotora_test_state_source_reset.csv";
-  Scenario scenario(tiny());
-  save_states(path, scenario.generate_states(4));
-  ReplaySource source(path);
-  const auto first = drain(source);
-  source.reset();
-  const auto second = drain(source);
-  std::remove(path.c_str());
-  ASSERT_EQ(first.size(), 4u);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t t = 0; t < first.size(); ++t) {
-    expect_states_equal(first[t], second[t], t);
-  }
-}
-
-TEST(RecordingSourceTest, TeeWritesAReplayableCsv) {
-  const std::string path = "/tmp/eotora_test_state_source_tee.csv";
-  ScenarioSource inner(tiny(), 5);
-  RecordingSource tee(inner, path);
-  const auto streamed = drain(tee);
-  const auto loaded = load_states(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(loaded.size(), streamed.size());
-  for (std::size_t t = 0; t < streamed.size(); ++t) {
-    expect_states_equal(loaded[t], streamed[t], t);
-  }
-}
-
 TEST(PrefetchSourceTest, DeliversTheInnerSequenceUnchanged) {
   ScenarioSource reference(tiny(), 12);
   const auto expected = drain(reference);
@@ -216,8 +169,8 @@ TEST(PrefetchSourceTest, ResetReplays) {
 }
 
 // Streams `good_slots` states from a ScenarioSource, then throws from
-// next() — the producer-side failure mode (e.g. a ReplaySource hitting a
-// malformed CSV row mid-stream).
+// next() — the producer-side failure mode (e.g. a StateLogSource hitting a
+// truncated frame mid-stream).
 class ThrowingSource final : public StateSource {
  public:
   ThrowingSource(const ScenarioConfig& config, std::size_t good_slots)
