@@ -56,9 +56,8 @@ int main() {
   auto topo = std::make_shared<topology::Topology>(builder.build());
 
   // 2. Problem instance: suitability + budget.
-  core::Instance instance(
-      topo, core::Instance::random_sigma(40, topo->num_servers(), rng),
-      /*budget_per_slot=*/0.6);
+  const core::Instance instance =
+      core::Instance::random(topo, rng, /*budget_per_slot=*/0.6);
 
   std::cout << "custom deployment: " << topo->num_base_stations()
             << " cells, " << topo->num_clusters() << " rooms, "

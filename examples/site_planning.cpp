@@ -79,9 +79,8 @@ int main() {
   for (bool with_macro : {false, true}) {
     util::Rng rng(99);
     auto topo = build_site(with_macro, devices, rng);
-    core::Instance instance(
-        topo, core::Instance::random_sigma(devices, topo->num_servers(), rng),
-        /*budget_per_slot=*/1.0);
+    const core::Instance instance =
+        core::Instance::random(topo, rng, /*budget_per_slot=*/1.0);
     topology::ChannelModel channel(topology::ChannelConfig{}, *topo,
                                    rng.fork());
     core::SlotState state;

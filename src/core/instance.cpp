@@ -1,37 +1,84 @@
 #include "core/instance.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace eotora::core {
 
 Instance::Instance(std::shared_ptr<const topology::Topology> topology,
-                   SuitabilityMatrix sigma, double budget_per_slot,
-                   double slot_hours)
+                   double budget_per_slot, double slot_hours)
     : topology_(std::move(topology)),
-      sigma_(std::move(sigma)),
       budget_per_slot_(budget_per_slot),
       slot_hours_(slot_hours) {
   EOTORA_REQUIRE(topology_ != nullptr);
   EOTORA_REQUIRE_MSG(budget_per_slot_ > 0.0,
                      "budget=" << budget_per_slot_);
   EOTORA_REQUIRE_MSG(slot_hours_ > 0.0, "slot_hours=" << slot_hours_);
-  EOTORA_REQUIRE_MSG(sigma_.size() == topology_->num_devices(),
-                     "sigma rows=" << sigma_.size() << " devices="
-                                   << topology_->num_devices());
-  for (std::size_t i = 0; i < sigma_.size(); ++i) {
-    EOTORA_REQUIRE_MSG(sigma_[i].size() == topology_->num_servers(),
-                       "sigma row " << i << " has " << sigma_[i].size()
+}
+
+Instance::Instance(std::shared_ptr<const topology::Topology> topology,
+                   const SuitabilityMatrix& sigma, double budget_per_slot,
+                   double slot_hours)
+    : Instance(std::move(topology), budget_per_slot, slot_hours) {
+  const topology::Topology& topo = *topology_;
+  EOTORA_REQUIRE_MSG(sigma.size() == topo.num_devices(),
+                     "sigma rows=" << sigma.size() << " devices="
+                                   << topo.num_devices());
+  sigma_.reserve(topo.num_reachable_pairs());
+  for (std::size_t i = 0; i < sigma.size(); ++i) {
+    EOTORA_REQUIRE_MSG(sigma[i].size() == topo.num_servers(),
+                       "sigma row " << i << " has " << sigma[i].size()
                                     << " entries");
-    for (double s : sigma_[i]) {
+    for (double s : sigma[i]) {
       EOTORA_REQUIRE_MSG(s > 0.0 && s <= 1.0, "sigma=" << s);
+    }
+    for (topology::ServerId n :
+         topo.reachable_servers(topology::DeviceId{i})) {
+      sigma_.push_back(sigma[i][n.value]);
     }
   }
 }
 
+Instance Instance::random(std::shared_ptr<const topology::Topology> topology,
+                          util::Rng& rng, double budget_per_slot,
+                          double slot_hours) {
+  Instance instance(std::move(topology), budget_per_slot, slot_hours);
+  const topology::Topology& topo = *instance.topology_;
+  const std::size_t servers = topo.num_servers();
+  instance.sigma_.reserve(topo.num_reachable_pairs());
+  // A uniform double takes exactly one word of the 64-bit engine, so
+  // discarding one word per unreachable entry keeps the dense stream.
+  std::size_t drawn = 0;  // dense row-major entries consumed so far
+  for (std::size_t i = 0; i < topo.num_devices(); ++i) {
+    for (topology::ServerId n :
+         topo.reachable_servers(topology::DeviceId{i})) {
+      const std::size_t entry = i * servers + n.value;
+      rng.engine().discard(entry - drawn);
+      instance.sigma_.push_back(rng.uniform(0.5, 1.0));
+      drawn = entry + 1;
+    }
+  }
+  rng.engine().discard(topo.num_devices() * servers - drawn);
+  return instance;
+}
+
 double Instance::suitability(std::size_t device, std::size_t server) const {
-  EOTORA_REQUIRE(device < sigma_.size());
-  EOTORA_REQUIRE(server < sigma_[device].size());
-  return sigma_[device][server];
+  const std::span<const topology::ServerId> row =
+      topology_->reachable_servers(topology::DeviceId{device});
+  const auto it =
+      std::lower_bound(row.begin(), row.end(), topology::ServerId{server});
+  EOTORA_REQUIRE_MSG(it != row.end() && it->value == server,
+                     "server " << server << " is out of device " << device
+                               << "'s reach");
+  return sigma_[topology_->reachable_offset(topology::DeviceId{device}) +
+                static_cast<std::size_t>(it - row.begin())];
+}
+
+std::span<const double> Instance::suitability_row(std::size_t device) const {
+  const topology::DeviceId i{device};
+  return std::span<const double>(sigma_).subspan(
+      topology_->reachable_offset(i), topology_->reachable_servers(i).size());
 }
 
 double Instance::server_cost(std::size_t server, double ghz,
@@ -64,17 +111,6 @@ Frequencies Instance::max_frequencies() const {
   freq.reserve(num_servers());
   for (const auto& s : topology_->servers()) freq.push_back(s.freq_max_ghz);
   return freq;
-}
-
-SuitabilityMatrix Instance::random_sigma(std::size_t devices,
-                                         std::size_t servers, util::Rng& rng,
-                                         double lo, double hi) {
-  EOTORA_REQUIRE(lo > 0.0 && lo <= hi && hi <= 1.0);
-  SuitabilityMatrix sigma(devices, std::vector<double>(servers, 0.0));
-  for (auto& row : sigma) {
-    for (double& s : row) s = rng.uniform(lo, hi);
-  }
-  return sigma;
 }
 
 bool Instance::frequencies_feasible(const Frequencies& freq) const {

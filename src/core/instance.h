@@ -1,8 +1,9 @@
 // The per-scenario problem data that does not change from slot to slot:
-// the network, the suitability matrix, the energy budget, and slot timing.
+// the network, the suitability σ, the energy budget, and slot timing.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -13,12 +14,23 @@ namespace eotora::core {
 
 class Instance {
  public:
-  // `sigma[i][n]` must be in (0, 1] for every device/server pair.
-  // `budget_per_slot` is C̄ (dollars); `slot_hours` converts server power to
-  // per-slot energy. Throws std::invalid_argument on shape/range errors.
+  // `sigma[i][n]` must be in (0, 1] for every device/server pair. Only the
+  // entries of each device's reachable servers are kept: σ_{i,n} enters
+  // the problem through the options device i can take, and a server
+  // outside topology::Topology::reachable_servers(i) is never one of them.
+  // `budget_per_slot` is C̄ (dollars); `slot_hours` converts server power
+  // to per-slot energy. Throws std::invalid_argument on shape/range errors.
   Instance(std::shared_ptr<const topology::Topology> topology,
-           SuitabilityMatrix sigma, double budget_per_slot,
+           const SuitabilityMatrix& sigma, double budget_per_slot,
            double slot_hours = 1.0);
+
+  // σ uniform in [0.5, 1) (the paper's range), drawn straight into the
+  // reachable layout: `rng` advances as for a dense devices × servers draw
+  // in row-major order, one engine word per entry, and each kept entry
+  // has that draw's bits.
+  [[nodiscard]] static Instance random(
+      std::shared_ptr<const topology::Topology> topology, util::Rng& rng,
+      double budget_per_slot, double slot_hours = 1.0);
 
   [[nodiscard]] const topology::Topology& topology() const {
     return *topology_;
@@ -27,9 +39,13 @@ class Instance {
       const {
     return topology_;
   }
-  [[nodiscard]] const SuitabilityMatrix& sigma() const { return sigma_; }
+  // σ_{i,n}. Throws std::invalid_argument when server n is out of device
+  // i's reach.
   [[nodiscard]] double suitability(std::size_t device,
                                    std::size_t server) const;
+  // σ of device i over topology().reachable_servers(i), entry for entry.
+  [[nodiscard]] std::span<const double> suitability_row(
+      std::size_t device) const;
   [[nodiscard]] double budget_per_slot() const { return budget_per_slot_; }
   [[nodiscard]] double slot_hours() const { return slot_hours_; }
 
@@ -62,19 +78,18 @@ class Instance {
   [[nodiscard]] Frequencies min_frequencies() const;
   [[nodiscard]] Frequencies max_frequencies() const;
 
-  // Uniform random suitability matrix in [lo, hi] (paper: [0.5, 1]).
-  [[nodiscard]] static SuitabilityMatrix random_sigma(std::size_t devices,
-                                                      std::size_t servers,
-                                                      util::Rng& rng,
-                                                      double lo = 0.5,
-                                                      double hi = 1.0);
-
   // Checks a frequency vector is within every server's [F^L, F^U].
   [[nodiscard]] bool frequencies_feasible(const Frequencies& freq) const;
 
  private:
+  // Everything but σ, which the public constructor and random() fill.
+  Instance(std::shared_ptr<const topology::Topology> topology,
+           double budget_per_slot, double slot_hours);
+
   std::shared_ptr<const topology::Topology> topology_;
-  SuitabilityMatrix sigma_;
+  // σ flat over the topology's reachable pairs: device i's row starts at
+  // topology_->reachable_offset(i).
+  std::vector<double> sigma_;
   double budget_per_slot_;
   double slot_hours_;
 };

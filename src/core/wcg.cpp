@@ -88,8 +88,6 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   EOTORA_REQUIRE_MSG(state.channel.size() == all_devices,
                      "channel rows=" << state.channel.size());
   EOTORA_REQUIRE(tables.fronthaul_se.size() == all_stations);
-  const SuitabilityMatrix& sigma = instance.sigma();
-  EOTORA_REQUIRE(sigma.size() == all_devices);
 
   station_ids_.assign(subset.stations.begin(), subset.stations.end());
   server_ids_.assign(subset.servers.begin(), subset.servers.end());
@@ -112,6 +110,7 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   reach_slot_.resize(servers);
   task_cycles_row_.resize(servers);
   sigma_row_.resize(servers);
+  sigma_local_.resize(servers);
   sqrt_compute_row_.resize(servers);
   covered_.resize(all_stations);
   for (std::size_t j = 0; j < subset.devices.size(); ++j) {
@@ -122,21 +121,49 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
                        "device " << i << " f=" << state.task_cycles[i]);
     EOTORA_REQUIRE_MSG(state.data_bits[i] > 0.0,
                        "device " << i << " d=" << state.data_bits[i]);
-    EOTORA_REQUIRE(sigma[i].size() == topo.num_servers());
+    // σ_{i,s} of the device's reachable servers, by local server. A
+    // reachable server outside the subset (reached only over a station
+    // that does not cover the device this slot) has no local position:
+    // server_local maps it anywhere, so each hit is checked against
+    // `servers`.
+    const topology::DeviceId device{i};
+    const std::span<const topology::ServerId> reach =
+        topo.reachable_servers(device);
+    const std::span<const double> sigma = instance.suitability_row(i);
+    for (std::size_t p = 0; p < reach.size(); ++p) {
+      const std::uint32_t local = subset.server_local[reach[p].value];
+      if (local < servers && subset.servers[local] == reach[p].value) {
+        sigma_local_[local] = sigma[p];
+      }
+    }
     // One pass over the dense row finds the covering stations (and checks
-    // them against the plan) and gathers σ_{i,s} of every server a covering
-    // station reaches into a compact row, once per server however many
-    // stations reach it; sqrt(f_i / σ_{i,s}) is then batched over that row:
-    // the same operands and rounding as the per-option chain, on every
-    // kernel backend. Gathering in its own pass, ahead of the arena writes,
-    // measured 1.3-1.8x faster than gathering while laying out the options
-    // (x86-64, AVX2 backend).
+    // them against the coverable list and the plan) and gathers σ_{i,s} of
+    // every server a covering station reaches into a compact row, once per
+    // server however many stations reach it; sqrt(f_i / σ_{i,s}) is then
+    // batched over that row: the same operands and rounding as the
+    // per-option chain, on every kernel backend. Gathering in its own pass,
+    // ahead of the arena writes, measured 1.3-1.8x faster than gathering
+    // while laying out the options (x86-64, AVX2 backend).
+    const std::span<const topology::BaseStationId> coverable =
+        topo.coverable_stations(device);
     const auto stamp = static_cast<std::uint32_t>(j);
     std::size_t covering = 0;
     std::size_t reached = 0;
+    std::size_t next_coverable = 0;
     std::size_t expected = check ? subset.coverage_offsets[i] : 0;
     for (std::size_t k = 0; k < all_stations; ++k) {
       if (channel[k] <= 0.0) continue;  // not covered / unusable link
+      // σ is stored only for the servers coverable stations reach, and a
+      // station off the list never covers the device wherever it moves.
+      while (next_coverable < coverable.size() &&
+             coverable[next_coverable].value < k) {
+        ++next_coverable;
+      }
+      EOTORA_REQUIRE_MSG(next_coverable < coverable.size() &&
+                             coverable[next_coverable].value == k,
+                         "device " << i << " has h > 0 on station " << k
+                                   << ", which can never cover it, at slot "
+                                   << state.slot);
       if (check) {
         if (expected == subset.coverage_offsets[i + 1] ||
             subset.coverage[expected] != k) {
@@ -151,7 +178,7 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
         if (reach_stamp_[local] == stamp) continue;
         reach_stamp_[local] = stamp;
         reach_slot_[local] = static_cast<std::uint32_t>(reached);
-        sigma_row_[reached++] = sigma[i][s.value];
+        sigma_row_[reached++] = sigma_local_[local];
       }
     }
     if (check && expected != subset.coverage_offsets[i + 1]) return false;

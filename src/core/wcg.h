@@ -84,8 +84,10 @@ struct WcgSubset {
   std::span<const std::uint32_t> devices;
   std::span<const std::uint32_t> stations;
   std::span<const std::uint32_t> servers;
-  // Global station / server id -> position in `stations` / `servers`, read
-  // only at the ids a subset device's options touch.
+  // Global station / server id -> position in `stations` / `servers`.
+  // station_local is read only at the stations a subset device's options
+  // touch; server_local at every server a subset device can reach, where an
+  // id outside `servers` may map anywhere.
   std::span<const std::uint32_t> station_local;
   std::span<const std::uint32_t> server_local;
   // Optional coverage check, CSR over global device ids: the stations with
@@ -103,7 +105,8 @@ class WcgProblem {
 
   // Builds option lists and resource weights from the instance, the current
   // slot state, and the current frequencies. Throws std::invalid_argument if
-  // any device has no feasible option (no covering BS with a usable channel).
+  // any device has no feasible option (no covering BS with a usable channel)
+  // or h > 0 on a station outside its coverable_stations.
   WcgProblem(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies);
 
@@ -238,11 +241,12 @@ class WcgProblem {
   // rebuild()'s own station tables and its identity subset lists.
   StationTables tables_;
   std::vector<std::uint32_t> identity_;
-  // build() scratch: the covered stations of the device being laid out, and
-  // the batched per-device sqrt(f_i / σ_{i,s}) over the servers device i
-  // reaches — local server s sits at position reach_slot_[s] of the compact
-  // rows iff reach_stamp_[s] == i.
+  // build() scratch: the covered stations of the device being laid out,
+  // its σ by local server, and the batched per-device sqrt(f_i / σ_{i,s})
+  // over the servers device i reaches — local server s sits at position
+  // reach_slot_[s] of the compact rows iff reach_stamp_[s] == i.
   std::vector<std::uint32_t> covered_;
+  std::vector<double> sigma_local_;
   std::vector<std::uint32_t> reach_stamp_;
   std::vector<std::uint32_t> reach_slot_;
   std::vector<double> task_cycles_row_;

@@ -1,5 +1,6 @@
 #include "sim/delta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -37,6 +38,7 @@ namespace {
     case DeltaError::Kind::kUnknownDevice: return "unknown device";
     case DeltaError::Kind::kBadShape: return "bad shape";
     case DeltaError::Kind::kBadValue: return "bad value";
+    case DeltaError::Kind::kMissingJoin: return "missing join";
   }
   return "delta error";
 }
@@ -192,6 +194,16 @@ void DeltaApplier::apply(const SlotDelta& delta, core::SlotState& out) {
       (!std::isfinite(delta.price) || delta.price <= 0.0)) {
     fail(DeltaError::Kind::kBadValue, DeltaError::kNoDevice,
          "price must be finite and > 0");
+  }
+  // The joins above are in range and distinct, so the first delta joins
+  // every device iff it carries one join per device.
+  if (applied_ == 0 && delta.joins.size() != devices_) {
+    std::vector<char> joined(devices_, 0);
+    for (const auto& join : delta.joins) joined[join.device] = 1;
+    const auto missing = static_cast<std::size_t>(
+        std::find(joined.begin(), joined.end(), 0) - joined.begin());
+    fail(DeltaError::Kind::kMissingJoin, missing,
+         "the first delta must join every device");
   }
 
   // ---- apply pass (cannot fail) ----------------------------------------

@@ -84,6 +84,7 @@ class DeltaError : public std::runtime_error {
     kUnknownDevice,   // leave/update of a device that is not present
     kBadShape,        // device index or channel row size off the instance
     kBadValue,        // non-finite or out-of-domain numeric payload
+    kMissingJoin,     // a first delta that does not join every device
   };
 
   static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
@@ -115,10 +116,10 @@ class DeltaApplier {
 
   // Validates `delta` completely, then applies it and copies the resulting
   // post-delta state into `out`. Throws DeltaError without mutating
-  // anything on the first violation. Slot numbering: the first applied
-  // delta fixes the starting slot; every later delta must carry exactly
-  // previous + 1 (an out-of-order commit is a protocol error, not a
-  // reorder request).
+  // anything on the first violation. The first applied delta must join
+  // every device (kMissingJoin names the first it skips) and fixes the
+  // starting slot; every later delta must carry exactly previous + 1 (an
+  // out-of-order commit is a protocol error, not a reorder request).
   void apply(const SlotDelta& delta, core::SlotState& out);
 
   [[nodiscard]] std::size_t devices() const { return devices_; }

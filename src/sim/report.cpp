@@ -1,5 +1,6 @@
 #include "sim/report.h"
 
+#include <map>
 #include <ostream>
 
 #include "util/table.h"
@@ -33,9 +34,15 @@ void print_scenario(std::ostream& os, const Scenario& scenario) {
      << " m, period D = " << config.period << " slots\n"
      << "  energy budget: $" << config.budget_per_slot
      << " per slot (slot = " << config.slot_hours << " h)\n";
+  // One count per core size, in ascending size: one token per server
+  // would be a 2048-token line at 256 metro districts.
+  std::map<int, std::size_t> by_cores;
+  for (const auto& server : topo.servers()) ++by_cores[server.cores];
   os << "  servers:";
-  for (const auto& server : topo.servers()) {
-    os << ' ' << server.cores << "c";
+  const char* separator = " ";
+  for (const auto& [cores, count] : by_cores) {
+    os << separator << count << " x " << cores << "c";
+    separator = ", ";
   }
   os << "\n";
 }

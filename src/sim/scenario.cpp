@@ -200,11 +200,8 @@ Scenario::Scenario(const ScenarioConfig& config) : config_(config) {
   }
   {
     EOTORA_TRACE_SPAN("setup/sigma");
-    instance_ = std::make_unique<core::Instance>(
-        topology_,
-        core::Instance::random_sigma(config.devices, topology_->num_servers(),
-                                     sigma_rng),
-        config.budget_per_slot, config.slot_hours);
+    instance_ = std::make_unique<core::Instance>(core::Instance::random(
+        topology_, sigma_rng, config.budget_per_slot, config.slot_hours));
   }
 
   trace::WorkloadTraceConfig task_config;

@@ -125,6 +125,27 @@ Topology::Topology(std::vector<BaseStation> base_stations,
     }
     coverable_offsets_.push_back(coverable_.size());
   }
+
+  // Reachable servers: each device's coverable stations' reach lists,
+  // merged without repeats and sorted.
+  std::vector<char> seen(servers_.size(), 0);
+  device_reach_offsets_.reserve(devices_.size() + 1);
+  device_reach_offsets_.push_back(0);
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    const auto row = static_cast<std::ptrdiff_t>(device_reach_.size());
+    for (BaseStationId k : coverable_stations(DeviceId{i})) {
+      for (ServerId s : reachable_[k.value]) {
+        if (seen[s.value] != 0) continue;
+        seen[s.value] = 1;
+        device_reach_.push_back(s);
+      }
+    }
+    std::sort(device_reach_.begin() + row, device_reach_.end());
+    for (auto s = device_reach_.begin() + row; s != device_reach_.end(); ++s) {
+      seen[s->value] = 0;
+    }
+    device_reach_offsets_.push_back(device_reach_.size());
+  }
 }
 
 const BaseStation& Topology::base_station(BaseStationId id) const {
@@ -173,6 +194,19 @@ std::span<const BaseStationId> Topology::coverable_stations(
   return std::span<const BaseStationId>(coverable_)
       .subspan(coverable_offsets_[i.value],
                coverable_offsets_[i.value + 1] - coverable_offsets_[i.value]);
+}
+
+std::span<const ServerId> Topology::reachable_servers(DeviceId i) const {
+  EOTORA_REQUIRE(i.value < devices_.size());
+  return std::span<const ServerId>(device_reach_)
+      .subspan(device_reach_offsets_[i.value],
+               device_reach_offsets_[i.value + 1] -
+                   device_reach_offsets_[i.value]);
+}
+
+std::size_t Topology::reachable_offset(DeviceId i) const {
+  EOTORA_REQUIRE(i.value < devices_.size());
+  return device_reach_offsets_[i.value];
 }
 
 void Topology::set_device_position(DeviceId i, Point position) {

@@ -6,6 +6,8 @@
 //   - N_i(x): servers reachable by device i given its base-station choice
 //   - coverable: the stations that can ever cover device i — those whose
 //     coverage disc meets its roaming box, or all of them when it has none
+//   - reachable: the servers device i can ever reach — those its coverable
+//     stations reach over fronthaul
 #pragma once
 
 #include <span>
@@ -74,6 +76,18 @@ class Topology {
     return coverable_.size();
   }
 
+  // Servers device i can ever reach, in id order: the union of the reach
+  // lists of its coverable stations. The rows of all devices lie back to
+  // back in device order, so a per-(device, reachable server) value can be
+  // stored flat: device i's row starts at reachable_offset(i).
+  [[nodiscard]] std::span<const ServerId> reachable_servers(DeviceId i) const;
+  [[nodiscard]] std::size_t reachable_offset(DeviceId i) const;
+
+  // Total (device, reachable server) pairs, summed over all devices.
+  [[nodiscard]] std::size_t num_reachable_pairs() const {
+    return device_reach_.size();
+  }
+
   // Updates a device position (mobility). The position is clamped to the
   // device's roaming box, or to the region when it has none.
   void set_device_position(DeviceId i, Point position);
@@ -90,6 +104,10 @@ class Topology {
   // coverable_[coverable_offsets_[i] .. coverable_offsets_[i + 1]).
   std::vector<std::size_t> coverable_offsets_;
   std::vector<BaseStationId> coverable_;
+  // CSR: device i's reachable servers are
+  // device_reach_[device_reach_offsets_[i] .. device_reach_offsets_[i + 1]).
+  std::vector<std::size_t> device_reach_offsets_;
+  std::vector<ServerId> device_reach_;
 };
 
 }  // namespace eotora::topology

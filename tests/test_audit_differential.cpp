@@ -132,10 +132,8 @@ class Differential : public ::testing::TestWithParam<int> {};
 TEST_P(Differential, DppAndOraclesAgreeAndPassTheAudit) {
   util::Rng rng(80'000 + GetParam());
   const auto topo = tiny_random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  core::Instance instance(
-      topo, core::Instance::random_sigma(devices, topo->num_servers(), rng),
-      rng.uniform(0.1, 5.0));
+  core::Instance instance =
+      core::Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const core::SlotState state = sparse_state(*topo, rng);
 
   // Online: a few DPP slots, audited end to end (queue ledger included).

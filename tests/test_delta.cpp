@@ -111,6 +111,39 @@ TEST(DeltaApplier, RejectsLeaveOfUnknownDevice) {
   }
 }
 
+// The first delta is a full snapshot: one that skips a device is refused,
+// naming the first device it skips, and the applier is left untouched.
+TEST(DeltaApplier, RejectsFirstDeltaThatSkipsADevice) {
+  DeltaApplier applier(kDevices, kStations);
+  SlotDelta partial = snapshot(0);
+  partial.joins.erase(partial.joins.begin());  // device 0 never joins
+  core::SlotState state;
+  try {
+    applier.apply(partial, state);
+    FAIL() << "a first delta without device 0 was accepted";
+  } catch (const DeltaError& error) {
+    EXPECT_EQ(error.kind(), DeltaError::Kind::kMissingJoin);
+    EXPECT_EQ(error.slot(), 0u);
+    EXPECT_EQ(error.device(), 0u);
+  }
+  EXPECT_EQ(applier.applied(), 0u);
+  EXPECT_EQ(applier.active_devices(), 0u);
+  EXPECT_EQ(applier.state().task_cycles, std::vector<double>(kDevices, 0.0));
+  // A price tick is no snapshot either.
+  SlotDelta tick;
+  tick.slot = 0;
+  tick.has_price = true;
+  tick.price = 50.0;
+  EXPECT_THROW(applier.apply(tick, state), DeltaError);
+  EXPECT_EQ(applier.applied(), 0u);
+  // A full snapshot still starts the stream, and after reset() the rule
+  // holds again.
+  applier.apply(snapshot(0), state);
+  EXPECT_EQ(applier.active_devices(), kDevices);
+  applier.reset();
+  EXPECT_THROW(applier.apply(partial, state), DeltaError);
+}
+
 TEST(DeltaApplier, RejectsOutOfOrderSlotCommit) {
   DeltaApplier applier(kDevices, kStations);
   core::SlotState state;

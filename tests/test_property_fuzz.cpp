@@ -102,9 +102,7 @@ TEST_P(FuzzSweep, AllSolversProduceFeasibleConsistentDecisions) {
   util::Rng rng(10'000 + GetParam());
   const auto topo = random_topology(rng);
   const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const Frequencies freq = instance.max_frequencies();
   const WcgProblem problem(instance, state, freq);
@@ -139,10 +137,7 @@ TEST_P(FuzzSweep, AllSolversProduceFeasibleConsistentDecisions) {
 TEST_P(FuzzSweep, BdmaAndDppStayFeasibleUnderAdversarialStates) {
   util::Rng rng(20'000 + GetParam());
   const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   DppConfig config;
   config.v = rng.uniform(1.0, 500.0);
   config.bdma.iterations = 1 + rng.index(4);
@@ -165,10 +160,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range(0, 20));
 TEST(FailureInjection, DeviceWithNoUsableLinkIsReportedNotSilentlyDropped) {
   util::Rng rng(31);
   const auto topo = random_topology(rng);
-  Instance instance(
-      topo,
-      Instance::random_sigma(topo->num_devices(), topo->num_servers(), rng),
-      1.0);
+  Instance instance = Instance::random(topo, rng, 1.0);
   SlotState state = random_sparse_state(*topo, rng);
   for (auto& h : state.channel[0]) h = 0.0;  // device 0 blacked out
   EXPECT_THROW(WcgProblem(instance, state, instance.max_frequencies()),

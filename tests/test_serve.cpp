@@ -652,5 +652,27 @@ TEST(StateLog, OutOfDomainSlotIsRejectedNamingSlotAndDevice) {
                   });
 }
 
+// A hand-written log whose first delta skips device 2 never reaches the
+// solver: the reader refuses that slot, naming the device.
+TEST(StateLog, FirstDeltaThatSkipsADeviceIsRejected) {
+  sim::Scenario scenario(tiny());
+  auto deltas = sim::record_deltas(scenario.generate_states(2));
+  auto& joins = deltas[0].joins;
+  joins.erase(joins.begin() + 2);
+  const ScratchLog log("skipped_join");
+  write_bytes(log.path, session_bytes(scenario.instance(), deltas));
+  StateLogSource replay(log.path);
+  core::SlotState state;
+  try {
+    (void)replay.next(state);
+    FAIL() << "a snapshot without device 2 was applied";
+  } catch (const sim::DeltaError& error) {
+    EXPECT_EQ(error.kind(), sim::DeltaError::Kind::kMissingJoin)
+        << error.what();
+    EXPECT_EQ(error.slot(), 0u) << error.what();
+    EXPECT_EQ(error.device(), 2u) << error.what();
+  }
+}
+
 }  // namespace
 }  // namespace eotora::serve

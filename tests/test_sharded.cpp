@@ -9,9 +9,10 @@
 //     ROPT — equal to the global solvers, and the CGBA-assignment stage's
 //     merged cost equal to the global solve's, for every worker count;
 //   - per-component counters partitioning the flushed totals;
-//   - BDMA over several metro slots, coverage changes included, equal to a
-//     test-side Algorithm 2 over one global problem (cgba_from, the
-//     sqrt-chain solve_p2b and dpp_objective).
+//   - BDMA over several metro slots, and over grouped-world slots whose
+//     coverage changes, equal to a test-side Algorithm 2 over one global
+//     problem (cgba_from, the sqrt-chain solve_p2b and dpp_objective);
+//   - a metro channel on another district's station rejected by both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/bdma.h"
@@ -53,11 +55,8 @@ struct FuzzWorld {
 FuzzWorld fuzz_world(unsigned seed) {
   util::Rng rng(seed);
   GroupedWorld world = random_grouped_world(rng);
-  const std::size_t devices = world.topology->num_devices();
-  Instance instance(
-      world.topology,
-      Instance::random_sigma(devices, world.topology->num_servers(), rng),
-      rng.uniform(0.1, 5.0));
+  Instance instance =
+      Instance::random(world.topology, rng, rng.uniform(0.1, 5.0));
   SlotState state = grouped_state(world, rng);
   return FuzzWorld{std::move(world), std::move(instance), std::move(state)};
 }
@@ -532,16 +531,37 @@ TEST(ComponentMetroScenario, BdmaOverSlotsEqualsGlobalLoop) {
 // district merges the two components for that slot, and the next slot
 // splits them again — every slot still equal to the global loop. A device
 // that loses all coverage throws, and the slot after it recovers.
-TEST(ComponentMetroScenario, CoverageChangesReplanAndStayExact) {
-  sim::Scenario scenario(small_metro_config());
-  const Instance& instance = scenario.instance();
+// Coverage changes under a memoised plan re-plan and stay exact. Grouped
+// worlds are box-free, so a device may gain another group's station: here
+// device 0 does at slot 1, merging its component with that group's. A slot
+// where a device has no usable link throws before any draw and drops the
+// plan.
+TEST(ComponentGroupedWorld, CoverageChangesReplanAndStayExact) {
+  // The first fuzz world whose three groups all have devices.
+  unsigned seed = 0;
+  std::size_t groups = 0;
+  for (;; ++seed) {
+    util::Rng probe(seed);
+    const GroupedWorld world = random_grouped_world(probe);
+    std::vector<bool> occupied(world.groups, false);
+    for (const std::size_t g : world.device_group) occupied[g] = true;
+    groups = static_cast<std::size_t>(
+        std::count(occupied.begin(), occupied.end(), true));
+    if (groups == 3) break;
+  }
+  util::Rng world_rng(seed);
+  const GroupedWorld world = random_grouped_world(world_rng);
+  const Instance instance =
+      Instance::random(world.topology, world_rng, world_rng.uniform(0.1, 5.0));
   std::vector<SlotState> states;
-  for (int t = 0; t < 4; ++t) states.push_back(scenario.next_state());
-  // Device 0 lives in district 0; station 2 belongs to district 1.
-  ASSERT_EQ(states[1].channel[0][2], 0.0);
-  states[1].channel[0][2] = 20.0;
+  for (int t = 0; t < 4; ++t) states.push_back(grouped_state(world, world_rng));
+  // A station of another group than device 0's.
+  std::size_t foreign = 0;
+  while (world.station_group[foreign] == world.device_group[0]) ++foreign;
+  ASSERT_EQ(states[1].channel[0][foreign], 0.0);
+  states[1].channel[0][foreign] = 20.0;
   SlotState blackout = states[2];
-  for (double& h : blackout.channel[5]) h = 0.0;
+  for (double& h : blackout.channel.back()) h = 0.0;
 
   BdmaConfig config;
   config.cgba.shard_workers = 2;
@@ -549,7 +569,8 @@ TEST(ComponentMetroScenario, CoverageChangesReplanAndStayExact) {
   BdmaWorkspace workspace;
   util::Rng reference_rng(7);
   util::Rng rng(7);
-  const std::vector<std::size_t> expected_counts = {4, 3, 4, 4};
+  const std::vector<std::size_t> expected_counts = {groups, groups - 1, groups,
+                                                    groups};
   for (std::size_t t = 0; t < states.size(); ++t) {
     SCOPED_TRACE(t);
     if (t == 3) {
@@ -578,6 +599,56 @@ TEST(ComponentMetroScenario, CoverageChangesReplanAndStayExact) {
     EXPECT_EQ(observed.component_finds, 1u);
     EXPECT_EQ(observed.component_reuses, 0u);
   }
+}
+
+// A boxed device's channel may be positive only on its coverable stations.
+// h > 0 on another district's station, given under the memoised metro
+// plan, is rejected by both solvers before any draw, naming the device,
+// station and slot; the next good slot then solves exactly.
+TEST(ComponentMetroScenario, ForeignDistrictChannelIsRejected) {
+  sim::Scenario scenario(small_metro_config());
+  const Instance& instance = scenario.instance();
+  const SlotState first = scenario.next_state();
+  const SlotState second = scenario.next_state();
+  // Device 0 lives in district 0; station 2 belongs to district 1.
+  ASSERT_EQ(second.channel[0][2], 0.0);
+  SlotState foreign = second;
+  foreign.channel[0][2] = 20.0;
+
+  BdmaConfig config;
+  config.cgba.shard_workers = 2;
+  GlobalBdma reference;
+  BdmaWorkspace workspace;
+  util::Rng reference_rng(7);
+  util::Rng rng(7);
+  expect_same_result(
+      bdma(instance, first, 100.0, 5.0, config, rng, workspace),
+      reference.step(instance, first, 100.0, 5.0, config, reference_rng));
+  util::Rng before = rng;
+  EXPECT_THROW((void)bdma(instance, foreign, 100.0, 5.0, config, rng,
+                          workspace),
+               std::invalid_argument);
+  EXPECT_THROW((void)reference.step(instance, foreign, 100.0, 5.0, config,
+                                    reference_rng),
+               std::invalid_argument);
+  ASSERT_EQ(rng.engine(), before.engine());
+  ASSERT_EQ(reference_rng.engine(), before.engine());
+  try {
+    const WcgProblem problem(instance, foreign, instance.max_frequencies());
+    FAIL() << "the foreign station was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("device 0 has h > 0 on station 2, which can never "
+                        "cover it, at slot 1"),
+              std::string::npos)
+        << error.what();
+  }
+
+  const BdmaResult actual =
+      bdma(instance, second, 100.0, 5.0, config, rng, workspace);
+  expect_same_result(actual, reference.step(instance, second, 100.0, 5.0,
+                                            config, reference_rng));
+  EXPECT_EQ(workspace.problem.count(), 4u);
 }
 
 // One WcgComponents handed two metro instances alternately — the same

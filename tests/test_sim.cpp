@@ -249,6 +249,9 @@ TEST(Report, PrintsComparisonAndScenario) {
   std::ostringstream oss2;
   print_scenario(oss2, scenario);
   EXPECT_NE(oss2.str().find("MEC scenario"), std::string::npos);
+  EXPECT_NE(oss2.str().find("\n  servers: 3 x 64c, 3 x 128c\n"),
+            std::string::npos)
+      << oss2.str();
 }
 
 }  // namespace

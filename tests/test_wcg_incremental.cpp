@@ -127,9 +127,7 @@ TEST_P(IncrementalFuzz, EngineMatchesTrackerAndFromScratchAfterRandomMoves) {
   util::Rng rng(40'000 + GetParam());
   const auto topo = random_topology(rng);
   const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
 
@@ -204,9 +202,7 @@ TEST_P(IncrementalFuzz, DeltaAndIfMovedEvaluatorsMatchAppliedMoves) {
   util::Rng rng(50'000 + GetParam());
   const auto topo = random_topology(rng);
   const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const WcgProblem problem(instance, state, instance.min_frequencies());
 
@@ -254,10 +250,7 @@ class OracleEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(OracleEquivalence, CgbaCachedEqualsNaiveBothSelectionModes) {
   util::Rng rng(60'000 + GetParam());
   const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
   const Profile start = problem.random_profile(rng);
@@ -284,10 +277,7 @@ TEST_P(OracleEquivalence, CgbaCachedEqualsNaiveBothSelectionModes) {
 TEST_P(OracleEquivalence, McbaFastEqualsNaive) {
   util::Rng rng(70'000 + GetParam());
   const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
 
@@ -313,10 +303,7 @@ TEST_P(OracleEquivalence, McbaFastEqualsNaive) {
 TEST_P(OracleEquivalence, SolverProfilesPassTheFeasibilityAudit) {
   util::Rng rng(100'000 + GetParam());
   const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    rng.uniform(0.1, 5.0));
+  Instance instance = Instance::random(topo, rng, rng.uniform(0.1, 5.0));
   const SlotState state = random_sparse_state(*topo, rng);
   const Frequencies freq = rng.bernoulli(0.5) ? instance.max_frequencies()
                                               : instance.min_frequencies();
@@ -424,7 +411,7 @@ std::size_t p_compute_mismatches(const WcgProblem& problem,
   for (std::size_t i = 0; i < problem.num_devices(); ++i) {
     for (const Option& opt : problem.options(i)) {
       const double expected =
-          std::sqrt(state.task_cycles[i] / instance.sigma()[i][opt.server]);
+          std::sqrt(state.task_cycles[i] / instance.suitability(i, opt.server));
       if (std::bit_cast<std::uint64_t>(opt.p_compute) !=
           std::bit_cast<std::uint64_t>(expected)) {
         ++mismatches;
@@ -480,11 +467,8 @@ TEST(WcgRebuild, PComputeIsTheScalarChainAcrossRebuilds) {
     // group's stations a device reaches.
     util::Rng rng(110'000 + seed);
     const test::GroupedWorld world = test::random_grouped_world(rng);
-    const std::size_t devices = world.topology->num_devices();
-    const Instance instance(
-        world.topology,
-        Instance::random_sigma(devices, world.topology->num_servers(), rng),
-        rng.uniform(0.1, 5.0));
+    const Instance instance =
+        Instance::random(world.topology, rng, rng.uniform(0.1, 5.0));
     std::vector<SlotState> states;
     for (int t = 0; t < 3; ++t) {
       states.push_back(test::grouped_state(world, rng));
@@ -519,9 +503,7 @@ TEST(WcgInvertedIndex, IndexIsConsistentWithArena) {
   util::Rng rng(17);
   const auto topo = random_topology(rng);
   const std::size_t devices = topo->num_devices();
-  Instance instance(topo,
-                    Instance::random_sigma(devices, topo->num_servers(), rng),
-                    1.0);
+  Instance instance = Instance::random(topo, rng, 1.0);
   const SlotState state = random_sparse_state(*topo, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
 
