@@ -16,7 +16,6 @@
 
 #include "core/counters.h"
 #include "eotora/eotora.h"
-#include "sim/pipeline/graph.h"
 #include "util/args.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -54,8 +53,6 @@ options (all --key=value):
              district gets its own server room, local mid-band stations,
              and a confined share of the devices, so the WCG splits into
              one component per district
-  --graph    print the stage/port wiring of this policy's decision
-             pipeline (sim/pipeline graph), then exit
   --record   write the run's states to this state log: the EOT1
              session eotora_serve ingests (a hello, then one delta
              frame per slot; serve/state_log.h)
@@ -131,7 +128,7 @@ int main(int argc, char** argv) {
     const util::Args args(argc, argv,
                           {"policy", "devices", "days", "horizon", "budget",
                            "v", "q0", "z", "seed", "scenario", "shards",
-                           "districts", "graph", "record", "replay", "log",
+                           "districts", "record", "replay", "log",
                            "prefetch", "audit", "trace-out",
                            "kernel-backend", "list-kernels",
                            "list-policies", "list-scenarios", "help"});
@@ -163,29 +160,6 @@ int main(int argc, char** argv) {
     // and every solver must see the same selection from the first slot on.
     if (args.has("kernel-backend")) {
       core::kernels::set_backend(args.get("kernel-backend", ""));
-    }
-
-    if (args.has("graph")) {
-      const std::string name =
-          sim::resolve_policy_alias(args.get("graph", ""));
-      if (name.empty()) {
-        throw std::invalid_argument("--graph requires a policy name");
-      }
-      // A tiny scenario suffices: the wiring depends only on the policy
-      // assembly, never on the instance size.
-      sim::ScenarioConfig graph_config;
-      graph_config.devices = 4;
-      sim::Scenario graph_world(graph_config);
-      const std::unique_ptr<sim::Policy> assembled =
-          sim::make_policy(name, graph_world.instance(), sim::PolicyParams{});
-      const auto* graph =
-          dynamic_cast<const sim::pipeline::PolicyGraph*>(assembled.get());
-      if (graph == nullptr) {
-        throw std::invalid_argument("policy '" + name +
-                                    "' is not a staged pipeline");
-      }
-      std::cout << graph->wiring_description();
-      return 0;
     }
 
     sim::ScenarioConfig config;

@@ -55,7 +55,7 @@ int main() {
   double oracle_cost = 0.0;
   for (const auto& state : states) {
     const auto slot = core::solve_beta_only(
-        instance, state, config.budget_per_slot, oracle_config, rng);
+        instance, state, config.budget_per_slot, oracle_config);
     oracle_latency += slot.latency;
     oracle_cost += slot.energy_cost;
   }

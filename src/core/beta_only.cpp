@@ -2,12 +2,13 @@
 
 #include "core/latency.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace eotora::core {
 
 BetaOnlyResult solve_beta_only(const Instance& instance,
                                const SlotState& state, double target_cost,
-                               const BetaOnlyConfig& config, util::Rng& rng) {
+                               const BetaOnlyConfig& config) {
   EOTORA_REQUIRE(target_cost > 0.0);
   EOTORA_REQUIRE(config.max_multiplier > 0.0);
   EOTORA_REQUIRE(config.iterations > 0);
@@ -23,7 +24,6 @@ BetaOnlyResult solve_beta_only(const Instance& instance,
     return bdma(instance, state, /*v=*/1.0, q, config.bdma, probe_rng,
                 workspace);
   };
-  (void)rng;
 
   BetaOnlyResult result;
   // q = 0: pure latency minimization. If it already fits, done.

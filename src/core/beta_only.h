@@ -13,7 +13,6 @@
 
 #include "core/bdma.h"
 #include "core/instance.h"
-#include "util/rng.h"
 
 namespace eotora::core {
 
@@ -36,11 +35,12 @@ struct BetaOnlyConfig {
 
 // Minimizes latency subject to C_t <= target_cost (a per-slot budget).
 // When even the all-minimum-frequency cost exceeds the target, returns that
-// floor decision (the constraint is infeasible at this price).
+// floor decision (the constraint is infeasible at this price). Every
+// multiplier probe draws from the same fixed seed, so the result is a pure
+// function of its arguments.
 [[nodiscard]] BetaOnlyResult solve_beta_only(const Instance& instance,
                                              const SlotState& state,
                                              double target_cost,
-                                             const BetaOnlyConfig& config,
-                                             util::Rng& rng);
+                                             const BetaOnlyConfig& config);
 
 }  // namespace eotora::core

@@ -35,15 +35,13 @@ std::unique_ptr<Policy> make_dpp_pipeline(const core::Instance& instance,
   EOTORA_REQUIRE(config.bdma.iterations >= 1);
 
   std::vector<std::unique_ptr<Stage>> stages;
-  stages.push_back(std::make_unique<StateInStage>());
   stages.push_back(std::make_unique<QueueUpdateStage>(config.initial_queue));
   stages.push_back(std::make_unique<P2aSolveStage>(config.bdma));
   stages.push_back(std::make_unique<P2bSolveStage>(config.v, config.bdma));
-  stages.push_back(std::make_unique<AuditTapStage>());
   stages.push_back(std::make_unique<DppDecisionOutStage>());
   LoopSpec loop;
-  loop.first = 2;  // P2aSolve
-  loop.last = 3;   // P2bSolve
+  loop.first = 1;  // P2aSolve
+  loop.last = 2;   // P2bSolve
   loop.iterations = config.bdma.iterations;
   loop.span = "dpp/bdma";
   loop.iteration_span = "bdma/iteration";
@@ -54,10 +52,8 @@ std::unique_ptr<Policy> make_dpp_pipeline(const core::Instance& instance,
 std::unique_ptr<Policy> make_greedy_budget_pipeline(
     const core::Instance& instance, const core::CgbaConfig& cgba) {
   std::vector<std::unique_ptr<Stage>> stages;
-  stages.push_back(std::make_unique<StateInStage>());
   stages.push_back(std::make_unique<BudgetFrequencyStage>());
   stages.push_back(std::make_unique<CgbaAssignStage>(cgba));
-  stages.push_back(std::make_unique<AuditTapStage>());
   stages.push_back(std::make_unique<CgbaDecisionOutStage>());
   return std::make_unique<PolicyGraph>("Greedy per-slot budget", instance,
                                        std::move(stages));
@@ -67,10 +63,8 @@ std::unique_ptr<Policy> make_fixed_frequency_pipeline(
     const core::Instance& instance, double fraction,
     const core::CgbaConfig& cgba) {
   std::vector<std::unique_ptr<Stage>> stages;
-  stages.push_back(std::make_unique<StateInStage>());
   stages.push_back(std::make_unique<FixedFrequencyStage>(instance, fraction));
   stages.push_back(std::make_unique<CgbaAssignStage>(cgba));
-  stages.push_back(std::make_unique<AuditTapStage>());
   stages.push_back(std::make_unique<CgbaDecisionOutStage>());
   return std::make_unique<PolicyGraph>(
       "Fixed-frequency CGBA (fraction=" + util::format_double(fraction, 2) +
@@ -81,9 +75,7 @@ std::unique_ptr<Policy> make_fixed_frequency_pipeline(
 std::unique_ptr<Policy> make_beta_only_pipeline(
     const core::Instance& instance, const core::BetaOnlyConfig& config) {
   std::vector<std::unique_ptr<Stage>> stages;
-  stages.push_back(std::make_unique<StateInStage>());
   stages.push_back(std::make_unique<BetaOracleStage>(config));
-  stages.push_back(std::make_unique<AuditTapStage>());
   stages.push_back(std::make_unique<BetaDecisionOutStage>());
   return std::make_unique<PolicyGraph>("Beta-only (per-slot budget)",
                                        instance, std::move(stages));
@@ -99,12 +91,11 @@ std::unique_ptr<Policy> make_mpc_pipeline(const core::Instance& instance,
   EOTORA_REQUIRE(config.max_multiplier > 0.0);
 
   std::vector<std::unique_ptr<Stage>> stages;
-  stages.push_back(std::make_unique<StateInStage>());
   stages.push_back(std::make_unique<TrendObserveStage>(config));
-  stages.push_back(std::make_unique<MinFrequencyStage>());
+  // Fraction 0.0 is the floor Ω^L, which the plan then replaces.
+  stages.push_back(std::make_unique<FixedFrequencyStage>(instance, 0.0));
   stages.push_back(std::make_unique<CgbaAssignStage>(config.cgba));
   stages.push_back(std::make_unique<MpcPlanStage>(config));
-  stages.push_back(std::make_unique<AuditTapStage>());
   stages.push_back(std::make_unique<MpcDecisionOutStage>());
   return std::make_unique<PolicyGraph>("Receding-horizon MPC", instance,
                                        std::move(stages));

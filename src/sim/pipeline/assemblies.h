@@ -17,35 +17,35 @@
 
 namespace eotora::sim::pipeline {
 
-// Algorithm 1: StateIn → QueueUpdate → [P2aSolve ⇄ P2bSolve]×z →
-// AuditTap → DppDecisionOut, with the solver loop under the "dpp/bdma"
-// span, for any inner P2-A solver ("dpp-bdma", "dpp-mcba", "dpp-ropt").
+// Algorithm 1: QueueUpdate → [P2aSolve ⇄ P2bSolve]×z → DppDecisionOut,
+// with the solver loop under the "dpp/bdma" span, for any inner P2-A
+// solver ("dpp-bdma", "dpp-mcba", "dpp-ropt").
 [[nodiscard]] std::unique_ptr<Policy> make_dpp_pipeline(
     const core::Instance& instance, const core::DppConfig& config);
 
-// StateIn → BudgetFrequency → CgbaAssign → AuditTap → CgbaDecisionOut.
+// BudgetFrequency → CgbaAssign → CgbaDecisionOut.
 // The myopic "greedy-budget" baseline: spend up to the budget every slot.
 // It cannot bank cheap-hour headroom against expensive hours, which is the
 // gap the Lyapunov queue closes.
 [[nodiscard]] std::unique_ptr<Policy> make_greedy_budget_pipeline(
     const core::Instance& instance, const core::CgbaConfig& cgba = {});
 
-// StateIn → FixedFrequency → CgbaAssign → AuditTap → CgbaDecisionOut.
+// FixedFrequency → CgbaAssign → CgbaDecisionOut.
 // The "fixed-*" ablation: CGBA at a constant `fraction` of every server's
 // range (1.0 = always F^U, 0.0 = always F^L), no budget adaptation.
 [[nodiscard]] std::unique_ptr<Policy> make_fixed_frequency_pipeline(
     const core::Instance& instance, double fraction,
     const core::CgbaConfig& cgba = {});
 
-// StateIn → BetaOracle → AuditTap → BetaDecisionOut. The Lemma-2 β-only
-// oracle ("beta-only"): each slot, minimize latency within the per-slot
-// budget. Queue-free, the strongest baseline of Theorem 4's policy class.
+// BetaOracle → BetaDecisionOut. The Lemma-2 β-only oracle ("beta-only"):
+// each slot, minimize latency within the per-slot budget. Queue-free, the
+// strongest baseline of Theorem 4's policy class.
 [[nodiscard]] std::unique_ptr<Policy> make_beta_only_pipeline(
     const core::Instance& instance, const core::BetaOnlyConfig& config = {});
 
-// StateIn → TrendObserve → MinFrequency → CgbaAssign → MpcPlan →
-// AuditTap → MpcDecisionOut. The receding-horizon "mpc" baseline
-// (sim/mpc_policy.h).
+// TrendObserve → FixedFrequency(0.0) → CgbaAssign → MpcPlan →
+// MpcDecisionOut. The receding-horizon "mpc" baseline (sim/mpc_policy.h):
+// the assignment is solved at the floor Ω^L, then the plan picks Ω.
 [[nodiscard]] std::unique_ptr<Policy> make_mpc_pipeline(
     const core::Instance& instance, const MpcConfig& config = {});
 

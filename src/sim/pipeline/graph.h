@@ -1,14 +1,8 @@
-// PolicyGraph — an ordered set of typed stages assembled into a runnable
-// sim::Policy.
+// PolicyGraph — an ordered list of stages run as a sim::Policy.
 //
 // The graph is linear with one optional loop region (BDMA's Algorithm 2
-// alternates its P2-A and P2-B stages z times). Construction validates the
-// typed-port contract: every stage input must be produced by an upstream
-// stage with the same name AND type — except inside the loop region, where
-// a later stage may feed an earlier one on the next iteration
-// (loop-carried, e.g. P2-B's frequencies into P2-A). Violations throw
-// std::invalid_argument naming the stage, the port, the expected and
-// actual types, and the ports that ARE available.
+// alternates its P2-A and P2-B stages z times); stages hand each other
+// values through the StageContext blackboard (sim/pipeline/stage.h).
 //
 // Execution maps the observability layer 1:1 onto stage boundaries: every
 // stage invocation runs under its own trace span (Stage::span_name) and
@@ -42,7 +36,7 @@ class PolicyGraph final : public Policy {
  public:
   // `label` is the Policy::name() the graph reports (artifacts and golden
   // fixtures key on it). Throws std::invalid_argument on an empty
-  // stage list, an out-of-range loop region, or any typed-port mismatch.
+  // stage list or an out-of-range loop region.
   PolicyGraph(std::string label, const core::Instance& instance,
               std::vector<std::unique_ptr<Stage>> stages,
               LoopSpec loop = {});
@@ -54,17 +48,6 @@ class PolicyGraph final : public Policy {
 
   // Per-stage execution statistics since the last reset(), in stage order.
   [[nodiscard]] std::vector<StageStats> stage_stats() const override;
-
-  // The stage with the given Stage::name(), or nullptr. Lets callers reach
-  // a stage's own surface (e.g. AuditTapStage::set_tap) after assembly.
-  [[nodiscard]] Stage* find_stage(const std::string& name);
-
-  // Human-readable stage/port wiring: one line per stage with its declared
-  // input and output ports ("name:Type"), plus the loop region. This is
-  // what `eotora_cli --graph <policy>` prints.
-  [[nodiscard]] std::string wiring_description() const;
-
-  [[nodiscard]] std::size_t num_stages() const { return slots_.size(); }
 
  private:
   struct Slot {

@@ -1,24 +1,22 @@
-// Stage — one typed node of the per-slot decision pipeline.
+// Stage — one step of the per-slot decision pipeline.
 //
 // The paper's control loop has a fixed logical shape (observe state →
-// update the virtual queue → solve P2-A → solve P2-B → tap → emit the
-// decision); a Stage is one step of that shape, owning its own scratch and
-// warm-start state and declaring its inputs/outputs as typed ports
-// (sim/pipeline/port.h). A PolicyGraph (sim/pipeline/graph.h) wires stages
-// into a runnable Policy, giving each stage its own trace span and
-// SolverCounters scope so per-stage time and solver effort fall out of the
-// existing observability layer 1:1.
+// update the virtual queue → solve P2-A → solve P2-B → emit the decision);
+// a Stage is one step of that shape, owning its own scratch and warm-start
+// state. A PolicyGraph (sim/pipeline/graph.h) runs stages in order as a
+// sim::Policy, giving each stage its own trace span and SolverCounters
+// scope so per-stage time and solver effort fall out of the existing
+// observability layer 1:1.
 //
 // Scratch ownership rule: anything a stage keeps across slots (virtual
 // queue backlog, WCG problem arenas, carried CGBA assignments, trend
 // estimators) is a member of that stage and of no other; reset() must
 // return it to the freshly-constructed state. Values that flow BETWEEN
-// stages within one slot live in the StageContext blackboard and are
-// declared as ports.
+// stages within one slot live in the StageContext blackboard; each stage's
+// class comment (sim/pipeline/stages.h) names the fields it reads and
+// writes.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/bdma.h"
@@ -28,15 +26,14 @@
 #include "core/instance.h"
 #include "core/solve_result.h"
 #include "sim/mpc_policy.h"
-#include "sim/pipeline/port.h"
 #include "sim/pipeline/stage_stats.h"
 #include "util/rng.h"
 
 namespace eotora::sim::pipeline {
 
-// The per-slot blackboard. The graph resets the per-slot slots at the top
-// of every step and installs the slot inputs; stages read and write the
-// slot they declared as ports. One context lives for the whole horizon, so
+// The per-slot blackboard. The graph installs the slot inputs and clears
+// `result` at the top of every step; stages read and write the fields
+// their class comments name. One context lives for the whole horizon, so
 // its vectors are reused across slots.
 struct StageContext {
   // Graph inputs, installed by PolicyGraph::step before the first stage.
@@ -46,33 +43,29 @@ struct StageContext {
   // 0-based position within the graph's solver loop (0 outside it).
   std::size_t loop_iteration = 0;
 
-  // Port payloads (one slot per PortType).
-  double queue_before = 0.0;           // kQueue
-  core::Frequencies frequencies;       // kFrequencies
-  core::SolveResult p2a;               // kP2aSolution
-  core::Assignment assignment;         // kAssignment
-  core::BdmaLoopState bdma;            // kSolverLoop / kBestSolution
-  core::BetaOnlyResult oracle;         // kOracle
-  MpcPlanInputs forecast;              // kForecast
-  double multiplier = 0.0;             // the MPC plan's chosen λ
-  core::DppSlotResult result;          // kDecision
+  // Values stages hand each other within one slot.
+  double queue_before = 0.0;      // Q(t), before this slot's update
+  core::Frequencies frequencies;  // the frequency vector Ω
+  core::SolveResult p2a;          // a P2-A solve's cost and effort
+  core::Assignment assignment;    // the assignment (x, y)
+  core::BdmaLoopState bdma;       // BDMA's loop-carried state and best pair
+  core::BetaOnlyResult oracle;    // the β-only oracle's decision
+  MpcPlanInputs forecast;         // MPC plan inputs
+  core::DppSlotResult result;     // the slot decision
 };
 
 class Stage {
  public:
   virtual ~Stage() = default;
 
-  // Stable stage name ("queue_update"); used in stats, errors, and docs.
+  // Stable stage name ("queue_update"); StageStats and the CLI report it.
   [[nodiscard]] virtual const char* name() const = 0;
   // Trace-span name ("stage/queue_update"). Must be a string literal:
   // util/trace stores the pointer, not a copy.
   [[nodiscard]] virtual const char* span_name() const = 0;
 
-  // Declared typed ports; validated by PolicyGraph at construction.
-  [[nodiscard]] virtual std::vector<PortSpec> inputs() const = 0;
-  [[nodiscard]] virtual std::vector<PortSpec> outputs() const = 0;
-
-  // The forward pass: consume declared inputs, produce declared outputs.
+  // The forward pass: read and write the context fields the class comment
+  // names.
   virtual void run(StageContext& ctx) = 0;
 
   // The commit pass, called once per slot after every stage has run, in

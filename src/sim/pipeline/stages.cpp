@@ -27,12 +27,6 @@ void fold_shards(const std::vector<core::counters::SolverCounters>& delta,
 
 }  // namespace
 
-void StateInStage::run(StageContext& ctx) {
-  EOTORA_ASSERT(ctx.instance != nullptr);
-  EOTORA_ASSERT(ctx.state != nullptr);
-  EOTORA_ASSERT(ctx.rng != nullptr);
-}
-
 QueueUpdateStage::QueueUpdateStage(double initial_queue)
     : initial_queue_(initial_queue), queue_(initial_queue) {
   EOTORA_REQUIRE_MSG(initial_queue >= 0.0, "Q(1)=" << initial_queue);
@@ -59,10 +53,6 @@ void P2bSolveStage::run(StageContext& ctx) {
   EOTORA_REQUIRE(ctx.bdma.workspace != nullptr);
   core::bdma_p2b_iterate(*ctx.instance, *ctx.state, v_, ctx.queue_before,
                          config_, *ctx.bdma.workspace, ctx.bdma);
-}
-
-void AuditTapStage::run(StageContext& ctx) {
-  if (tap_) tap_(ctx);
 }
 
 void DppDecisionOutStage::run(StageContext& ctx) {
@@ -95,10 +85,6 @@ FixedFrequencyStage::FixedFrequencyStage(const core::Instance& instance,
 
 void FixedFrequencyStage::run(StageContext& ctx) {
   ctx.frequencies = frequencies_;
-}
-
-void MinFrequencyStage::run(StageContext& ctx) {
-  ctx.frequencies = ctx.instance->min_frequencies();
 }
 
 void CgbaAssignStage::run(StageContext& ctx) {
@@ -153,10 +139,8 @@ void CgbaDecisionOutStage::run(StageContext& ctx) {
 }
 
 void BetaOracleStage::run(StageContext& ctx) {
-  ctx.oracle =
-      core::solve_beta_only(*ctx.instance, *ctx.state,
-                            ctx.instance->budget_per_slot(), config_,
-                            *ctx.rng);
+  ctx.oracle = core::solve_beta_only(*ctx.instance, *ctx.state,
+                                     ctx.instance->budget_per_slot(), config_);
 }
 
 void BetaDecisionOutStage::run(StageContext& ctx) {
@@ -197,7 +181,6 @@ void MpcPlanStage::run(StageContext& ctx) {
       mpc_compute_load(*ctx.instance, *ctx.state, ctx.assignment);
   const double lambda =
       mpc_plan_multiplier(config_, *ctx.instance, compute_load, ctx.forecast);
-  ctx.multiplier = lambda;
   ctx.frequencies = mpc_frequencies_for(*ctx.instance, compute_load, lambda,
                                         ctx.state->price_per_mwh);
 }

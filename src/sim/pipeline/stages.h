@@ -1,25 +1,13 @@
 // The stage catalog — every concrete Stage the canned assemblies
 // (sim/pipeline/assemblies.h) are built from.
 //
-// Port map (name → PortType → StageContext slot):
-//   "state"      kSlotState    ctx.state        (StateIn)
-//   "queue"      kQueue        ctx.queue_before (QueueUpdate)
-//   "frequencies" kFrequencies ctx.frequencies  (frequency-choosing stages)
-//   "p2a"        kP2aSolution  ctx.p2a          (CgbaAssign)
-//   "assignment" kAssignment   ctx.assignment   (CgbaAssign)
-//   "bdma_loop"  kSolverLoop   ctx.bdma         (P2aSolve/P2bSolve,
-//                                                loop-carried)
-//   "best"       kBestSolution ctx.bdma.best    (P2bSolve)
-//   "oracle"     kOracle       ctx.oracle       (BetaOracle)
-//   "forecast"   kForecast     ctx.forecast     (TrendObserve)
-//   "decision"   kDecision     ctx.result       (*DecisionOut)
-//
+// Every stage reads the graph inputs ctx.instance and ctx.state; each class
+// comment names the other StageContext fields the stage reads and writes.
 // The DPP stages call the solver-loop halves that core::bdma() composes
 // (core/bdma.h); the golden fixtures (tests/golden/) pin every assembly's
 // per-slot decisions.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/bdma.h"
@@ -32,25 +20,11 @@
 
 namespace eotora::sim::pipeline {
 
-// Publishes the observed slot state. The graph installs ctx.state before
-// any stage runs; this stage is the declared producer every consumer of
-// "state" validates against.
-class StateInStage final : public Stage {
- public:
-  [[nodiscard]] const char* name() const override { return "state_in"; }
-  [[nodiscard]] const char* span_name() const override {
-    return "stage/state_in";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override { return {}; }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  void run(StageContext& ctx) override;
-};
-
 // Owns the virtual queue Q(t) of Eq. (21). run() publishes the backlog the
 // solvers price against; commit() — after the decision stage has emitted
 // Θ — folds it back: Q(t+1) = max{Q(t) + Θ, 0}.
+// run() writes ctx.queue_before; commit() reads ctx.result.theta and
+// writes ctx.result.queue_after.
 class QueueUpdateStage final : public Stage {
  public:
   explicit QueueUpdateStage(double initial_queue);
@@ -58,12 +32,6 @@ class QueueUpdateStage final : public Stage {
   [[nodiscard]] const char* name() const override { return "queue_update"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/queue_update";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"queue", PortType::kQueue}};
   }
   void run(StageContext& ctx) override;
   void commit(StageContext& ctx) override;
@@ -79,8 +47,9 @@ class QueueUpdateStage final : public Stage {
 // Line 3 of Algorithm 2: one P2-A solve at the current Ω. Owns the BDMA
 // workspace (the slot's WCG components + the assignment carried across
 // slots, which reset() clears with the workspace); the first loop iteration
-// of each slot runs bdma_begin_slot. Its "bdma_loop" input is loop-carried:
-// iteration k+1 consumes the Ω the downstream P2-B stage wrote at k.
+// of each slot runs bdma_begin_slot. ctx.bdma is loop-carried: iteration
+// k+1 solves at the Ω the downstream P2-B stage wrote at k.
+// Reads ctx.rng, ctx.loop_iteration and ctx.bdma; writes ctx.bdma.
 class P2aSolveStage final : public Stage {
  public:
   explicit P2aSolveStage(core::BdmaConfig config) : config_(config) {}
@@ -88,13 +57,6 @@ class P2aSolveStage final : public Stage {
   [[nodiscard]] const char* name() const override { return "p2a_solve"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/p2a_solve";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"bdma_loop", PortType::kSolverLoop}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"bdma_loop", PortType::kSolverLoop}};
   }
   void run(StageContext& ctx) override;
   void reset() override {
@@ -116,8 +78,10 @@ class P2aSolveStage final : public Stage {
 
 // Lines 4-8 of Algorithm 2: one P2-B solve at the fixed assignment, the
 // best-pair tracking, and the Ω hand-off to the next P2-A iteration. It
-// reads the load sums the P2-A stage's components left, through the
-// workspace the "bdma_loop" port names, and keeps no state of its own.
+// reads the load sums the P2-A stage's components left, through
+// ctx.bdma.workspace, and keeps no state of its own.
+// Reads ctx.queue_before and ctx.bdma; writes ctx.bdma (Ω and the best
+// pair).
 class P2bSolveStage final : public Stage {
  public:
   P2bSolveStage(double v, core::BdmaConfig config) : v_(v), config_(config) {}
@@ -126,15 +90,6 @@ class P2bSolveStage final : public Stage {
   [[nodiscard]] const char* span_name() const override {
     return "stage/p2b_solve";
   }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"queue", PortType::kQueue},
-            {"bdma_loop", PortType::kSolverLoop}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"bdma_loop", PortType::kSolverLoop},
-            {"best", PortType::kBestSolution}};
-  }
   void run(StageContext& ctx) override;
 
  private:
@@ -142,44 +97,15 @@ class P2bSolveStage final : public Stage {
   core::BdmaConfig config_;
 };
 
-// Observation point between the solvers and the decision: calls the
-// installed tap (if any) with the full context. Reads everything, writes
-// nothing — the hook per-slot auditors and tests attach to.
-class AuditTapStage final : public Stage {
- public:
-  using Tap = std::function<void(const StageContext&)>;
-
-  [[nodiscard]] const char* name() const override { return "audit_tap"; }
-  [[nodiscard]] const char* span_name() const override {
-    return "stage/audit_tap";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override { return {}; }
-  void run(StageContext& ctx) override;
-
-  void set_tap(Tap tap) { tap_ = std::move(tap); }
-
- private:
-  Tap tap_;
-};
-
 // Assembles the DPP slot decision from BDMA's best pair, with the Lemma-1
 // allocation at its assignment.
+// Reads ctx.queue_before and ctx.bdma, which bdma_finish_slot rewrites;
+// writes ctx.result.
 class DppDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/decision_out";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"queue", PortType::kQueue},
-            {"best", PortType::kBestSolution}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"decision", PortType::kDecision}};
   }
   void run(StageContext& ctx) override;
 
@@ -190,6 +116,7 @@ class DppDecisionOutStage final : public Stage {
 // The greedy per-slot-budget frequency rule (greedy_budget_fraction's
 // bisection): the largest uniform fraction whose cost fits C̄ at the
 // current price.
+// Writes ctx.frequencies.
 class BudgetFrequencyStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override {
@@ -198,18 +125,13 @@ class BudgetFrequencyStage final : public Stage {
   [[nodiscard]] const char* span_name() const override {
     return "stage/budget_frequency";
   }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"frequencies", PortType::kFrequencies}};
-  }
   void run(StageContext& ctx) override;
 };
 
 // A constant frequency vector at a fixed fraction of every server's range
-// (the "fixed-*" ablation knob), precomputed at construction. Throws for a
-// fraction outside [0, 1].
+// (the "fixed-*" ablation knob; 0.0 is the floor Ω^L), precomputed at
+// construction. Throws for a fraction outside [0, 1].
+// Writes ctx.frequencies.
 class FixedFrequencyStage final : public Stage {
  public:
   FixedFrequencyStage(const core::Instance& instance, double fraction);
@@ -220,29 +142,10 @@ class FixedFrequencyStage final : public Stage {
   [[nodiscard]] const char* span_name() const override {
     return "stage/fixed_frequency";
   }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override { return {}; }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"frequencies", PortType::kFrequencies}};
-  }
   void run(StageContext& ctx) override;
 
  private:
   core::Frequencies frequencies_;
-};
-
-// The frequency floor Ω^L — MPC's assignment stage selects by load shape,
-// not speed.
-class MinFrequencyStage final : public Stage {
- public:
-  [[nodiscard]] const char* name() const override { return "min_frequency"; }
-  [[nodiscard]] const char* span_name() const override {
-    return "stage/min_frequency";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override { return {}; }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"frequencies", PortType::kFrequencies}};
-  }
-  void run(StageContext& ctx) override;
 };
 
 // One CGBA assignment solve at the published frequencies, per connected
@@ -253,8 +156,9 @@ class MinFrequencyStage final : public Stage {
 // components (rebuilt in place every slot) and the slot's assignment, which
 // seeds the next slot's start until reset() clears it. The reported cost is
 // the final loads' social cost summed in global resource order — the
-// global solve's bits; the "p2a" port carries no per-device profile (the
-// assignment port does).
+// global solve's bits; ctx.p2a carries no per-device profile
+// (ctx.assignment does).
+// Reads ctx.rng and ctx.frequencies; writes ctx.p2a and ctx.assignment.
 class CgbaAssignStage final : public Stage {
  public:
   explicit CgbaAssignStage(core::CgbaConfig config) : config_(config) {}
@@ -262,14 +166,6 @@ class CgbaAssignStage final : public Stage {
   [[nodiscard]] const char* name() const override { return "cgba_assign"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/cgba_assign";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"frequencies", PortType::kFrequencies}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"p2a", PortType::kP2aSolution},
-            {"assignment", PortType::kAssignment}};
   }
   void run(StageContext& ctx) override;
   void reset() override {
@@ -300,20 +196,12 @@ class CgbaAssignStage final : public Stage {
 // Assembles the slot decision of the CGBA-assignment baselines
 // ("greedy-budget", "fixed-*"): latency is the P2-A cost, energy is priced
 // at the published frequencies.
+// Reads ctx.frequencies, ctx.p2a and ctx.assignment; writes ctx.result.
 class CgbaDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/decision_out";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"frequencies", PortType::kFrequencies},
-            {"p2a", PortType::kP2aSolution},
-            {"assignment", PortType::kAssignment}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"decision", PortType::kDecision}};
   }
   void run(StageContext& ctx) override;
 
@@ -322,6 +210,7 @@ class CgbaDecisionOutStage final : public Stage {
 };
 
 // The Lemma-2 β-only oracle solve at the per-slot budget.
+// Writes ctx.oracle.
 class BetaOracleStage final : public Stage {
  public:
   explicit BetaOracleStage(core::BetaOnlyConfig config) : config_(config) {}
@@ -330,12 +219,6 @@ class BetaOracleStage final : public Stage {
   [[nodiscard]] const char* span_name() const override {
     return "stage/beta_oracle";
   }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"oracle", PortType::kOracle}};
-  }
   void run(StageContext& ctx) override;
 
  private:
@@ -343,18 +226,12 @@ class BetaOracleStage final : public Stage {
 };
 
 // Assembles the slot decision from the β-only oracle.
+// Reads ctx.oracle; writes ctx.result.
 class BetaDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/decision_out";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"oracle", PortType::kOracle}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"decision", PortType::kDecision}};
   }
   void run(StageContext& ctx) override;
 
@@ -365,6 +242,7 @@ class BetaDecisionOutStage final : public Stage {
 // Owns MPC's online trend estimators: feeds them the observation, then
 // publishes the certainty-equivalence plan inputs (or the bootstrap
 // window-of-one while not every phase has been seen).
+// Writes ctx.forecast.
 class TrendObserveStage final : public Stage {
  public:
   explicit TrendObserveStage(MpcConfig config);
@@ -372,12 +250,6 @@ class TrendObserveStage final : public Stage {
   [[nodiscard]] const char* name() const override { return "trend_observe"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/trend_observe";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"forecast", PortType::kForecast}};
   }
   void run(StageContext& ctx) override;
   void reset() override;
@@ -389,9 +261,9 @@ class TrendObserveStage final : public Stage {
 };
 
 // MPC's plan: one multiplier λ for the forecast window (bisection), then
-// the current slot's frequencies at that λ. Overwrites the "frequencies"
-// port the assignment floor was published on (declared same-type
-// re-production; last writer wins).
+// the current slot's frequencies at that λ, which replace the floor the
+// assignment was solved at.
+// Reads ctx.assignment and ctx.forecast; writes ctx.frequencies.
 class MpcPlanStage final : public Stage {
  public:
   explicit MpcPlanStage(MpcConfig config) : config_(config) {}
@@ -399,14 +271,6 @@ class MpcPlanStage final : public Stage {
   [[nodiscard]] const char* name() const override { return "mpc_plan"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/mpc_plan";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"assignment", PortType::kAssignment},
-            {"forecast", PortType::kForecast}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"frequencies", PortType::kFrequencies}};
   }
   void run(StageContext& ctx) override;
 
@@ -416,20 +280,12 @@ class MpcPlanStage final : public Stage {
 
 // Assembles the MPC slot decision: latency re-evaluated at the planned
 // frequencies via reduced_latency.
+// Reads ctx.frequencies, ctx.p2a and ctx.assignment; writes ctx.result.
 class MpcDecisionOutStage final : public Stage {
  public:
   [[nodiscard]] const char* name() const override { return "decision_out"; }
   [[nodiscard]] const char* span_name() const override {
     return "stage/decision_out";
-  }
-  [[nodiscard]] std::vector<PortSpec> inputs() const override {
-    return {{"state", PortType::kSlotState},
-            {"frequencies", PortType::kFrequencies},
-            {"p2a", PortType::kP2aSolution},
-            {"assignment", PortType::kAssignment}};
-  }
-  [[nodiscard]] std::vector<PortSpec> outputs() const override {
-    return {{"decision", PortType::kDecision}};
   }
   void run(StageContext& ctx) override;
 

@@ -15,8 +15,8 @@ TEST(BetaOnly, LooseTargetGivesPureLatencyMinimum) {
   const SlotState state = test::random_state(5, 2, rng);
   const double max_cost =
       instance.energy_cost(instance.max_frequencies(), state.price_per_mwh);
-  const auto result = solve_beta_only(instance, state, max_cost * 2.0,
-                                      BetaOnlyConfig{}, rng);
+  const auto result =
+      solve_beta_only(instance, state, max_cost * 2.0, BetaOnlyConfig{});
   EXPECT_DOUBLE_EQ(result.multiplier, 0.0);
   // Loaded servers run at max frequency.
   std::vector<bool> loaded(instance.num_servers(), false);
@@ -39,7 +39,7 @@ TEST(BetaOnly, BindingTargetIsRespectedAndNearlySpent) {
       instance.energy_cost(instance.max_frequencies(), state.price_per_mwh);
   const double target = 0.5 * (lo_cost + hi_cost);
   const auto result =
-      solve_beta_only(instance, state, target, BetaOnlyConfig{}, rng);
+      solve_beta_only(instance, state, target, BetaOnlyConfig{});
   EXPECT_LE(result.energy_cost, target * (1.0 + 1e-9));
   // The oracle should not leave large amounts of budget unspent.
   EXPECT_GE(result.energy_cost, target * 0.95);
@@ -53,7 +53,7 @@ TEST(BetaOnly, InfeasibleTargetFallsToFloor) {
   const double lo_cost =
       instance.energy_cost(instance.min_frequencies(), state.price_per_mwh);
   const auto result =
-      solve_beta_only(instance, state, lo_cost * 0.5, BetaOnlyConfig{}, rng);
+      solve_beta_only(instance, state, lo_cost * 0.5, BetaOnlyConfig{});
   EXPECT_NEAR(result.energy_cost, lo_cost, lo_cost * 0.05);
   EXPECT_GT(result.energy_cost, lo_cost * 0.5);  // target truly infeasible
 }
@@ -70,7 +70,7 @@ TEST(BetaOnly, LatencyMonotoneInTarget) {
   for (double frac : {0.2, 0.5, 0.8, 1.2}) {
     const double target = lo_cost + frac * (hi_cost - lo_cost);
     const auto result =
-        solve_beta_only(instance, state, target, BetaOnlyConfig{}, rng);
+        solve_beta_only(instance, state, target, BetaOnlyConfig{});
     EXPECT_LE(result.latency, previous_latency * (1.0 + 1e-6))
         << "frac=" << frac;
     previous_latency = result.latency;
@@ -81,8 +81,7 @@ TEST(BetaOnly, ReportedNumbersConsistent) {
   util::Rng rng(5);
   const Instance instance = test::tiny_instance(4);
   const SlotState state = test::random_state(4, 2, rng);
-  const auto result =
-      solve_beta_only(instance, state, 1.0, BetaOnlyConfig{}, rng);
+  const auto result = solve_beta_only(instance, state, 1.0, BetaOnlyConfig{});
   EXPECT_NEAR(result.latency,
               reduced_latency(instance, state, result.assignment,
                               result.frequencies),
@@ -94,15 +93,13 @@ TEST(BetaOnly, ReportedNumbersConsistent) {
 }
 
 TEST(BetaOnly, RejectsBadArguments) {
-  util::Rng rng(6);
   const Instance instance = test::tiny_instance(2);
   const SlotState state = test::uniform_state(2, 2);
-  EXPECT_THROW(
-      (void)solve_beta_only(instance, state, 0.0, BetaOnlyConfig{}, rng),
-      std::invalid_argument);
+  EXPECT_THROW((void)solve_beta_only(instance, state, 0.0, BetaOnlyConfig{}),
+               std::invalid_argument);
   BetaOnlyConfig config;
   config.iterations = 0;
-  EXPECT_THROW((void)solve_beta_only(instance, state, 1.0, config, rng),
+  EXPECT_THROW((void)solve_beta_only(instance, state, 1.0, config),
                std::invalid_argument);
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/latency.h"
-#include "sim/pipeline/graph.h"
 #include "sim/pipeline/stages.h"
 #include "sim/registry.h"
 #include "sim/scenario.h"
@@ -25,17 +24,21 @@ ScenarioConfig small_config() {
   return config;
 }
 
-// "mpc" with its audit tap recording each slot's forecast length: one price
-// while bootstrapping, `window` prices once the trends have seen a period.
-std::unique_ptr<Policy> mpc_recording_forecasts(
-    const core::Instance& instance, std::vector<std::size_t>& lengths) {
-  auto policy = make_policy("mpc", instance);
-  auto& graph = dynamic_cast<pipeline::PolicyGraph&>(*policy);
-  dynamic_cast<pipeline::AuditTapStage&>(*graph.find_stage("audit_tap"))
-      .set_tap([&lengths](const pipeline::StageContext& ctx) {
-        lengths.push_back(ctx.forecast.prices.size());
-      });
-  return policy;
+// Runs MPC's trend stage on the scenario's next `slots` states and returns
+// each slot's forecast length: one price while bootstrapping, `window`
+// prices once the trends have seen a period.
+std::vector<std::size_t> forecast_lengths(pipeline::TrendObserveStage& stage,
+                                          Scenario& scenario, int slots) {
+  pipeline::StageContext ctx;
+  ctx.instance = &scenario.instance();
+  std::vector<std::size_t> lengths;
+  for (int t = 0; t < slots; ++t) {
+    const core::SlotState state = scenario.next_state();
+    ctx.state = &state;
+    stage.run(ctx);
+    lengths.push_back(ctx.forecast.prices.size());
+  }
+  return lengths;
 }
 
 TEST(Mpc, ProducesFeasibleDecisionsFromSlotOne) {
@@ -56,10 +59,8 @@ TEST(Mpc, ProducesFeasibleDecisionsFromSlotOne) {
 
 TEST(Mpc, StartsForecastingAfterOnePeriod) {
   Scenario scenario(small_config());
-  std::vector<std::size_t> lengths;
-  const auto policy = mpc_recording_forecasts(scenario.instance(), lengths);
-  util::Rng rng(2);
-  for (int t = 0; t < 24; ++t) (void)policy->step(scenario.next_state(), rng);
+  pipeline::TrendObserveStage stage{MpcConfig{}};
+  const auto lengths = forecast_lengths(stage, scenario, 24);
   ASSERT_EQ(lengths.size(), 24u);
   // The 24th observation completes the first period.
   for (std::size_t t = 0; t + 1 < lengths.size(); ++t) {
@@ -70,14 +71,10 @@ TEST(Mpc, StartsForecastingAfterOnePeriod) {
 
 TEST(Mpc, ResetForgetsTrends) {
   Scenario scenario(small_config());
-  std::vector<std::size_t> lengths;
-  const auto policy = mpc_recording_forecasts(scenario.instance(), lengths);
-  util::Rng rng(3);
-  for (int t = 0; t < 30; ++t) (void)policy->step(scenario.next_state(), rng);
-  EXPECT_EQ(lengths.back(), MpcConfig{}.window);
-  policy->reset();
-  (void)policy->step(scenario.next_state(), rng);
-  EXPECT_EQ(lengths.back(), 1u);
+  pipeline::TrendObserveStage stage{MpcConfig{}};
+  EXPECT_EQ(forecast_lengths(stage, scenario, 30).back(), MpcConfig{}.window);
+  stage.reset();
+  EXPECT_EQ(forecast_lengths(stage, scenario, 1).back(), 1u);
 }
 
 TEST(Mpc, WindowBudgetRoughlyRespectedOnceForecasting) {
