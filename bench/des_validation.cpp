@@ -2,10 +2,9 @@
 // discrete-event execution of the same decisions (src/des), swept over
 // policies x scenario presets x sharing disciplines.
 //
-// For every (policy, scenario) cell one multi-slot run is driven through
-// the policy exactly like sim::run_policy (reset, Rng(1), one step per
-// slot), and every slot's decision is fed to three des::FlowSimulator
-// instances sharing the decision stream:
+// For every (policy, scenario) cell one multi-slot sim::run_policy run
+// feeds every slot's decision, through its slot observer, to three
+// des::FlowSimulator instances sharing the decision stream:
 //
 //   static      kStaticShares, slot-start arrivals — must reproduce the
 //               analytic Σ_i L_i to numerical precision (the Eq. (18)-(19)
@@ -98,17 +97,16 @@ int main(int argc, char** argv) {
         des::FlowSimulator ps(instance, ps_config);
         des::FlowSimulator ps_poisson(instance, poisson_config);
 
-        // The run_policy() convention: the decision stream here is
-        // bit-identical to what the CLI --log path would record.
-        policy->reset();
-        util::Rng rng(1);
-        core::SlotState state;
-        while (source.next(state)) {
-          const core::DppSlotResult slot = policy->step(state, rng);
-          fixed.push_slot(state, slot.decision);
-          ps.push_slot(state, slot.decision);
-          ps_poisson.push_slot(state, slot.decision);
-        }
+        // The decision stream here is bit-identical to what the CLI
+        // --log path records.
+        (void)sim::run_policy(
+            *policy, source, 1, /*keep_series=*/false,
+            [&](const core::SlotState& state, const core::DppSlotResult& slot,
+                double) {
+              fixed.push_slot(state, slot.decision);
+              ps.push_slot(state, slot.decision);
+              ps_poisson.push_slot(state, slot.decision);
+            });
 
         const des::HorizonResult fixed_result = fixed.finish();
         const des::HorizonResult ps_result = ps.finish();

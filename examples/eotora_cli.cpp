@@ -1,23 +1,25 @@
 // Command-line experiment driver: run any policy on the paper scenario with
-// parameters from flags, optionally recording the state trace or replaying a
-// previous one.
+// parameters from flags, optionally recording the state trace, replaying a
+// previous one, or serving a client that sends the states over a socket.
 //
 //   $ ./examples/eotora_cli --help
 //   $ ./examples/eotora_cli --policy=bdma --v=200 --days=7 --budget=1.1
 //   $ ./examples/eotora_cli --policy=greedy --devices=60 --record=run.eot
 //   $ ./examples/eotora_cli --policy=mcba --devices=60 --replay=run.eot
 //   $ ./examples/eotora_cli --policy=bdma --devices=50 --horizon=100000
+//   $ ./examples/eotora_cli --policy=mcba --devices=60 --serve=/tmp/e.sock &
+//   $ ./examples/eotora_loadgen --socket=/tmp/e.sock --replay=run.eot
 //
-// States are pulled one slot at a time (sim::StateSource), so memory stays
-// O(devices x stations) no matter how long the run; only aggregate metrics
-// are kept.
+// Every mode is one sim::run_policy loop: states are pulled one slot at a
+// time (sim::StateSource), so memory stays O(devices x stations) no matter
+// how long the run; only aggregate metrics are kept.
 #include <iostream>
 #include <memory>
+#include <optional>
 
-#include "core/counters.h"
 #include "eotora/eotora.h"
+#include "serve/server.h"
 #include "util/args.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace {
@@ -54,11 +56,17 @@ options (all --key=value):
              and a confined share of the devices, so the WCG splits into
              one component per district
   --record   write the run's states to this state log: the EOT1
-             session eotora_serve ingests (a hello, then one delta
-             frame per slot; serve/state_log.h)
+             session --serve ingests (a hello, then one delta frame
+             per slot; serve/state_log.h)
   --replay   read states from a state log instead of generating
              them; its devices x base stations must match the
              scenario built from the other flags
+  --serve    listen on this Unix-domain socket and serve one client
+             (eotora_loadgen, serve/codec.h): its hello must match
+             the scenario like a --replay log, then every delta it
+             sends is decided; the report follows its shutdown.
+             Takes no --replay, --record, --prefetch, --horizon or
+             --days; exits 1 on any session error
   --log      write a per-slot decision log (CSV) to this path
   --prefetch generate the next state on a background thread while
              the policy decides the current slot
@@ -128,7 +136,7 @@ int main(int argc, char** argv) {
     const util::Args args(argc, argv,
                           {"policy", "devices", "days", "horizon", "budget",
                            "v", "q0", "z", "seed", "scenario", "shards",
-                           "districts", "record", "replay", "log",
+                           "districts", "record", "replay", "serve", "log",
                            "prefetch", "audit", "trace-out",
                            "kernel-backend", "list-kernels",
                            "list-policies", "list-scenarios", "help"});
@@ -196,6 +204,20 @@ int main(int argc, char** argv) {
           "--horizon/--days do not apply with --replay: the replay file "
           "fixes the number of slots");
     }
+    const std::string socket_path = args.get("serve", "");
+    if (args.has("serve")) {
+      if (socket_path.empty()) {
+        throw std::invalid_argument("--serve requires a socket path");
+      }
+      for (const std::string flag :
+           {"replay", "record", "prefetch", "horizon", "days"}) {
+        if (args.has(flag)) {
+          throw std::invalid_argument("--" + flag +
+                                      " does not apply with --serve: the "
+                                      "client sends the states");
+        }
+      }
+    }
     const std::string trace_out = args.get("trace-out", "");
     if (args.has("trace-out") && trace_out.empty()) {
       throw std::invalid_argument("--trace-out requires a file path");
@@ -235,39 +257,34 @@ int main(int argc, char** argv) {
     const bool auditing = audit.mode != sim::AuditMode::kOff;
 
     // Build the state source: the scenario (or a state log) pulled one
-    // slot at a time, optionally teed into a recording and prefetched.
-    std::unique_ptr<sim::Scenario> replay_world;  // instance for --replay
+    // slot at a time, optionally teed into a recording and prefetched. A
+    // served run gets its states from the client instead.
+    std::unique_ptr<sim::Scenario> world;  // instance for --replay/--serve
     std::unique_ptr<sim::ScenarioSource> scenario_source;
     std::unique_ptr<serve::StateLogSource> replay_source;
     std::unique_ptr<serve::RecordingSource> recording_source;
     std::unique_ptr<sim::PrefetchSource> prefetch_source;
     sim::StateSource* source = nullptr;
     const core::Instance* instance = nullptr;
-    if (args.has("replay")) {
-      replay_world = std::make_unique<sim::Scenario>(config);
-      instance = &replay_world->instance();
-      sim::print_scenario(std::cout, *replay_world);
-      replay_source =
-          std::make_unique<serve::StateLogSource>(args.get("replay", ""));
-      // The log's shape must be the instance's before the first slot; the
-      // applier then checks every slot's rows and values.
-      if (replay_source->devices() != instance->num_devices() ||
-          replay_source->base_stations() != instance->num_base_stations()) {
-        throw std::invalid_argument(
-            "replay log has " + std::to_string(replay_source->devices()) +
-            " devices x " + std::to_string(replay_source->base_stations()) +
-            " base stations but the scenario has " +
-            std::to_string(instance->num_devices()) + " devices x " +
-            std::to_string(instance->num_base_stations()) +
-            " base stations; pass the recording's world flags");
-      }
-      source = replay_source.get();
-      std::cout << "streaming replay from " << args.get("replay", "") << "\n";
+    if (args.has("replay") || args.has("serve")) {
+      world = std::make_unique<sim::Scenario>(config);
+      instance = &world->instance();
+      sim::print_scenario(std::cout, *world);
     } else {
       scenario_source = std::make_unique<sim::ScenarioSource>(config, horizon);
       sim::print_scenario(std::cout, scenario_source->scenario());
       source = scenario_source.get();
       instance = &scenario_source->instance();
+    }
+    if (args.has("replay")) {
+      replay_source =
+          std::make_unique<serve::StateLogSource>(args.get("replay", ""));
+      // The log's shape must be the instance's before the first slot; the
+      // applier then checks every slot's rows and values.
+      serve::check_shape("replay log", replay_source->devices(),
+                         replay_source->base_stations(), *instance);
+      source = replay_source.get();
+      std::cout << "streaming replay from " << args.get("replay", "") << "\n";
     }
     if (args.has("record")) {
       recording_source = std::make_unique<serve::RecordingSource>(
@@ -288,59 +305,37 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // keep_series=false keeps the run O(1) in the horizon; the printed
-    // comparison only needs the aggregates.
-    sim::SimulationResult result;
+    // One run_policy loop for every mode. --log writes each slot's row as
+    // it is decided, and keep_series=false keeps the run O(1) in the
+    // horizon: the printed comparison only needs the aggregates.
+    std::optional<sim::DecisionLogWriter> log;
+    sim::SlotObserver write_row;
     if (args.has("log")) {
-      // run_policy's loop with each slot's row written straight to disk.
-      // The phases are timed and traced exactly as in run_policy, so
-      // wall_seconds stays the summed policy.step() time.
-      policy->reset();
-      util::Rng rng(1);
-      result.policy_name = policy->name();
-      result.metrics.set_keep_series(false);
-      sim::DecisionLogWriter log(args.get("log", ""));
-      sim::SlotAuditor auditor(*instance, audit);
-      core::SlotState state;
-      core::DppSlotResult slot;
-      util::Timer timer;
-      for (;;) {
-        bool have_state;
-        {
-          EOTORA_TRACE_SPAN("slot/state");
-          timer.reset();
-          have_state = source->next(state);
-          result.state_seconds += timer.elapsed_seconds();
-        }
-        if (!have_state) break;
-        {
-          // Scope only the decision: audit-time re-solves must not
-          // pollute the counters.
-          EOTORA_TRACE_SPAN("slot/decide");
-          const core::counters::Scope scope(result.counters);
-          timer.reset();
-          slot = policy->step(state, rng);
-          result.wall_seconds += timer.elapsed_seconds();
-        }
-        if (auditing) {
-          EOTORA_TRACE_SPAN("slot/audit");
-          timer.reset();
-          auditor.observe(state, slot);
-          result.audit_seconds += timer.elapsed_seconds();
-        }
-        result.metrics.record(slot);
-        log.record(state, slot);
+      log.emplace(args.get("log", ""));
+      write_row = [&log](const core::SlotState& state,
+                         const core::DppSlotResult& slot, double) {
+        log->record(state, slot);
+      };
+    }
+    sim::SimulationResult result;
+    if (args.has("serve")) {
+      serve::ServeLoop loop(*instance, std::move(policy));
+      const serve::Fd listener = serve::listen_unix(socket_path);
+      std::cout << "serving one client on " << socket_path << std::endl;
+      result = loop.serve(serve::accept_client(listener), audit, write_row);
+      if (loop.failed()) {
+        throw std::runtime_error("serve session failed: " +
+                                 loop.metrics().error);
       }
-      result.stages = policy->stage_stats();
-      result.audit = auditor.report();
-      log.close();
-      std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
+      std::cout << "served " << result.metrics.slots() << " slots\n";
+      if (result.metrics.slots() == 0) return 0;
     } else {
-      result = auditing
-                   ? sim::run_policy(*policy, *instance, *source, audit, 1,
-                                     /*keep_series=*/false)
-                   : sim::run_policy(*policy, *source, 1,
-                                     /*keep_series=*/false);
+      result = sim::run_policy(*policy, *instance, *source, audit, 1,
+                               /*keep_series=*/false, write_row);
+    }
+    if (log) {
+      log->close();
+      std::cout << "wrote per-slot log to " << args.get("log", "") << "\n";
     }
     if (recording_source != nullptr) {
       std::cout << "recorded " << result.metrics.slots() << " slots to "

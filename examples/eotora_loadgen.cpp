@@ -1,6 +1,6 @@
-// eotora_loadgen: drives an eotora_serve daemon with a recorded state log
-// at full wire speed and reports the achieved ingest rate plus the
-// daemon's final metrics.
+// eotora_loadgen: drives a serve daemon (`eotora_cli --serve`) with a
+// recorded state log at full wire speed and reports the achieved ingest
+// rate plus the daemon's final metrics.
 //
 // The log (eotora_cli --record, serve/state_log.h) already is the session
 // a client sends: a hello naming the instance shape, then one delta frame
@@ -12,7 +12,8 @@
 //
 //   $ ./examples/eotora_cli --policy=greedy --devices=30 --horizon=1000
 //         --record=run.eot
-//   $ ./examples/eotora_serve --socket=/tmp/eotora.sock --devices=30 &
+//   $ ./examples/eotora_cli --policy=greedy --devices=30
+//         --serve=/tmp/eotora.sock &
 //   $ ./examples/eotora_loadgen --socket=/tmp/eotora.sock --replay=run.eot
 //         --metrics-out=metrics.json  (one command line each)
 #include <fstream>
@@ -29,10 +30,11 @@ namespace {
 
 void print_usage() {
   std::cout <<
-      R"(eotora_loadgen - replay a recorded state log into eotora_serve
+      R"(eotora_loadgen - replay a recorded state log into a serve daemon
+(eotora_cli --serve)
 
 options (all --key=value):
-  --socket   daemon's Unix-domain socket path                 (required)
+  --socket   daemon's Unix-domain socket path (its --serve)   (required)
   --replay   state log to send (eotora_cli --record); its devices x
              base stations must match the daemon's instance   (required)
   --want-decisions  subscribe to per-slot kDecision frames and read

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/simulator.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace eotora::des {
 
@@ -27,32 +27,31 @@ ReplayReport replay_log(const core::Instance& instance,
   FlowSimulator static_sim(instance, static_config);
   FlowSimulator ps_sim(instance, ps_config);
 
-  // The run_policy() convention: fresh policy state, one deterministic rng
-  // stream, one step per slot.
-  policy.reset();
-  util::Rng rng(config.seed);
-
   ReplayReport report;
   report.slots.reserve(log.rows());
-  core::SlotState state;
-  for (const sim::DecisionLog::Row& expected : log.entries()) {
-    EOTORA_REQUIRE_MSG(source.next(state),
-                       "state stream ended after "
-                           << report.slots.size() << " slots but the log has "
-                           << log.rows());
-    const core::DppSlotResult slot = policy.step(state, rng);
-
+  const auto& rows = log.entries();
+  std::size_t stream_slots = 0;
+  const auto cross_check = [&](const core::SlotState& state,
+                               const core::DppSlotResult& slot, double) {
+    // Slots past the log are only counted, for the length check below.
+    if (stream_slots++ >= rows.size()) return;
     ReplaySlot replayed;
     replayed.slot = report.slots.size();
-    replayed.expected = expected;
+    replayed.expected = rows[replayed.slot];
     replayed.actual = sim::DecisionLog::make_row(state, slot);
-    replayed.row_matches = replayed.actual == expected;
+    replayed.row_matches = replayed.actual == replayed.expected;
     if (!replayed.row_matches) ++report.mismatched_rows;
 
     static_sim.push_slot(state, slot.decision);
     ps_sim.push_slot(state, slot.decision);
     report.slots.push_back(replayed);
-  }
+  };
+  (void)sim::run_policy(policy, source, config.seed, /*keep_series=*/false,
+                        cross_check);
+  EOTORA_REQUIRE_MSG(stream_slots == rows.size(),
+                     "state stream has " << stream_slots
+                                         << " slots but the log has "
+                                         << rows.size());
 
   report.static_horizon = static_sim.finish();
   report.ps_horizon = ps_sim.finish();

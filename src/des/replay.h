@@ -1,10 +1,9 @@
 // DecisionLog-driven differential replay: re-executes an audited run
 // slot-by-slot and cross-checks three layers against each other.
 //
-// replay_log() drains the same state stream the original run consumed,
-// steps the SAME policy construction with the run_policy() rng convention
-// (policy.reset(), util::Rng rng(seed), one step per slot), and for every
-// slot:
+// replay_log() drives the SAME policy construction through sim::run_policy
+// over the state stream the original run consumed, with the recording's
+// rng seed, and for every slot:
 //
 //   1. rebuilds the DecisionLog row from the re-derived slot result and
 //      compares it BIT-FOR-BIT against the recorded row (Row::operator==) —
@@ -34,8 +33,8 @@
 namespace eotora::des {
 
 struct ReplayConfig {
-  // Policy rng seed; must match the recording run (run_policy and the CLI
-  // --log path both default to 1).
+  // Policy rng seed; must match the recording run (run_policy, and so
+  // every CLI run, defaults to 1).
   std::uint64_t seed = 1;
   ArrivalModel arrivals = ArrivalModel::kSlotStart;
   double arrival_rate = 4.0;       // kPoisson only
@@ -69,8 +68,9 @@ struct ReplayReport {
   [[nodiscard]] bool decisions_match() const { return mismatched_rows == 0; }
 };
 
-// Replays exactly log.rows() slots. Throws std::invalid_argument when the
-// log is empty or the source runs out of states before the log does.
+// Replays the whole stream, which must hold exactly log.rows() slots.
+// Throws std::invalid_argument when the log is empty or the stream is
+// shorter or longer than the log, naming both counts.
 [[nodiscard]] ReplayReport replay_log(const core::Instance& instance,
                                       sim::StateSource& source,
                                       sim::Policy& policy,

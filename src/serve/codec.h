@@ -1,4 +1,5 @@
-// The eotora_serve wire protocol: length-prefixed binary frames.
+// The serve daemon's wire protocol (`eotora_cli --serve`,
+// serve::ServeLoop::serve): length-prefixed binary frames.
 //
 // Framing (all integers little-endian):
 //   frame   := u32 payload_length | payload
@@ -20,7 +21,8 @@
 //   kMetricsReply   UTF-8 JSON bytes (schema eotora-serve-metrics-v1).
 //   kShutdown       empty body; the daemon drains its ring and exits.
 //   kError          UTF-8 message bytes, sent before the daemon closes a
-//                   poisoned connection.
+//                   poisoned connection: a rejected hello or delta, a
+//                   malformed or unexpected frame, or a failed reply.
 //
 // Doubles travel as their raw IEEE-754 bit patterns (u64), so an
 // encode/decode round trip is exact — the byte-identity contract of the

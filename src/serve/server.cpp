@@ -1,12 +1,27 @@
 #include "serve/server.h"
 
+#include <sys/socket.h>
+
+#include <stdexcept>
 #include <thread>
 
+#include "serve/codec.h"
 #include "util/check.h"
-#include "util/timer.h"
-#include "util/trace.h"
 
 namespace eotora::serve {
+
+namespace {
+
+// At most this many per-slot decide latencies are retained for the
+// p50/p99 percentiles; once full, the reservoir stops growing and the
+// percentiles describe the first kLatencyCapacity slots.
+constexpr std::size_t kLatencyCapacity = std::size_t{1} << 20;
+
+std::vector<std::uint8_t> bytes_of(const std::string& text) {
+  return {text.begin(), text.end()};
+}
+
+}  // namespace
 
 util::Json ServeMetrics::to_json() const {
   util::Json doc = util::Json::object();
@@ -27,16 +42,52 @@ util::Json ServeMetrics::to_json() const {
   return doc;
 }
 
+void check_shape(const std::string& what, std::size_t devices,
+                 std::size_t base_stations, const core::Instance& instance) {
+  if (devices == instance.num_devices() &&
+      base_stations == instance.num_base_stations()) {
+    return;
+  }
+  throw std::invalid_argument(
+      what + " has " + std::to_string(devices) + " devices x " +
+      std::to_string(base_stations) + " base stations but the scenario has " +
+      std::to_string(instance.num_devices()) + " devices x " +
+      std::to_string(instance.num_base_stations()) +
+      " base stations; pass the recording's world flags");
+}
+
+// The StateSource run() drains: each next() waits for a delta, pops it and
+// folds it into the state with the loop's DeltaApplier, which throws
+// sim::DeltaError on a delta it rejects.
+class ServeLoop::RingSource final : public sim::StateSource {
+ public:
+  explicit RingSource(ServeLoop& loop) : loop_(&loop) {}
+
+  bool next(core::SlotState& out) override {
+    if (!loop_->await_delta()) return false;
+    loop_->pop_depth_ = loop_->ring_.size();
+    const bool popped = loop_->ring_.try_pop(delta_);
+    EOTORA_ASSERT(popped);
+    loop_->applier_.apply(delta_, out);
+    return true;
+  }
+
+  void reset() override {
+    throw std::logic_error("a ring-fed state source cannot rewind");
+  }
+
+ private:
+  ServeLoop* loop_;
+  sim::SlotDelta delta_;
+};
+
 ServeLoop::ServeLoop(const core::Instance& instance,
                      std::unique_ptr<sim::Policy> policy,
                      ServeOptions options)
     : instance_(&instance),
       policy_(std::move(policy)),
-      options_(options),
       ring_(options.ring_capacity),
-      applier_(instance.num_devices(), instance.num_base_stations(),
-               options.away_workload_fraction),
-      rng_(options.rng_seed) {
+      applier_(instance.num_devices(), instance.num_base_stations()) {
   EOTORA_REQUIRE(policy_ != nullptr);
 }
 
@@ -47,60 +98,147 @@ bool ServeLoop::submit(sim::SlotDelta delta) {
   return true;
 }
 
-void ServeLoop::run() {
-  policy_->reset();
-  core::SlotState state;
-  core::DppSlotResult slot;
-  sim::SlotDelta delta;
-  util::Timer timer;
-  for (;;) {
-    const std::uint64_t depth = ring_.size();
-    if (!ring_.try_pop(delta)) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      // Idle: the producer is slower than the solver right now. Yield
-      // rather than spin hot — decide latency is measured per slot, not
-      // across the wait.
-      std::this_thread::yield();
-      continue;
-    }
-    try {
-      {
-        EOTORA_TRACE_SPAN("serve/apply");
-        applier_.apply(delta, state);
-      }
-      double decide_seconds = 0.0;
-      {
-        EOTORA_TRACE_SPAN("serve/decide");
-        timer.reset();
-        slot = policy_->step(state, rng_);
-        decide_seconds = timer.elapsed_seconds();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(metrics_mutex_);
-        ++slots_decided_;
-        last_slot_ = delta.slot;
-        if (depth > ingest_depth_max_) ingest_depth_max_ = depth;
-        if (decide_us_.size() < options_.latency_capacity) {
-          decide_us_.push_back(decide_seconds * 1e6);
-        }
-        latency_stats_.add(slot.latency);
-        cost_stats_.add(slot.energy_cost);
-        queue_backlog_ = slot.queue_after;
-        active_devices_ = applier_.active_devices();
-      }
-      if (on_decision_) on_decision_(delta.slot, slot);
-    } catch (const std::exception& error) {
-      // sim::DeltaError (a rejected delta) or, defensively, anything the
-      // solver threw on a pathological-but-validated state. Either way the
-      // loop is poisoned: record the message and stop deciding.
-      {
-        const std::lock_guard<std::mutex> lock(metrics_mutex_);
-        error_ = error.what();
-      }
-      failed_.store(true, std::memory_order_release);
-      return;
-    }
+bool ServeLoop::await_delta() const {
+  while (ring_.empty()) {
+    // The ring is looked at again after the stop flag, so a delta
+    // submitted before request_stop() is never left behind.
+    if (stop_.load(std::memory_order_acquire)) return !ring_.empty();
+    // Idle: the producer is slower than the solver right now. Yield rather
+    // than spin hot — decide latency is measured per slot, not across the
+    // wait.
+    std::this_thread::yield();
   }
+  return true;
+}
+
+sim::SimulationResult ServeLoop::run(const sim::AuditConfig& audit,
+                                     const sim::SlotObserver& observer) {
+  // run_policy needs a slot; a loop stopped before its first delta has
+  // decided nothing.
+  if (!await_delta()) return {};
+  RingSource source(*this);
+  try {
+    return sim::run_policy(
+        *policy_, *instance_, source, audit, 1, /*keep_series=*/false,
+        [&](const core::SlotState& state, const core::DppSlotResult& slot,
+            double step_seconds) {
+          publish(state, slot, step_seconds);
+          if (on_decision_) on_decision_(state.slot, slot);
+          if (observer) observer(state, slot, step_seconds);
+        });
+  } catch (const std::exception& error) {
+    // sim::DeltaError (a rejected delta), a failed reply or observer, or,
+    // defensively, anything the solver threw on a pathological but
+    // validated state. Either way the loop stops deciding.
+    fail(error.what());
+    return {};
+  }
+}
+
+sim::SimulationResult ServeLoop::serve(const Fd& client,
+                                       const sim::AuditConfig& audit,
+                                       const sim::SlotObserver& observer) {
+  std::mutex write_mutex;  // decide thread (decisions) vs ingest (replies)
+  const auto send = [&](FrameType type,
+                        const std::vector<std::uint8_t>& payload) {
+    const std::lock_guard<std::mutex> lock(write_mutex);
+    send_frame(client, type, payload);
+  };
+  FrameAssembler assembler;
+  Frame frame;
+  const auto ingest = [&] {
+    try {
+      while (recv_frame(client, assembler, frame)) {
+        if (frame.type == FrameType::kDelta) {
+          const sim::SlotDelta delta = decode_delta(frame.payload);
+          // A full ring back-pressures naturally: the session stops reading
+          // the socket until the decide loop drains a slot.
+          while (!submit(delta) && !failed()) std::this_thread::yield();
+        } else if (frame.type == FrameType::kMetricsRequest) {
+          // Control-path barrier: the reply reflects every delta submitted
+          // before the request.
+          while (!drained()) std::this_thread::yield();
+          if (!failed()) {
+            send(FrameType::kMetricsReply,
+                 bytes_of(metrics().to_json().dump()));
+          }
+        } else if (frame.type == FrameType::kShutdown) {
+          break;
+        } else {
+          throw std::runtime_error(
+              "unexpected frame type " +
+              std::to_string(static_cast<int>(frame.type)) +
+              " from the client");
+        }
+        if (failed()) break;
+      }
+    } catch (const std::exception& error) {
+      fail(error.what());
+    }
+    request_stop();
+  };
+
+  sim::SimulationResult result;
+  std::thread ingest_thread;
+  try {
+    // Hello handshake: the client's shape must be the instance's, else
+    // every delta would be rejected.
+    if (!recv_frame(client, assembler, frame) ||
+        frame.type != FrameType::kHello) {
+      throw CodecError("expected a kHello frame first");
+    }
+    const Hello hello = decode_hello(frame.payload);
+    check_shape("client", hello.devices, hello.base_stations, *instance_);
+    ingest_thread = std::thread(ingest);
+    result = run(audit, [&](const core::SlotState& state,
+                            const core::DppSlotResult& slot,
+                            double step_seconds) {
+      if (hello.want_decisions) {
+        send(FrameType::kDecision,
+             encode_decision({state.slot, slot.latency, slot.energy_cost,
+                              slot.theta, slot.queue_after}));
+      }
+      if (observer) observer(state, slot, step_seconds);
+    });
+  } catch (const std::exception& error) {
+    fail(error.what());
+  }
+  if (failed()) {
+    try {
+      send(FrameType::kError, bytes_of(metrics().error));
+    } catch (const std::exception&) {
+      // The client is gone; the error stays in the metrics.
+    }
+    // The ingest thread may be blocked on a client that waits for a reply;
+    // ending the read side wakes it.
+    ::shutdown(client.get(), SHUT_RD);
+  }
+  if (ingest_thread.joinable()) ingest_thread.join();
+  return result;
+}
+
+void ServeLoop::publish(const core::SlotState& state,
+                        const core::DppSlotResult& slot,
+                        double step_seconds) {
+  const std::lock_guard<std::mutex> lock(metrics_mutex_);
+  ++slots_decided_;
+  last_slot_ = state.slot;
+  if (pop_depth_ > ingest_depth_max_) ingest_depth_max_ = pop_depth_;
+  if (decide_us_.size() < kLatencyCapacity) {
+    decide_us_.push_back(step_seconds * 1e6);
+  }
+  latency_stats_.add(slot.latency);
+  cost_stats_.add(slot.energy_cost);
+  queue_backlog_ = slot.queue_after;
+  active_devices_ = applier_.active_devices();
+}
+
+void ServeLoop::fail(const std::string& message) {
+  {
+    const std::lock_guard<std::mutex> lock(metrics_mutex_);
+    if (error_.empty()) error_ = message;
+  }
+  failed_.store(true, std::memory_order_release);
 }
 
 void ServeLoop::request_stop() {

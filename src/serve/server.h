@@ -1,22 +1,32 @@
-// The online controller's decide loop and its metrics surface.
+// The online controller: the decide loop, its client session and its
+// metrics surface.
 //
-// ServeLoop is the transport-independent core of the eotora_serve daemon:
-// a producer (socket ingest thread, load generator, or a test) submits
-// SlotDeltas into the lock-free SPSC ring, and run() — the consumer —
-// applies each delta to the persistent SlotState and steps the policy on
-// the result. The policy object lives across every slot, so the solver's
-// warm-start machinery (the WCG arena rebuild() path, cached precompute
-// tables, the DPP virtual queue, the carried CGBA assignment that seeds
-// each slot's first P2-A solve) carries over exactly as in a batch
-// run_policy drain, and only the policy's reset() clears it: the decisions
-// a ServeLoop produces for a delta stream are bit-identical to run_policy
-// over the equivalent DeltaSource (differential-tested in
-// tests/test_serve.cpp).
+// ServeLoop runs sim::run_policy over a ring-fed StateSource. A producer
+// (the session's ingest thread, a load generator, or a test) submits
+// SlotDeltas into the lock-free SPSC ring; run() — the consumer — is the
+// batch slot loop, whose source pops each delta and folds it into the
+// persistent SlotState. The policy object lives across every slot, so the
+// solver's warm-start machinery (the WCG arena rebuild() path, cached
+// precompute tables, the DPP virtual queue, the carried CGBA assignment
+// that seeds each slot's first P2-A solve) carries over exactly as in any
+// other run_policy drain: the decisions a ServeLoop produces for a delta
+// stream are bit-identical to run_policy over the equivalent DeltaSource
+// (differential-tested in tests/test_serve.cpp), and a served run reports
+// the same counters, stage stats and audit.
 //
-// Error contract: a delta the applier rejects (sim::DeltaError) poisons the
-// loop — run() stops, the structured message lands in
-// ServeMetrics::error, and failed() turns true. The daemon relays it to
-// the client as a kError frame.
+// serve() is the session `eotora_cli --serve` runs on one connected client:
+//
+//   client ──kHello──▶ shape check ──kDelta*──▶ SPSC ring ──▶ run()
+//          ◀─kDecision (if requested)          (calling thread)
+//          ──kMetricsRequest──▶ drain barrier
+//          ◀─kMetricsReply (JSON)
+//          ──kShutdown (or EOF)──▶ drain, return
+//
+// Error contract: a delta the applier rejects (sim::DeltaError), a
+// malformed or unexpected frame, a failed socket read or write, or an
+// exception from the observer poisons the loop — run() stops, the first
+// message lands in ServeMetrics::error, and failed() turns true. serve()
+// also sends that message to the client as a kError frame.
 #pragma once
 
 #include <atomic>
@@ -30,27 +40,20 @@
 #include "core/dpp.h"
 #include "core/instance.h"
 #include "serve/ring.h"
+#include "serve/socket.h"
+#include "sim/audit.h"
 #include "sim/delta.h"
 #include "sim/policy.h"
+#include "sim/simulator.h"
 #include "util/json.h"
-#include "util/rng.h"
 #include "util/stats.h"
 
 namespace eotora::serve {
 
 struct ServeOptions {
-  // Seed of the rng stream handed to policy.step(), matching run_policy's
-  // default so serve and batch runs are comparable out of the box.
-  std::uint64_t rng_seed = 1;
   // Ring capacity (rounded up to a power of two). A full ring
   // back-pressures the producer.
   std::size_t ring_capacity = 1024;
-  // Keep-alive workload fraction for departed devices (sim::DeltaApplier).
-  double away_workload_fraction = 0.05;
-  // At most this many per-slot decide latencies are retained for the
-  // p50/p99 percentiles; once full, the reservoir stops growing and the
-  // percentiles describe the first `latency_capacity` slots.
-  std::size_t latency_capacity = std::size_t{1} << 20;
 };
 
 // A point-in-time snapshot of the controller's health. All wall-clock
@@ -75,6 +78,12 @@ struct ServeMetrics {
   [[nodiscard]] util::Json to_json() const;
 };
 
+// The shape check an EOT1 stream passes before its first slot: throws
+// std::invalid_argument naming both shapes unless `what` (a replay log, a
+// client) announced `instance`'s devices x base stations.
+void check_shape(const std::string& what, std::size_t devices,
+                 std::size_t base_stations, const core::Instance& instance);
+
 class ServeLoop {
  public:
   // Called after every decided slot, from the decide thread.
@@ -91,15 +100,29 @@ class ServeLoop {
   // failed. Single producer only.
   bool submit(sim::SlotDelta delta);
 
-  // Consumer side: pops, applies, and decides until request_stop() has
-  // been called AND the ring is drained — or a DeltaError poisons the
-  // loop. Runs the caller's thread; call it from exactly one thread.
-  void run();
+  // Consumer side: run_policy (rng seed 1, no per-slot series) over the
+  // ring until request_stop() has been called AND the ring is drained — or
+  // an error poisons the loop. Each slot publishes the metrics, then calls
+  // the decision callback, then `observer`. Returns the run's result, or
+  // an empty one when the loop failed or stopped before its first delta.
+  // Runs on the caller's thread; call it from exactly one thread. The
+  // audit is off unless asked for, since AuditConfig{} audits every slot.
+  sim::SimulationResult run(
+      const sim::AuditConfig& audit = {sim::AuditMode::kOff},
+      const sim::SlotObserver& observer = {});
+
+  // Serves one client connected on `client` (see the top of this file):
+  // checks its hello against the instance, moves its frames into the ring
+  // on an ingest thread, and decides on the calling thread with run().
+  // Every session error is sent to the client as a kError and ends the
+  // session with failed() set; returns run()'s result.
+  sim::SimulationResult serve(const Fd& client, const sim::AuditConfig& audit,
+                              const sim::SlotObserver& observer);
 
   // Asks run() to return once the ring is empty. Callable from any thread.
   void request_stop();
 
-  // True once run() has returned because of a rejected delta.
+  // True once an error has poisoned the loop.
   [[nodiscard]] bool failed() const {
     return failed_.load(std::memory_order_acquire);
   }
@@ -113,17 +136,26 @@ class ServeLoop {
   }
 
  private:
+  class RingSource;
+
+  // Yields until the ring holds a delta (true), or request_stop() has been
+  // called and the ring is drained (false).
+  bool await_delta() const;
+  void publish(const core::SlotState& state, const core::DppSlotResult& slot,
+               double step_seconds);
+  // Poisons the loop, keeping the first error's message.
+  void fail(const std::string& message);
+
   const core::Instance* instance_;
   std::unique_ptr<sim::Policy> policy_;
-  ServeOptions options_;
   SpscRing<sim::SlotDelta> ring_;
   sim::DeltaApplier applier_;
-  util::Rng rng_;
   DecisionCallback on_decision_;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> failed_{false};
   std::atomic<std::uint64_t> submitted_{0};
+  std::uint64_t pop_depth_ = 0;  // ring occupancy at the last pop
 
   // Control path: everything the decide thread publishes for metrics()
   // readers goes through this mutex. Taken once per slot — microseconds

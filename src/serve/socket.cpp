@@ -91,12 +91,15 @@ Fd connect_unix(const std::string& path) {
 void write_all(const Fd& fd, const std::uint8_t* data, std::size_t size) {
   std::size_t written = 0;
   while (written < size) {
-    const ssize_t n = ::write(fd.get(), data + written, size - written);
+    // MSG_NOSIGNAL: a closed peer must fail this write with EPIPE, not
+    // kill the process with SIGPIPE.
+    const ssize_t n =
+        ::send(fd.get(), data + written, size - written, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail_errno("write");
+      fail_errno("send");
     }
-    if (n == 0) throw std::runtime_error("write: peer closed the socket");
+    if (n == 0) throw std::runtime_error("send: peer closed the socket");
     written += static_cast<std::size_t>(n);
   }
 }

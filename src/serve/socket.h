@@ -1,5 +1,5 @@
-// Thin POSIX Unix-domain socket layer shared by the eotora_serve daemon
-// and the eotora_loadgen client.
+// Thin POSIX Unix-domain socket layer shared by the serve daemon
+// (`eotora_cli --serve`) and the eotora_loadgen client.
 //
 // Deliberately minimal: blocking I/O, one connection at a time, RAII fds.
 // Unix sockets (rather than TCP) keep the daemon loopback-only by
@@ -48,7 +48,8 @@ class Fd {
 // Connects to a daemon's Unix socket.
 [[nodiscard]] Fd connect_unix(const std::string& path);
 
-// Writes the whole buffer, throwing on error or closed peer.
+// Writes the whole buffer, throwing std::runtime_error on error or closed
+// peer (never raising SIGPIPE).
 void write_all(const Fd& fd, const std::uint8_t* data, std::size_t size);
 
 // Encodes and writes one frame.

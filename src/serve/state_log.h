@@ -1,7 +1,7 @@
 // State logs: a recorded run as one file of EOT1 frames.
 //
-// A state log is exactly the session a client would send eotora_serve
-// (serve/codec.h): one kHello naming the instance shape (devices x base
+// A state log is exactly the session a client would send the serve daemon,
+// `eotora_cli --serve` (serve/codec.h): one kHello naming the instance shape (devices x base
 // stations, want_decisions = 0), then one kDelta per slot, the first a
 // full snapshot. RecordingSource writes one by teeing a live StateSource
 // through sim::DeltaRecorder; StateLogSource streams one back through

@@ -8,9 +8,9 @@
 
 #include "sim/policy.h"
 #include "sim/scenario_registry.h"
+#include "sim/simulator.h"
 #include "sim/state_source.h"
 #include "util/json.h"
-#include "util/rng.h"
 
 namespace eotora::sim {
 namespace {
@@ -405,7 +405,6 @@ GoldenTrace record_golden_trace(const GoldenScenario& scenario,
   AuditConfig audit_config;
   audit_config.mode = AuditMode::kEverySlot;
   audit_config.check_queue = policy_tracks_queue(policy_name);
-  SlotAuditor auditor(source.instance(), audit_config);
 
   GoldenTrace trace;
   trace.scenario = scenario.name;
@@ -414,33 +413,32 @@ GoldenTrace record_golden_trace(const GoldenScenario& scenario,
   trace.horizon = scenario.horizon;
   trace.seed = scenario.config.seed;
 
-  // Same per-run seed the simulator uses for replication 0 — a golden
-  // trace must match a Simulator::run_policy run on the same states.
-  util::Rng rng(1);
-  core::SlotState state;
-  for (std::size_t t = 0; source.next(state); ++t) {
-    const core::DppSlotResult result = policy->step(state, rng);
-    auditor.observe(state, result);
+  // run_policy's default seed, so a golden trace matches a plain
+  // run_policy run on the same states.
+  const SimulationResult run = run_policy(
+      *policy, source.instance(), source, audit_config, 1,
+      /*keep_series=*/false,
+      [&trace](const core::SlotState&, const core::DppSlotResult& result,
+               double) {
+        GoldenSlot slot;
+        slot.slot = trace.slots.size();
+        slot.bs_of = result.decision.assignment.bs_of;
+        slot.server_of = result.decision.assignment.server_of;
+        slot.frequencies.reserve(result.decision.frequencies.size());
+        for (double f : result.decision.frequencies) {
+          slot.frequencies.push_back(round_sig(f));
+        }
+        slot.latency = round_sig(result.latency);
+        slot.energy_cost = round_sig(result.energy_cost);
+        slot.theta = round_sig(result.theta);
+        slot.queue_after = round_sig(result.queue_after);
+        trace.slots.push_back(std::move(slot));
+      });
 
-    GoldenSlot slot;
-    slot.slot = t;
-    slot.bs_of = result.decision.assignment.bs_of;
-    slot.server_of = result.decision.assignment.server_of;
-    slot.frequencies.reserve(result.decision.frequencies.size());
-    for (double f : result.decision.frequencies) {
-      slot.frequencies.push_back(round_sig(f));
-    }
-    slot.latency = round_sig(result.latency);
-    slot.energy_cost = round_sig(result.energy_cost);
-    slot.theta = round_sig(result.theta);
-    slot.queue_after = round_sig(result.queue_after);
-    trace.slots.push_back(std::move(slot));
-  }
-
-  if (!auditor.report().clean()) {
+  if (!run.audit.clean()) {
     throw std::runtime_error("golden trace " + scenario.name + "." +
                              policy_name + " is not audit-clean: " +
-                             auditor.report().summary());
+                             run.audit.summary());
   }
   return trace;
 }

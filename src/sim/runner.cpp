@@ -203,9 +203,7 @@ SweepCell run_cell(const SweepSpec& spec, const AxisAssignment& assignment,
     ScenarioSource source(seeded, spec.horizon);
     auto policy = make_policy(policy_name, source.instance(), params);
     const SimulationResult result =
-        audit.mode == AuditMode::kOff
-            ? run_policy(*policy, source, 1 + r)
-            : run_policy(*policy, source.instance(), source, audit, 1 + r);
+        run_policy(*policy, source.instance(), source, audit, 1 + r);
     cell.audited_slots += result.audit.slots_audited;
     cell.audit_violations += result.audit.total_violations();
     const auto tail = tail_averages(result, spec.window);

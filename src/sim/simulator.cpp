@@ -20,7 +20,8 @@ SimulationResult run_policy_stream(Policy& policy,
                                    const core::Instance* instance,
                                    StateSource& source,
                                    const AuditConfig* audit,
-                                   std::uint64_t seed, bool keep_series) {
+                                   std::uint64_t seed, bool keep_series,
+                                   const SlotObserver& observer) {
   policy.reset();
   util::Rng rng(seed);
   SimulationResult result;
@@ -30,7 +31,7 @@ SimulationResult run_policy_stream(Policy& policy,
     result.metrics.reserve(source.size_hint());
   }
   std::unique_ptr<SlotAuditor> auditor;
-  if (audit != nullptr) {
+  if (audit != nullptr && audit->mode != AuditMode::kOff) {
     auditor = std::make_unique<SlotAuditor>(*instance, *audit);
   }
   core::SlotState state;
@@ -52,12 +53,14 @@ SimulationResult run_policy_stream(Policy& policy,
     if (!have_state) break;
     // Phase 2: decide. The counters Scope is installed around step() only,
     // so audit-time re-solves below do not pollute the solver totals.
+    double step_seconds;
     {
       EOTORA_TRACE_SPAN("slot/decide");
       const core::counters::Scope scope(result.counters);
       timer.reset();
       slot = policy.step(state, rng);
-      decision_seconds += timer.elapsed_seconds();
+      step_seconds = timer.elapsed_seconds();
+      decision_seconds += step_seconds;
     }
     // Phase 3: audit (optional; excluded from wall_seconds).
     if (auditor != nullptr) {
@@ -67,6 +70,11 @@ SimulationResult run_policy_stream(Policy& policy,
       audit_seconds += timer.elapsed_seconds();
     }
     result.metrics.record(slot);
+    // Phase 4: the caller's per-slot work (log rows, replies, digests).
+    if (observer) {
+      EOTORA_TRACE_SPAN("slot/observe");
+      observer(state, slot, step_seconds);
+    }
   }
   EOTORA_REQUIRE_MSG(result.metrics.slots() > 0,
                      "state source produced no slots");
@@ -81,16 +89,18 @@ SimulationResult run_policy_stream(Policy& policy,
 }  // namespace
 
 SimulationResult run_policy(Policy& policy, StateSource& source,
-                            std::uint64_t seed, bool keep_series) {
+                            std::uint64_t seed, bool keep_series,
+                            const SlotObserver& observer) {
   return run_policy_stream(policy, nullptr, source, nullptr, seed,
-                           keep_series);
+                           keep_series, observer);
 }
 
 SimulationResult run_policy(Policy& policy, const core::Instance& instance,
                             StateSource& source, const AuditConfig& audit,
-                            std::uint64_t seed, bool keep_series) {
+                            std::uint64_t seed, bool keep_series,
+                            const SlotObserver& observer) {
   return run_policy_stream(policy, &instance, source, &audit, seed,
-                           keep_series);
+                           keep_series, observer);
 }
 
 WindowAverages tail_averages(const SimulationResult& result,

@@ -193,7 +193,7 @@ TEST(DesReplay, ThousandSlotSmokeStaysExact) {
   EXPECT_EQ(report.static_horizon.slots.size(), 1000u);
 }
 
-TEST(DesReplay, RejectsEmptyLogAndShortStateStream) {
+TEST(DesReplay, RejectsEmptyLogAndAStateStreamOfAnotherLength) {
   const RecordedRun run = record_run("dpp-bdma", 6);
   {
     sim::ScenarioSource source(run.config, 6);
@@ -212,6 +212,22 @@ TEST(DesReplay, RejectsEmptyLogAndShortStateStream) {
     EXPECT_THROW(
         (void)replay_log(source.instance(), source, *policy, run.log),
         std::invalid_argument);
+  }
+  {
+    // A longer stream is no replay of the log either; the message names
+    // both counts.
+    sim::ScenarioSource source(run.config, 8);
+    const auto policy =
+        sim::make_policy("dpp-bdma", source.instance(), sim::PolicyParams{});
+    try {
+      (void)replay_log(source.instance(), source, *policy, run.log);
+      ADD_FAILURE() << "a longer stream was replayed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(
+                    "state stream has 8 slots but the log has 6"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

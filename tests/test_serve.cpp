@@ -1,12 +1,15 @@
 // The serve layer: wire codec round trips (fuzzed), strict decode of
 // malformed frames, incremental frame reassembly, the SPSC ring under a
 // real two-thread producer/consumer, the ServeLoop differential — the
-// daemon's decide loop must reproduce run_policy bit for bit — and state
+// daemon's decide loop must reproduce run_policy bit for bit —, state
 // logs, whose replay must reproduce the recorded run bit for bit and
-// reject every file or slot the instance cannot take.
+// reject every file or slot the instance cannot take, and the client
+// session over a real Unix socket, which must answer every error with a
+// kError.
 #include "serve/codec.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -23,6 +27,7 @@
 
 #include "serve/ring.h"
 #include "serve/server.h"
+#include "serve/socket.h"
 #include "serve/state_log.h"
 #include "sim/delta.h"
 #include "sim/registry.h"
@@ -30,6 +35,7 @@
 #include "sim/scenario_registry.h"
 #include "sim/simulator.h"
 #include "sim/state_source.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace eotora::serve {
@@ -387,13 +393,15 @@ TEST(ServeLoop, RejectedDeltaPoisonsTheLoop) {
 // ---------------------------------------------------------------------------
 // State logs
 
-// A log path unique to the running test and process, removed on scope exit.
+// A log (or socket) path unique to the running test and process, removed
+// on scope exit.
 struct ScratchLog {
-  explicit ScratchLog(const std::string& tag = "") {
+  explicit ScratchLog(const std::string& tag = "",
+                      const std::string& extension = ".eot") {
     const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
     path = (std::filesystem::temp_directory_path() /
             ("eotora_" + std::string(test->name()) + tag + "_" +
-             std::to_string(::getpid()) + ".eot"))
+             std::to_string(::getpid()) + extension))
                .string();
     std::remove(path.c_str());
   }
@@ -414,15 +422,20 @@ void write_bytes(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-// The session a client would send: a hello, then one frame per delta.
-std::vector<std::uint8_t> session_bytes(
-    const core::Instance& instance, const std::vector<sim::SlotDelta>& deltas) {
+Hello hello_for(const core::Instance& instance, bool want_decisions = false) {
   Hello hello;
   hello.devices = static_cast<std::uint32_t>(instance.num_devices());
   hello.base_stations =
       static_cast<std::uint32_t>(instance.num_base_stations());
+  hello.want_decisions = want_decisions;
+  return hello;
+}
+
+// The session a client would send: a hello, then one frame per delta.
+std::vector<std::uint8_t> session_bytes(
+    const core::Instance& instance, const std::vector<sim::SlotDelta>& deltas) {
   std::vector<std::uint8_t> bytes =
-      encode_frame(FrameType::kHello, encode_hello(hello));
+      encode_frame(FrameType::kHello, encode_hello(hello_for(instance)));
   for (const sim::SlotDelta& delta : deltas) {
     const auto frame = encode_frame(FrameType::kDelta, encode_delta(delta));
     bytes.insert(bytes.end(), frame.begin(), frame.end());
@@ -457,7 +470,7 @@ void expect_open_fails(const std::string& path, const std::string& what) {
   }
 }
 
-// The tee writes exactly the session eotora_serve ingests: a hello with
+// The tee writes exactly the session a served run ingests: a hello with
 // want_decisions off, then DeltaRecorder's stream, one frame per slot.
 TEST(StateLog, TeeWritesTheSessionAClientWouldSend) {
   const ScratchLog log;
@@ -672,6 +685,232 @@ TEST(StateLog, FirstDeltaThatSkipsADeviceIsRejected) {
     EXPECT_EQ(error.slot(), 0u) << error.what();
     EXPECT_EQ(error.device(), 2u) << error.what();
   }
+}
+
+// ---------------------------------------------------------------------------
+// The client session
+
+// A plain write() to a closed peer raises SIGPIPE, which kills the
+// process; write_all must throw instead.
+TEST(Socket, WriteToAClosedPeerThrows) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const Fd ours(fds[0]);
+  Fd(fds[1]).close();
+  const std::uint8_t byte = 0;
+  EXPECT_THROW(write_all(ours, &byte, 1), std::runtime_error);
+}
+
+// Serves one session on a temp Unix socket: `client` drives the connecting
+// end on its own thread while the calling thread runs loop.serve().
+sim::SimulationResult serve_session(ServeLoop& loop,
+                                    const std::function<void(Fd)>& client,
+                                    const sim::SlotObserver& observer = {}) {
+  const ScratchLog socket("", ".sock");
+  const Fd listener = listen_unix(socket.path);
+  std::thread peer([&] { client(connect_unix(socket.path)); });
+  sim::SimulationResult result;
+  {
+    // Closing this end after the session lets a client read to EOF.
+    const Fd server = accept_client(listener);
+    result = loop.serve(server, {sim::AuditMode::kOff}, observer);
+  }
+  peer.join();
+  return result;
+}
+
+Frame expect_frame(const Fd& fd, FrameAssembler& assembler, FrameType type) {
+  Frame frame;
+  EXPECT_TRUE(recv_frame(fd, assembler, frame));
+  EXPECT_EQ(frame.type, type);
+  return frame;
+}
+
+std::string text_of(const Frame& frame) {
+  return {frame.payload.begin(), frame.payload.end()};
+}
+
+void send_bytes(const Fd& fd, const std::vector<std::uint8_t>& bytes) {
+  write_all(fd, bytes.data(), bytes.size());
+}
+
+std::unique_ptr<sim::Policy> policy_for(const sim::Scenario& scenario,
+                                        const std::string& name) {
+  return sim::make_policy(name, scenario.instance(), sim::PolicyParams{});
+}
+
+TEST(ServeSession, HelloWithTheWrongShapeGetsAnErrorNamingBothShapes) {
+  sim::Scenario scenario(tiny());
+  const core::Instance& instance = scenario.instance();
+  ServeLoop loop(instance, policy_for(scenario, "greedy-budget"));
+  std::string reply;
+  (void)serve_session(loop, [&](Fd fd) {
+    Hello hello = hello_for(instance);
+    ++hello.devices;
+    send_frame(fd, FrameType::kHello, encode_hello(hello));
+    FrameAssembler assembler;
+    reply = text_of(expect_frame(fd, assembler, FrameType::kError));
+  });
+  const std::string stations =
+      " devices x " + std::to_string(instance.num_base_stations());
+  EXPECT_NE(reply.find("client has 7" + stations), std::string::npos)
+      << reply;
+  EXPECT_NE(reply.find("scenario has 6" + stations), std::string::npos)
+      << reply;
+  EXPECT_TRUE(loop.failed());
+  EXPECT_EQ(loop.metrics().error, reply);
+}
+
+// Lock-step decision replies are the batch run's decisions, bit for bit,
+// and the served run reports the batch run's solver work.
+TEST(ServeSession, DecisionRepliesMatchRunPolicyBitForBit) {
+  sim::Scenario scenario(tiny());
+  const auto states = scenario.generate_states(24);
+  const auto deltas = sim::record_deltas(states);
+  auto batch_policy = policy_for(scenario, "dpp-bdma");
+  sim::MaterializedSource batch_source(states);
+  const auto batch = sim::run_policy(*batch_policy, batch_source);
+
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "dpp-bdma"));
+  std::vector<DecisionReply> replies;
+  const auto served = serve_session(loop, [&](Fd fd) {
+    send_frame(fd, FrameType::kHello,
+               encode_hello(hello_for(scenario.instance(), true)));
+    FrameAssembler assembler;
+    for (const sim::SlotDelta& delta : deltas) {
+      send_frame(fd, FrameType::kDelta, encode_delta(delta));
+      replies.push_back(decode_decision(
+          expect_frame(fd, assembler, FrameType::kDecision).payload));
+    }
+    send_frame(fd, FrameType::kShutdown, {});
+  });
+  ASSERT_FALSE(loop.failed()) << loop.metrics().error;
+  ASSERT_EQ(replies.size(), states.size());
+  for (std::size_t t = 0; t < states.size(); ++t) {
+    EXPECT_EQ(replies[t].slot, states[t].slot);
+    EXPECT_EQ(replies[t].latency, batch.metrics.latency_series()[t]);
+    EXPECT_EQ(replies[t].energy_cost, batch.metrics.cost_series()[t]);
+    EXPECT_EQ(replies[t].queue_after, batch.metrics.queue_series()[t]);
+  }
+  EXPECT_EQ(served.metrics.slots(), states.size());
+  EXPECT_TRUE(served.counters == batch.counters);
+  ASSERT_EQ(served.stages.size(), batch.stages.size());
+  for (std::size_t i = 0; i < served.stages.size(); ++i) {
+    EXPECT_EQ(served.stages[i].name, batch.stages[i].name);
+    EXPECT_TRUE(served.stages[i].counters == batch.stages[i].counters);
+  }
+}
+
+// kMetricsRequest is a barrier: the reply covers every delta sent before.
+TEST(ServeSession, MetricsRequestReportsEverySlotSentBeforeIt) {
+  sim::Scenario scenario(tiny());
+  const auto states = scenario.generate_states(5);
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "greedy-budget"));
+  util::Json reply;
+  const auto served = serve_session(loop, [&](Fd fd) {
+    send_bytes(fd,
+               session_bytes(scenario.instance(), sim::record_deltas(states)));
+    send_frame(fd, FrameType::kMetricsRequest, {});
+    FrameAssembler assembler;
+    reply = util::Json::parse(
+        text_of(expect_frame(fd, assembler, FrameType::kMetricsReply)));
+    send_frame(fd, FrameType::kShutdown, {});
+  });
+  ASSERT_FALSE(loop.failed()) << loop.metrics().error;
+  EXPECT_EQ(reply.at("slots_decided").as_number(), 5.0);
+  EXPECT_EQ(reply.at("deltas_submitted").as_number(), 5.0);
+  EXPECT_EQ(reply.at("last_slot").as_number(),
+            static_cast<double>(states.back().slot));
+  EXPECT_EQ(reply.at("error").as_string(), "");
+  EXPECT_EQ(served.metrics.slots(), 5u);
+}
+
+TEST(ServeSession, RejectedDeltaGetsAnErrorCarryingTheDeltaError) {
+  sim::Scenario scenario(tiny());
+  auto deltas = sim::record_deltas(scenario.generate_states(3));
+  deltas[2].slot = 99;  // out-of-order commit
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "greedy-budget"));
+  std::string reply;
+  (void)serve_session(loop, [&](Fd fd) {
+    send_bytes(fd, session_bytes(scenario.instance(), deltas));
+    FrameAssembler assembler;
+    reply = text_of(expect_frame(fd, assembler, FrameType::kError));
+  });
+  EXPECT_NE(reply.find("out-of-order slot"), std::string::npos) << reply;
+  EXPECT_TRUE(loop.failed());
+  const ServeMetrics metrics = loop.metrics();
+  EXPECT_EQ(metrics.error, reply);
+  EXPECT_EQ(metrics.slots_decided, 2u);
+}
+
+// A delta frame cut to 5 body bytes is a codec error, and the client hears
+// of it as a kError.
+TEST(ServeSession, TruncatedDeltaGetsAnError) {
+  sim::Scenario scenario(tiny());
+  const auto deltas = sim::record_deltas(scenario.generate_states(1));
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "greedy-budget"));
+  std::string reply;
+  (void)serve_session(loop, [&](Fd fd) {
+    send_frame(fd, FrameType::kHello,
+               encode_hello(hello_for(scenario.instance())));
+    auto body = encode_delta(deltas[0]);
+    body.resize(5);
+    send_frame(fd, FrameType::kDelta, body);
+    FrameAssembler assembler;
+    reply = text_of(expect_frame(fd, assembler, FrameType::kError));
+  });
+  EXPECT_NE(reply.find("codec error"), std::string::npos) << reply;
+  EXPECT_TRUE(loop.failed());
+  EXPECT_EQ(loop.metrics().error, reply);
+  EXPECT_EQ(loop.metrics().slots_decided, 0u);
+}
+
+TEST(ServeSession, HelloThenShutdownEndsCleanWithNoSlots) {
+  sim::Scenario scenario(tiny());
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "dpp-bdma"));
+  bool eof = false;
+  const auto served = serve_session(loop, [&](Fd fd) {
+    send_frame(fd, FrameType::kHello,
+               encode_hello(hello_for(scenario.instance())));
+    send_frame(fd, FrameType::kShutdown, {});
+    FrameAssembler assembler;
+    Frame frame;
+    eof = !recv_frame(fd, assembler, frame);
+  });
+  EXPECT_TRUE(eof);
+  EXPECT_FALSE(loop.failed()) << loop.metrics().error;
+  EXPECT_EQ(served.metrics.slots(), 0u);
+  EXPECT_EQ(loop.metrics().slots_decided, 0u);
+  EXPECT_EQ(loop.metrics().error, "");
+}
+
+// A decisions client that closes before its replies are written ends the
+// session with an error, not with SIGPIPE.
+TEST(ServeSession, ClientThatClosesEarlyEndsTheSessionWithAnError) {
+  sim::Scenario scenario(tiny());
+  const auto deltas = sim::record_deltas(scenario.generate_states(3));
+  ServeLoop loop(scenario.instance(), policy_for(scenario, "greedy-budget"));
+  std::atomic<bool> closed{false};
+  (void)serve_session(
+      loop,
+      [&](Fd fd) {
+        send_frame(fd, FrameType::kHello,
+                   encode_hello(hello_for(scenario.instance(), true)));
+        for (const sim::SlotDelta& delta : deltas) {
+          send_frame(fd, FrameType::kDelta, encode_delta(delta));
+        }
+        fd.close();
+        closed.store(true, std::memory_order_release);
+      },
+      // Holds the first slot until the client is gone, so the next reply
+      // is written to a closed socket.
+      [&](const core::SlotState&, const core::DppSlotResult&, double) {
+        while (!closed.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      });
+  EXPECT_TRUE(loop.failed());
+  EXPECT_FALSE(loop.metrics().error.empty());
 }
 
 }  // namespace
