@@ -66,7 +66,8 @@ options (all --key=value):
              the scenario like a --replay log, then every delta it
              sends is decided; the report follows its shutdown.
              Takes no --replay, --record, --prefetch, --horizon or
-             --days; exits 1 on any session error
+             --days; exits 1 on any session error, after the report
+             of the slots decided before it
   --log      write a per-slot decision log (CSV) to this path
   --prefetch generate the next state on a background thread while
              the policy decides the current slot
@@ -318,17 +319,20 @@ int main(int argc, char** argv) {
       };
     }
     sim::SimulationResult result;
+    // A failed session still reports the slots it decided, then exits 1.
+    bool session_failed = false;
     if (args.has("serve")) {
       serve::ServeLoop loop(*instance, std::move(policy));
       const serve::Fd listener = serve::listen_unix(socket_path);
       std::cout << "serving one client on " << socket_path << std::endl;
       result = loop.serve(serve::accept_client(listener), audit, write_row);
-      if (loop.failed()) {
-        throw std::runtime_error("serve session failed: " +
-                                 loop.metrics().error);
+      session_failed = loop.failed();
+      if (session_failed) {
+        std::cerr << "error: serve session failed: " << loop.metrics().error
+                  << "\n";
       }
       std::cout << "served " << result.metrics.slots() << " slots\n";
-      if (result.metrics.slots() == 0) return 0;
+      if (result.metrics.slots() == 0) return session_failed ? 1 : 0;
     } else {
       result = sim::run_policy(*policy, *instance, *source, audit, 1,
                                /*keep_series=*/false, write_row);
@@ -366,10 +370,8 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << util::trace::event_count()
                 << " trace events to " << trace_out << "\n";
     }
-    if (auditing) {
-      return report_audit(result.audit);
-    }
-    return 0;
+    const int audit_exit = auditing ? report_audit(result.audit) : 0;
+    return session_failed ? 1 : audit_exit;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -49,6 +49,38 @@ shuts the daemon down.
 )";
 }
 
+// The kError a daemon sends before it ends a session, as an exception.
+[[noreturn]] void throw_daemon_error(const eotora::serve::Frame& frame) {
+  throw std::runtime_error(
+      "daemon error: " +
+      std::string(frame.payload.begin(), frame.payload.end()));
+}
+
+// Writes `size` bytes to the daemon. A daemon that ended the session (on a
+// hello or delta it rejected) stops reading, so the write fails with a
+// broken pipe; the kError it sent first says why, and is what gets thrown
+// when it is there to read.
+void write_to_daemon(const eotora::serve::Fd& fd,
+                     eotora::serve::FrameAssembler& assembler,
+                     const std::uint8_t* data, std::size_t size) {
+  using namespace eotora;
+  try {
+    serve::write_all(fd, data, size);
+  } catch (const std::exception&) {
+    serve::Frame frame;
+    bool pending = false;
+    try {
+      pending = serve::recv_frame(fd, assembler, frame);
+    } catch (const std::exception&) {
+      // Nothing readable either: the write's own error stands.
+    }
+    if (pending && frame.type == serve::FrameType::kError) {
+      throw_daemon_error(frame);
+    }
+    throw;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,18 +129,14 @@ int main(int argc, char** argv) {
     util::Timer timer;
     std::uint64_t decisions_seen = 0;
     for (const std::vector<std::uint8_t>& wire : frames) {
-      serve::write_all(fd, wire.data(), wire.size());
+      write_to_daemon(fd, assembler, wire.data(), wire.size());
       if (want_decisions) {
         // Lock-step: read the decision for this slot before sending the
         // next delta, so neither side's socket buffer can fill up.
         if (!serve::recv_frame(fd, assembler, frame)) {
           throw std::runtime_error("daemon closed the socket mid-stream");
         }
-        if (frame.type == serve::FrameType::kError) {
-          throw std::runtime_error("daemon error: " +
-                                   std::string(frame.payload.begin(),
-                                               frame.payload.end()));
-        }
+        if (frame.type == serve::FrameType::kError) throw_daemon_error(frame);
         const serve::DecisionReply reply =
             serve::decode_decision(frame.payload);
         ++decisions_seen;
@@ -123,15 +151,13 @@ int main(int argc, char** argv) {
     const double stream_seconds = timer.elapsed_seconds();
 
     // Drain barrier + metrics snapshot.
-    serve::send_frame(fd, serve::FrameType::kMetricsRequest, {});
+    const std::vector<std::uint8_t> request =
+        serve::encode_frame(serve::FrameType::kMetricsRequest, {});
+    write_to_daemon(fd, assembler, request.data(), request.size());
     if (!serve::recv_frame(fd, assembler, frame)) {
       throw std::runtime_error("daemon closed the socket before replying");
     }
-    if (frame.type == serve::FrameType::kError) {
-      throw std::runtime_error(
-          "daemon error: " +
-          std::string(frame.payload.begin(), frame.payload.end()));
-    }
+    if (frame.type == serve::FrameType::kError) throw_daemon_error(frame);
     if (frame.type != serve::FrameType::kMetricsReply) {
       throw std::runtime_error("expected a kMetricsReply frame");
     }

@@ -104,7 +104,8 @@ void bdma_p2a_iterate(const Instance& instance, const SlotState& state,
       switch (config.solver) {
         case P2aSolverKind::kCgba:
           if (iteration == 0) wcg.keep_carried(c, workspace.carried, profile);
-          result = cgba_from(problem, config.cgba, std::move(profile));
+          result = cgba_from(problem, config.cgba, std::move(profile),
+                             wcg.engine(c));
           break;
         case P2aSolverKind::kMcba:
           if (wcg.count() == 1) {

@@ -53,7 +53,10 @@ struct BdmaResult {
 // slot hands to the next. BDMA runs every phase of the slot per connected
 // component of the WCG (core/components.h): iteration 0 builds the
 // components on the shared pool, and each iteration's fan-out solves P2-A
-// on every component and sums that component's P2-B loads. The calling
+// on every component and sums that component's P2-B loads. CGBA solves on
+// the component's kept BestResponseEngine: iteration 0 binds it to the
+// new build, inside the fan-out, and later iterations only reset it at
+// their Ω. The calling
 // thread then runs the per-server bisection and sums T and Θ in global
 // resource order, so Algorithm 2's pick sees dpp_objective's bits. A caller
 // that keeps one workspace across the simulation horizon pays no per-slot
@@ -111,7 +114,9 @@ void bdma_begin_slot(const Instance& instance, const SlotState& state,
 // Line 3: one P2-A solve at the current Ω (`iteration` is 0-based).
 // Iteration 0 builds the slot's components at Ω^L on the configured
 // solver's shard_workers; later ones re-derive each component's compute
-// weights from loop.omega first. Draws happen on the calling thread in
+// weights from loop.omega first. CGBA runs cgba_from on
+// WcgComponents::engine(c), which binds at iteration 0 and only resets
+// afterwards (one engine_rebuilds per component per slot). Draws happen on the calling thread in
 // global device order, so the rng stream is the global solve's: CGBA's
 // iteration 0 draws random_profile and keeps workspace.carried's pairs,
 // its later iterations start from the previous profile; MCBA runs one

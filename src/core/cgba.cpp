@@ -99,6 +99,13 @@ SolveResult cgba(const WcgProblem& problem, const CgbaConfig& config,
 
 SolveResult cgba_from(const WcgProblem& problem, const CgbaConfig& config,
                       Profile initial, std::vector<double>* final_loads) {
+  BestResponseEngine engine;
+  return cgba_from(problem, config, std::move(initial), engine, final_loads);
+}
+
+SolveResult cgba_from(const WcgProblem& problem, const CgbaConfig& config,
+                      Profile initial, BestResponseEngine& engine,
+                      std::vector<double>* final_loads) {
   EOTORA_REQUIRE_MSG(config.lambda >= 0.0 && config.lambda < 0.125,
                      "lambda=" << config.lambda);
   EOTORA_REQUIRE(config.max_moves > 0);
@@ -112,12 +119,15 @@ SolveResult cgba_from(const WcgProblem& problem, const CgbaConfig& config,
         [&](std::size_t i) { return tracker.best_response(i); },
         [&](std::size_t i, std::size_t o) { tracker.move(i, o); });
   } else {
-    BestResponseEngine engine(tracker);
+    if (!engine.bound_to(problem)) {
+      engine.bind(problem);
+      counters::active().engine_rebuilds += 1;
+    }
+    engine.reset(tracker);
     result = run_cgba(
         config, tracker, devices,
         [&](std::size_t i) { return engine.best_response(i); },
         [&](std::size_t i, std::size_t o) { engine.move(i, o); });
-    counters::active().engine_rebuilds += 1;
     counters::active().engine_term_refreshes += engine.term_refreshes();
   }
   if (final_loads != nullptr) {

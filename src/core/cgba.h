@@ -65,4 +65,16 @@ struct CgbaConfig {
                                     const CgbaConfig& config, Profile initial,
                                     std::vector<double>* final_loads = nullptr);
 
+// As above, on a caller-kept engine (unused with naive_scan): the engine is
+// bound to `problem` when it is not bound to its current build
+// (BestResponseEngine::bound_to; counted as
+// counters::active().engine_rebuilds) and reset for this solve. BDMA keeps
+// one engine per WCG component, so a slot binds each engine once and its
+// later solves, at new frequencies on the same build, only reset it. The
+// result is bit-identical to the engine-less overload's.
+[[nodiscard]] SolveResult cgba_from(const WcgProblem& problem,
+                                    const CgbaConfig& config, Profile initial,
+                                    BestResponseEngine& engine,
+                                    std::vector<double>* final_loads = nullptr);
+
 }  // namespace eotora::core

@@ -7,9 +7,10 @@
 // frequency choice too. Algorithm 2's best-iteration pick (lines 5-8) is
 // the only global step. WcgComponents holds a slot's WCG as one
 // self-contained WcgProblem per component, with component-local ids, built
-// directly from its devices' state rows; the solvers then run per
-// component, and only O(N + 2K) reductions in global resource order stay
-// serial (core/bdma.h, sim/pipeline CgbaAssignStage).
+// directly from its devices' state rows, next to that component's
+// BestResponseEngine; the solvers then run per component, and only
+// O(N + 2K) reductions in global resource order stay serial (core/bdma.h,
+// sim/pipeline CgbaAssignStage).
 //
 // Plan. The components are those of the slot's coverage: each device is
 // joined to every station with h > 0 that reaches a server, and each such
@@ -75,6 +76,14 @@ class WcgComponents {
   [[nodiscard]] WcgProblem& problem(std::size_t c) {
     return components_[c].problem;
   }
+  // Component c's best-response engine, kept next to its problem across
+  // slots: CGBA binds it once per build of the problem and resets it for
+  // each solve (cgba_from's engine overload). Only the worker solving
+  // component c touches it; an MCBA or ROPT slot never binds it, so it
+  // holds no tables.
+  [[nodiscard]] BestResponseEngine& engine(std::size_t c) {
+    return components_[c].engine;
+  }
   // Global ids of component c's devices: local device j is devices(c)[j].
   [[nodiscard]] std::span<const std::uint32_t> devices(std::size_t c) const {
     return {device_list_.data() + device_offsets_[c],
@@ -125,6 +134,7 @@ class WcgComponents {
   // and two components' bookkeeping must not share a cache line.
   struct alignas(64) Component {
     WcgProblem problem;
+    BestResponseEngine engine;
     bool built = false;
   };
 

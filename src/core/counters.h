@@ -39,8 +39,10 @@ struct SolverCounters {
   std::uint64_t mcba_accepted = 0;
   // BDMA outer iterations (one P2-A solve + one P2-B solve each).
   std::uint64_t bdma_iterations = 0;
-  // BestResponseEngine: full cache derivations (constructions) vs.
-  // incremental per-(device,resource) term refreshes after moves.
+  // BestResponseEngine: binds — full derivations of an engine's
+  // build-fixed tables, one per build it solves on; under BDMA one per WCG
+  // component per slot, as the slot's later solves only reset the engine —
+  // vs. incremental per-(device,resource) term refreshes after moves.
   std::uint64_t engine_rebuilds = 0;
   std::uint64_t engine_term_refreshes = 0;
   // Closed-form Lemma-1 allocations evaluated (core/lemma1.cpp).

@@ -1,6 +1,7 @@
 #include "core/wcg.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -12,6 +13,9 @@ namespace eotora::core {
 
 namespace {
 constexpr std::uint32_t kUnreached = 0xffffffffu;
+
+// The last generation a WcgProblem build took (see generation()).
+std::atomic<std::uint64_t> last_generation{0};
 }  // namespace
 
 void StationTables::refresh(const topology::Topology& topo) {
@@ -80,7 +84,11 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   const std::size_t servers = subset.servers.size();
   const std::size_t stations = subset.stations.size();
   const bool check = !subset.coverage_offsets.empty();
+  generation_ = 0;  // until this build succeeds
 
+  EOTORA_REQUIRE_MSG(servers + 2 * stations <=
+                         std::numeric_limits<std::uint32_t>::max(),
+                     "resources=" << servers + 2 * stations);
   EOTORA_REQUIRE_MSG(state.task_cycles.size() == all_devices,
                      "task_cycles entries=" << state.task_cycles.size());
   EOTORA_REQUIRE_MSG(state.data_bits.size() == all_devices,
@@ -190,16 +198,16 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
       const double p_access = std::sqrt(state.data_bits[i] / channel[k]);
       const double p_fronthaul =
           std::sqrt(state.data_bits[i] / tables.fronthaul_se[k]);
-      const std::size_t bs = subset.station_local[k];
+      const std::uint32_t bs = subset.station_local[k];
       for (topology::ServerId s :
            topo.reachable_servers(topology::BaseStationId{k})) {
-        const std::size_t server = subset.server_local[s.value];
+        const std::uint32_t server = subset.server_local[s.value];
         Option opt;
         opt.bs = bs;
         opt.server = server;
         opt.r_compute = server;
-        opt.r_access = servers + bs;
-        opt.r_fronthaul = servers + stations + bs;
+        opt.r_access = static_cast<std::uint32_t>(servers + bs);
+        opt.r_fronthaul = static_cast<std::uint32_t>(servers + stations + bs);
         opt.p_compute = sqrt_compute_row_[reach_slot_[server]];
         opt.p_access = p_access;
         opt.p_fronthaul = p_fronthaul;
@@ -214,41 +222,7 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
     offsets_.push_back(arena_.size());
   }
 
-  device_of_.resize(arena_.size());
-  for (std::size_t j = 0; j + 1 < offsets_.size(); ++j) {
-    for (std::size_t a = offsets_[j]; a < offsets_[j + 1]; ++a) {
-      device_of_[a] = static_cast<std::uint32_t>(j);
-    }
-  }
-
-  // Inverted index (CSR): count per resource, prefix-sum, fill using the
-  // offsets themselves as cursors, then shift the offsets back down.
-  const std::size_t resources = weights_.size();
-  index_offsets_.assign(resources + 1, 0);
-  for (const Option& opt : arena_) {
-    ++index_offsets_[opt.r_compute + 1];
-    ++index_offsets_[opt.r_access + 1];
-    ++index_offsets_[opt.r_fronthaul + 1];
-  }
-  for (std::size_t r = 0; r < resources; ++r) {
-    index_offsets_[r + 1] += index_offsets_[r];
-  }
-  index_entries_.resize(3 * arena_.size());
-  for (std::size_t a = 0; a < arena_.size(); ++a) {
-    const Option& opt = arena_[a];
-    index_entries_[index_offsets_[opt.r_compute]++] =
-        static_cast<std::uint32_t>(a);
-    index_entries_[index_offsets_[opt.r_access]++] =
-        static_cast<std::uint32_t>(a);
-    index_entries_[index_offsets_[opt.r_fronthaul]++] =
-        static_cast<std::uint32_t>(a);
-  }
-  // Each cursor now sits at the end of its bucket, i.e. the start of the
-  // next one; shift back so index_offsets_[r] is the start of bucket r.
-  for (std::size_t r = resources; r > 0; --r) {
-    index_offsets_[r] = index_offsets_[r - 1];
-  }
-  index_offsets_[0] = 0;
+  generation_ = last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   return true;
 }
 
@@ -256,13 +230,6 @@ std::span<const Option> WcgProblem::options(std::size_t device) const {
   EOTORA_REQUIRE(device + 1 < offsets_.size());
   return {arena_.data() + offsets_[device],
           offsets_[device + 1] - offsets_[device]};
-}
-
-std::span<const std::uint32_t> WcgProblem::options_on_resource(
-    std::size_t resource) const {
-  EOTORA_REQUIRE(resource + 1 < index_offsets_.size());
-  return {index_entries_.data() + index_offsets_[resource],
-          index_offsets_[resource + 1] - index_offsets_[resource]};
 }
 
 double WcgProblem::weight(std::size_t resource) const {
@@ -634,15 +601,24 @@ double LoadTracker::potential() const {
   return phi;
 }
 
-BestResponseEngine::BestResponseEngine(LoadTracker& tracker)
-    : problem_(tracker.problem_),
-      tracker_(&tracker),
-      num_servers_(problem_->num_servers()),
-      num_base_stations_(problem_->num_base_stations()) {
-  const std::size_t devices = problem_->num_devices();
-  const std::size_t entries = problem_->num_options();
+BestResponseEngine::BestResponseEngine(LoadTracker& tracker) {
+  bind(*tracker.problem_);
+  reset(tracker);
+}
+
+void BestResponseEngine::bind(const WcgProblem& problem) {
+  EOTORA_REQUIRE_MSG(problem.generation() != 0,
+                     "BestResponseEngine::bind on a problem with no build");
+  problem_ = &problem;
+  generation_ = problem.generation();
+  tracker_ = nullptr;
+  num_servers_ = problem.num_servers();
+  num_base_stations_ = problem.num_base_stations();
+  const std::size_t devices = problem.num_devices();
   cached_.resize(devices);
-  server_of_entry_.resize(entries);
+  server_of_entry_.resize(problem.num_options());
+  cur_server_.resize(devices);
+  cur_bs_.resize(devices);
 
   // (device, base station) groups: the arena enumerates options base
   // station-major within each device, so each group is a contiguous run of
@@ -651,83 +627,82 @@ BestResponseEngine::BestResponseEngine(LoadTracker& tracker)
   device_group_begin_.assign(devices + 1, 0);
   for (std::size_t j = 0; j < devices; ++j) {
     device_group_begin_[j] = static_cast<std::uint32_t>(groups_.size());
-    const std::size_t lo = problem_->arena_offset(j);
-    const std::size_t hi = problem_->arena_offset(j + 1);
+    const std::size_t lo = problem.arena_offset(j);
+    const std::size_t hi = problem.arena_offset(j + 1);
     std::size_t a = lo;
     while (a < hi) {
       std::size_t b = a + 1;
       while (b < hi &&
-             problem_->option_at(b).r_access == problem_->option_at(a).r_access) {
+             problem.option_at(b).r_access == problem.option_at(a).r_access) {
         ++b;
       }
       groups_.push_back({static_cast<std::uint32_t>(a),
                          static_cast<std::uint32_t>(b),
                          static_cast<std::uint32_t>(j),
-                         static_cast<std::uint32_t>(problem_->option_at(a).bs)});
+                         problem.option_at(a).bs});
       a = b;
     }
   }
   device_group_begin_[devices] = static_cast<std::uint32_t>(groups_.size());
 
-  // Per-pair p and fl(w·p) tables. fl(w·p) is rounded first exactly as in
-  // cost_if_moved's weight·p·(load+p), so the cached terms reproduce its
-  // bits. Frequencies (and so weights) are fixed for the engine's lifetime:
-  // BDMA constructs a fresh engine per inner CGBA call.
-  pc_.assign(devices * num_servers_, 0.0);
-  wpc_.assign(devices * num_servers_, 0.0);
-  tc_.assign(devices * num_servers_, 0.0);
-  pa_.assign(devices * num_base_stations_, 0.0);
-  wpa_.assign(devices * num_base_stations_, 0.0);
-  ta_.assign(devices * num_base_stations_, 0.0);
-  pf_.assign(devices * num_base_stations_, 0.0);
-  wpf_.assign(devices * num_base_stations_, 0.0);
-  tf_.assign(devices * num_base_stations_, 0.0);
-  for (std::size_t a = 0; a < entries; ++a) {
-    const Option& opt = problem_->option_at(a);
-    const std::size_t j = problem_->device_of(a);
-    server_of_entry_[a] = static_cast<std::uint32_t>(opt.server);
-    pc_[j * num_servers_ + opt.server] = opt.p_compute;
-    wpc_[j * num_servers_ + opt.server] =
-        problem_->weight(opt.r_compute) * opt.p_compute;
-    pa_[j * num_base_stations_ + opt.bs] = opt.p_access;
-    wpa_[j * num_base_stations_ + opt.bs] =
-        problem_->weight(opt.r_access) * opt.p_access;
-    pf_[j * num_base_stations_ + opt.bs] = opt.p_fronthaul;
-    wpf_[j * num_base_stations_ + opt.bs] =
-        problem_->weight(opt.r_fronthaul) * opt.p_fronthaul;
-  }
-
-  cur_server_.resize(devices);
-  cur_bs_.resize(devices);
-  for (std::size_t j = 0; j < devices; ++j) {
-    const Option& cur = problem_->options(j)[tracker_->profile()[j]];
-    cur_server_[j] = static_cast<std::uint32_t>(cur.server);
-    cur_bs_[j] = static_cast<std::uint32_t>(cur.bs);
-  }
-  for (std::size_t a = 0; a < entries; ++a) {
-    const Option& opt = problem_->option_at(a);
-    const std::size_t j = problem_->device_of(a);
-    refresh_compute_term(j, opt.server);
-    refresh_access_term(j, opt.bs);
-    refresh_fronthaul_term(j, opt.bs);
-  }
-
-  // CSR sweep sets: the distinct devices with an option on each server (from
-  // the option-level inverted index, deduplicating its device-major runs)
-  // and on each base station (one group per device-BS pair).
+  // Per-pair p tables, and fl(w·p) for the access and fronthaul resources,
+  // whose weights no frequency update moves (reset() derives the compute
+  // one). fl(w·p) is rounded first exactly as in cost_if_moved's
+  // weight·p·(load+p), so the cached terms reproduce its bits.
+  pc_.resize(devices * num_servers_);
+  wpc_.resize(devices * num_servers_);
+  tc_.resize(devices * num_servers_);
+  pa_.resize(devices * num_base_stations_);
+  wpa_.resize(devices * num_base_stations_);
+  ta_.resize(devices * num_base_stations_);
+  pf_.resize(devices * num_base_stations_);
+  wpf_.resize(devices * num_base_stations_);
+  tf_.resize(devices * num_base_stations_);
+  // The server sweep sets, counted in the same pass: the distinct servers
+  // of device j are the ones whose stamp it takes.
+  server_stamp_.assign(num_servers_, kUnreached);
   server_device_offsets_.assign(num_servers_ + 1, 0);
-  server_device_entries_.clear();
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    std::size_t last = devices;  // sentinel: no device yet
-    for (const std::uint32_t a : problem_->options_on_resource(s)) {
-      const std::size_t j = problem_->device_of(a);
-      if (j == last) continue;
-      last = j;
-      server_device_entries_.push_back(static_cast<std::uint32_t>(j));
+  for (std::size_t j = 0; j < devices; ++j) {
+    const auto stamp = static_cast<std::uint32_t>(j);
+    for (std::size_t a = problem.arena_offset(j);
+         a < problem.arena_offset(j + 1); ++a) {
+      const Option& opt = problem.option_at(a);
+      server_of_entry_[a] = opt.server;
+      pc_[j * num_servers_ + opt.server] = opt.p_compute;
+      pa_[j * num_base_stations_ + opt.bs] = opt.p_access;
+      wpa_[j * num_base_stations_ + opt.bs] =
+          problem.weight(opt.r_access) * opt.p_access;
+      pf_[j * num_base_stations_ + opt.bs] = opt.p_fronthaul;
+      wpf_[j * num_base_stations_ + opt.bs] =
+          problem.weight(opt.r_fronthaul) * opt.p_fronthaul;
+      if (server_stamp_[opt.server] != stamp) {
+        server_stamp_[opt.server] = stamp;
+        ++server_device_offsets_[opt.server + 1];
+      }
     }
-    server_device_offsets_[s + 1] =
-        static_cast<std::uint32_t>(server_device_entries_.size());
   }
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    server_device_offsets_[s + 1] += server_device_offsets_[s];
+  }
+  // Fill in ascending device order, the offsets serving as cursors, then
+  // shift them back down.
+  server_device_entries_.resize(server_device_offsets_[num_servers_]);
+  server_stamp_.assign(num_servers_, kUnreached);
+  for (std::size_t j = 0; j < devices; ++j) {
+    const auto stamp = static_cast<std::uint32_t>(j);
+    for (std::size_t a = problem.arena_offset(j);
+         a < problem.arena_offset(j + 1); ++a) {
+      const std::uint32_t s = server_of_entry_[a];
+      if (server_stamp_[s] == stamp) continue;
+      server_stamp_[s] = stamp;
+      server_device_entries_[server_device_offsets_[s]++] = stamp;
+    }
+  }
+  for (std::size_t s = num_servers_; s > 0; --s) {
+    server_device_offsets_[s] = server_device_offsets_[s - 1];
+  }
+  server_device_offsets_[0] = 0;
+  // The station sweep sets: one group per (device, base station) pair.
   bs_device_offsets_.assign(num_base_stations_ + 1, 0);
   for (const kernels::ScanGroup& grp : groups_) {
     ++bs_device_offsets_[grp.bs + 1];
@@ -743,6 +718,42 @@ BestResponseEngine::BestResponseEngine(LoadTracker& tracker)
     bs_device_offsets_[k] = bs_device_offsets_[k - 1];
   }
   bs_device_offsets_[0] = 0;
+}
+
+void BestResponseEngine::reset(LoadTracker& tracker) {
+  EOTORA_REQUIRE_MSG(problem_ != nullptr && tracker.problem_ == problem_,
+                     "BestResponseEngine::reset with a tracker over a "
+                     "problem the engine is not bound to");
+  EOTORA_REQUIRE_MSG(problem_->generation() == generation_,
+                     "BestResponseEngine::reset on a problem rebuilt since "
+                     "bind (generation "
+                         << generation_ << ", now "
+                         << problem_->generation() << ")");
+  tracker_ = &tracker;
+  term_refreshes_ = 0;
+  const std::size_t devices = problem_->num_devices();
+  for (std::size_t j = 0; j < devices; ++j) {
+    const Option& cur =
+        problem_->option_at(problem_->arena_offset(j) + tracker.profile()[j]);
+    cur_server_[j] = cur.server;
+    cur_bs_[j] = cur.bs;
+  }
+  // Every distinct term once: each (device, server) pair sits in exactly
+  // one server sweep set, and each (device, base station) pair is exactly
+  // one group. The compute w·p is re-derived at the current weights first.
+  for (std::size_t s = 0; s < num_servers_; ++s) {
+    const double w = problem_->weight(s);
+    for (std::size_t e = server_device_offsets_[s];
+         e < server_device_offsets_[s + 1]; ++e) {
+      const std::size_t j = server_device_entries_[e];
+      wpc_[j * num_servers_ + s] = w * pc_[j * num_servers_ + s];
+      refresh_compute_term(j, s);
+    }
+  }
+  for (const kernels::ScanGroup& grp : groups_) {
+    refresh_access_term(grp.device, grp.bs);
+    refresh_fronthaul_term(grp.device, grp.bs);
+  }
 }
 
 void BestResponseEngine::refresh_compute_term(std::size_t device,
@@ -825,8 +836,8 @@ void BestResponseEngine::move(std::size_t device, std::size_t option_index) {
   // New exclusion context first: the mover sits in the sweep sets of every
   // changed resource, so the sweeps below rebuild its own terms against its
   // new current option along with everyone else's.
-  cur_server_[device] = static_cast<std::uint32_t>(nxt.server);
-  cur_bs_[device] = static_cast<std::uint32_t>(nxt.bs);
+  cur_server_[device] = nxt.server;
+  cur_bs_[device] = nxt.bs;
   for (std::size_t t = 0; t < m; ++t) {
     const std::size_t r = changed[t];
     if (r < num_servers_) {

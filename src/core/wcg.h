@@ -22,11 +22,12 @@
 // this is what makes CGBA's best-response dynamics terminate.
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "The WCG hot path"): options live
-// in one contiguous arena with per-device offset spans, a resource→option
-// inverted index is derived at build time, and BestResponseEngine caches
-// the per-(device, resource) cost terms option costs factor into, re-deriving
-// only the terms a move's changed loads invalidate — every best response it
-// returns is bit-identical to a from-scratch LoadTracker evaluation.
+// in one contiguous arena of 48-byte entries with per-device offset spans,
+// and BestResponseEngine caches the per-(device, resource) cost terms option
+// costs factor into. The engine is bound to a build once and reset for each
+// solve on it, and re-derives only the terms a move's changed loads
+// invalidate — every best response it returns is bit-identical to a
+// from-scratch LoadTracker evaluation.
 #pragma once
 
 #include <cstddef>
@@ -42,17 +43,19 @@
 namespace eotora::core {
 
 // One feasible (base station, server) choice for a device, with its resource
-// indices and weights precomputed.
+// indices and weights precomputed. 48 bytes: build() keeps every resource
+// index below 2^32.
 struct Option {
-  std::size_t bs = 0;
-  std::size_t server = 0;
-  std::size_t r_compute = 0;
-  std::size_t r_access = 0;
-  std::size_t r_fronthaul = 0;
+  std::uint32_t bs = 0;
+  std::uint32_t server = 0;
+  std::uint32_t r_compute = 0;
+  std::uint32_t r_access = 0;
+  std::uint32_t r_fronthaul = 0;
   double p_compute = 0.0;
   double p_access = 0.0;
   double p_fronthaul = 0.0;
 };
+static_assert(sizeof(Option) == 48);
 
 // z: per-device index into that device's option list.
 using Profile = std::vector<std::size_t>;
@@ -111,7 +114,7 @@ class WcgProblem {
              const Frequencies& frequencies);
 
   // Re-derives everything for a new slot, reusing the existing allocations
-  // (option arena, offset table, weights, inverted index). Equivalent to
+  // (option arena, offset table, weights). Equivalent to
   // constructing a fresh problem, without the per-slot heap churn. This is
   // the one-subset case of build(): every device, station and server, with
   // local ids equal to global ids.
@@ -123,7 +126,7 @@ class WcgProblem {
   // and the same p-value bits; weights are the global resources' weights.
   // Returns false, leaving the problem unusable, when the subset carries a
   // coverage check and a scanned row differs from it; throws where
-  // rebuild() throws.
+  // rebuild() throws, and when the subset has 2^32 or more resources.
   bool build(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies, const WcgSubset& subset,
              const StationTables& tables);
@@ -132,6 +135,12 @@ class WcgProblem {
     return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
   [[nodiscard]] std::size_t num_resources() const { return weights_.size(); }
+  // Which build this problem holds: every successful build() (and so
+  // rebuild()) takes a fresh value from a process-wide counter, and the
+  // generation is 0 while a build is in flight, after one failed or threw,
+  // and before the first. set_frequencies() keeps it: a BestResponseEngine
+  // bound to this build stays valid across frequency updates.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
   // All resource weights m_r in the [compute][access][fronthaul] layout —
   // the contiguous span the kernel-layer reductions run over.
   [[nodiscard]] std::span<const double> weights() const { return weights_; }
@@ -159,19 +168,12 @@ class WcgProblem {
   [[nodiscard]] const Option& option_at(std::size_t arena_index) const {
     return arena_[arena_index];
   }
-  [[nodiscard]] std::size_t device_of(std::size_t arena_index) const {
-    return device_of_[arena_index];
-  }
-  // Arena indices of every option touching `resource` (each option touches
-  // exactly three distinct resources, so no per-option deduplication is
-  // needed). Rebuilt with the arena; frequency updates never invalidate it.
-  [[nodiscard]] std::span<const std::uint32_t> options_on_resource(
-      std::size_t resource) const;
 
   // Re-derives the compute-resource weights for new frequencies (one entry
-  // per server of the instance); option lists, p-values, and the inverted
-  // index are frequency-independent and stay valid. Checks only the
-  // frequencies of the problem's own servers against [F^L, F^U].
+  // per server of the instance); option lists, p-values and the access and
+  // fronthaul weights are frequency-independent and stay valid, and so does
+  // generation(). Checks only the frequencies of the problem's own servers
+  // against [F^L, F^U].
   void set_frequencies(const Instance& instance,
                        const Frequencies& frequencies);
 
@@ -233,8 +235,8 @@ class WcgProblem {
 
   std::vector<Option> arena_;          // all options, device-major
   std::vector<std::size_t> offsets_;   // num_devices + 1 spans into arena_
-  std::vector<std::uint32_t> device_of_;  // arena index -> owning device
   std::vector<double> weights_;        // m_r
+  std::uint64_t generation_ = 0;       // see generation()
   std::vector<std::uint32_t> station_ids_;  // local -> global base station
   std::vector<std::uint32_t> server_ids_;   // local -> global server
 
@@ -252,9 +254,6 @@ class WcgProblem {
   std::vector<double> task_cycles_row_;
   std::vector<double> sigma_row_;
   std::vector<double> sqrt_compute_row_;
-  // resource -> arena indices of options touching it (CSR layout).
-  std::vector<std::size_t> index_offsets_;  // num_resources + 1
-  std::vector<std::uint32_t> index_entries_;
 };
 
 // Incremental load bookkeeping for search algorithms (CGBA, MCBA, B&B).
@@ -346,15 +345,46 @@ class LoadTracker {
 // intermediate rounding identical to the from-scratch evaluation — the
 // returned bits match LoadTracker::best_response exactly.
 //
+// Lifetime. bind() derives what a build fixes: the (device, base station)
+// scan groups, the per-pair p tables, the access and fronthaul w·p tables
+// and the per-server and per-station device sweep sets. reset() starts a
+// solve on that build: it re-derives the compute w·p at the problem's
+// current weights (set_frequencies moves only those), records each
+// device's current server and station, and derives every distinct term
+// once from the tracker's loads. BDMA keeps one engine per WCG component,
+// binds it when the slot's build is new and only resets it for the slot's
+// later solves (cgba_from's engine overload decides, core/cgba.h). An
+// engine reset against a problem rebuilt since its bind throws.
+//
 // CGBA runs on this engine by default; CgbaConfig::naive_scan keeps the full
 // O(devices × options) rescan as the correctness oracle the equivalence
 // tests compare against.
 class BestResponseEngine {
  public:
-  // Binds to `tracker` (and its problem); both must outlive the engine. The
-  // engine owns every profile change from here on: route moves through
-  // BestResponseEngine::move, never the tracker directly.
+  // An unbound engine, holding no tables until bind().
+  BestResponseEngine() = default;
+
+  // One-shot use: bind(tracker's problem), then reset(tracker).
   explicit BestResponseEngine(LoadTracker& tracker);
+
+  // Derives the build-fixed tables from `problem`, which must outlive every
+  // later reset() and stay at its build: a rebuild needs a new bind().
+  // Throws on a problem no build succeeded on (generation() == 0).
+  void bind(const WcgProblem& problem);
+
+  // True when the last bind() was against `problem`'s current build.
+  [[nodiscard]] bool bound_to(const WcgProblem& problem) const {
+    return problem_ == &problem && generation_ != 0 &&
+           generation_ == problem.generation();
+  }
+
+  // Starts a solve at `tracker`'s profile and loads, and zeroes
+  // term_refreshes(). The tracker must be over the bound problem and outlive
+  // the solve; the engine owns every profile change from here on: route
+  // moves through BestResponseEngine::move, never the tracker directly.
+  // Throws when the tracker is over another problem or the problem was
+  // rebuilt since bind().
+  void reset(LoadTracker& tracker);
 
   // Best response (and current cost) for player i from the cached terms.
   [[nodiscard]] const LoadTracker::BestResponse& best_response(
@@ -365,8 +395,9 @@ class BestResponseEngine {
   void move(std::size_t device, std::size_t option_index);
 
   // Incremental per-(device,resource) term re-derivations performed by
-  // move() calls so far — the effort the cache saved vs. a full rebuild.
-  // Flushed into core::counters by the solver that owns the engine.
+  // move() calls since the last reset() — the effort the cache saved vs. a
+  // full re-derivation. Flushed into core::counters by the solver that owns
+  // the engine; reset()'s own derivations are not counted.
   [[nodiscard]] std::uint64_t term_refreshes() const {
     return term_refreshes_;
   }
@@ -376,8 +407,9 @@ class BestResponseEngine {
   void refresh_access_term(std::size_t device, std::size_t bs);
   void refresh_fronthaul_term(std::size_t device, std::size_t bs);
 
-  const WcgProblem* problem_;
-  LoadTracker* tracker_;
+  const WcgProblem* problem_ = nullptr;
+  std::uint64_t generation_ = 0;  // problem_->generation() at bind()
+  LoadTracker* tracker_ = nullptr;
   std::size_t num_servers_ = 0;
   std::size_t num_base_stations_ = 0;
   std::vector<LoadTracker::BestResponse> cached_;  // scan result, per device
@@ -387,11 +419,13 @@ class BestResponseEngine {
   std::vector<std::uint32_t> device_group_begin_;  // device -> first group
   std::vector<std::uint32_t> server_of_entry_;     // arena entry -> server
   // CSR lists of the distinct devices with an option on a server / a base
-  // station — the sweep sets for term refreshes after a move.
+  // station, in ascending device order — the sweep sets for term refreshes
+  // after a move. bind() dedups each device's servers with server_stamp_.
   std::vector<std::uint32_t> server_device_offsets_;
   std::vector<std::uint32_t> server_device_entries_;
   std::vector<std::uint32_t> bs_device_offsets_;
   std::vector<std::uint32_t> bs_device_entries_;
+  std::vector<std::uint32_t> server_stamp_;
   // Mover-maintained copies of each device's current server / base station,
   // so exclusion checks never chase the option arena.
   std::vector<std::uint32_t> cur_server_;

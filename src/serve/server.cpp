@@ -57,18 +57,24 @@ void check_shape(const std::string& what, std::size_t devices,
 }
 
 // The StateSource run() drains: each next() waits for a delta, pops it and
-// folds it into the state with the loop's DeltaApplier, which throws
-// sim::DeltaError on a delta it rejects.
+// folds it into the state with the loop's DeltaApplier. The source ends on
+// a poisoned loop, and poisons it itself on a delta the applier rejects
+// (sim::DeltaError), so run_policy returns the slots decided before.
 class ServeLoop::RingSource final : public sim::StateSource {
  public:
   explicit RingSource(ServeLoop& loop) : loop_(&loop) {}
 
   bool next(core::SlotState& out) override {
-    if (!loop_->await_delta()) return false;
+    if (loop_->failed() || !loop_->await_delta()) return false;
     loop_->pop_depth_ = loop_->ring_.size();
     const bool popped = loop_->ring_.try_pop(delta_);
     EOTORA_ASSERT(popped);
-    loop_->applier_.apply(delta_, out);
+    try {
+      loop_->applier_.apply(delta_, out);
+    } catch (const std::exception& error) {
+      loop_->fail(error.what());
+      return false;
+    }
     return true;
   }
 
@@ -123,11 +129,17 @@ sim::SimulationResult ServeLoop::run(const sim::AuditConfig& audit,
         [&](const core::SlotState& state, const core::DppSlotResult& slot,
             double step_seconds) {
           publish(state, slot, step_seconds);
-          if (on_decision_) on_decision_(state.slot, slot);
-          if (observer) observer(state, slot, step_seconds);
+          try {
+            if (on_decision_) on_decision_(state.slot, slot);
+            if (observer) observer(state, slot, step_seconds);
+          } catch (const std::exception& error) {
+            // A failed reply or log write: the slot stays decided, and the
+            // source ends the run before the next one.
+            fail(error.what());
+          }
         });
   } catch (const std::exception& error) {
-    // sim::DeltaError (a rejected delta), a failed reply or observer, or,
+    // A run that ended before its first slot (run_policy needs one), or,
     // defensively, anything the solver threw on a pathological but
     // validated state. Either way the loop stops deciding.
     fail(error.what());

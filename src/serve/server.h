@@ -24,9 +24,10 @@
 //
 // Error contract: a delta the applier rejects (sim::DeltaError), a
 // malformed or unexpected frame, a failed socket read or write, or an
-// exception from the observer poisons the loop — run() stops, the first
-// message lands in ServeMetrics::error, and failed() turns true. serve()
-// also sends that message to the client as a kError frame.
+// exception from the observer poisons the loop — run() stops before its
+// next slot and returns the slots it decided, the first message lands in
+// ServeMetrics::error, and failed() turns true. serve() also sends that
+// message to the client as a kError frame.
 #pragma once
 
 #include <atomic>
@@ -103,8 +104,9 @@ class ServeLoop {
   // Consumer side: run_policy (rng seed 1, no per-slot series) over the
   // ring until request_stop() has been called AND the ring is drained — or
   // an error poisons the loop. Each slot publishes the metrics, then calls
-  // the decision callback, then `observer`. Returns the run's result, or
-  // an empty one when the loop failed or stopped before its first delta.
+  // the decision callback, then `observer`. Returns the run's result —
+  // on a poisoned loop, the slots decided before the error — or an empty
+  // one when the loop failed or stopped before its first slot.
   // Runs on the caller's thread; call it from exactly one thread. The
   // audit is off unless asked for, since AuditConfig{} audits every slot.
   sim::SimulationResult run(
@@ -115,7 +117,8 @@ class ServeLoop {
   // checks its hello against the instance, moves its frames into the ring
   // on an ingest thread, and decides on the calling thread with run().
   // Every session error is sent to the client as a kError and ends the
-  // session with failed() set; returns run()'s result.
+  // session with failed() set; returns run()'s result, which keeps the
+  // slots decided before the error.
   sim::SimulationResult serve(const Fd& client, const sim::AuditConfig& audit,
                               const sim::SlotObserver& observer);
 

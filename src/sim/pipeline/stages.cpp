@@ -103,8 +103,9 @@ void CgbaAssignStage::run(StageContext& ctx) {
     EOTORA_TRACE_SPAN("shard/solve");
     wcg_.solve(workers, slot_counters_, [&](std::size_t c) {
       wcg_.keep_carried(c, carried_, profiles_[c]);
-      core::SolveResult result = core::cgba_from(
-          wcg_.problem(c), config_, std::move(profiles_[c]), &loads_[c]);
+      core::SolveResult result =
+          core::cgba_from(wcg_.problem(c), config_, std::move(profiles_[c]),
+                          wcg_.engine(c), &loads_[c]);
       profiles_[c] = std::move(result.profile);
       moves_[c] = result.iterations;
       converged_[c] = result.converged ? 1 : 0;

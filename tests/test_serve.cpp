@@ -831,7 +831,7 @@ TEST(ServeSession, RejectedDeltaGetsAnErrorCarryingTheDeltaError) {
   deltas[2].slot = 99;  // out-of-order commit
   ServeLoop loop(scenario.instance(), policy_for(scenario, "greedy-budget"));
   std::string reply;
-  (void)serve_session(loop, [&](Fd fd) {
+  const auto served = serve_session(loop, [&](Fd fd) {
     send_bytes(fd, session_bytes(scenario.instance(), deltas));
     FrameAssembler assembler;
     reply = text_of(expect_frame(fd, assembler, FrameType::kError));
@@ -841,6 +841,8 @@ TEST(ServeSession, RejectedDeltaGetsAnErrorCarryingTheDeltaError) {
   const ServeMetrics metrics = loop.metrics();
   EXPECT_EQ(metrics.error, reply);
   EXPECT_EQ(metrics.slots_decided, 2u);
+  // The run keeps the two slots decided before the rejected delta.
+  EXPECT_EQ(served.metrics.slots(), 2u);
 }
 
 // A delta frame cut to 5 body bytes is a codec error, and the client hears

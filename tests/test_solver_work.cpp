@@ -58,7 +58,7 @@ TEST(SolverWork, PaperScenarioDppBdmaSpendsPinnedWork) {
   expect_work(drain_dpp_bdma(config, 0),
               {.cgba_rounds = 894,
                .cgba_moves = 774,
-               .engine_rebuilds = 120,
+               .engine_rebuilds = 24,
                .engine_term_refreshes = 268082,
                .bdma_iterations = 120});
 }
@@ -75,7 +75,7 @@ TEST(SolverWork, MetroDppBdmaSpendsPinnedWorkOnEveryWorkerCount) {
     expect_work(drain_dpp_bdma(config, workers),
                 {.cgba_rounds = 2209,
                  .cgba_moves = 1729,
-                 .engine_rebuilds = 480,
+                 .engine_rebuilds = 96,
                  .engine_term_refreshes = 641800,
                  .bdma_iterations = 120});
   }

@@ -1,6 +1,8 @@
 // Property/fuzz coverage for the incremental WCG hot path: the flat option
 // arena, LoadTracker's O(Δ) evaluators, and BestResponseEngine's move-scoped
-// invalidation must be indistinguishable from from-scratch recomputation.
+// invalidation must be indistinguishable from from-scratch recomputation —
+// also when one engine is bound once and reset across several solves at
+// different frequencies, as BDMA runs it.
 //
 // Two tiers of strictness:
 //   - From-scratch recomputation (fresh WcgProblem evaluation of the same
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "core/cgba.h"
+#include "core/counters.h"
 #include "core/dpp.h"
 #include "core/kernels/kernels.h"
 #include "core/latency.h"
@@ -338,7 +341,7 @@ TEST_P(OracleEquivalence, SolverProfilesPassTheFeasibilityAudit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OracleEquivalence, ::testing::Range(0, 25));
 
 // rebuild() on a dirty problem must be indistinguishable from a freshly
-// constructed one — same options, weights, inverted index, and cost bits.
+// constructed one — same options, weights, and cost bits.
 TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
   util::Rng rng(99);
   const Instance instance = test::tiny_instance(5);
@@ -354,10 +357,6 @@ TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
   ASSERT_EQ(reused.num_options(), fresh.num_options());
   for (std::size_t r = 0; r < fresh.num_resources(); ++r) {
     EXPECT_EQ(reused.weight(r), fresh.weight(r));
-    const auto ia = reused.options_on_resource(r);
-    const auto ib = fresh.options_on_resource(r);
-    ASSERT_EQ(ia.size(), ib.size());
-    for (std::size_t t = 0; t < ia.size(); ++t) EXPECT_EQ(ia[t], ib[t]);
   }
   for (std::size_t i = 0; i < fresh.num_devices(); ++i) {
     const auto oa = reused.options(i);
@@ -377,7 +376,7 @@ TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
 }
 
 // rebuild() survives shrinking and growing shapes (a smaller slot after a
-// bigger one must not leave stale arena/index tails behind).
+// bigger one must not leave stale arena tails behind).
 TEST(WcgRebuild, RebuildAcrossDifferentShapes) {
   util::Rng rng(7);
   WcgProblem reused;
@@ -498,36 +497,186 @@ TEST(WcgScratch, ScratchOverloadsMatchAllocatingOverloads) {
   }
 }
 
-// The inverted index is exactly the transpose of the option->resource map.
-TEST(WcgInvertedIndex, IndexIsConsistentWithArena) {
-  util::Rng rng(17);
-  const auto topo = random_topology(rng);
-  const std::size_t devices = topo->num_devices();
-  Instance instance = Instance::random(topo, rng, 1.0);
-  const SlotState state = random_sparse_state(*topo, rng);
-  const WcgProblem problem(instance, state, instance.max_frequencies());
-
-  std::size_t total_entries = 0;
-  for (std::size_t r = 0; r < problem.num_resources(); ++r) {
-    for (const std::uint32_t a : problem.options_on_resource(r)) {
-      const Option& opt = problem.option_at(a);
-      EXPECT_TRUE(opt.r_compute == r || opt.r_access == r ||
-                  opt.r_fronthaul == r)
-          << "resource " << r << " arena " << a;
-      ++total_entries;
-    }
-  }
-  // Every option touches exactly three distinct resources.
-  EXPECT_EQ(total_entries, 3 * problem.num_options());
-
-  // arena_offset/device_of agree with options().
+// Every device's engine best response against the tracker's, bit for bit.
+void expect_engine_matches_tracker(BestResponseEngine& engine,
+                                   const LoadTracker& tracker,
+                                   std::size_t devices,
+                                   const std::string& where) {
   for (std::size_t i = 0; i < devices; ++i) {
-    const std::size_t base = problem.arena_offset(i);
-    for (std::size_t o = 0; o < problem.options(i).size(); ++o) {
-      EXPECT_EQ(problem.device_of(base + o), i);
-      EXPECT_EQ(problem.option_at(base + o).bs, problem.options(i)[o].bs);
-    }
+    const LoadTracker::BestResponse fresh = tracker.best_response(i);
+    const LoadTracker::BestResponse& cached = engine.best_response(i);
+    ASSERT_EQ(cached.option_index, fresh.option_index)
+        << where << ", device " << i;
+    ASSERT_EQ(cached.cost, fresh.cost) << where << ", device " << i;
+    ASSERT_EQ(cached.current_cost, fresh.current_cost)
+        << where << ", device " << i;
   }
+}
+
+// A frequency vector drawn uniformly inside every server's [F^L, F^U].
+Frequencies random_frequencies(const Instance& instance, util::Rng& rng) {
+  Frequencies omega = instance.min_frequencies();
+  const Frequencies upper = instance.max_frequencies();
+  for (std::size_t n = 0; n < omega.size(); ++n) {
+    omega[n] = rng.uniform(omega[n], upper[n]);
+  }
+  return omega;
+}
+
+// One engine driven the way a BDMA slot drives it: bound once, then, at
+// each of several Ω installed with set_frequencies, reset on a fresh
+// tracker and walked along a random trajectory of random and best-response
+// moves. After every move, every device's engine best response must equal
+// the tracker's bit for bit. Then CGBA on one kept engine, in both
+// selection modes, must land where the naive oracle lands at every Ω, and
+// bind only at its first solve.
+void expect_engine_across_solves(WcgProblem& problem,
+                                 const Instance& instance, util::Rng& rng) {
+  const std::size_t devices = problem.num_devices();
+  BestResponseEngine engine;
+  engine.bind(problem);
+  Profile z = problem.random_profile(rng);
+  for (int round = 0; round < 4; ++round) {
+    const std::string where = "round " + std::to_string(round);
+    if (round > 0) {
+      problem.set_frequencies(instance, random_frequencies(instance, rng));
+    }
+    LoadTracker tracker(problem, z);
+    engine.reset(tracker);
+    ASSERT_TRUE(engine.bound_to(problem));
+    expect_engine_matches_tracker(engine, tracker, devices, where + " reset");
+    for (int step = 0; step < 30; ++step) {
+      const std::size_t device = rng.index(devices);
+      if (rng.bernoulli(0.5)) {
+        engine.move(device, rng.index(problem.options(device).size()));
+      } else {
+        engine.move(device, engine.best_response(device).option_index);
+      }
+      expect_engine_matches_tracker(engine, tracker, devices,
+                                    where + " step " + std::to_string(step));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    z = tracker.profile();
+  }
+
+  for (const CgbaSelection selection :
+       {CgbaSelection::kMaxGap, CgbaSelection::kRoundRobin}) {
+    CgbaConfig fast;
+    fast.selection = selection;
+    CgbaConfig naive = fast;
+    naive.naive_scan = true;
+    BestResponseEngine kept;
+    counters::SolverCounters work;
+    const counters::Scope scope(work);
+    Profile start = problem.random_profile(rng);
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(round);
+      if (round > 0) {
+        problem.set_frequencies(instance, random_frequencies(instance, rng));
+      }
+      const SolveResult a = cgba_from(problem, fast, start, kept);
+      const SolveResult b = cgba_from(problem, naive, start);
+      ASSERT_EQ(a.iterations, b.iterations);
+      ASSERT_EQ(a.converged, b.converged);
+      ASSERT_EQ(a.profile, b.profile);
+      ASSERT_EQ(a.cost, b.cost);
+      start = a.profile;
+    }
+    EXPECT_EQ(work.engine_rebuilds, 1u);
+  }
+}
+
+TEST(EngineAcrossSolves, PaperWorldTracksTheTrackerAtEveryFrequency) {
+  sim::ScenarioConfig config;
+  config.devices = 40;
+  sim::Scenario scenario(config);
+  const SlotState state = scenario.next_state();
+  util::Rng rng(130'000);
+  WcgProblem problem(scenario.instance(), state,
+                     scenario.instance().min_frequencies());
+  expect_engine_across_solves(problem, scenario.instance(), rng);
+}
+
+class EngineAcrossSolvesFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(EngineAcrossSolvesFuzz, GroupedWorldTracksTheTrackerAtEveryFrequency) {
+  util::Rng rng(140'000 + GetParam());
+  const test::GroupedWorld world = test::random_grouped_world(rng);
+  const Instance instance =
+      Instance::random(world.topology, rng, rng.uniform(0.1, 5.0));
+  const SlotState state = test::grouped_state(world, rng);
+  WcgProblem problem(instance, state, instance.min_frequencies());
+  expect_engine_across_solves(problem, instance, rng);
+}
+
+// An engine kept across rebuilds — new shapes, new coverage — rebinds once
+// per build (counted) and returns what a fresh engine returns, bit for bit;
+// a second solve on the same build only resets it.
+TEST_P(EngineAcrossSolvesFuzz, RebuildRebindsOnceAndMatchesAFreshEngine) {
+  util::Rng rng(150'000 + GetParam());
+  const test::GroupedWorld world = test::random_grouped_world(rng);
+  const Instance instance =
+      Instance::random(world.topology, rng, rng.uniform(0.1, 5.0));
+  WcgProblem problem;
+  BestResponseEngine kept;
+  for (int slot = 0; slot < 3; ++slot) {
+    SCOPED_TRACE(slot);
+    problem.rebuild(instance, test::grouped_state(world, rng),
+                    random_frequencies(instance, rng));
+    EXPECT_FALSE(kept.bound_to(problem));
+    const Profile start = problem.random_profile(rng);
+    counters::SolverCounters work;
+    const counters::Scope scope(work);
+    const SolveResult reused = cgba_from(problem, {}, start, kept);
+    EXPECT_EQ(work.engine_rebuilds, 1u);
+    EXPECT_TRUE(kept.bound_to(problem));
+    const SolveResult fresh = cgba_from(problem, {}, start);
+    EXPECT_EQ(work.engine_rebuilds, 2u);
+    ASSERT_EQ(reused.iterations, fresh.iterations);
+    ASSERT_EQ(reused.converged, fresh.converged);
+    ASSERT_EQ(reused.profile, fresh.profile);
+    ASSERT_EQ(reused.cost, fresh.cost);
+    (void)cgba_from(problem, {}, start, kept);
+    EXPECT_EQ(work.engine_rebuilds, 2u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineAcrossSolvesFuzz,
+                         ::testing::Range(0, 25));
+
+// reset() refuses a problem rebuilt since the engine's bind, a tracker over
+// another problem, and an engine never bound; bind() refuses a problem no
+// build succeeded on.
+TEST(EngineAcrossBuilds, ResetRefusesAStaleOrForeignProblem) {
+  util::Rng rng(160'000);
+  const Instance instance = test::tiny_instance(4);
+  WcgProblem problem(instance, test::random_state(4, 2, rng),
+                     instance.max_frequencies());
+  BestResponseEngine engine;
+  {
+    LoadTracker tracker(problem, problem.random_profile(rng));
+    EXPECT_THROW(engine.reset(tracker), std::invalid_argument);
+  }
+  engine.bind(problem);
+  const WcgProblem other(instance, test::random_state(4, 2, rng),
+                         instance.max_frequencies());
+  {
+    LoadTracker tracker(other, other.random_profile(rng));
+    EXPECT_THROW(engine.reset(tracker), std::invalid_argument);
+  }
+  problem.rebuild(instance, test::random_state(4, 2, rng),
+                  instance.max_frequencies());
+  EXPECT_FALSE(engine.bound_to(problem));
+  LoadTracker tracker(problem, problem.random_profile(rng));
+  EXPECT_THROW(engine.reset(tracker), std::invalid_argument);
+
+  SlotState blacked_out = test::random_state(4, 2, rng);
+  for (auto& h : blacked_out.channel[2]) h = 0.0;
+  EXPECT_THROW(problem.rebuild(instance, blacked_out,
+                               instance.max_frequencies()),
+               std::invalid_argument);
+  EXPECT_EQ(problem.generation(), 0u);
+  EXPECT_THROW(engine.bind(problem), std::invalid_argument);
 }
 
 }  // namespace
