@@ -72,7 +72,9 @@ bool WcgComponents::scan_coverage(const Instance& instance,
     const std::vector<double>& row = state.channel[i];
     EOTORA_REQUIRE(row.size() == stations);
     for (std::size_t k = 0; k < stations; ++k) {
-      if (row[k] > 0.0) scan_.push_back(static_cast<std::uint32_t>(k));
+      if (covers(row[k], i, k, state.slot)) {
+        scan_.push_back(static_cast<std::uint32_t>(k));
+      }
     }
     scan_offsets_.push_back(scan_.size());
   }
@@ -205,7 +207,7 @@ void WcgComponents::build(const Instance& instance, const SlotState& state,
   EOTORA_REQUIRE_MSG(planned_, "WcgComponents::build without begin()");
   const auto build_all = [&](bool check) {
     components_.resize(count_);
-    for_each(workers, [&](std::size_t c) {
+    solve(workers, build_counters_, [&](std::size_t c) {
       Component& component = components_[c];
       component.built = component.problem.build(
           instance, state, frequencies, subset(c, check), tables_);
@@ -264,7 +266,7 @@ void WcgComponents::draw_profiles(util::Rng& rng,
     const std::size_t c = device_component_[i];
     const std::size_t j = device_local_[i];
     const WcgProblem& p = components_[c].problem;
-    profiles[c][j] = rng.index(p.arena_offset(j + 1) - p.arena_offset(j));
+    profiles[c][j] = rng.index(p.options(j).size());
   }
 }
 
@@ -283,7 +285,7 @@ void WcgComponents::keep_carried(std::size_t c, const Assignment& carried,
   for (std::size_t j = 0; j < ids.size(); ++j) {
     const std::size_t o =
         p.find_option(j, carried.bs_of[ids[j]], carried.server_of[ids[j]]);
-    if (o < p.arena_offset(j + 1) - p.arena_offset(j)) profile[j] = o;
+    if (o < p.options(j).size()) profile[j] = o;
   }
 }
 

@@ -10,7 +10,11 @@
 // directly from its devices' state rows, next to that component's
 // BestResponseEngine; the solvers then run per component, and only
 // O(N + 2K) reductions in global resource order stay serial (core/bdma.h,
-// sim/pipeline CgbaAssignStage).
+// sim/pipeline CgbaAssignStage). Both live across slots: a component's
+// build re-derives only the option rows of devices whose inputs changed
+// since its last build, a component with no changed device does no
+// per-device work, and its engine re-binds only the re-derived devices
+// (WcgProblem::build, BestResponseEngine::bind).
 //
 // Plan. The components are those of the slot's coverage: each device is
 // joined to every station with h > 0 that reaches a server, and each such
@@ -58,7 +62,9 @@ class WcgComponents {
   void begin(const Instance& instance, const SlotState& state);
 
   // Builds every component's problem for the slot begin() started, at
-  // `frequencies`, on up to `workers` workers (span wcg/rebuild). Throws
+  // `frequencies`, on up to `workers` workers (span wcg/rebuild), each
+  // under its own counters::Scope merged in component order, so the
+  // arena_device_* counts are the same for every worker count. Throws
   // where WcgProblem::rebuild() throws.
   void build(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies, std::size_t workers);
@@ -177,6 +183,9 @@ class WcgComponents {
   std::vector<std::uint32_t> station_local_;
   std::vector<std::uint32_t> server_local_;
   std::vector<Component> components_;
+  // build()'s per-component counters (the arena_device_* counts), merged
+  // in component order whichever worker built each.
+  std::vector<counters::SolverCounters> build_counters_;
   // total_cost() scratch in the global resource layout.
   mutable std::vector<double> merged_loads_;
   mutable std::vector<double> merged_weights_;

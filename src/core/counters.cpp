@@ -22,6 +22,8 @@ void SolverCounters::merge(const SolverCounters& other) {
   component_reuses += other.component_reuses;
   arena_precomputes += other.arena_precomputes;
   arena_precompute_reuses += other.arena_precompute_reuses;
+  arena_device_builds += other.arena_device_builds;
+  arena_device_reuses += other.arena_device_reuses;
 }
 
 bool SolverCounters::operator==(const SolverCounters& other) const {
@@ -35,7 +37,9 @@ bool SolverCounters::operator==(const SolverCounters& other) const {
          component_finds == other.component_finds &&
          component_reuses == other.component_reuses &&
          arena_precomputes == other.arena_precomputes &&
-         arena_precompute_reuses == other.arena_precompute_reuses;
+         arena_precompute_reuses == other.arena_precompute_reuses &&
+         arena_device_builds == other.arena_device_builds &&
+         arena_device_reuses == other.arena_device_reuses;
 }
 
 util::Json SolverCounters::to_json() const {
@@ -54,6 +58,8 @@ util::Json SolverCounters::to_json() const {
   out["component_reuses"] = component_reuses;
   out["arena_precomputes"] = arena_precomputes;
   out["arena_precompute_reuses"] = arena_precompute_reuses;
+  out["arena_device_builds"] = arena_device_builds;
+  out["arena_device_reuses"] = arena_device_reuses;
   return out;
 }
 

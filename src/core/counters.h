@@ -3,7 +3,8 @@
 //
 // Counters record algorithmic effort (best-response rounds, accepted
 // moves, BDMA outer iterations, cache rebuilds vs. incremental term
-// refreshes, Lemma-1 evaluations) rather than time, so they are part of
+// refreshes, Lemma-1 evaluations, option rows re-derived vs. kept) rather
+// than time, so they are part of
 // the determinism contract: for a fixed scenario + seed the totals are
 // byte-identical across thread counts and reruns, and they are stamped
 // into the eotora-sweep-v1 artifact next to the metric fields
@@ -39,10 +40,12 @@ struct SolverCounters {
   std::uint64_t mcba_accepted = 0;
   // BDMA outer iterations (one P2-A solve + one P2-B solve each).
   std::uint64_t bdma_iterations = 0;
-  // BestResponseEngine: binds — full derivations of an engine's
-  // build-fixed tables, one per build it solves on; under BDMA one per WCG
-  // component per slot, as the slot's later solves only reset the engine —
-  // vs. incremental per-(device,resource) term refreshes after moves.
+  // BestResponseEngine: binds — derivations of an engine's build-fixed
+  // tables, in full or patching the devices a build changed, one per build
+  // it solves on; under BDMA at most one per WCG component per slot, as the
+  // slot's later solves only reset the engine and a build that re-derived
+  // no row keeps it bound — vs. incremental per-(device,resource) term
+  // refreshes after moves.
   std::uint64_t engine_rebuilds = 0;
   std::uint64_t engine_term_refreshes = 0;
   // Closed-form Lemma-1 allocations evaluated (core/lemma1.cpp).
@@ -57,6 +60,12 @@ struct SolverCounters {
   // bandwidths/spectral efficiencies are bit-unchanged.
   std::uint64_t arena_precomputes = 0;
   std::uint64_t arena_precompute_reuses = 0;
+  // WcgProblem::build(), one per device per successful build: option rows
+  // re-derived vs. kept because the device's f_i, d_i and h on its
+  // coverable stations are bitwise those of the last build over the same
+  // layout.
+  std::uint64_t arena_device_builds = 0;
+  std::uint64_t arena_device_reuses = 0;
 
   void merge(const SolverCounters& other);
   void reset() { *this = SolverCounters{}; }

@@ -1,16 +1,23 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/check.h"
 
 namespace eotora::core {
 
+namespace {
+// The last stamp an Instance took (see stamp()).
+std::atomic<std::uint64_t> last_stamp{0};
+}  // namespace
+
 Instance::Instance(std::shared_ptr<const topology::Topology> topology,
                    double budget_per_slot, double slot_hours)
     : topology_(std::move(topology)),
       budget_per_slot_(budget_per_slot),
-      slot_hours_(slot_hours) {
+      slot_hours_(slot_hours),
+      stamp_(last_stamp.fetch_add(1, std::memory_order_relaxed) + 1) {
   EOTORA_REQUIRE(topology_ != nullptr);
   EOTORA_REQUIRE_MSG(budget_per_slot_ > 0.0,
                      "budget=" << budget_per_slot_);

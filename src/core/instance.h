@@ -2,6 +2,7 @@
 // the network, the suitability σ, the energy budget, and slot timing.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -46,6 +47,10 @@ class Instance {
   // σ of device i over topology().reachable_servers(i), entry for entry.
   [[nodiscard]] std::span<const double> suitability_row(
       std::size_t device) const;
+  // A process-wide unique id this instance took at construction. A copy
+  // keeps it, as it holds the same topology and σ; WcgProblem keys the
+  // option rows it keeps across builds on it, never on an address.
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_; }
   [[nodiscard]] double budget_per_slot() const { return budget_per_slot_; }
   [[nodiscard]] double slot_hours() const { return slot_hours_; }
 
@@ -92,6 +97,7 @@ class Instance {
   std::vector<double> sigma_;
   double budget_per_slot_;
   double slot_hours_;
+  std::uint64_t stamp_;
 };
 
 }  // namespace eotora::core

@@ -43,7 +43,6 @@ namespace eotora::core::kernels {
 struct ScanGroup {
   std::uint32_t begin = 0;  // arena range [begin, end)
   std::uint32_t end = 0;
-  std::uint32_t device = 0;
   std::uint32_t bs = 0;
 };
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include "core/counters.h"
 #include "util/check.h"
@@ -16,6 +18,10 @@ constexpr std::uint32_t kUnreached = 0xffffffffu;
 
 // The last generation a WcgProblem build took (see generation()).
 std::atomic<std::uint64_t> last_generation{0};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 }  // namespace
 
 void StationTables::refresh(const topology::Topology& topo) {
@@ -75,6 +81,171 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
   (void)build(instance, state, frequencies, all, tables_);
 }
 
+namespace detail {
+void reject_channel_gain(double h, std::size_t device, std::size_t station,
+                         std::size_t slot) {
+  std::ostringstream message;
+  message << "device " << device << " has h=" << h << " on station "
+          << station << " at slot " << slot;
+  util::throw_precondition("std::isfinite(h)", __FILE__, __LINE__,
+                           message.str());
+}
+}  // namespace detail
+
+bool WcgProblem::same_layout(const Instance& instance, const WcgSubset& subset,
+                             const StationTables& tables) const {
+  if (instance_stamp_ != instance.stamp() ||
+      !std::ranges::equal(subset.devices, device_ids_) ||
+      !std::ranges::equal(subset.stations, station_ids_) ||
+      !std::ranges::equal(subset.servers, server_ids_)) {
+    return false;
+  }
+  for (std::size_t k = 0; k < station_ids_.size(); ++k) {
+    const std::size_t global = station_ids_[k];
+    if (!same_bits(station_key_[3 * k], tables.inv_access_bw[global]) ||
+        !same_bits(station_key_[3 * k + 1], tables.inv_fronthaul_bw[global]) ||
+        !same_bits(station_key_[3 * k + 2], tables.fronthaul_se[global])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void WcgProblem::lay_out(const Instance& instance, const WcgSubset& subset,
+                         const StationTables& tables) {
+  const auto& topo = instance.topology();
+  instance_stamp_ = instance.stamp();
+  device_ids_.assign(subset.devices.begin(), subset.devices.end());
+  station_ids_.assign(subset.stations.begin(), subset.stations.end());
+  server_ids_.assign(subset.servers.begin(), subset.servers.end());
+  station_key_.clear();
+  for (const std::uint32_t k : station_ids_) {
+    station_key_.push_back(tables.inv_access_bw[k]);
+    station_key_.push_back(tables.inv_fronthaul_bw[k]);
+    station_key_.push_back(tables.fronthaul_se[k]);
+  }
+  // A row has room for an option on every server each coverable station
+  // reaches, so a device whose coverage moves rewrites only its own row.
+  row_offsets_.assign(1, 0);
+  coverable_offsets_.assign(1, 0);
+  for (const std::uint32_t i : device_ids_) {
+    const std::span<const topology::BaseStationId> coverable =
+        topo.coverable_stations(topology::DeviceId{i});
+    std::size_t capacity = 0;
+    for (const topology::BaseStationId k : coverable) {
+      capacity += topo.reachable_servers(k).size();
+    }
+    row_offsets_.push_back(row_offsets_.back() + capacity);
+    coverable_offsets_.push_back(coverable_offsets_.back() + coverable.size());
+  }
+  const std::size_t devices = device_ids_.size();
+  arena_.resize(row_offsets_.back());
+  counts_.assign(devices, 0);
+  live_options_ = 0;
+  key_f_.resize(devices);
+  key_d_.resize(devices);
+  key_h_.resize(coverable_offsets_.back());
+}
+
+bool WcgProblem::same_inputs(
+    std::size_t j, double f, double d, const std::vector<double>& channel,
+    std::span<const topology::BaseStationId> coverable) const {
+  // f first: it differs every slot in a batch drain, so there the check
+  // ends at its first compare.
+  if (!same_bits(key_f_[j], f) || !same_bits(key_d_[j], d)) return false;
+  const double* h = key_h_.data() + coverable_offsets_[j];
+  for (std::size_t c = 0; c < coverable.size(); ++c) {
+    if (!same_bits(h[c], channel[coverable[c].value])) return false;
+  }
+  return true;
+}
+
+void WcgProblem::derive_device(const Instance& instance, const SlotState& state,
+                               const WcgSubset& subset,
+                               const StationTables& tables, std::size_t j,
+                               std::size_t covering) {
+  const auto& topo = instance.topology();
+  const std::size_t servers = server_ids_.size();
+  const std::size_t stations = station_ids_.size();
+  const std::size_t i = device_ids_[j];
+  const std::vector<double>& channel = state.channel[i];
+  const double f = state.task_cycles[i];
+  const double d = state.data_bits[i];
+  // σ_{i,s} of the device's reachable servers, by local server. A
+  // reachable server outside the subset (reached only over a station
+  // that does not cover the device this slot) has no local position:
+  // server_local maps it anywhere, so each hit is checked against
+  // `servers`.
+  const topology::DeviceId device{i};
+  const std::span<const topology::ServerId> reach =
+      topo.reachable_servers(device);
+  const std::span<const double> sigma = instance.suitability_row(i);
+  for (std::size_t p = 0; p < reach.size(); ++p) {
+    const std::uint32_t local = subset.server_local[reach[p].value];
+    if (local < servers && subset.servers[local] == reach[p].value) {
+      sigma_local_[local] = sigma[p];
+    }
+  }
+  // Gather σ_{i,s} of every server a covering station reaches into a
+  // compact row, once per server however many stations reach it;
+  // sqrt(f_i / σ_{i,s}) is then batched over that row: the same operands
+  // and rounding as the per-option chain, on every kernel backend.
+  // Gathering in its own pass, ahead of the arena writes, measured
+  // 1.3-1.8x faster than gathering while laying out the options (x86-64,
+  // AVX2 backend).
+  const auto stamp = static_cast<std::uint32_t>(j);
+  std::size_t reached = 0;
+  for (std::size_t c = 0; c < covering; ++c) {
+    for (topology::ServerId s :
+         topo.reachable_servers(topology::BaseStationId{covered_[c]})) {
+      const std::uint32_t local = subset.server_local[s.value];
+      if (reach_stamp_[local] == stamp) continue;
+      reach_stamp_[local] = stamp;
+      reach_slot_[local] = static_cast<std::uint32_t>(reached);
+      sigma_row_[reached++] = sigma_local_[local];
+    }
+  }
+  std::fill_n(task_cycles_row_.begin(), reached, f);
+  kernels::dispatch().sqrt_div(task_cycles_row_.data(), sigma_row_.data(),
+                               sqrt_compute_row_.data(), reached);
+  Option* row = arena_.data() + row_offsets_[j];
+  std::size_t count = 0;
+  for (std::size_t c = 0; c < covering; ++c) {
+    const std::size_t k = covered_[c];
+    const double p_access = std::sqrt(d / channel[k]);
+    const double p_fronthaul = std::sqrt(d / tables.fronthaul_se[k]);
+    const std::uint32_t bs = subset.station_local[k];
+    for (topology::ServerId s :
+         topo.reachable_servers(topology::BaseStationId{k})) {
+      const std::uint32_t server = subset.server_local[s.value];
+      Option& opt = row[count++];
+      opt.bs = bs;
+      opt.server = server;
+      opt.r_compute = server;
+      opt.r_access = static_cast<std::uint32_t>(servers + bs);
+      opt.r_fronthaul = static_cast<std::uint32_t>(servers + stations + bs);
+      opt.p_compute = sqrt_compute_row_[reach_slot_[server]];
+      opt.p_access = p_access;
+      opt.p_fronthaul = p_fronthaul;
+    }
+  }
+  EOTORA_REQUIRE_MSG(count > 0, "device "
+                                    << i
+                                    << " has no feasible (base station, "
+                                       "server) option at slot "
+                                    << state.slot);
+  live_options_ = live_options_ - counts_[j] + count;
+  counts_[j] = static_cast<std::uint32_t>(count);
+  key_f_[j] = f;
+  key_d_[j] = d;
+  const std::span<const topology::BaseStationId> coverable =
+      topo.coverable_stations(device);
+  double* h = key_h_.data() + coverable_offsets_[j];
+  for (std::size_t c = 0; c < coverable.size(); ++c) {
+    h[c] = channel[coverable[c].value];
+  }
+}
+
 bool WcgProblem::build(const Instance& instance, const SlotState& state,
                        const Frequencies& frequencies, const WcgSubset& subset,
                        const StationTables& tables) {
@@ -84,7 +255,13 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   const std::size_t servers = subset.servers.size();
   const std::size_t stations = subset.stations.size();
   const bool check = !subset.coverage_offsets.empty();
-  generation_ = 0;  // until this build succeeds
+  // Until this build succeeds, no engine binds to the problem, and rows
+  // and keys count as forgotten: a failed or throwing build may leave
+  // rows half rewritten, so the build after it is full.
+  const std::uint64_t previous = generation_;
+  const bool laid_out = layout_valid_;
+  generation_ = 0;
+  layout_valid_ = false;
 
   EOTORA_REQUIRE_MSG(servers + 2 * stations <=
                          std::numeric_limits<std::uint32_t>::max(),
@@ -97,8 +274,10 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
                      "channel rows=" << state.channel.size());
   EOTORA_REQUIRE(tables.fronthaul_se.size() == all_stations);
 
-  station_ids_.assign(subset.stations.begin(), subset.stations.end());
-  server_ids_.assign(subset.servers.begin(), subset.servers.end());
+  // Rows and keys survive only into a build over the layout they were
+  // derived for.
+  const bool patch = laid_out && same_layout(instance, subset, tables);
+  if (!patch) lay_out(instance, subset, tables);
   weights_.assign(servers + 2 * stations, 0.0);
   set_frequencies(instance, frequencies);
   for (std::size_t k = 0; k < stations; ++k) {
@@ -107,10 +286,6 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
         tables.inv_fronthaul_bw[subset.stations[k]];
   }
 
-  arena_.clear();
-  offsets_.clear();
-  offsets_.reserve(subset.devices.size() + 1);
-  offsets_.push_back(0);
   // Stamps are local device indices, so they must not survive into the
   // next build: a leftover stamp would point device j at the previous
   // build's compact-row position.
@@ -121,6 +296,7 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   sigma_local_.resize(servers);
   sqrt_compute_row_.resize(servers);
   covered_.resize(all_stations);
+  rederived_.clear();
   for (std::size_t j = 0; j < subset.devices.size(); ++j) {
     const std::size_t i = subset.devices[j];
     const std::vector<double>& channel = state.channel[i];
@@ -129,38 +305,15 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
                        "device " << i << " f=" << state.task_cycles[i]);
     EOTORA_REQUIRE_MSG(state.data_bits[i] > 0.0,
                        "device " << i << " d=" << state.data_bits[i]);
-    // σ_{i,s} of the device's reachable servers, by local server. A
-    // reachable server outside the subset (reached only over a station
-    // that does not cover the device this slot) has no local position:
-    // server_local maps it anywhere, so each hit is checked against
-    // `servers`.
-    const topology::DeviceId device{i};
-    const std::span<const topology::ServerId> reach =
-        topo.reachable_servers(device);
-    const std::span<const double> sigma = instance.suitability_row(i);
-    for (std::size_t p = 0; p < reach.size(); ++p) {
-      const std::uint32_t local = subset.server_local[reach[p].value];
-      if (local < servers && subset.servers[local] == reach[p].value) {
-        sigma_local_[local] = sigma[p];
-      }
-    }
-    // One pass over the dense row finds the covering stations (and checks
-    // them against the coverable list and the plan) and gathers σ_{i,s} of
-    // every server a covering station reaches into a compact row, once per
-    // server however many stations reach it; sqrt(f_i / σ_{i,s}) is then
-    // batched over that row: the same operands and rounding as the
-    // per-option chain, on every kernel backend. Gathering in its own pass,
-    // ahead of the arena writes, measured 1.3-1.8x faster than gathering
-    // while laying out the options (x86-64, AVX2 backend).
+    // One pass over the dense row finds the covering stations and checks
+    // them against the coverable list and the plan.
     const std::span<const topology::BaseStationId> coverable =
-        topo.coverable_stations(device);
-    const auto stamp = static_cast<std::uint32_t>(j);
+        topo.coverable_stations(topology::DeviceId{i});
     std::size_t covering = 0;
-    std::size_t reached = 0;
     std::size_t next_coverable = 0;
     std::size_t expected = check ? subset.coverage_offsets[i] : 0;
     for (std::size_t k = 0; k < all_stations; ++k) {
-      if (channel[k] <= 0.0) continue;  // not covered / unusable link
+      if (!covers(channel[k], i, k, state.slot)) continue;
       // σ is stored only for the servers coverable stations reach, and a
       // station off the list never covers the device wherever it moves.
       while (next_coverable < coverable.size() &&
@@ -180,56 +333,35 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
         ++expected;
       }
       covered_[covering++] = static_cast<std::uint32_t>(k);
-      for (topology::ServerId s :
-           topo.reachable_servers(topology::BaseStationId{k})) {
-        const std::uint32_t local = subset.server_local[s.value];
-        if (reach_stamp_[local] == stamp) continue;
-        reach_stamp_[local] = stamp;
-        reach_slot_[local] = static_cast<std::uint32_t>(reached);
-        sigma_row_[reached++] = sigma_local_[local];
-      }
     }
     if (check && expected != subset.coverage_offsets[i + 1]) return false;
-    std::fill_n(task_cycles_row_.begin(), reached, state.task_cycles[i]);
-    kernels::dispatch().sqrt_div(task_cycles_row_.data(), sigma_row_.data(),
-                                 sqrt_compute_row_.data(), reached);
-    for (std::size_t c = 0; c < covering; ++c) {
-      const std::size_t k = covered_[c];
-      const double p_access = std::sqrt(state.data_bits[i] / channel[k]);
-      const double p_fronthaul =
-          std::sqrt(state.data_bits[i] / tables.fronthaul_se[k]);
-      const std::uint32_t bs = subset.station_local[k];
-      for (topology::ServerId s :
-           topo.reachable_servers(topology::BaseStationId{k})) {
-        const std::uint32_t server = subset.server_local[s.value];
-        Option opt;
-        opt.bs = bs;
-        opt.server = server;
-        opt.r_compute = server;
-        opt.r_access = static_cast<std::uint32_t>(servers + bs);
-        opt.r_fronthaul = static_cast<std::uint32_t>(servers + stations + bs);
-        opt.p_compute = sqrt_compute_row_[reach_slot_[server]];
-        opt.p_access = p_access;
-        opt.p_fronthaul = p_fronthaul;
-        arena_.push_back(opt);
-      }
+    if (patch && same_inputs(j, state.task_cycles[i], state.data_bits[i],
+                             channel, coverable)) {
+      continue;
     }
-    EOTORA_REQUIRE_MSG(arena_.size() > offsets_.back(),
-                       "device " << i
-                                 << " has no feasible (base station, server) "
-                                    "option at slot "
-                                 << state.slot);
-    offsets_.push_back(arena_.size());
+    derive_device(instance, state, subset, tables, j, covering);
+    rederived_.push_back(static_cast<std::uint32_t>(j));
   }
 
+  counters::SolverCounters& work = counters::active();
+  work.arena_device_builds += rederived_.size();
+  work.arena_device_reuses += subset.devices.size() - rederived_.size();
+  layout_valid_ = true;
+  if (patch && rederived_.empty()) {
+    // Every row is the previous build's: so are its changes since the
+    // generation it patched, and engines bound to it stay bound.
+    generation_ = previous;
+    return true;
+  }
+  patched_from_ = patch ? previous : 0;
+  changed_.swap(rederived_);
   generation_ = last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   return true;
 }
 
 std::span<const Option> WcgProblem::options(std::size_t device) const {
-  EOTORA_REQUIRE(device + 1 < offsets_.size());
-  return {arena_.data() + offsets_[device],
-          offsets_[device + 1] - offsets_[device]};
+  EOTORA_REQUIRE(device < counts_.size());
+  return {arena_.data() + row_offsets_[device], counts_[device]};
 }
 
 double WcgProblem::weight(std::size_t resource) const {
@@ -257,7 +389,7 @@ void WcgProblem::set_frequencies(const Instance& instance,
 Profile WcgProblem::random_profile(util::Rng& rng) const {
   Profile z(num_devices(), 0);
   for (std::size_t i = 0; i < z.size(); ++i) {
-    z[i] = rng.index(offsets_[i + 1] - offsets_[i]);
+    z[i] = rng.index(counts_[i]);
   }
   return z;
 }
@@ -276,7 +408,7 @@ Profile WcgProblem::warm_profile(const Assignment& carried,
   for (std::size_t i = 0; i < z.size(); ++i) {
     const std::size_t o =
         find_option(i, carried.bs_of[i], carried.server_of[i]);
-    if (o < offsets_[i + 1] - offsets_[i]) z[i] = o;
+    if (o < counts_[i]) z[i] = o;
   }
   return z;
 }
@@ -296,8 +428,8 @@ void WcgProblem::loads_into(const Profile& z, std::vector<double>& p) const {
   EOTORA_REQUIRE(z.size() == num_devices());
   p.assign(weights_.size(), 0.0);
   for (std::size_t i = 0; i < z.size(); ++i) {
-    EOTORA_REQUIRE(z[i] < offsets_[i + 1] - offsets_[i]);
-    const Option& opt = arena_[offsets_[i] + z[i]];
+    EOTORA_REQUIRE(z[i] < counts_[i]);
+    const Option& opt = arena_[row_offsets_[i] + z[i]];
     p[opt.r_compute] += opt.p_compute;
     p[opt.r_access] += opt.p_access;
     p[opt.r_fronthaul] += opt.p_fronthaul;
@@ -325,7 +457,7 @@ double WcgProblem::player_cost(const Profile& z, std::size_t device,
                                std::vector<double>& scratch) const {
   EOTORA_REQUIRE(device < num_devices());
   loads_into(z, scratch);
-  const Option& opt = arena_[offsets_[device] + z[device]];
+  const Option& opt = arena_[row_offsets_[device] + z[device]];
   return weights_[opt.r_compute] * opt.p_compute * scratch[opt.r_compute] +
          weights_[opt.r_access] * opt.p_access * scratch[opt.r_access] +
          weights_[opt.r_fronthaul] * opt.p_fronthaul *
@@ -344,7 +476,7 @@ double WcgProblem::potential(const Profile& z,
   loads_into(z, loads_scratch);
   squares_scratch.assign(weights_.size(), 0.0);
   for (std::size_t i = 0; i < z.size(); ++i) {
-    const Option& opt = arena_[offsets_[i] + z[i]];
+    const Option& opt = arena_[row_offsets_[i] + z[i]];
     squares_scratch[opt.r_compute] += opt.p_compute * opt.p_compute;
     squares_scratch[opt.r_access] += opt.p_access * opt.p_access;
     squares_scratch[opt.r_fronthaul] += opt.p_fronthaul * opt.p_fronthaul;
@@ -363,8 +495,8 @@ Assignment WcgProblem::to_assignment(const Profile& z) const {
   a.bs_of.resize(z.size());
   a.server_of.resize(z.size());
   for (std::size_t i = 0; i < z.size(); ++i) {
-    EOTORA_REQUIRE(z[i] < offsets_[i + 1] - offsets_[i]);
-    const Option& opt = arena_[offsets_[i] + z[i]];
+    EOTORA_REQUIRE(z[i] < counts_[i]);
+    const Option& opt = arena_[row_offsets_[i] + z[i]];
     a.bs_of[i] = station_ids_[opt.bs];
     a.server_of[i] = server_ids_[opt.server];
   }
@@ -377,7 +509,7 @@ Profile WcgProblem::to_profile(const Assignment& assignment) const {
   Profile z(num_devices(), 0);
   for (std::size_t i = 0; i < z.size(); ++i) {
     z[i] = find_option(i, assignment.bs_of[i], assignment.server_of[i]);
-    EOTORA_REQUIRE_MSG(z[i] < offsets_[i + 1] - offsets_[i],
+    EOTORA_REQUIRE_MSG(z[i] < counts_[i],
                        "device " << i << " assignment (bs="
                                  << assignment.bs_of[i] << ", server="
                                  << assignment.server_of[i]
@@ -601,6 +733,24 @@ double LoadTracker::potential() const {
   return phi;
 }
 
+void BestResponseEngine::SweepSets::clear(std::size_t num_devices,
+                                          std::size_t num_resources) {
+  devices = num_devices;
+  members.resize(num_resources * num_devices);
+  count.assign(num_resources, 0);
+}
+
+void BestResponseEngine::SweepSets::drop(const std::vector<char>& leaving) {
+  for (std::size_t r = 0; r < count.size(); ++r) {
+    std::uint32_t* set = members.data() + r * devices;
+    std::uint32_t kept = 0;
+    for (std::uint32_t e = 0; e < count[r]; ++e) {
+      if (leaving[set[e]] == 0) set[kept++] = set[e];
+    }
+    count[r] = kept;
+  }
+}
+
 BestResponseEngine::BestResponseEngine(LoadTracker& tracker) {
   bind(*tracker.problem_);
   reset(tracker);
@@ -609,46 +759,36 @@ BestResponseEngine::BestResponseEngine(LoadTracker& tracker) {
 void BestResponseEngine::bind(const WcgProblem& problem) {
   EOTORA_REQUIRE_MSG(problem.generation() != 0,
                      "BestResponseEngine::bind on a problem with no build");
+  // The tables hold the build this engine is bound to; a build that patched
+  // exactly that one changed only the devices it lists.
+  const bool patch = problem_ == &problem && generation_ != 0 &&
+                     problem.patched_from() == generation_;
   problem_ = &problem;
   generation_ = problem.generation();
   tracker_ = nullptr;
+  // Stamps are device indices, so a previous bind's must not survive: a
+  // re-derived device would skip the servers it had then.
+  server_stamp_.assign(problem.num_servers(), kUnreached);
+  if (patch) {
+    const std::span<const std::uint32_t> changed = problem.changed_devices();
+    for (const std::uint32_t j : changed) leaving_[j] = 1;
+    server_sets_.drop(leaving_);
+    bs_sets_.drop(leaving_);
+    for (const std::uint32_t j : changed) {
+      leaving_[j] = 0;
+      bind_device(j);
+    }
+    return;
+  }
   num_servers_ = problem.num_servers();
   num_base_stations_ = problem.num_base_stations();
   const std::size_t devices = problem.num_devices();
   cached_.resize(devices);
-  server_of_entry_.resize(problem.num_options());
   cur_server_.resize(devices);
   cur_bs_.resize(devices);
-
-  // (device, base station) groups: the arena enumerates options base
-  // station-major within each device, so each group is a contiguous run of
-  // equal r_access and shares one access and one fronthaul term.
-  groups_.clear();
-  device_group_begin_.assign(devices + 1, 0);
-  for (std::size_t j = 0; j < devices; ++j) {
-    device_group_begin_[j] = static_cast<std::uint32_t>(groups_.size());
-    const std::size_t lo = problem.arena_offset(j);
-    const std::size_t hi = problem.arena_offset(j + 1);
-    std::size_t a = lo;
-    while (a < hi) {
-      std::size_t b = a + 1;
-      while (b < hi &&
-             problem.option_at(b).r_access == problem.option_at(a).r_access) {
-        ++b;
-      }
-      groups_.push_back({static_cast<std::uint32_t>(a),
-                         static_cast<std::uint32_t>(b),
-                         static_cast<std::uint32_t>(j),
-                         problem.option_at(a).bs});
-      a = b;
-    }
-  }
-  device_group_begin_[devices] = static_cast<std::uint32_t>(groups_.size());
-
-  // Per-pair p tables, and fl(w·p) for the access and fronthaul resources,
-  // whose weights no frequency update moves (reset() derives the compute
-  // one). fl(w·p) is rounded first exactly as in cost_if_moved's
-  // weight·p·(load+p), so the cached terms reproduce its bits.
+  groups_.resize(problem.coverable_offset(devices));
+  group_count_.assign(devices, 0);
+  server_of_entry_.resize(problem.arena_offset(devices));
   pc_.resize(devices * num_servers_);
   wpc_.resize(devices * num_servers_);
   tc_.resize(devices * num_servers_);
@@ -658,66 +798,49 @@ void BestResponseEngine::bind(const WcgProblem& problem) {
   pf_.resize(devices * num_base_stations_);
   wpf_.resize(devices * num_base_stations_);
   tf_.resize(devices * num_base_stations_);
-  // The server sweep sets, counted in the same pass: the distinct servers
-  // of device j are the ones whose stamp it takes.
-  server_stamp_.assign(num_servers_, kUnreached);
-  server_device_offsets_.assign(num_servers_ + 1, 0);
-  for (std::size_t j = 0; j < devices; ++j) {
-    const auto stamp = static_cast<std::uint32_t>(j);
-    for (std::size_t a = problem.arena_offset(j);
-         a < problem.arena_offset(j + 1); ++a) {
-      const Option& opt = problem.option_at(a);
-      server_of_entry_[a] = opt.server;
-      pc_[j * num_servers_ + opt.server] = opt.p_compute;
-      pa_[j * num_base_stations_ + opt.bs] = opt.p_access;
-      wpa_[j * num_base_stations_ + opt.bs] =
-          problem.weight(opt.r_access) * opt.p_access;
-      pf_[j * num_base_stations_ + opt.bs] = opt.p_fronthaul;
-      wpf_[j * num_base_stations_ + opt.bs] =
-          problem.weight(opt.r_fronthaul) * opt.p_fronthaul;
-      if (server_stamp_[opt.server] != stamp) {
-        server_stamp_[opt.server] = stamp;
-        ++server_device_offsets_[opt.server + 1];
-      }
+  server_sets_.clear(devices, num_servers_);
+  bs_sets_.clear(devices, num_base_stations_);
+  leaving_.assign(devices, 0);
+  for (std::size_t j = 0; j < devices; ++j) bind_device(j);
+}
+
+void BestResponseEngine::bind_device(std::size_t j) {
+  const std::span<const Option> opts = problem_->options(j);
+  const std::size_t base = problem_->arena_offset(j);
+  // (device, base station) groups: the row enumerates options base
+  // station-major, so each group is a contiguous run of equal r_access and
+  // shares one access and one fronthaul term.
+  const std::size_t first = problem_->coverable_offset(j);
+  std::size_t g = first;
+  std::size_t a = 0;
+  while (a < opts.size()) {
+    std::size_t b = a + 1;
+    while (b < opts.size() && opts[b].r_access == opts[a].r_access) ++b;
+    groups_[g++] = {static_cast<std::uint32_t>(base + a),
+                    static_cast<std::uint32_t>(base + b), opts[a].bs};
+    bs_sets_.join(j, opts[a].bs);
+    a = b;
+  }
+  group_count_[j] = static_cast<std::uint32_t>(g - first);
+  // Per-pair p tables, and fl(w·p) for the access and fronthaul resources,
+  // whose weights no frequency update moves (reset() derives the compute
+  // one). fl(w·p) is rounded first exactly as in cost_if_moved's
+  // weight·p·(load+p), so the cached terms reproduce its bits.
+  for (std::size_t o = 0; o < opts.size(); ++o) {
+    const Option& opt = opts[o];
+    server_of_entry_[base + o] = opt.server;
+    pc_[j * num_servers_ + opt.server] = opt.p_compute;
+    pa_[j * num_base_stations_ + opt.bs] = opt.p_access;
+    wpa_[j * num_base_stations_ + opt.bs] =
+        problem_->weight(opt.r_access) * opt.p_access;
+    pf_[j * num_base_stations_ + opt.bs] = opt.p_fronthaul;
+    wpf_[j * num_base_stations_ + opt.bs] =
+        problem_->weight(opt.r_fronthaul) * opt.p_fronthaul;
+    if (server_stamp_[opt.server] != j) {
+      server_stamp_[opt.server] = static_cast<std::uint32_t>(j);
+      server_sets_.join(j, opt.server);
     }
   }
-  for (std::size_t s = 0; s < num_servers_; ++s) {
-    server_device_offsets_[s + 1] += server_device_offsets_[s];
-  }
-  // Fill in ascending device order, the offsets serving as cursors, then
-  // shift them back down.
-  server_device_entries_.resize(server_device_offsets_[num_servers_]);
-  server_stamp_.assign(num_servers_, kUnreached);
-  for (std::size_t j = 0; j < devices; ++j) {
-    const auto stamp = static_cast<std::uint32_t>(j);
-    for (std::size_t a = problem.arena_offset(j);
-         a < problem.arena_offset(j + 1); ++a) {
-      const std::uint32_t s = server_of_entry_[a];
-      if (server_stamp_[s] == stamp) continue;
-      server_stamp_[s] = stamp;
-      server_device_entries_[server_device_offsets_[s]++] = stamp;
-    }
-  }
-  for (std::size_t s = num_servers_; s > 0; --s) {
-    server_device_offsets_[s] = server_device_offsets_[s - 1];
-  }
-  server_device_offsets_[0] = 0;
-  // The station sweep sets: one group per (device, base station) pair.
-  bs_device_offsets_.assign(num_base_stations_ + 1, 0);
-  for (const kernels::ScanGroup& grp : groups_) {
-    ++bs_device_offsets_[grp.bs + 1];
-  }
-  for (std::size_t k = 0; k < num_base_stations_; ++k) {
-    bs_device_offsets_[k + 1] += bs_device_offsets_[k];
-  }
-  bs_device_entries_.resize(groups_.size());
-  for (const kernels::ScanGroup& grp : groups_) {
-    bs_device_entries_[bs_device_offsets_[grp.bs]++] = grp.device;
-  }
-  for (std::size_t k = num_base_stations_; k > 0; --k) {
-    bs_device_offsets_[k] = bs_device_offsets_[k - 1];
-  }
-  bs_device_offsets_[0] = 0;
 }
 
 void BestResponseEngine::reset(LoadTracker& tracker) {
@@ -739,20 +862,21 @@ void BestResponseEngine::reset(LoadTracker& tracker) {
     cur_bs_[j] = cur.bs;
   }
   // Every distinct term once: each (device, server) pair sits in exactly
-  // one server sweep set, and each (device, base station) pair is exactly
-  // one group. The compute w·p is re-derived at the current weights first.
+  // one server sweep set, and each (device, base station) pair in exactly
+  // one station sweep set. The compute w·p is re-derived at the current
+  // weights first.
   for (std::size_t s = 0; s < num_servers_; ++s) {
     const double w = problem_->weight(s);
-    for (std::size_t e = server_device_offsets_[s];
-         e < server_device_offsets_[s + 1]; ++e) {
-      const std::size_t j = server_device_entries_[e];
+    for (const std::uint32_t j : server_sets_.of(s)) {
       wpc_[j * num_servers_ + s] = w * pc_[j * num_servers_ + s];
       refresh_compute_term(j, s);
     }
   }
-  for (const kernels::ScanGroup& grp : groups_) {
-    refresh_access_term(grp.device, grp.bs);
-    refresh_fronthaul_term(grp.device, grp.bs);
+  for (std::size_t k = 0; k < num_base_stations_; ++k) {
+    for (const std::uint32_t j : bs_sets_.of(k)) {
+      refresh_access_term(j, k);
+      refresh_fronthaul_term(j, k);
+    }
   }
 }
 
@@ -794,10 +918,10 @@ const LoadTracker::BestResponse& BestResponseEngine::best_response(
   // additions instead of the full nine-flop evaluation.
   const double current = tracker_->player_cost(device);
   LoadTracker::BestResponse best{cur, current, current};
-  const std::uint32_t g_begin = device_group_begin_[device];
   const kernels::ScanHit hit = kernels::best_response_scan(
       tc_.data() + device * num_servers_, server_of_entry_.data(),
-      groups_.data() + g_begin, device_group_begin_[device + 1] - g_begin,
+      groups_.data() + problem_->coverable_offset(device),
+      group_count_[device],
       ta_.data() + device * num_base_stations_,
       tf_.data() + device * num_base_stations_,
       static_cast<std::uint32_t>(base + cur), current);
@@ -841,26 +965,19 @@ void BestResponseEngine::move(std::size_t device, std::size_t option_index) {
   for (std::size_t t = 0; t < m; ++t) {
     const std::size_t r = changed[t];
     if (r < num_servers_) {
-      term_refreshes_ +=
-          server_device_offsets_[r + 1] - server_device_offsets_[r];
-      for (std::size_t e = server_device_offsets_[r];
-           e < server_device_offsets_[r + 1]; ++e) {
-        refresh_compute_term(server_device_entries_[e], r);
-      }
+      const std::span<const std::uint32_t> sweep = server_sets_.of(r);
+      term_refreshes_ += sweep.size();
+      for (const std::uint32_t j : sweep) refresh_compute_term(j, r);
     } else if (r < num_servers_ + num_base_stations_) {
       const std::size_t k = r - num_servers_;
-      term_refreshes_ += bs_device_offsets_[k + 1] - bs_device_offsets_[k];
-      for (std::size_t e = bs_device_offsets_[k]; e < bs_device_offsets_[k + 1];
-           ++e) {
-        refresh_access_term(bs_device_entries_[e], k);
-      }
+      const std::span<const std::uint32_t> sweep = bs_sets_.of(k);
+      term_refreshes_ += sweep.size();
+      for (const std::uint32_t j : sweep) refresh_access_term(j, k);
     } else {
       const std::size_t k = r - num_servers_ - num_base_stations_;
-      term_refreshes_ += bs_device_offsets_[k + 1] - bs_device_offsets_[k];
-      for (std::size_t e = bs_device_offsets_[k]; e < bs_device_offsets_[k + 1];
-           ++e) {
-        refresh_fronthaul_term(bs_device_entries_[e], k);
-      }
+      const std::span<const std::uint32_t> sweep = bs_sets_.of(k);
+      term_refreshes_ += sweep.size();
+      for (const std::uint32_t j : sweep) refresh_fronthaul_term(j, k);
     }
   }
 }

@@ -22,14 +22,17 @@
 // this is what makes CGBA's best-response dynamics terminate.
 //
 // Hot-path layout (see docs/ARCHITECTURE.md "The WCG hot path"): options live
-// in one contiguous arena of 48-byte entries with per-device offset spans,
-// and BestResponseEngine caches the per-(device, resource) cost terms option
-// costs factor into. The engine is bound to a build once and reset for each
-// solve on it, and re-derives only the terms a move's changed loads
-// invalidate — every best response it returns is bit-identical to a
-// from-scratch LoadTracker evaluation.
+// in one arena of 48-byte entries, one fixed-capacity row per device with
+// its live options packed at the front, and BestResponseEngine caches the
+// per-(device, resource) cost terms option costs factor into. A build
+// re-derives only the rows of devices whose inputs changed since the last
+// one, and the engine re-binds only those devices; it is reset for each
+// solve, and re-derives only the terms a move's changed loads invalidate —
+// every best response it returns is bit-identical to a from-scratch
+// LoadTracker evaluation.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -59,6 +62,22 @@ static_assert(sizeof(Option) == 48);
 
 // z: per-device index into that device's option list.
 using Profile = std::vector<std::size_t>;
+
+namespace detail {
+[[noreturn]] void reject_channel_gain(double h, std::size_t device,
+                                      std::size_t station, std::size_t slot);
+}  // namespace detail
+
+// The covering rule of every coverage scan: station k covers device i when
+// h_{i,k} > 0. Throws std::invalid_argument naming the device, the station
+// and the slot when h is NaN or infinite.
+[[nodiscard]] inline bool covers(double h, std::size_t device,
+                                 std::size_t station, std::size_t slot) {
+  if (!std::isfinite(h)) [[unlikely]] {
+    detail::reject_channel_gain(h, device, station, slot);
+  }
+  return h > 0.0;
+}
 
 // The slot-invariant per-station tables every build reads: the bandwidth
 // reciprocals 1/W^A_k, 1/W^F_k and the fronthaul spectral efficiencies
@@ -108,16 +127,17 @@ class WcgProblem {
 
   // Builds option lists and resource weights from the instance, the current
   // slot state, and the current frequencies. Throws std::invalid_argument if
-  // any device has no feasible option (no covering BS with a usable channel)
-  // or h > 0 on a station outside its coverable_stations.
+  // any device has no feasible option (no covering BS with a usable channel),
+  // h > 0 on a station outside its coverable_stations, or a non-finite h.
   WcgProblem(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies);
 
-  // Re-derives everything for a new slot, reusing the existing allocations
-  // (option arena, offset table, weights). Equivalent to
-  // constructing a fresh problem, without the per-slot heap churn. This is
-  // the one-subset case of build(): every device, station and server, with
-  // local ids equal to global ids.
+  // Re-derives the problem for a new slot, reusing the existing allocations
+  // (option arena, row tables, weights) and the rows of every device whose
+  // inputs did not change (see build()). Equivalent to constructing a fresh
+  // problem, without the per-slot heap churn. This is the one-subset case
+  // of build(): every device, station and server, with local ids equal to
+  // global ids.
   void rebuild(const Instance& instance, const SlotState& state,
                const Frequencies& frequencies);
 
@@ -127,20 +147,42 @@ class WcgProblem {
   // Returns false, leaving the problem unusable, when the subset carries a
   // coverage check and a scanned row differs from it; throws where
   // rebuild() throws, and when the subset has 2^32 or more resources.
+  //
+  // Incremental. Every row is scanned (covering stations, the coverable
+  // list, the coverage check), but a device keeps its option row when its
+  // f_i, d_i and its h on every coverable station — so its covering
+  // stations and their h — are bitwise what the last successful build
+  // derived the row from, and that build ran over the same layout: the
+  // same Instance (by Instance::stamp(), never its address), device,
+  // station and server lists, and station-table values. Only the other
+  // devices are re-derived, by the one per-device routine a full build
+  // runs for every device; each device counts one
+  // counters::active().arena_device_builds or arena_device_reuses per
+  // successful build. A build that returns false or throws forgets every
+  // key, so the next one is full.
   bool build(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies, const WcgSubset& subset,
              const StationTables& tables);
 
   [[nodiscard]] std::size_t num_devices() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+    return row_offsets_.empty() ? 0 : row_offsets_.size() - 1;
   }
   [[nodiscard]] std::size_t num_resources() const { return weights_.size(); }
-  // Which build this problem holds: every successful build() (and so
-  // rebuild()) takes a fresh value from a process-wide counter, and the
+  // Which build this problem holds: a successful build() (and so rebuild())
+  // that re-derived any row takes a fresh value from a process-wide
+  // counter, one that re-derived none keeps the generation it had, and the
   // generation is 0 while a build is in flight, after one failed or threw,
   // and before the first. set_frequencies() keeps it: a BestResponseEngine
   // bound to this build stays valid across frequency updates.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
+  // What the build that took generation() changed: the generation whose
+  // rows it patched — 0 when it laid the problem out afresh — and the local
+  // devices it re-derived. A BestResponseEngine bound to patched_from()
+  // re-binds only those devices (BestResponseEngine::bind).
+  [[nodiscard]] std::uint64_t patched_from() const { return patched_from_; }
+  [[nodiscard]] std::span<const std::uint32_t> changed_devices() const {
+    return changed_;
+  }
   // All resource weights m_r in the [compute][access][fronthaul] layout —
   // the contiguous span the kernel-layer reductions run over.
   [[nodiscard]] std::span<const double> weights() const { return weights_; }
@@ -159,11 +201,21 @@ class WcgProblem {
   [[nodiscard]] std::span<const Option> options(std::size_t device) const;
   [[nodiscard]] double weight(std::size_t resource) const;
 
-  // Flat-arena views used by the incremental engine: options of device i
-  // occupy arena indices [arena_offset(i), arena_offset(i+1)).
-  [[nodiscard]] std::size_t num_options() const { return arena_.size(); }
+  // Live options, over every device.
+  [[nodiscard]] std::size_t num_options() const { return live_options_; }
+
+  // Flat-arena views used by the incremental engine. Device i's row spans
+  // arena indices [arena_offset(i), arena_offset(i + 1)), room for an
+  // option on every server each of its coverable stations reaches; its
+  // options(i).size() live options sit at the front. arena_offset(
+  // num_devices()) is the arena's size. Likewise [coverable_offset(i),
+  // coverable_offset(i + 1)) has one slot per coverable station of device
+  // i, room for its (base station) option groups.
   [[nodiscard]] std::size_t arena_offset(std::size_t device) const {
-    return offsets_[device];
+    return row_offsets_[device];
+  }
+  [[nodiscard]] std::size_t coverable_offset(std::size_t device) const {
+    return coverable_offsets_[device];
   }
   [[nodiscard]] const Option& option_at(std::size_t arena_index) const {
     return arena_[arena_index];
@@ -232,13 +284,53 @@ class WcgProblem {
 
  private:
   void loads_into(const Profile& z, std::vector<double>& p) const;
+  // Whether `subset` and `tables` over `instance` are the layout the last
+  // successful build ran over.
+  [[nodiscard]] bool same_layout(const Instance& instance,
+                                 const WcgSubset& subset,
+                                 const StationTables& tables) const;
+  // Records the layout and sizes the rows and keys for it.
+  void lay_out(const Instance& instance, const WcgSubset& subset,
+               const StationTables& tables);
+  // Whether local device j's row was derived from these inputs; h is
+  // compared over the device's `coverable` stations.
+  [[nodiscard]] bool same_inputs(
+      std::size_t j, double f, double d, const std::vector<double>& channel,
+      std::span<const topology::BaseStationId> coverable) const;
+  // The per-device routine: lays out local device j's options in its row
+  // from covered_[0, covering) and records its key.
+  void derive_device(const Instance& instance, const SlotState& state,
+                     const WcgSubset& subset, const StationTables& tables,
+                     std::size_t j, std::size_t covering);
 
-  std::vector<Option> arena_;          // all options, device-major
-  std::vector<std::size_t> offsets_;   // num_devices + 1 spans into arena_
-  std::vector<double> weights_;        // m_r
-  std::uint64_t generation_ = 0;       // see generation()
-  std::vector<std::uint32_t> station_ids_;  // local -> global base station
-  std::vector<std::uint32_t> server_ids_;   // local -> global server
+  std::vector<Option> arena_;                // fixed-capacity rows
+  std::vector<std::size_t> row_offsets_;     // num_devices + 1 row starts
+  std::vector<std::uint32_t> counts_;        // live options per row
+  std::size_t live_options_ = 0;             // Σ counts_
+  std::vector<double> weights_;              // m_r
+  std::uint64_t generation_ = 0;             // see generation()
+  std::uint64_t patched_from_ = 0;           // see patched_from()
+  std::vector<std::uint32_t> changed_;       // see changed_devices()
+  std::vector<std::uint32_t> station_ids_;   // local -> global base station
+  std::vector<std::uint32_t> server_ids_;    // local -> global server
+
+  // The layout key: valid only after a successful build. With station_ids_
+  // and server_ids_, the instance's stamp, the global device of every local
+  // one, and per local station the table values rows and weights read
+  // (1/W^A, 1/W^F, h^F).
+  bool layout_valid_ = false;
+  std::uint64_t instance_stamp_ = 0;
+  std::vector<std::uint32_t> device_ids_;
+  std::vector<double> station_key_;
+  // Per-device reuse keys: f_i, d_i and h on each coverable station, in
+  // slots [coverable_offset(j), coverable_offset(j + 1)). Off its
+  // coverable list no station may cover a device, so these h decide which
+  // stations cover it.
+  std::vector<std::size_t> coverable_offsets_;
+  std::vector<double> key_f_;
+  std::vector<double> key_d_;
+  std::vector<double> key_h_;
+  std::vector<std::uint32_t> rederived_;  // build() scratch for changed_
 
   // rebuild()'s own station tables and its identity subset lists.
   StationTables tables_;
@@ -347,14 +439,19 @@ class LoadTracker {
 //
 // Lifetime. bind() derives what a build fixes: the (device, base station)
 // scan groups, the per-pair p tables, the access and fronthaul w·p tables
-// and the per-server and per-station device sweep sets. reset() starts a
-// solve on that build: it re-derives the compute w·p at the problem's
-// current weights (set_frequencies moves only those), records each
-// device's current server and station, and derives every distinct term
-// once from the tracker's loads. BDMA keeps one engine per WCG component,
-// binds it when the slot's build is new and only resets it for the slot's
-// later solves (cgba_from's engine overload decides, core/cgba.h). An
-// engine reset against a problem rebuilt since its bind throws.
+// and the per-server and per-station device sweep sets. When the engine is
+// bound to exactly the generation the problem's build patched
+// (WcgProblem::patched_from), bind() re-derives only the devices that
+// build changed; otherwise it binds every device. Either way the tables
+// are the ones a fresh engine derives. reset() starts a solve on that
+// build: it re-derives the compute w·p at the problem's current weights
+// (set_frequencies moves only those), records each device's current server
+// and station, and derives every distinct term once from the tracker's
+// loads. BDMA keeps one engine per WCG component, binds it when the slot's
+// build is new and only resets it for the slot's later solves (cgba_from's
+// engine overload decides, core/cgba.h); a build that re-derived no row
+// keeps its generation, so the engine stays bound. An engine reset against
+// a problem rebuilt since its bind throws.
 //
 // CGBA runs on this engine by default; CgbaConfig::naive_scan keeps the full
 // O(devices × options) rescan as the correctness oracle the equivalence
@@ -368,8 +465,10 @@ class BestResponseEngine {
   explicit BestResponseEngine(LoadTracker& tracker);
 
   // Derives the build-fixed tables from `problem`, which must outlive every
-  // later reset() and stay at its build: a rebuild needs a new bind().
-  // Throws on a problem no build succeeded on (generation() == 0).
+  // later reset() and stay at its build: a rebuild needs a new bind(), which
+  // patches the devices the rebuild changed when this engine is bound to
+  // the generation it patched. Throws on a problem no build succeeded on
+  // (generation() == 0).
   void bind(const WcgProblem& problem);
 
   // True when the last bind() was against `problem`'s current build.
@@ -403,6 +502,29 @@ class BestResponseEngine {
   }
 
  private:
+  // A device sweep set per server or base station: the devices with an
+  // option on it, in no particular order (each refresh writes one
+  // independent term), with room for every device of the problem.
+  struct SweepSets {
+    std::size_t devices = 0;
+    std::vector<std::uint32_t> members;  // resources × devices
+    std::vector<std::uint32_t> count;    // per resource
+
+    void clear(std::size_t num_devices, std::size_t num_resources);
+    [[nodiscard]] std::span<const std::uint32_t> of(std::size_t r) const {
+      return {members.data() + r * devices, count[r]};
+    }
+    void join(std::size_t device, std::size_t r) {
+      members[r * devices + count[r]++] = static_cast<std::uint32_t>(device);
+    }
+    // Takes every device `leaving` marks out of every set.
+    void drop(const std::vector<char>& leaving);
+  };
+
+  // The per-device routine of bind(): derives device j's groups, entries,
+  // p and w·p tables and sweep set memberships from its current option
+  // row. Device j must be in no sweep set.
+  void bind_device(std::size_t j);
   void refresh_compute_term(std::size_t device, std::size_t server);
   void refresh_access_term(std::size_t device, std::size_t bs);
   void refresh_fronthaul_term(std::size_t device, std::size_t bs);
@@ -415,16 +537,17 @@ class BestResponseEngine {
   std::vector<LoadTracker::BestResponse> cached_;  // scan result, per device
   // Device-major (device, base station) runs, in the kernel layer's group
   // layout — best_response hands them straight to kernels::best_response_scan.
+  // Device j's run sits at [problem_->coverable_offset(j), +
+  // group_count_[j]), room for one group per coverable station.
   std::vector<kernels::ScanGroup> groups_;
-  std::vector<std::uint32_t> device_group_begin_;  // device -> first group
-  std::vector<std::uint32_t> server_of_entry_;     // arena entry -> server
-  // CSR lists of the distinct devices with an option on a server / a base
-  // station, in ascending device order — the sweep sets for term refreshes
-  // after a move. bind() dedups each device's servers with server_stamp_.
-  std::vector<std::uint32_t> server_device_offsets_;
-  std::vector<std::uint32_t> server_device_entries_;
-  std::vector<std::uint32_t> bs_device_offsets_;
-  std::vector<std::uint32_t> bs_device_entries_;
+  std::vector<std::uint32_t> group_count_;
+  std::vector<std::uint32_t> server_of_entry_;  // arena entry -> server
+  // The sweep sets for term refreshes after a move. bind() marks the
+  // devices it re-derives in leaving_, and dedups a device's servers with
+  // server_stamp_.
+  SweepSets server_sets_;
+  SweepSets bs_sets_;
+  std::vector<char> leaving_;
   std::vector<std::uint32_t> server_stamp_;
   // Mover-maintained copies of each device's current server / base station,
   // so exclusion checks never chase the option arena.

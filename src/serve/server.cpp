@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <thread>
 
@@ -12,9 +13,8 @@ namespace eotora::serve {
 
 namespace {
 
-// At most this many per-slot decide latencies are retained for the
-// p50/p99 percentiles; once full, the reservoir stops growing and the
-// percentiles describe the first kLatencyCapacity slots.
+// The decide latencies the p50/p99 percentiles describe: the most recent
+// kLatencyCapacity slots.
 constexpr std::size_t kLatencyCapacity = std::size_t{1} << 20;
 
 std::vector<std::uint8_t> bytes_of(const std::string& text) {
@@ -22,6 +22,29 @@ std::vector<std::uint8_t> bytes_of(const std::string& text) {
 }
 
 }  // namespace
+
+LatencyWindow::LatencyWindow(std::size_t capacity) : capacity_(capacity) {
+  EOTORA_REQUIRE(capacity > 0);
+}
+
+void LatencyWindow::add(double us) {
+  if (samples_.empty() || us > max_) max_ = us;
+  if (samples_.size() < capacity_) {
+    samples_.push_back(us);
+    return;
+  }
+  samples_[next_] = us;
+  next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+}
+
+void fill_decide_latencies(std::vector<double> samples, double max_us,
+                           ServeMetrics& out) {
+  if (samples.empty()) return;
+  std::sort(samples.begin(), samples.end());
+  out.decide_p50_us = util::percentile_sorted(samples, 50.0);
+  out.decide_p99_us = util::percentile_sorted(samples, 99.0);
+  out.decide_max_us = max_us;
+}
 
 util::Json ServeMetrics::to_json() const {
   util::Json doc = util::Json::object();
@@ -93,7 +116,8 @@ ServeLoop::ServeLoop(const core::Instance& instance,
     : instance_(&instance),
       policy_(std::move(policy)),
       ring_(options.ring_capacity),
-      applier_(instance.num_devices(), instance.num_base_stations()) {
+      applier_(instance.num_devices(), instance.num_base_stations()),
+      decide_us_(kLatencyCapacity) {
   EOTORA_REQUIRE(policy_ != nullptr);
 }
 
@@ -236,9 +260,7 @@ void ServeLoop::publish(const core::SlotState& state,
   ++slots_decided_;
   last_slot_ = state.slot;
   if (pop_depth_ > ingest_depth_max_) ingest_depth_max_ = pop_depth_;
-  if (decide_us_.size() < kLatencyCapacity) {
-    decide_us_.push_back(step_seconds * 1e6);
-  }
+  decide_us_.add(step_seconds * 1e6);
   latency_stats_.add(slot.latency);
   cost_stats_.add(slot.energy_cost);
   queue_backlog_ = slot.queue_after;
@@ -268,24 +290,24 @@ ServeMetrics ServeLoop::metrics() const {
   ServeMetrics snapshot;
   snapshot.deltas_submitted = submitted_.load(std::memory_order_acquire);
   snapshot.ingest_depth = ring_.size();
-  const std::lock_guard<std::mutex> lock(metrics_mutex_);
-  snapshot.slots_decided = slots_decided_;
-  snapshot.last_slot = last_slot_;
-  snapshot.ingest_depth_max = ingest_depth_max_;
-  if (!decide_us_.empty()) {
-    snapshot.decide_p50_us = util::percentile(decide_us_, 50.0);
-    snapshot.decide_p99_us = util::percentile(decide_us_, 99.0);
-    double max_us = decide_us_.front();
-    for (const double us : decide_us_) max_us = us > max_us ? us : max_us;
-    snapshot.decide_max_us = max_us;
+  std::vector<double> decide_us;
+  double decide_max_us = 0.0;
+  {
+    const std::lock_guard<std::mutex> lock(metrics_mutex_);
+    snapshot.slots_decided = slots_decided_;
+    snapshot.last_slot = last_slot_;
+    snapshot.ingest_depth_max = ingest_depth_max_;
+    decide_us = decide_us_.samples();
+    decide_max_us = decide_us_.max();
+    snapshot.queue_backlog = queue_backlog_;
+    if (latency_stats_.count() > 0) {
+      snapshot.avg_latency = latency_stats_.mean();
+      snapshot.avg_energy_cost = cost_stats_.mean();
+    }
+    snapshot.active_devices = active_devices_;
+    snapshot.error = error_;
   }
-  snapshot.queue_backlog = queue_backlog_;
-  if (latency_stats_.count() > 0) {
-    snapshot.avg_latency = latency_stats_.mean();
-    snapshot.avg_energy_cost = cost_stats_.mean();
-  }
-  snapshot.active_devices = active_devices_;
-  snapshot.error = error_;
+  fill_decide_latencies(std::move(decide_us), decide_max_us, snapshot);
   return snapshot;
 }
 

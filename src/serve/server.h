@@ -6,11 +6,13 @@
 // SlotDeltas into the lock-free SPSC ring; run() — the consumer — is the
 // batch slot loop, whose source pops each delta and folds it into the
 // persistent SlotState. The policy object lives across every slot, so the
-// solver's warm-start machinery (the WCG arena rebuild() path, cached
-// precompute tables, the DPP virtual queue, the carried CGBA assignment
-// that seeds each slot's first P2-A solve) carries over exactly as in any
-// other run_policy drain: the decisions a ServeLoop produces for a delta
-// stream are bit-identical to run_policy over the equivalent DeltaSource
+// solver's warm-start machinery (the WCG components, whose builds keep the
+// option rows and engine tables of every device a delta left unchanged,
+// cached precompute tables, the DPP virtual queue, the carried CGBA
+// assignment that seeds each slot's first P2-A solve) carries over exactly
+// as in any other run_policy drain: the decisions a ServeLoop produces for
+// a delta stream are bit-identical to run_policy over the equivalent
+// DeltaSource
 // (differential-tested in tests/test_serve.cpp), and a served run reports
 // the same counters, stage stats and audit.
 //
@@ -58,14 +60,16 @@ struct ServeOptions {
 };
 
 // A point-in-time snapshot of the controller's health. All wall-clock
-// derived fields (the percentiles) are nondeterministic; everything else is
-// reproducible for a fixed delta stream.
+// derived fields (the decide latencies) are nondeterministic; everything
+// else is reproducible for a fixed delta stream.
 struct ServeMetrics {
   std::uint64_t slots_decided = 0;
   std::uint64_t deltas_submitted = 0;
   std::uint64_t last_slot = 0;           // most recently committed slot
   std::uint64_t ingest_depth = 0;        // ring occupancy at snapshot time
   std::uint64_t ingest_depth_max = 0;    // max occupancy observed at pops
+  // Per-slot decide time: the percentiles over the most recent 2^20 slots
+  // (LatencyWindow), the max over every slot decided.
   double decide_p50_us = 0.0;
   double decide_p99_us = 0.0;
   double decide_max_us = 0.0;
@@ -78,6 +82,34 @@ struct ServeMetrics {
   // Serializes as schema "eotora-serve-metrics-v1".
   [[nodiscard]] util::Json to_json() const;
 };
+
+// The decide-latency window behind ServeMetrics: the most recent
+// `capacity` samples in a ring, which the percentiles read, and the largest
+// sample ever added. The ring grows to its capacity as samples arrive.
+class LatencyWindow {
+ public:
+  explicit LatencyWindow(std::size_t capacity);
+
+  void add(double us);
+
+  // The retained samples, in ring order rather than time order.
+  [[nodiscard]] const std::vector<double>& samples() const {
+    return samples_;
+  }
+  [[nodiscard]] double max() const { return max_; }
+
+ private:
+  std::size_t capacity_;
+  std::size_t next_ = 0;  // the slot the next sample overwrites once full
+  std::vector<double> samples_;
+  double max_ = 0.0;
+};
+
+// Writes decide_p50_us and decide_p99_us of `samples` (sorted once, in
+// place) and decide_max_us = `max_us` into `out`; leaves all three at 0
+// when `samples` is empty.
+void fill_decide_latencies(std::vector<double> samples, double max_us,
+                           ServeMetrics& out);
 
 // The shape check an EOT1 stream passes before its first slot: throws
 // std::invalid_argument naming both shapes unless `what` (a replay log, a
@@ -161,14 +193,15 @@ class ServeLoop {
   std::uint64_t pop_depth_ = 0;  // ring occupancy at the last pop
 
   // Control path: everything the decide thread publishes for metrics()
-  // readers goes through this mutex. Taken once per slot — microseconds
-  // against a solve that costs milliseconds — so the data path stays
-  // effectively lock-free.
+  // readers goes through this mutex. The decide thread takes it once per
+  // slot, for a few stores; metrics() holds it only to copy, and sorts its
+  // copy after releasing it, so a metrics request never stalls a slot
+  // behind a sort.
   mutable std::mutex metrics_mutex_;
   std::uint64_t slots_decided_ = 0;
   std::uint64_t last_slot_ = 0;
   std::uint64_t ingest_depth_max_ = 0;
-  std::vector<double> decide_us_;
+  LatencyWindow decide_us_;
   util::RunningStats latency_stats_;
   util::RunningStats cost_stats_;
   double queue_backlog_ = 0.0;

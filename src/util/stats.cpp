@@ -67,14 +67,18 @@ double stddev(const std::vector<double>& xs) {
 }
 
 double percentile(std::vector<double> xs, double q) {
-  EOTORA_REQUIRE(!xs.empty());
-  EOTORA_REQUIRE_MSG(q >= 0.0 && q <= 100.0, "q=" << q);
   std::sort(xs.begin(), xs.end());
-  const double pos = q / 100.0 * static_cast<double>(xs.size() - 1);
+  return percentile_sorted(xs, q);
+}
+
+double percentile_sorted(std::span<const double> sorted, double q) {
+  EOTORA_REQUIRE(!sorted.empty());
+  EOTORA_REQUIRE_MSG(q >= 0.0 && q <= 100.0, "q=" << q);
+  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double correlation(const std::vector<double>& xs,

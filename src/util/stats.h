@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace eotora::util {
@@ -37,6 +38,9 @@ class RunningStats {
 [[nodiscard]] double stddev(const std::vector<double>& xs);
 // Linear-interpolation percentile, q in [0, 100]. Requires non-empty input.
 [[nodiscard]] double percentile(std::vector<double> xs, double q);
+// The same over samples already sorted ascending, without a copy.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted,
+                                       double q);
 // Pearson correlation of two equal-length, non-empty vectors.
 [[nodiscard]] double correlation(const std::vector<double>& xs,
                                  const std::vector<double>& ys);

@@ -3,6 +3,8 @@
 // sharded-solver and rebuild suites fuzz over.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -166,6 +168,55 @@ inline core::SlotState grouped_state(const GroupedWorld& world,
   }
   state.price_per_mwh = rng.uniform(5.0, 300.0);
   return state;
+}
+
+// A sparse state stream, the shape of an online controller's input (the
+// serve-sparse benchmark's deltas): the first state is fresh[0]; each later
+// state t copies its predecessor, gives ~5% of the present devices fresh[t]'s
+// f, d and h, and moves ~1% of the devices away (f and d scaled to the 0.05
+// keep-alive trickle, h kept) or back (fresh[t]'s values). `fresh` holds
+// consecutive full states of one world; slot and price follow it.
+inline std::vector<core::SlotState> sparse_stream(
+    const std::vector<core::SlotState>& fresh, util::Rng& rng) {
+  std::vector<core::SlotState> out;
+  if (fresh.empty()) return out;
+  const std::size_t devices = fresh[0].task_cycles.size();
+  const auto share_of = [devices](double share) {
+    return std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::llround(share * static_cast<double>(devices))));
+  };
+  const std::size_t updates = share_of(0.05);
+  const std::size_t churn = share_of(0.01);
+  std::vector<char> present(devices, 1);
+  out.push_back(fresh[0]);
+  for (std::size_t t = 1; t < fresh.size(); ++t) {
+    core::SlotState state = out.back();
+    const core::SlotState& next = fresh[t];
+    state.slot = next.slot;
+    state.price_per_mwh = next.price_per_mwh;
+    const auto take = [&](std::size_t i) {
+      state.task_cycles[i] = next.task_cycles[i];
+      state.data_bits[i] = next.data_bits[i];
+      state.channel[i] = next.channel[i];
+    };
+    for (std::size_t c = 0; c < churn; ++c) {
+      const std::size_t i = rng.index(devices);
+      if (present[i] != 0) {
+        state.task_cycles[i] *= 0.05;
+        state.data_bits[i] *= 0.05;
+      } else {
+        take(i);
+      }
+      present[i] = present[i] != 0 ? 0 : 1;
+    }
+    for (std::size_t u = 0; u < updates; ++u) {
+      const std::size_t i = rng.index(devices);
+      if (present[i] != 0) take(i);
+    }
+    out.push_back(std::move(state));
+  }
+  return out;
 }
 
 }  // namespace eotora::test

@@ -252,7 +252,6 @@ struct ScanFixture {
       grp.begin = arena;
       arena += static_cast<std::uint32_t>(rng.uniform_int(1, 6));
       grp.end = arena;
-      grp.device = 0;
       grp.bs = static_cast<std::uint32_t>(rng.index(stations));
       groups.push_back(grp);
     }

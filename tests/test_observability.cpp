@@ -158,6 +158,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   b.component_reuses = 10;
   b.arena_precomputes = 11;
   b.arena_precompute_reuses = 12;
+  b.arena_device_builds = 13;
+  b.arena_device_reuses = 14;
   SolverCounters merged = a;
   merged.merge(b);
   EXPECT_EQ(merged.cgba_rounds, 1u);
@@ -172,6 +174,8 @@ TEST(CountersTest, MergeAndEqualityCoverEveryField) {
   EXPECT_EQ(merged.component_reuses, 10u);
   EXPECT_EQ(merged.arena_precomputes, 11u);
   EXPECT_EQ(merged.arena_precompute_reuses, 12u);
+  EXPECT_EQ(merged.arena_device_builds, 13u);
+  EXPECT_EQ(merged.arena_device_reuses, 14u);
   EXPECT_NE(merged, a);
   SolverCounters again = a;
   again.merge(b);
@@ -190,7 +194,8 @@ TEST(CountersTest, ToJsonListsEveryCounterFieldInOrder) {
       "bdma_iterations",   "engine_rebuilds",
       "engine_term_refreshes", "lemma1_evaluations",
       "component_finds",   "component_reuses",
-      "arena_precomputes", "arena_precompute_reuses"};
+      "arena_precomputes", "arena_precompute_reuses",
+      "arena_device_builds", "arena_device_reuses"};
   ASSERT_EQ(json.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(json.items()[i].first, expected[i]) << i;

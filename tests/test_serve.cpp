@@ -37,6 +37,7 @@
 #include "sim/state_source.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace eotora::serve {
 namespace {
@@ -360,6 +361,25 @@ TEST(ServeLoop, DecisionsMatchRunPolicyBitForBit) {
   EXPECT_EQ(doc.at("schema").as_string(), "eotora-serve-metrics-v1");
   EXPECT_EQ(doc.at("slots_decided").as_number(),
             static_cast<double>(states.size()));
+}
+
+// The decide-latency window keeps the most recent samples for the
+// percentiles and every sample for the max: at capacity 4, after 6 samples
+// the percentiles see the last 4 and the max sees all 6.
+TEST(LatencyWindow, PercentilesSeeTheLastSamplesAndTheMaxSeesAll) {
+  LatencyWindow window(4);
+  ServeMetrics empty;
+  fill_decide_latencies(window.samples(), window.max(), empty);
+  EXPECT_EQ(empty.decide_p50_us, 0.0);
+  EXPECT_EQ(empty.decide_max_us, 0.0);
+  for (const double us : {100.0, 1.0, 2.0, 3.0, 4.0, 5.0}) window.add(us);
+  ASSERT_EQ(window.samples().size(), 4u);
+  ServeMetrics metrics;
+  fill_decide_latencies(window.samples(), window.max(), metrics);
+  const std::vector<double> last_four = {2.0, 3.0, 4.0, 5.0};
+  EXPECT_EQ(metrics.decide_p50_us, util::percentile(last_four, 50.0));
+  EXPECT_EQ(metrics.decide_p99_us, util::percentile(last_four, 99.0));
+  EXPECT_EQ(metrics.decide_max_us, 100.0);
 }
 
 // A rejected delta poisons the loop: failed() turns true, the structured
