@@ -46,6 +46,7 @@ void sum_loads(const WcgProblem& problem, const Profile& profile,
 
 void bdma_begin_slot(const Instance& instance, const SlotState& state,
                      BdmaWorkspace& workspace, BdmaLoopState& loop) {
+  (void)state;
   // Line 1 of Algorithm 2: Ω starts at the lowest feasible frequencies.
   loop.omega = instance.min_frequencies();
   loop.best = BdmaResult{};
@@ -53,7 +54,6 @@ void bdma_begin_slot(const Instance& instance, const SlotState& state,
   loop.p2a_shards = 0;
   loop.p2a_shard_counters.clear();
   loop.workspace = &workspace;
-  workspace.problem.begin(instance, state);
 }
 
 void bdma_p2a_iterate(const Instance& instance, const SlotState& state,

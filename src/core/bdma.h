@@ -63,8 +63,9 @@ struct BdmaResult {
 // arena/index reallocation. Not thread-safe: use one workspace per
 // concurrent caller.
 struct BdmaWorkspace {
-  // The slot's WCG, as its components; num_options() is the slot's option
-  // count from bdma_begin_slot on.
+  // The slot's WCG, as its components, planned once per instance;
+  // num_options() is the option count of the last build, which iteration 0
+  // of bdma_p2a_iterate runs.
   WcgComponents problem;
   // The assignment of the previous slot's last P2-A solve, written by
   // bdma_finish_slot. At the next slot's iteration 0, CGBA starts from it:
@@ -105,15 +106,16 @@ struct BdmaLoopState {
   BdmaWorkspace* workspace = nullptr;
 };
 
-// Line 1 of Algorithm 2: reset `loop`, set Ω = Ω^L, and start the slot's
-// WCG (WcgComponents::begin). The workspace's carried assignment survives:
-// it is the previous slot's, and seeds iteration 0.
+// Line 1 of Algorithm 2: reset `loop` and set Ω = Ω^L; the slot's WCG is
+// built by iteration 0 of bdma_p2a_iterate. The workspace's carried
+// assignment survives: it is the previous slot's, and seeds iteration 0.
 void bdma_begin_slot(const Instance& instance, const SlotState& state,
                      BdmaWorkspace& workspace, BdmaLoopState& loop);
 
 // Line 3: one P2-A solve at the current Ω (`iteration` is 0-based).
 // Iteration 0 builds the slot's components at Ω^L on the configured
-// solver's shard_workers; later ones re-derive each component's compute
+// solver's shard_workers (WcgComponents::build, which plans them on an
+// instance's first slot); later ones re-derive each component's compute
 // weights from loop.omega first. CGBA runs cgba_from on
 // WcgComponents::engine(c), which binds at iteration 0 and only resets
 // afterwards (one engine_rebuilds per component per slot). Draws happen on the calling thread in

@@ -1,7 +1,5 @@
 #include "core/components.h"
 
-#include <algorithm>
-
 #include "core/kernels/kernels.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -34,67 +32,17 @@ void bucket(const std::vector<std::uint32_t>& key, std::size_t count,
 }
 }  // namespace
 
-bool WcgComponents::same_reach(const topology::Topology& topo) {
-  const std::size_t stations = topo.num_base_stations();
-  bool same = reach_offsets_.size() == stations + 1;
-  for (std::size_t k = 0; same && k < stations; ++k) {
-    const auto& reach = topo.reachable_servers(topology::BaseStationId{k});
-    same = reach_offsets_[k + 1] - reach_offsets_[k] == reach.size() &&
-           std::equal(reach.begin(), reach.end(),
-                      reach_.begin() +
-                          static_cast<std::ptrdiff_t>(reach_offsets_[k]),
-                      [](topology::ServerId s, std::uint32_t memo) {
-                        return s.value == memo;
-                      });
-  }
-  if (same) return true;
-  reach_offsets_.assign(1, 0);
-  reach_.clear();
-  for (std::size_t k = 0; k < stations; ++k) {
-    for (topology::ServerId s :
-         topo.reachable_servers(topology::BaseStationId{k})) {
-      reach_.push_back(static_cast<std::uint32_t>(s.value));
-    }
-    reach_offsets_.push_back(reach_.size());
-  }
-  return false;
-}
-
-bool WcgComponents::scan_coverage(const Instance& instance,
-                                  const SlotState& state) {
-  const std::size_t devices = instance.num_devices();
-  const std::size_t stations = instance.num_base_stations();
-  EOTORA_REQUIRE_MSG(state.channel.size() == devices,
-                     "channel rows=" << state.channel.size());
-  scan_offsets_.assign(1, 0);
-  scan_.clear();
-  for (std::size_t i = 0; i < devices; ++i) {
-    const std::vector<double>& row = state.channel[i];
-    EOTORA_REQUIRE(row.size() == stations);
-    for (std::size_t k = 0; k < stations; ++k) {
-      if (covers(row[k], i, k, state.slot)) {
-        scan_.push_back(static_cast<std::uint32_t>(k));
-      }
-    }
-    scan_offsets_.push_back(scan_.size());
-  }
-  const bool same = planned_ && scan_offsets_ == coverage_offsets_ &&
-                    scan_ == coverage_;
-  scan_offsets_.swap(coverage_offsets_);
-  scan_.swap(coverage_);
-  return same;
-}
-
-void WcgComponents::replan(const Instance& instance, const SlotState& state) {
-  planned_ = false;  // until the plan below is complete
+void WcgComponents::plan(const Instance& instance) {
+  plan_stamp_ = 0;  // until the plan below is complete
   const auto& topo = instance.topology();
   const std::size_t devices = topo.num_devices();
   const std::size_t stations = topo.num_base_stations();
   const std::size_t servers = topo.num_servers();
 
   // Union-find with path halving over [stations | servers]: each device
-  // unites the stations it covers that reach a server, and each such
-  // station is united with the servers it reaches.
+  // unites its coverable stations, and each such station is united with
+  // the servers it reaches (never none: every station reaches a cluster,
+  // and every cluster has a server).
   std::vector<std::uint32_t> parent(stations + servers);
   for (std::size_t v = 0; v < parent.size(); ++v) {
     parent[v] = static_cast<std::uint32_t>(v);
@@ -108,17 +56,13 @@ void WcgComponents::replan(const Instance& instance, const SlotState& state) {
   };
   std::vector<bool> station_touched(stations, false);
   std::vector<std::uint32_t> anchor(devices, kNone);
-  options_ = 0;
   for (std::size_t i = 0; i < devices; ++i) {
-    for (std::size_t e = coverage_offsets_[i]; e < coverage_offsets_[i + 1];
-         ++e) {
-      const std::uint32_t k = coverage_[e];
-      const auto& reach = topo.reachable_servers(topology::BaseStationId{k});
-      if (reach.empty()) continue;
-      options_ += reach.size();
+    for (const topology::BaseStationId station :
+         topo.coverable_stations(topology::DeviceId{i})) {
+      const auto k = static_cast<std::uint32_t>(station.value);
       if (!station_touched[k]) {
         station_touched[k] = true;
-        for (topology::ServerId s : reach) {
+        for (topology::ServerId s : topo.reachable_servers(station)) {
           parent[find(static_cast<std::uint32_t>(stations + s.value))] =
               find(k);
         }
@@ -130,10 +74,7 @@ void WcgComponents::replan(const Instance& instance, const SlotState& state) {
       }
     }
     EOTORA_REQUIRE_MSG(anchor[i] != kNone,
-                       "device " << i
-                                 << " has no feasible (base station, server) "
-                                    "option at slot "
-                                 << state.slot);
+                       "device " << i << " has no coverable station");
   }
 
   // Dense ids in order of first device; stations and servers take their
@@ -166,37 +107,16 @@ void WcgComponents::replan(const Instance& instance, const SlotState& state) {
   bucket(server_component, count_, server_offsets_, server_list_,
          server_local_);
   ++counters::active().component_finds;
-  planned_ = true;
+  plan_stamp_ = instance.stamp();
 }
 
-void WcgComponents::begin(const Instance& instance, const SlotState& state) {
-  const auto& topo = instance.topology();
-  tables_.refresh(topo);
-  if (!same_reach(topo) || device_component_.size() != topo.num_devices() ||
-      server_local_.size() != topo.num_servers()) {
-    planned_ = false;
-  }
-  checked_ = !planned_ || count_ <= 1;
-  if (!checked_) return;
-  EOTORA_TRACE_SPAN("wcg/plan");
-  if (scan_coverage(instance, state)) {
-    ++counters::active().component_reuses;
-  } else {
-    replan(instance, state);
-  }
-}
-
-WcgSubset WcgComponents::subset(std::size_t c, bool check) const {
+WcgSubset WcgComponents::subset(std::size_t c) const {
   WcgSubset out;
   out.devices = devices(c);
   out.stations = stations(c);
   out.servers = servers(c);
   out.station_local = station_local_;
   out.server_local = server_local_;
-  if (check) {
-    out.coverage_offsets = coverage_offsets_;
-    out.coverage = coverage_;
-  }
   return out;
 }
 
@@ -204,34 +124,22 @@ void WcgComponents::build(const Instance& instance, const SlotState& state,
                           const Frequencies& frequencies,
                           std::size_t workers) {
   EOTORA_TRACE_SPAN("wcg/rebuild");
-  EOTORA_REQUIRE_MSG(planned_, "WcgComponents::build without begin()");
-  const auto build_all = [&](bool check) {
-    components_.resize(count_);
-    solve(workers, build_counters_, [&](std::size_t c) {
-      Component& component = components_[c];
-      component.built = component.problem.build(
-          instance, state, frequencies, subset(c, check), tables_);
-    });
-  };
-  const bool check = !checked_;
-  checked_ = false;
-  build_all(check);
-  if (!check) return;
-  const bool all_built =
-      std::all_of(components_.begin(), components_.end(),
-                  [](const Component& component) { return component.built; });
-  if (all_built) {
+  if (plan_stamp_ == instance.stamp()) {
     ++counters::active().component_reuses;
-    return;
-  }
-  // The coverage moved under a plan of several components: re-plan from
-  // this slot's rows and build again.
-  {
+  } else {
     EOTORA_TRACE_SPAN("wcg/plan");
-    (void)scan_coverage(instance, state);
-    replan(instance, state);
+    plan(instance);
   }
-  build_all(false);
+  tables_.refresh(instance);
+  components_.resize(count_);
+  solve(workers, build_counters_, [&](std::size_t c) {
+    components_[c].problem.build(instance, state, frequencies, subset(c),
+                                 tables_);
+  });
+  options_ = 0;
+  for (const Component& component : components_) {
+    options_ += component.problem.num_options();
+  }
 }
 
 void WcgComponents::for_each(

@@ -16,22 +16,21 @@
 // per-device work, and its engine re-binds only the re-derived devices
 // (WcgProblem::build, BestResponseEngine::bind).
 //
-// Plan. The components are those of the slot's coverage: each device is
-// joined to every station with h > 0 that reaches a server, and each such
-// station to the servers it reaches. Ids are dense, in order of first
-// device; each component lists its devices, stations and servers in
-// ascending global id, so its local resource layout keeps the global
-// [compute][access][fronthaul] scheme and relative order — a component's
-// problem is bit-for-bit the global rebuild() restricted to it. The plan is
-// a pure function of the coverage and is memoised on it: a slot whose every
-// device covers the same stations as at the last plan reuses it, any other
-// slot re-plans, and exactly one of counters::active().component_reuses /
-// component_finds is counted per slot. Checking the coverage means scanning
-// every dense channel row, so a plan of several components is checked
-// inside the parallel build — each component compares its devices' rows
-// while it scans them — and re-planned serially only on a mismatch. A plan
-// of one component, whose build runs inline anyway, is checked serially in
-// begin(), so a coverage change costs no second build.
+// Plan. The components are those of the instance's coverable pairs: each
+// device is joined to every station that can ever cover it
+// (Topology::coverable_stations), and each such station to the servers it
+// reaches. A slot's coverage (h > 0) stays on those lists — the build
+// rejects any other h > 0 — so no slot's WCG joins what the plan keeps
+// apart, and the plan is a function of the Instance alone: build() derives
+// it when handed an Instance whose stamp() is not the plan's, and reuses it
+// otherwise, counting exactly one of counters::active().component_finds /
+// component_reuses per build. Ids are dense, in order of first device;
+// each component lists its devices, their coverable stations and those
+// stations' servers in ascending global id, so its local resource layout
+// keeps the global [compute][access][fronthaul] scheme and relative order
+// — a component's problem is bit-for-bit the global rebuild() restricted
+// to it. A listed station no device covers in a slot carries zero load,
+// and its terms add exactly +0.0 to every cost.
 //
 // Workers. Every fan-out runs on at most `workers` workers of
 // util::ThreadPool::shared(). 0 and 1 — and any one-component slot — run
@@ -55,22 +54,20 @@ namespace eotora::core {
 
 class WcgComponents {
  public:
-  // Starts a slot: refreshes the station tables and, when the memoised plan
-  // has at most one component (or there is none yet), checks it against
-  // `state`'s coverage, re-planning on a change. build() must follow for
-  // the same state.
-  void begin(const Instance& instance, const SlotState& state);
-
-  // Builds every component's problem for the slot begin() started, at
-  // `frequencies`, on up to `workers` workers (span wcg/rebuild), each
-  // under its own counters::Scope merged in component order, so the
-  // arena_device_* counts are the same for every worker count. Throws
-  // where WcgProblem::rebuild() throws.
+  // Builds every component's problem for `state` at `frequencies`, on up to
+  // `workers` workers (span wcg/rebuild), each under its own
+  // counters::Scope merged in component order, so the arena_device_* counts
+  // are the same for every worker count. First plans the components and
+  // refreshes the station tables when `instance` is not the one they were
+  // derived for (span wcg/plan). Throws where WcgProblem::rebuild() throws;
+  // when several components throw, the error is the lowest component's,
+  // for every worker count.
   void build(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies, std::size_t workers);
 
   [[nodiscard]] std::size_t count() const { return count_; }
-  // The slot's devices and WCG options, over every component.
+  // The plan's devices, and the WCG options of the last build, over every
+  // component.
   [[nodiscard]] std::size_t num_devices() const {
     return device_component_.size();
   }
@@ -95,7 +92,8 @@ class WcgComponents {
     return {device_list_.data() + device_offsets_[c],
             device_offsets_[c + 1] - device_offsets_[c]};
   }
-  // Global ids of component c's base stations / servers (= problem(c)'s).
+  // Global ids of component c's coverable base stations and their servers
+  // (= problem(c)'s).
   [[nodiscard]] std::span<const std::uint32_t> stations(std::size_t c) const {
     return {station_list_.data() + station_offsets_[c],
             station_offsets_[c + 1] - station_offsets_[c]};
@@ -141,37 +139,21 @@ class WcgComponents {
   struct alignas(64) Component {
     WcgProblem problem;
     BestResponseEngine engine;
-    bool built = false;
   };
 
-  // Whether the stations' reach lists are the ones the plan was derived
-  // from (and records them when not). With the device and server counts,
-  // this ties the memoised plan to the instance it was made for.
-  bool same_reach(const topology::Topology& topo);
-  // Scans every channel row into the coverage memo; true when it equals
-  // the memo it replaces.
-  bool scan_coverage(const Instance& instance, const SlotState& state);
-  // Derives the plan from the coverage memo (counts a component_find).
-  void replan(const Instance& instance, const SlotState& state);
+  // Derives the plan from `instance`'s coverable pairs (counts a
+  // component_find). Throws when a device has no coverable station.
+  void plan(const Instance& instance);
   void for_each(std::size_t workers,
                 const std::function<void(std::size_t)>& body) const;
-  [[nodiscard]] WcgSubset subset(std::size_t c, bool check) const;
+  [[nodiscard]] WcgSubset subset(std::size_t c) const;
 
   StationTables tables_;
-  bool planned_ = false;  // the memos and the plan below are valid
-  bool checked_ = false;  // begin() checked the plan against this slot
-  // Topology memo, CSR over stations: the servers each station reaches.
-  std::vector<std::size_t> reach_offsets_;
-  std::vector<std::uint32_t> reach_;
-  // Coverage memo, CSR over global devices: the stations with h > 0.
-  std::vector<std::size_t> coverage_offsets_;
-  std::vector<std::uint32_t> coverage_;
-  std::vector<std::size_t> scan_offsets_;  // scan_coverage() scratch
-  std::vector<std::uint32_t> scan_;
+  std::size_t options_ = 0;  // the last build's, over every component
+  std::uint64_t plan_stamp_ = 0;  // Instance::stamp() of the plan; 0 = none
   // The plan: component and local index of every device, the CSR member
   // lists (ascending global ids), and the global -> local id maps.
   std::size_t count_ = 0;
-  std::size_t options_ = 0;
   std::vector<std::uint32_t> device_component_;
   std::vector<std::uint32_t> device_local_;
   std::vector<std::size_t> device_offsets_;

@@ -50,14 +50,14 @@ struct SolverCounters {
   std::uint64_t engine_term_refreshes = 0;
   // Closed-form Lemma-1 allocations evaluated (core/lemma1.cpp).
   std::uint64_t lemma1_evaluations = 0;
-  // WcgComponents (core/components.h), one per slot: plans derived from
-  // the slot's coverage vs. plans reused because every device covers the
-  // same stations as at the last plan.
+  // WcgComponents::build (core/components.h), one per build: plans
+  // derived for an instance the components were not planned for vs. plans
+  // reused.
   std::uint64_t component_finds = 0;
   std::uint64_t component_reuses = 0;
-  // StationTables::refresh(), once per build of a slot's WCG:
-  // slot-invariant station-table derivations vs. reuses when the raw
-  // bandwidths/spectral efficiencies are bit-unchanged.
+  // StationTables::refresh(), once per build of a slot's WCG: station-table
+  // derivations for an instance the tables were not derived for vs.
+  // reuses.
   std::uint64_t arena_precomputes = 0;
   std::uint64_t arena_precompute_reuses = 0;
   // WcgProblem::build(), one per device per successful build: option rows

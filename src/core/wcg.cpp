@@ -24,35 +24,23 @@ bool same_bits(double a, double b) {
 }
 }  // namespace
 
-void StationTables::refresh(const topology::Topology& topo) {
-  const std::size_t stations = topo.num_base_stations();
-  // Reuse iff every raw bandwidth and fronthaul spectral efficiency is
-  // bitwise unchanged — then the cached reciprocals are trivially the exact
-  // bits a recompute would produce.
-  bool reuse = access_bw.size() == stations;
-  for (std::size_t k = 0; reuse && k < stations; ++k) {
-    const auto& bs = topo.base_station(topology::BaseStationId{k});
-    reuse = access_bw[k] == bs.access_bandwidth_hz &&
-            fronthaul_bw[k] == bs.fronthaul_bandwidth_hz &&
-            fronthaul_se[k] == bs.fronthaul_spectral_efficiency;
-  }
-  if (reuse) {
+void StationTables::refresh(const Instance& instance) {
+  if (stamp == instance.stamp()) {
     ++counters::active().arena_precompute_reuses;
     return;
   }
-  access_bw.resize(stations);
-  fronthaul_bw.resize(stations);
+  const auto& topo = instance.topology();
+  const std::size_t stations = topo.num_base_stations();
   inv_access_bw.resize(stations);
   inv_fronthaul_bw.resize(stations);
   fronthaul_se.resize(stations);
   for (std::size_t k = 0; k < stations; ++k) {
     const auto& bs = topo.base_station(topology::BaseStationId{k});
-    access_bw[k] = bs.access_bandwidth_hz;
-    fronthaul_bw[k] = bs.fronthaul_bandwidth_hz;
     inv_access_bw[k] = 1.0 / bs.access_bandwidth_hz;
     inv_fronthaul_bw[k] = 1.0 / bs.fronthaul_bandwidth_hz;
     fronthaul_se[k] = bs.fronthaul_spectral_efficiency;
   }
+  stamp = instance.stamp();
   ++counters::active().arena_precomputes;
 }
 
@@ -65,7 +53,7 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
                          const Frequencies& frequencies) {
   EOTORA_TRACE_SPAN("wcg/rebuild");
   const auto& topo = instance.topology();
-  tables_.refresh(topo);
+  tables_.refresh(instance);
   const std::size_t ids = std::max({topo.num_devices(), topo.num_servers(),
                                     topo.num_base_stations()});
   for (std::size_t i = identity_.size(); i < ids; ++i) {
@@ -78,7 +66,7 @@ void WcgProblem::rebuild(const Instance& instance, const SlotState& state,
   all.servers = identity.first(topo.num_servers());
   all.station_local = all.stations;
   all.server_local = all.servers;
-  (void)build(instance, state, frequencies, all, tables_);
+  build(instance, state, frequencies, all, tables_);
 }
 
 namespace detail {
@@ -92,48 +80,45 @@ void reject_channel_gain(double h, std::size_t device, std::size_t station,
 }
 }  // namespace detail
 
-bool WcgProblem::same_layout(const Instance& instance, const WcgSubset& subset,
-                             const StationTables& tables) const {
-  if (instance_stamp_ != instance.stamp() ||
-      !std::ranges::equal(subset.devices, device_ids_) ||
-      !std::ranges::equal(subset.stations, station_ids_) ||
-      !std::ranges::equal(subset.servers, server_ids_)) {
-    return false;
-  }
-  for (std::size_t k = 0; k < station_ids_.size(); ++k) {
-    const std::size_t global = station_ids_[k];
-    if (!same_bits(station_key_[3 * k], tables.inv_access_bw[global]) ||
-        !same_bits(station_key_[3 * k + 1], tables.inv_fronthaul_bw[global]) ||
-        !same_bits(station_key_[3 * k + 2], tables.fronthaul_se[global])) {
-      return false;
-    }
-  }
-  return true;
+bool WcgProblem::same_layout(const Instance& instance,
+                             const WcgSubset& subset) const {
+  return instance_stamp_ == instance.stamp() &&
+         std::ranges::equal(subset.devices, device_ids_) &&
+         std::ranges::equal(subset.stations, station_ids_) &&
+         std::ranges::equal(subset.servers, server_ids_);
 }
 
-void WcgProblem::lay_out(const Instance& instance, const WcgSubset& subset,
-                         const StationTables& tables) {
+void WcgProblem::lay_out(const Instance& instance, const WcgSubset& subset) {
   const auto& topo = instance.topology();
   instance_stamp_ = instance.stamp();
   device_ids_.assign(subset.devices.begin(), subset.devices.end());
   station_ids_.assign(subset.stations.begin(), subset.stations.end());
   server_ids_.assign(subset.servers.begin(), subset.servers.end());
-  station_key_.clear();
-  for (const std::uint32_t k : station_ids_) {
-    station_key_.push_back(tables.inv_access_bw[k]);
-    station_key_.push_back(tables.inv_fronthaul_bw[k]);
-    station_key_.push_back(tables.fronthaul_se[k]);
-  }
   // A row has room for an option on every server each coverable station
   // reaches, so a device whose coverage moves rewrites only its own row.
+  // Every row's stations and servers must map into the subset: rows and
+  // σ gathers read their local ids unchecked.
+  const auto listed = [](std::span<const std::uint32_t> local,
+                         std::span<const std::uint32_t> ids, std::size_t id) {
+    return id < local.size() && local[id] < ids.size() && ids[local[id]] == id;
+  };
   row_offsets_.assign(1, 0);
   coverable_offsets_.assign(1, 0);
   for (const std::uint32_t i : device_ids_) {
+    const topology::DeviceId device{i};
     const std::span<const topology::BaseStationId> coverable =
-        topo.coverable_stations(topology::DeviceId{i});
+        topo.coverable_stations(device);
     std::size_t capacity = 0;
     for (const topology::BaseStationId k : coverable) {
+      EOTORA_REQUIRE_MSG(listed(subset.station_local, subset.stations, k.value),
+                         "device " << i << ": coverable station " << k.value
+                                   << " is outside the subset");
       capacity += topo.reachable_servers(k).size();
+    }
+    for (const topology::ServerId s : topo.reachable_servers(device)) {
+      EOTORA_REQUIRE_MSG(listed(subset.server_local, subset.servers, s.value),
+                         "device " << i << ": reachable server " << s.value
+                                   << " is outside the subset");
     }
     row_offsets_.push_back(row_offsets_.back() + capacity);
     coverable_offsets_.push_back(coverable_offsets_.back() + coverable.size());
@@ -171,20 +156,13 @@ void WcgProblem::derive_device(const Instance& instance, const SlotState& state,
   const std::vector<double>& channel = state.channel[i];
   const double f = state.task_cycles[i];
   const double d = state.data_bits[i];
-  // σ_{i,s} of the device's reachable servers, by local server. A
-  // reachable server outside the subset (reached only over a station
-  // that does not cover the device this slot) has no local position:
-  // server_local maps it anywhere, so each hit is checked against
-  // `servers`.
+  // σ_{i,s} of the device's reachable servers, by local server.
   const topology::DeviceId device{i};
   const std::span<const topology::ServerId> reach =
       topo.reachable_servers(device);
   const std::span<const double> sigma = instance.suitability_row(i);
   for (std::size_t p = 0; p < reach.size(); ++p) {
-    const std::uint32_t local = subset.server_local[reach[p].value];
-    if (local < servers && subset.servers[local] == reach[p].value) {
-      sigma_local_[local] = sigma[p];
-    }
+    sigma_local_[subset.server_local[reach[p].value]] = sigma[p];
   }
   // Gather σ_{i,s} of every server a covering station reaches into a
   // compact row, once per server however many stations reach it;
@@ -246,7 +224,7 @@ void WcgProblem::derive_device(const Instance& instance, const SlotState& state,
   }
 }
 
-bool WcgProblem::build(const Instance& instance, const SlotState& state,
+void WcgProblem::build(const Instance& instance, const SlotState& state,
                        const Frequencies& frequencies, const WcgSubset& subset,
                        const StationTables& tables) {
   const auto& topo = instance.topology();
@@ -254,10 +232,9 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
   const std::size_t all_stations = topo.num_base_stations();
   const std::size_t servers = subset.servers.size();
   const std::size_t stations = subset.stations.size();
-  const bool check = !subset.coverage_offsets.empty();
   // Until this build succeeds, no engine binds to the problem, and rows
-  // and keys count as forgotten: a failed or throwing build may leave
-  // rows half rewritten, so the build after it is full.
+  // and keys count as forgotten: a throwing build may leave rows half
+  // rewritten, so the build after it is full.
   const std::uint64_t previous = generation_;
   const bool laid_out = layout_valid_;
   generation_ = 0;
@@ -272,12 +249,15 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
                      "data_bits entries=" << state.data_bits.size());
   EOTORA_REQUIRE_MSG(state.channel.size() == all_devices,
                      "channel rows=" << state.channel.size());
-  EOTORA_REQUIRE(tables.fronthaul_se.size() == all_stations);
+  EOTORA_REQUIRE_MSG(tables.stamp == instance.stamp(),
+                     "station tables of instance " << tables.stamp
+                                                   << ", not of instance "
+                                                   << instance.stamp());
 
   // Rows and keys survive only into a build over the layout they were
   // derived for.
-  const bool patch = laid_out && same_layout(instance, subset, tables);
-  if (!patch) lay_out(instance, subset, tables);
+  const bool patch = laid_out && same_layout(instance, subset);
+  if (!patch) lay_out(instance, subset);
   weights_.assign(servers + 2 * stations, 0.0);
   set_frequencies(instance, frequencies);
   for (std::size_t k = 0; k < stations; ++k) {
@@ -306,12 +286,11 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
     EOTORA_REQUIRE_MSG(state.data_bits[i] > 0.0,
                        "device " << i << " d=" << state.data_bits[i]);
     // One pass over the dense row finds the covering stations and checks
-    // them against the coverable list and the plan.
+    // them against the coverable list.
     const std::span<const topology::BaseStationId> coverable =
         topo.coverable_stations(topology::DeviceId{i});
     std::size_t covering = 0;
     std::size_t next_coverable = 0;
-    std::size_t expected = check ? subset.coverage_offsets[i] : 0;
     for (std::size_t k = 0; k < all_stations; ++k) {
       if (!covers(channel[k], i, k, state.slot)) continue;
       // σ is stored only for the servers coverable stations reach, and a
@@ -325,16 +304,8 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
                          "device " << i << " has h > 0 on station " << k
                                    << ", which can never cover it, at slot "
                                    << state.slot);
-      if (check) {
-        if (expected == subset.coverage_offsets[i + 1] ||
-            subset.coverage[expected] != k) {
-          return false;
-        }
-        ++expected;
-      }
       covered_[covering++] = static_cast<std::uint32_t>(k);
     }
-    if (check && expected != subset.coverage_offsets[i + 1]) return false;
     if (patch && same_inputs(j, state.task_cycles[i], state.data_bits[i],
                              channel, coverable)) {
       continue;
@@ -351,12 +322,11 @@ bool WcgProblem::build(const Instance& instance, const SlotState& state,
     // Every row is the previous build's: so are its changes since the
     // generation it patched, and engines bound to it stay bound.
     generation_ = previous;
-    return true;
+    return;
   }
   patched_from_ = patch ? previous : 0;
   changed_.swap(rederived_);
   generation_ = last_generation.fetch_add(1, std::memory_order_relaxed) + 1;
-  return true;
 }
 
 std::span<const Option> WcgProblem::options(std::size_t device) const {

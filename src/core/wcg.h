@@ -68,9 +68,9 @@ namespace detail {
                                       std::size_t station, std::size_t slot);
 }  // namespace detail
 
-// The covering rule of every coverage scan: station k covers device i when
-// h_{i,k} > 0. Throws std::invalid_argument naming the device, the station
-// and the slot when h is NaN or infinite.
+// The covering rule of the build's coverage scan: station k covers device
+// i when h_{i,k} > 0. Throws std::invalid_argument naming the device, the
+// station and the slot when h is NaN or infinite.
 [[nodiscard]] inline bool covers(double h, std::size_t device,
                                  std::size_t station, std::size_t slot) {
   if (!std::isfinite(h)) [[unlikely]] {
@@ -79,45 +79,37 @@ namespace detail {
   return h > 0.0;
 }
 
-// The slot-invariant per-station tables every build reads: the bandwidth
-// reciprocals 1/W^A_k, 1/W^F_k and the fronthaul spectral efficiencies
-// h^F_k. They depend only on instance parameters, so refresh() re-derives
-// them only when a raw input changed bits (reuse keeps the reciprocals'
-// exact bits trivially — the inputs are identical). The raw values double
-// as the validation key, so a different instance at the same address can
-// never smuggle stale tables in. Counted as
-// counters::active().arena_precomputes / arena_precompute_reuses.
+// The per-station tables every build reads: the bandwidth reciprocals
+// 1/W^A_k, 1/W^F_k and the fronthaul spectral efficiencies h^F_k. They
+// depend only on the instance, so refresh() re-derives them only when
+// handed an Instance whose stamp() is not the one they were derived for
+// (reuse keeps the reciprocals' exact bits trivially — the inputs are the
+// same instance's). Counted as counters::active().arena_precomputes /
+// arena_precompute_reuses.
 struct StationTables {
-  std::vector<double> access_bw;     // raw W^A_k (validation key)
-  std::vector<double> fronthaul_bw;  // raw W^F_k (validation key)
+  std::uint64_t stamp = 0;  // Instance::stamp() of the tables; 0 = none
   std::vector<double> inv_access_bw;
   std::vector<double> inv_fronthaul_bw;
   std::vector<double> fronthaul_se;  // h^F_k
 
-  void refresh(const topology::Topology& topo);
+  void refresh(const Instance& instance);
 };
 
 // What WcgProblem::build() builds over: a subset of a slot's devices and
-// the global ids of every station and server their options touch, each
-// list ascending. The built problem numbers devices, stations and servers
-// by position in these lists, so its resource layout keeps the global
-// [compute][access][fronthaul] scheme with the global relative order.
+// the global ids of every station each of them can ever be covered by and
+// every server those stations reach, each list ascending. The built
+// problem numbers devices, stations and servers by position in these
+// lists, so its resource layout keeps the global [compute][access]
+// [fronthaul] scheme with the global relative order. A listed station that
+// covers no device in a slot carries zero load.
 struct WcgSubset {
   std::span<const std::uint32_t> devices;
   std::span<const std::uint32_t> stations;
   std::span<const std::uint32_t> servers;
-  // Global station / server id -> position in `stations` / `servers`.
-  // station_local is read only at the stations a subset device's options
-  // touch; server_local at every server a subset device can reach, where an
-  // id outside `servers` may map anywhere.
+  // Global station / server id -> position in `stations` / `servers`, read
+  // at every coverable station and reachable server of a subset device.
   std::span<const std::uint32_t> station_local;
   std::span<const std::uint32_t> server_local;
-  // Optional coverage check, CSR over global device ids: the stations with
-  // h > 0 each device had when the subset was planned. When present, build()
-  // compares every scanned row against it and stops at the first row that
-  // differs, returning false.
-  std::span<const std::size_t> coverage_offsets;
-  std::span<const std::uint32_t> coverage;
 };
 
 class WcgProblem {
@@ -142,25 +134,24 @@ class WcgProblem {
                const Frequencies& frequencies);
 
   // Builds the problem over `subset` (see WcgSubset), reading the station
-  // tables from `tables`. Options keep the order rebuild() lays them out in
-  // and the same p-value bits; weights are the global resources' weights.
-  // Returns false, leaving the problem unusable, when the subset carries a
-  // coverage check and a scanned row differs from it; throws where
-  // rebuild() throws, and when the subset has 2^32 or more resources.
+  // tables from `tables`, which must be refreshed for `instance`. Options
+  // keep the order rebuild() lays them out in and the same p-value bits;
+  // weights are the global resources' weights. Throws where rebuild()
+  // throws, when the subset has 2^32 or more resources, and when it misses
+  // a coverable station or reachable server of one of its devices.
   //
   // Incremental. Every row is scanned (covering stations, the coverable
-  // list, the coverage check), but a device keeps its option row when its
-  // f_i, d_i and its h on every coverable station — so its covering
-  // stations and their h — are bitwise what the last successful build
-  // derived the row from, and that build ran over the same layout: the
-  // same Instance (by Instance::stamp(), never its address), device,
-  // station and server lists, and station-table values. Only the other
-  // devices are re-derived, by the one per-device routine a full build
-  // runs for every device; each device counts one
-  // counters::active().arena_device_builds or arena_device_reuses per
-  // successful build. A build that returns false or throws forgets every
-  // key, so the next one is full.
-  bool build(const Instance& instance, const SlotState& state,
+  // list), but a device keeps its option row when its f_i, d_i and its h on
+  // every coverable station — so its covering stations and their h — are
+  // bitwise what the last successful build derived the row from, and that
+  // build ran over the same layout: the same Instance (by
+  // Instance::stamp(), never its address) and the same device, station and
+  // server lists. Only the other devices are re-derived, by the one
+  // per-device routine a full build runs for every device; each device
+  // counts one counters::active().arena_device_builds or
+  // arena_device_reuses per successful build. A build that throws forgets
+  // every key, so the next one is full.
+  void build(const Instance& instance, const SlotState& state,
              const Frequencies& frequencies, const WcgSubset& subset,
              const StationTables& tables);
 
@@ -171,8 +162,8 @@ class WcgProblem {
   // Which build this problem holds: a successful build() (and so rebuild())
   // that re-derived any row takes a fresh value from a process-wide
   // counter, one that re-derived none keeps the generation it had, and the
-  // generation is 0 while a build is in flight, after one failed or threw,
-  // and before the first. set_frequencies() keeps it: a BestResponseEngine
+  // generation is 0 while a build is in flight, after one threw, and before
+  // the first. set_frequencies() keeps it: a BestResponseEngine
   // bound to this build stays valid across frequency updates.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
   // What the build that took generation() changed: the generation whose
@@ -284,14 +275,13 @@ class WcgProblem {
 
  private:
   void loads_into(const Profile& z, std::vector<double>& p) const;
-  // Whether `subset` and `tables` over `instance` are the layout the last
-  // successful build ran over.
+  // Whether `subset` over `instance` is the layout the last successful
+  // build ran over.
   [[nodiscard]] bool same_layout(const Instance& instance,
-                                 const WcgSubset& subset,
-                                 const StationTables& tables) const;
-  // Records the layout and sizes the rows and keys for it.
-  void lay_out(const Instance& instance, const WcgSubset& subset,
-               const StationTables& tables);
+                                 const WcgSubset& subset) const;
+  // Records the layout, checks that it holds every coverable station and
+  // reachable server of its devices, and sizes the rows and keys for it.
+  void lay_out(const Instance& instance, const WcgSubset& subset);
   // Whether local device j's row was derived from these inputs; h is
   // compared over the device's `coverable` stations.
   [[nodiscard]] bool same_inputs(
@@ -315,13 +305,12 @@ class WcgProblem {
   std::vector<std::uint32_t> server_ids_;    // local -> global server
 
   // The layout key: valid only after a successful build. With station_ids_
-  // and server_ids_, the instance's stamp, the global device of every local
-  // one, and per local station the table values rows and weights read
-  // (1/W^A, 1/W^F, h^F).
+  // and server_ids_, the instance's stamp — which also fixes the station
+  // tables rows and weights read — and the global device of every local
+  // one.
   bool layout_valid_ = false;
   std::uint64_t instance_stamp_ = 0;
   std::vector<std::uint32_t> device_ids_;
-  std::vector<double> station_key_;
   // Per-device reuse keys: f_i, d_i and h on each coverable station, in
   // slots [coverable_offset(j), coverable_offset(j + 1)). Off its
   // coverable list no station may cover a device, so these h decide which

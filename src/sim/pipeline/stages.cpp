@@ -89,7 +89,6 @@ void FixedFrequencyStage::run(StageContext& ctx) {
 
 void CgbaAssignStage::run(StageContext& ctx) {
   const std::size_t workers = config_.shard_workers;
-  wcg_.begin(*ctx.instance, *ctx.state);
   wcg_.build(*ctx.instance, *ctx.state, ctx.frequencies, workers);
   {
     EOTORA_TRACE_SPAN("p2a/draw");

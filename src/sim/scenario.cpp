@@ -305,13 +305,4 @@ std::vector<core::SlotState> Scenario::generate_states(std::size_t horizon) {
   return states;
 }
 
-void apply_price_series(std::vector<core::SlotState>& states,
-                        const std::vector<double>& prices) {
-  EOTORA_REQUIRE(!prices.empty());
-  for (double p : prices) EOTORA_REQUIRE_MSG(p > 0.0, "price=" << p);
-  for (std::size_t t = 0; t < states.size(); ++t) {
-    states[t].price_per_mwh = prices[t % prices.size()];
-  }
-}
-
 }  // namespace eotora::sim

@@ -154,11 +154,4 @@ class Scenario {
   std::size_t slot_ = 0;
 };
 
-// Overrides the price of each state with the given series (e.g. a real
-// NYISO export loaded via trace::load_price_csv), wrapping around when the
-// series is shorter than the horizon. Requires a non-empty series of
-// positive prices.
-void apply_price_series(std::vector<core::SlotState>& states,
-                        const std::vector<double>& prices);
-
 }  // namespace eotora::sim

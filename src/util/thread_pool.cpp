@@ -18,7 +18,8 @@ namespace {
 
 // One parallel_for_index invocation: the shared index counter plus the
 // bookkeeping needed to (a) block the caller until every pool worker that
-// could touch the job has let go of it and (b) surface the first exception.
+// could touch the job has let go of it and (b) surface the exception of the
+// lowest failing index.
 //
 // Lifetime protocol: the job lives on the caller's stack, so the caller may
 // only destroy it once no worker will touch it again. Each queue seat is
@@ -37,7 +38,8 @@ struct ForJob {
   std::mutex mutex;
   std::condition_variable finished;
   std::size_t seats_outstanding = 0;  // guarded by `mutex`
-  std::exception_ptr error;           // first failure, guarded by `mutex`
+  std::exception_ptr error;           // guarded by `mutex`, as is
+  std::size_t error_index = 0;        // the failing index it came from
 
   // Claims indices until the space is drained.
   void drain() {
@@ -48,7 +50,10 @@ struct ForJob {
         (*body)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
+        if (!error || i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
       }
     }
   }

@@ -8,9 +8,9 @@
 // that is bit-identical to a serial loop, regardless of thread count (this
 // is the guarantee sim::run_sweep and the component-parallel slot rely on).
 //
-// Exceptions thrown by the body are captured; the first one (by completion
-// order) is rethrown on the calling thread after every index finished or
-// was abandoned.
+// Exceptions thrown by the body are captured; once every index finished,
+// the one of the lowest failing index is rethrown on the calling thread —
+// what a serial loop over [0, count) throws, whichever worker failed first.
 #pragma once
 
 #include <cstddef>

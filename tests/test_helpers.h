@@ -87,10 +87,12 @@ inline core::SlotState random_state(std::size_t devices,
   return state;
 }
 
-// A topology made of 1-3 isolated station groups: each group has its own
-// cluster (1-3 servers) and 1-2 stations wired only to that cluster. The
-// channel states below zero out every cross-group link, so the WCG
-// decomposes along group lines — one component per group that has devices.
+// A topology made of 1-3 isolated station groups, each in a region tile of
+// its own: a cluster (1-3 servers), 1-2 stations wired only to that
+// cluster with their coverage discs inside the tile, and devices roaming
+// boxes inside it, so a device's coverable stations are exactly its
+// group's. The WCG decomposes along group lines — one component per group
+// that has devices.
 struct GroupedWorld {
   std::shared_ptr<topology::Topology> topology;
   std::size_t groups = 0;
@@ -99,18 +101,22 @@ struct GroupedWorld {
 };
 
 inline GroupedWorld random_grouped_world(util::Rng& rng) {
+  // A station sits in its tile's central 400 m square and covers 250 m, so
+  // its disc meets every box of its tile and none of another tile's.
+  constexpr double kTile = 1000.0;
   GroupedWorld world;
   topology::TopologyBuilder builder;
-  builder.set_region({1000.0, 1000.0});
   world.groups = 1 + rng.index(3);
+  builder.set_region({kTile * static_cast<double>(world.groups), kTile});
   auto model = std::make_shared<energy::QuadraticEnergy>(
       rng.uniform(1.0, 8.0), rng.uniform(0.0, 5.0), rng.uniform(5.0, 40.0));
   std::size_t servers = 0;
   std::size_t stations = 0;
   for (std::size_t g = 0; g < world.groups; ++g) {
+    const double x0 = kTile * static_cast<double>(g);
     const topology::ClusterId cluster = builder.add_cluster(
         "c" + std::to_string(g),
-        {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
+        {x0 + rng.uniform(0.0, kTile), rng.uniform(0.0, kTile)});
     const std::size_t count = 1 + rng.index(3);
     for (std::size_t j = 0; j < count; ++j) {
       const double lo = rng.uniform(1.0, 2.5);
@@ -122,8 +128,8 @@ inline GroupedWorld random_grouped_world(util::Rng& rng) {
     for (std::size_t k = 0; k < local_stations; ++k) {
       builder.add_base_station(
           "b" + std::to_string(stations),
-          {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)},
-          topology::Band::kLow, 3000.0, rng.uniform(50e6, 100e6),
+          {x0 + rng.uniform(300.0, 700.0), rng.uniform(300.0, 700.0)},
+          topology::Band::kLow, 250.0, rng.uniform(50e6, 100e6),
           rng.uniform(0.5e9, 1e9), 10.0, {cluster});
       world.station_group.push_back(g);
       ++stations;
@@ -131,9 +137,13 @@ inline GroupedWorld random_grouped_world(util::Rng& rng) {
   }
   const std::size_t devices = 4 + rng.index(9);
   for (std::size_t i = 0; i < devices; ++i) {
-    builder.add_device("d" + std::to_string(i),
-                       {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)});
-    world.device_group.push_back(rng.index(world.groups));
+    const std::size_t g = rng.index(world.groups);
+    const double x0 = kTile * static_cast<double>(g);
+    builder.add_device(
+        "d" + std::to_string(i),
+        {x0 + rng.uniform(100.0, 900.0), rng.uniform(100.0, 900.0)}, 1.5,
+        topology::BoundingBox{x0 + 100.0, 100.0, x0 + 900.0, 900.0});
+    world.device_group.push_back(g);
   }
   world.topology = std::make_shared<topology::Topology>(builder.build());
   return world;

@@ -2,7 +2,6 @@
 // module-focused suites do not cover.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 
 #include "core/bnb.h"
@@ -14,7 +13,6 @@
 #include "sim/scenario.h"
 #include "test_helpers.h"
 #include "trace/price_trace.h"
-#include "trace/trace_io.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -128,7 +126,9 @@ TEST(PriceSpikes, OccurAtRoughlyConfiguredRate) {
 namespace eotora::sim {
 namespace {
 
-TEST(DecisionLogCsv, ParsesBackThroughTraceIo) {
+// A real policy's log parses back row for row, and each row's frequency
+// summary is ordered: min <= mean <= max.
+TEST(DecisionLogCsv, ParsesBackThroughFromCsv) {
   ScenarioConfig config;
   config.devices = 4;
   config.mid_band_stations = 1;
@@ -145,15 +145,14 @@ TEST(DecisionLogCsv, ParsesBackThroughTraceIo) {
     const auto state = scenario.next_state();
     log.record(state, policy->step(state, rng));
   }
-  std::stringstream buffer(log.to_csv());
-  const auto series = trace::read_csv(buffer);
-  ASSERT_EQ(series.size(), 9u);
-  EXPECT_EQ(series[0].name, "slot");
-  EXPECT_EQ(series[6].name, "mean_ghz");
-  ASSERT_EQ(series[0].values.size(), 6u);
+  const DecisionLog back = DecisionLog::from_csv(log.to_csv());
+  ASSERT_EQ(back.rows(), 6u);
   for (std::size_t t = 0; t < 6; ++t) {
-    EXPECT_GE(series[6].values[t], series[7].values[t]);  // mean >= min
-    EXPECT_LE(series[6].values[t], series[8].values[t]);  // mean <= max
+    const DecisionLog::Row& row = back.entries()[t];
+    EXPECT_EQ(row, log.entries()[t]);
+    EXPECT_EQ(row.slot, t);
+    EXPECT_GE(row.mean_ghz, row.min_ghz);
+    EXPECT_LE(row.mean_ghz, row.max_ghz);
   }
 }
 

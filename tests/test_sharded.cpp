@@ -1,17 +1,20 @@
 // Differentials for the component-parallel slot (core/components.h)
 // against the global WcgProblem oracle:
-//   - the planner against a brute-force label-propagation oracle over 25
-//     random multi-component instances;
+//   - the planner against a brute-force label-propagation oracle over the
+//     coverable pairs of 25 random multi-component instances;
 //   - every directly built component equal, bit for bit, to the global
 //     rebuild() restricted to it: options, p-values and weights;
 //   - BDMA's per-component P2-A — CGBA under both selection rules, MCBA and
 //     ROPT — equal to the global solvers, and the CGBA-assignment stage's
 //     merged cost equal to the global solve's, for every worker count;
 //   - per-component counters partitioning the flushed totals;
-//   - BDMA over several metro slots, and over grouped-world slots whose
-//     coverage changes, equal to a test-side Algorithm 2 over one global
-//     problem (cgba_from, the sqrt-chain solve_p2b and dpp_objective);
-//   - a metro channel on another district's station rejected by both.
+//   - BDMA over several metro slots, over grouped-world slots and over
+//     paper slots whose coverage moves, equal to a test-side Algorithm 2
+//     over one global problem (cgba_from, the sqrt-chain solve_p2b and
+//     dpp_objective), planning once per instance;
+//   - a metro channel on another district's station rejected by both, and
+//     a slot failing in two districts reporting the same error on every
+//     worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,88 +63,83 @@ FuzzWorld fuzz_world(unsigned seed) {
   return FuzzWorld{std::move(world), std::move(instance), std::move(state)};
 }
 
-void build_components(WcgComponents& wcg, const Instance& instance,
-                      const SlotState& state, const Frequencies& frequencies,
-                      std::size_t workers) {
-  wcg.begin(instance, state);
-  wcg.build(instance, state, frequencies, workers);
-}
-
 // Naive component oracle: label propagation to a fixpoint over the
-// device + resource node set of the global problem — a different algorithm
-// from the planner's union-find over stations and servers. Components are
-// renumbered densely in order of first device appearance, matching the
-// contract.
+// device, station and server nodes of the instance's coverable pairs —
+// each device with its coverable stations, each station with the servers
+// it reaches — a different algorithm from the planner's union-find.
+// Components are renumbered densely in order of first device appearance,
+// matching the contract.
 struct OracleComponents {
   std::size_t count = 0;
   std::vector<std::uint32_t> device_component;
-  std::vector<std::uint32_t> resource_component;  // kNone if untouched
+  std::vector<std::uint32_t> station_component;  // kNone if untouched
+  std::vector<std::uint32_t> server_component;   // kNone if untouched
 };
 
-OracleComponents brute_force_components(const WcgProblem& problem) {
-  const std::size_t devices = problem.num_devices();
-  const std::size_t resources = problem.num_resources();
-  std::vector<std::size_t> device_label(devices);
-  std::vector<std::size_t> resource_label(resources);
-  std::vector<bool> touched(resources, false);
-  for (std::size_t i = 0; i < devices; ++i) device_label[i] = i;
-  for (std::size_t r = 0; r < resources; ++r) resource_label[r] = devices + r;
+OracleComponents brute_force_components(const topology::Topology& topo) {
+  const std::size_t devices = topo.num_devices();
+  const std::size_t stations = topo.num_base_stations();
+  const std::size_t servers = topo.num_servers();
+  // Node labels: devices, then stations, then servers.
+  std::vector<std::size_t> label(devices + stations + servers);
+  std::vector<bool> touched(label.size(), false);
+  for (std::size_t v = 0; v < label.size(); ++v) label[v] = v;
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < devices; ++i) {
-      for (const Option& opt : problem.options(i)) {
-        touched[opt.r_compute] = true;
-        touched[opt.r_access] = true;
-        touched[opt.r_fronthaul] = true;
-        const std::size_t m =
-            std::min({device_label[i], resource_label[opt.r_compute],
-                      resource_label[opt.r_access],
-                      resource_label[opt.r_fronthaul]});
-        for (std::size_t* label :
-             {&device_label[i], &resource_label[opt.r_compute],
-              &resource_label[opt.r_access],
-              &resource_label[opt.r_fronthaul]}) {
-          if (*label != m) {
-            *label = m;
-            changed = true;
+      for (const topology::BaseStationId k :
+           topo.coverable_stations(topology::DeviceId{i})) {
+        for (const topology::ServerId s : topo.reachable_servers(k)) {
+          const std::size_t nodes[] = {i, devices + k.value,
+                                       devices + stations + s.value};
+          std::size_t m = label[nodes[0]];
+          for (const std::size_t v : nodes) m = std::min(m, label[v]);
+          for (const std::size_t v : nodes) {
+            touched[v] = true;
+            if (label[v] != m) {
+              label[v] = m;
+              changed = true;
+            }
           }
         }
       }
     }
   }
   OracleComponents oracle;
-  oracle.device_component.assign(devices, kNone);
-  oracle.resource_component.assign(resources, kNone);
-  std::vector<std::uint32_t> label_component(devices + resources, kNone);
+  std::vector<std::uint32_t> label_component(label.size(), kNone);
   for (std::size_t i = 0; i < devices; ++i) {
-    if (label_component[device_label[i]] == kNone) {
-      label_component[device_label[i]] =
-          static_cast<std::uint32_t>(oracle.count++);
+    if (label_component[label[i]] == kNone) {
+      label_component[label[i]] = static_cast<std::uint32_t>(oracle.count++);
     }
-    oracle.device_component[i] = label_component[device_label[i]];
+    oracle.device_component.push_back(label_component[label[i]]);
   }
-  for (std::size_t r = 0; r < resources; ++r) {
-    if (!touched[r]) continue;
-    oracle.resource_component[r] = label_component[resource_label[r]];
+  const auto component_of = [&](std::size_t v) {
+    return touched[v] ? label_component[label[v]] : kNone;
+  };
+  for (std::size_t k = 0; k < stations; ++k) {
+    oracle.station_component.push_back(component_of(devices + k));
+  }
+  for (std::size_t s = 0; s < servers; ++s) {
+    oracle.server_component.push_back(component_of(devices + stations + s));
   }
   return oracle;
 }
 
-// The plan against the oracle: same count, the same members per component
-// (devices, and stations / servers through their global resources), every
-// list ascending and the lists partitioning what the options touch.
+// The plan against the oracle: same count, the same members per component,
+// every list ascending and the lists partitioning what the coverable pairs
+// touch; the options are the global problem's.
 void expect_plan_matches_oracle(const WcgComponents& wcg,
+                                const Instance& instance,
                                 const WcgProblem& global) {
-  const OracleComponents oracle = brute_force_components(global);
+  const OracleComponents oracle = brute_force_components(instance.topology());
   ASSERT_EQ(wcg.count(), oracle.count);
   ASSERT_GE(wcg.count(), 1u);
   EXPECT_EQ(wcg.num_devices(), global.num_devices());
   EXPECT_EQ(wcg.num_options(), global.num_options());
-  const std::size_t servers = global.num_servers();
-  const std::size_t stations = global.num_base_stations();
   std::size_t devices = 0;
-  std::size_t resources = 0;
+  std::size_t stations = 0;
+  std::size_t servers = 0;
   for (std::size_t c = 0; c < wcg.count(); ++c) {
     const auto members = wcg.devices(c);
     ASSERT_FALSE(members.empty()) << "component " << c;
@@ -151,21 +149,32 @@ void expect_plan_matches_oracle(const WcgComponents& wcg,
     }
     EXPECT_TRUE(std::is_sorted(wcg.stations(c).begin(), wcg.stations(c).end()));
     for (const std::uint32_t k : wcg.stations(c)) {
-      EXPECT_EQ(oracle.resource_component[servers + k], c) << "station " << k;
-      EXPECT_EQ(oracle.resource_component[servers + stations + k], c);
+      EXPECT_EQ(oracle.station_component[k], c) << "station " << k;
     }
     EXPECT_TRUE(std::is_sorted(wcg.servers(c).begin(), wcg.servers(c).end()));
     for (const std::uint32_t s : wcg.servers(c)) {
-      EXPECT_EQ(oracle.resource_component[s], c) << "server " << s;
+      EXPECT_EQ(oracle.server_component[s], c) << "server " << s;
     }
     devices += members.size();
-    resources += wcg.servers(c).size() + 2 * wcg.stations(c).size();
+    stations += wcg.stations(c).size();
+    servers += wcg.servers(c).size();
   }
   EXPECT_EQ(devices, global.num_devices());
-  const auto touched = std::count_if(
-      oracle.resource_component.begin(), oracle.resource_component.end(),
-      [](std::uint32_t c) { return c != kNone; });
-  EXPECT_EQ(resources, static_cast<std::size_t>(touched));
+  const auto listed = [](const std::vector<std::uint32_t>& component) {
+    return static_cast<std::size_t>(
+        std::count_if(component.begin(), component.end(),
+                      [](std::uint32_t c) { return c != kNone; }));
+  };
+  EXPECT_EQ(stations, listed(oracle.station_component));
+  EXPECT_EQ(servers, listed(oracle.server_component));
+}
+
+// The groups of a grouped world that have devices: one component each.
+std::size_t occupied_groups(const GroupedWorld& world) {
+  std::vector<bool> occupied(world.groups, false);
+  for (const std::size_t g : world.device_group) occupied[g] = true;
+  return static_cast<std::size_t>(
+      std::count(occupied.begin(), occupied.end(), true));
 }
 
 // Component c's problem against the global rebuild restricted to it, bit
@@ -224,8 +233,9 @@ TEST_P(ComponentFuzz, PlannerMatchesBruteForceOracle) {
   const Frequencies frequencies = w.instance.max_frequencies();
   const WcgProblem global(w.instance, w.state, frequencies);
   WcgComponents wcg;
-  build_components(wcg, w.instance, w.state, frequencies, 1);
-  expect_plan_matches_oracle(wcg, global);
+  wcg.build(w.instance, w.state, frequencies, 1);
+  expect_plan_matches_oracle(wcg, w.instance, global);
+  EXPECT_EQ(wcg.count(), occupied_groups(w.grouped));
 }
 
 TEST_P(ComponentFuzz, BuiltComponentsEqualTheGlobalRebuildRestricted) {
@@ -240,7 +250,7 @@ TEST_P(ComponentFuzz, BuiltComponentsEqualTheGlobalRebuildRestricted) {
   const WcgProblem global(w.instance, w.state, frequencies);
   for (const std::size_t workers : {1, 4}) {
     WcgComponents wcg;
-    build_components(wcg, w.instance, w.state, frequencies, workers);
+    wcg.build(w.instance, w.state, frequencies, workers);
     for (std::size_t c = 0; c < wcg.count(); ++c) {
       SCOPED_TRACE(c);
       expect_component_is_restriction(wcg, c, global);
@@ -293,7 +303,7 @@ TEST_P(ComponentFuzz, BdmaP2aOverComponentsEqualsGlobalSolvers) {
         // the component problems, each the global problem restricted to
         // its component (the test above).
         WcgComponents wcg;
-        build_components(wcg, w.instance, w.state,
+        wcg.build(w.instance, w.state,
                          w.instance.min_frequencies(), 1);
         std::vector<Profile> profiles(wcg.count());
         std::vector<std::uint64_t> seeds(wcg.count());
@@ -410,6 +420,19 @@ TEST_P(ComponentFuzz, ComponentCountersSumToFlushedTotals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ComponentFuzz, ::testing::Range(0, 25));
 
+// The fuzz worlds plan one component and several.
+TEST(ComponentFuzzWorlds, SomeSeedsPlanSeveralComponents) {
+  std::size_t several = 0;
+  for (int seed = 0; seed < 25; ++seed) {
+    const FuzzWorld w = fuzz_world(110'000 + seed);
+    WcgComponents wcg;
+    wcg.build(w.instance, w.state, w.instance.max_frequencies(), 0);
+    if (wcg.count() >= 2) ++several;
+  }
+  EXPECT_GT(several, 0u);
+  EXPECT_LT(several, 25u);
+}
+
 // Algorithm 2 over one global WcgProblem with a carried warm start — the
 // reference the per-component BDMA must reproduce bit for bit.
 struct GlobalBdma {
@@ -515,28 +538,16 @@ TEST(ComponentMetroScenario, BdmaOverSlotsEqualsGlobalLoop) {
   }
 }
 
-// A coverage change under a plan of several components is caught inside
-// the build and re-planned: a device that reaches into a neighbouring
-// district merges the two components for that slot, and the next slot
-// splits them again — every slot still equal to the global loop. A device
-// that loses all coverage throws, and the slot after it recovers.
-// Coverage changes under a memoised plan re-plan and stay exact. Grouped
-// worlds are box-free, so a device may gain another group's station: here
-// device 0 does at slot 1, merging its component with that group's. A slot
-// where a device has no usable link throws before any draw and drops the
-// plan.
-TEST(ComponentGroupedWorld, CoverageChangesReplanAndStayExact) {
+// Coverage moves within the coverable lists keep the plan and stay exact:
+// each grouped-world slot redraws which of its group's stations a device
+// reaches. A slot where a device has no usable link throws before any
+// draw, and the next slot reuses the plan.
+TEST(ComponentGroupedWorld, CoverageMovesReuseThePlanAndStayExact) {
   // The first fuzz world whose three groups all have devices.
   unsigned seed = 0;
-  std::size_t groups = 0;
   for (;; ++seed) {
     util::Rng probe(seed);
-    const GroupedWorld world = random_grouped_world(probe);
-    std::vector<bool> occupied(world.groups, false);
-    for (const std::size_t g : world.device_group) occupied[g] = true;
-    groups = static_cast<std::size_t>(
-        std::count(occupied.begin(), occupied.end(), true));
-    if (groups == 3) break;
+    if (occupied_groups(random_grouped_world(probe)) == 3) break;
   }
   util::Rng world_rng(seed);
   const GroupedWorld world = random_grouped_world(world_rng);
@@ -544,11 +555,6 @@ TEST(ComponentGroupedWorld, CoverageChangesReplanAndStayExact) {
       Instance::random(world.topology, world_rng, world_rng.uniform(0.1, 5.0));
   std::vector<SlotState> states;
   for (int t = 0; t < 4; ++t) states.push_back(grouped_state(world, world_rng));
-  // A station of another group than device 0's.
-  std::size_t foreign = 0;
-  while (world.station_group[foreign] == world.device_group[0]) ++foreign;
-  ASSERT_EQ(states[1].channel[0][foreign], 0.0);
-  states[1].channel[0][foreign] = 20.0;
   SlotState blackout = states[2];
   for (double& h : blackout.channel.back()) h = 0.0;
 
@@ -558,10 +564,11 @@ TEST(ComponentGroupedWorld, CoverageChangesReplanAndStayExact) {
   BdmaWorkspace workspace;
   util::Rng reference_rng(7);
   util::Rng rng(7);
-  const std::vector<std::size_t> expected_counts = {groups, groups - 1, groups,
-                                                    groups};
   for (std::size_t t = 0; t < states.size(); ++t) {
     SCOPED_TRACE(t);
+    if (t > 0) {
+      ASSERT_NE(states[t].channel, states[t - 1].channel);
+    }
     if (t == 3) {
       EXPECT_THROW((void)bdma(instance, blackout, 100.0, 5.0, config, rng,
                               workspace),
@@ -581,12 +588,119 @@ TEST(ComponentGroupedWorld, CoverageChangesReplanAndStayExact) {
     const BdmaResult expected =
         reference.step(instance, states[t], 100.0, 5.0, config, reference_rng);
     expect_same_result(actual, expected);
-    ASSERT_EQ(workspace.problem.count(), expected_counts[t]);
-    expect_plan_matches_oracle(workspace.problem, reference.problem);
-    // Slot 0 plans, 1 and 2 re-plan on the changed coverage, 3 re-plans
-    // after the blackout slot dropped the plan.
-    EXPECT_EQ(observed.component_finds, 1u);
-    EXPECT_EQ(observed.component_reuses, 0u);
+    ASSERT_EQ(workspace.problem.count(), 3u);
+    expect_plan_matches_oracle(workspace.problem, instance, reference.problem);
+    // Slot 0 plans; every later slot, the one after the blackout included,
+    // reuses the plan.
+    EXPECT_EQ(observed.component_finds, t == 0 ? 1u : 0u);
+    EXPECT_EQ(observed.component_reuses, t == 0 ? 0u : 1u);
+  }
+}
+
+// The paper world's mobile devices move in and out of the mid-band cells,
+// so its coverage moves every slot; its one component is planned once per
+// instance, and every slot equals the global loop. A second instance
+// re-plans.
+TEST(ComponentPaperScenario, MovingCoveragePlansOncePerInstance) {
+  constexpr std::size_t kSlots = 24;
+  sim::ScenarioConfig scenario_config;
+  scenario_config.devices = 40;
+  sim::Scenario scenario(scenario_config);
+  const Instance& instance = scenario.instance();
+  BdmaConfig config;
+  GlobalBdma reference;
+  BdmaWorkspace workspace;
+  util::Rng reference_rng(11);
+  util::Rng rng(11);
+  counters::SolverCounters observed;
+  std::vector<std::vector<bool>> previous;
+  for (std::size_t slot = 0; slot < kSlots; ++slot) {
+    SCOPED_TRACE(slot);
+    const SlotState state = scenario.next_state();
+    std::vector<std::vector<bool>> coverage;
+    for (const std::vector<double>& row : state.channel) {
+      coverage.emplace_back();
+      for (const double h : row) coverage.back().push_back(h > 0.0);
+    }
+    ASSERT_NE(coverage, previous);
+    previous = std::move(coverage);
+    const double q = 10.0 * static_cast<double>(slot);
+    const BdmaResult expected =
+        reference.step(instance, state, 100.0, q, config, reference_rng);
+    BdmaResult actual;
+    {
+      const counters::Scope scope(observed);
+      actual = bdma(instance, state, 100.0, q, config, rng, workspace);
+    }
+    expect_same_result(actual, expected);
+    ASSERT_EQ(rng.engine(), reference_rng.engine());
+    ASSERT_EQ(workspace.problem.count(), 1u);
+  }
+  EXPECT_EQ(observed.component_finds, 1u);
+  EXPECT_EQ(observed.component_reuses, kSlots - 1);
+  EXPECT_EQ(observed.arena_precomputes, 1u);
+  EXPECT_EQ(observed.arena_precompute_reuses, kSlots - 1);
+
+  scenario_config.seed += 1;
+  sim::Scenario other(scenario_config);
+  const SlotState state = other.next_state();
+  counters::SolverCounters replanned;
+  {
+    const counters::Scope scope(replanned);
+    workspace.problem.build(other.instance(), state,
+                            other.instance().max_frequencies(), 0);
+  }
+  EXPECT_EQ(replanned.component_finds, 1u);
+  EXPECT_EQ(replanned.component_reuses, 0u);
+  EXPECT_EQ(replanned.arena_precomputes, 1u);
+  const WcgProblem global(other.instance(), state,
+                          other.instance().max_frequencies());
+  expect_component_is_restriction(workspace.problem, 0, global);
+}
+
+// A metro slot where devices of two districts have no usable link, or a
+// NaN h, fails in two components at once, after a good slot planned them.
+// Every worker count reports the lower component's failure — the error a
+// serial loop meets first.
+TEST(ComponentMetroScenario, TwoFailingDistrictsReportTheSameError) {
+  sim::Scenario scenario(small_metro_config());
+  const Instance& instance = scenario.instance();
+  const SlotState good = scenario.next_state();
+  const SlotState state = scenario.next_state();
+  WcgComponents plan;
+  plan.build(instance, state, instance.max_frequencies(), 0);
+  ASSERT_EQ(plan.count(), 4u);
+  const std::uint32_t low = plan.devices(1).front();
+  const std::uint32_t high = plan.devices(2).back();
+  SlotState blackout = state;
+  SlotState not_a_number = state;
+  for (const std::uint32_t i : {low, high}) {
+    std::fill(blackout.channel[i].begin(), blackout.channel[i].end(), 0.0);
+    *std::ranges::find_if(not_a_number.channel[i],
+                          [](double h) { return h > 0.0; }) =
+        std::numeric_limits<double>::quiet_NaN();
+  }
+  for (const SlotState* bad : {&blackout, &not_a_number}) {
+    std::string first;
+    for (const std::size_t workers : {0, 1, 4}) {
+      SCOPED_TRACE(workers);
+      BdmaConfig config;
+      config.cgba.shard_workers = workers;
+      BdmaWorkspace workspace;
+      util::Rng rng(3);
+      (void)bdma(instance, good, 100.0, 5.0, config, rng, workspace);
+      try {
+        (void)bdma(instance, *bad, 100.0, 5.0, config, rng, workspace);
+        FAIL() << "the failing slot was accepted";
+      } catch (const std::invalid_argument& error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("device " + std::to_string(low) + " has "),
+                  std::string::npos)
+            << message;
+        if (first.empty()) first = message;
+        EXPECT_EQ(message, first);
+      }
+    }
   }
 }
 
@@ -655,9 +769,9 @@ TEST(ComponentMetroScenario, AlternatingInstancesEachGetTheirOwnPlan) {
     sim::Scenario& scenario = t % 2 == 0 ? scenario_a : scenario_b;
     const Instance& instance = scenario.instance();
     const SlotState state = scenario.next_state();
-    build_components(shared, instance, state, instance.max_frequencies(), 2);
+    shared.build(instance, state, instance.max_frequencies(), 2);
     const WcgProblem global(instance, state, instance.max_frequencies());
-    expect_plan_matches_oracle(shared, global);
+    expect_plan_matches_oracle(shared, instance, global);
     for (std::size_t c = 0; c < shared.count(); ++c) {
       expect_component_is_restriction(shared, c, global);
     }
@@ -673,7 +787,7 @@ TEST(ComponentPaperScenario, SingleComponent) {
   const SlotState state = scenario.next_state();
   const Instance& instance = scenario.instance();
   WcgComponents wcg;
-  build_components(wcg, instance, state, instance.max_frequencies(), 8);
+  wcg.build(instance, state, instance.max_frequencies(), 8);
   ASSERT_EQ(wcg.count(), 1u);
   const WcgProblem global(instance, state, instance.max_frequencies());
   expect_component_is_restriction(wcg, 0, global);
@@ -688,8 +802,38 @@ TEST(ComponentMetroScenario, OneComponentPerDistrictAcrossSlots) {
   WcgComponents wcg;
   for (int slot = 0; slot < 5; ++slot) {
     const SlotState state = scenario.next_state();
-    build_components(wcg, instance, state, instance.max_frequencies(), 2);
+    wcg.build(instance, state, instance.max_frequencies(), 2);
     ASSERT_EQ(wcg.count(), config.metro_districts) << "slot " << slot;
+  }
+}
+
+// A device whose roaming box meets no coverage disc can never be served:
+// the plan rejects the instance, naming the device.
+TEST(ComponentPlan, ADeviceWithNoCoverableStationIsRejected) {
+  topology::TopologyBuilder builder;
+  builder.set_region({2000.0, 1000.0});
+  const auto room = builder.add_cluster("room", {500.0, 500.0});
+  builder.add_server("s0", room, 64, 1.8, 3.6,
+                     std::make_shared<energy::QuadraticEnergy>(5.0, 2.0, 20.0));
+  builder.add_base_station("bs-0", {500.0, 500.0}, topology::Band::kLow, 300.0,
+                           80e6, 0.8e9, 10.0, {room});
+  builder.add_device("near", {500.0, 500.0});
+  builder.add_device("far", {1500.0, 500.0}, 1.5,
+                     topology::BoundingBox{1400.0, 400.0, 1600.0, 600.0});
+  const Instance instance(
+      std::make_shared<topology::Topology>(builder.build()),
+      SuitabilityMatrix(2, std::vector<double>(1, 1.0)), 1.0);
+  SlotState state = test::uniform_state(2, 1);
+  state.channel[1][0] = 0.0;
+  WcgComponents wcg;
+  try {
+    wcg.build(instance, state, instance.max_frequencies(), 0);
+    FAIL() << "the unservable device was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("device 1 has no coverable "
+                                             "station"),
+              std::string::npos)
+        << error.what();
   }
 }
 

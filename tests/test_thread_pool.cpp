@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -67,6 +69,33 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   }
   // Every other index still ran (the pool drains the index space).
   EXPECT_EQ(completed.load(), 63);
+}
+
+// Two indices fail on two workers: the high one at once, the low one only
+// after it. The low one's error is rethrown, as a serial loop would throw
+// it, not the first to complete.
+TEST(ThreadPool, RethrowsTheLowestFailingIndex) {
+  ThreadPool pool(2);
+  std::atomic<bool> high_failed{false};
+  try {
+    pool.parallel_for_index(2, 2, [&](std::size_t i) {
+      if (i == 1) {
+        high_failed = true;
+        throw std::runtime_error("high");
+      }
+      // Bounded: one worker may take both indices, index 0 first.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (!high_failed && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error("low");
+    });
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "low");
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {

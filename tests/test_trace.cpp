@@ -1,12 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "trace/decompose.h"
 #include "trace/noise.h"
 #include "trace/periodic.h"
 #include "trace/price_trace.h"
-#include "trace/trace_io.h"
 #include "trace/workload_trace.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -162,42 +159,6 @@ TEST(WorkloadTrace, RejectsBadConfig) {
   config.low = 10.0;
   config.high = 5.0;
   EXPECT_THROW(WorkloadTrace(config, util::Rng(1)), std::invalid_argument);
-}
-
-TEST(TraceIo, CsvRoundTrip) {
-  const std::vector<Series> series = {{"price", {1.5, 2.25, 3.0}},
-                                      {"load", {10.0, 20.0, 30.0}}};
-  std::stringstream buffer;
-  write_csv(buffer, series);
-  const auto parsed = read_csv(buffer);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].name, "price");
-  EXPECT_EQ(parsed[1].name, "load");
-  ASSERT_EQ(parsed[0].values.size(), 3u);
-  EXPECT_DOUBLE_EQ(parsed[0].values[1], 2.25);
-  EXPECT_DOUBLE_EQ(parsed[1].values[2], 30.0);
-}
-
-TEST(TraceIo, RejectsRaggedRows) {
-  std::stringstream buffer("a,b\n1,2\n3\n");
-  EXPECT_THROW((void)read_csv(buffer), std::invalid_argument);
-}
-
-TEST(TraceIo, RejectsNonNumeric) {
-  std::stringstream buffer("a\nhello\n");
-  EXPECT_THROW((void)read_csv(buffer), std::invalid_argument);
-}
-
-TEST(TraceIo, RejectsEmptyInput) {
-  std::stringstream buffer("");
-  EXPECT_THROW((void)read_csv(buffer), std::invalid_argument);
-}
-
-TEST(TraceIo, MismatchedSeriesLengthsRejected) {
-  std::stringstream buffer;
-  EXPECT_THROW(
-      write_csv(buffer, {{"a", {1.0}}, {"b", {1.0, 2.0}}}),
-      std::invalid_argument);
 }
 
 TEST(Decompose, RecoversExactPeriodicSeries) {

@@ -1,16 +1,15 @@
 // Incremental equals from scratch for the patched slot. A WcgComponents kept
 // across a sparse state stream keeps the option rows of the devices whose
 // inputs did not change, and its engines re-bind only the devices a build
-// re-derived; one slot mid-stream moves a device's coverage, which on a
-// plan of several components makes a checked build return false and the
-// slot re-plan. After every build it must be indistinguishable from
-// components built fresh for the same state: the same options and weights,
-// and the same engine best responses, term refreshes and CGBA solves (both
-// selection modes), all bit for bit. The same holds when one key field
-// alone changes, after a build that returned false or threw, for an engine
-// bound two builds back, and for a different Instance at the address of
-// the one the rows came from. The suite also pins the one covering rule
-// both coverage scans apply.
+// re-derived; one slot mid-stream moves a device's coverage within its
+// coverable list, which keeps the plan. After every build it must be
+// indistinguishable from components built fresh for the same state: the
+// same options and weights, and the same engine best responses, term
+// refreshes and CGBA solves (both selection modes), all bit for bit. The
+// same holds when one key field alone changes, after a build that threw,
+// for an engine bound two builds back, and for a different Instance at the
+// address of the one the rows came from. The suite also pins the covering
+// rule of the build's coverage scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -165,11 +164,9 @@ TEST_P(PatchedStream, KeptComponentsEqualFreshOnesAfterEveryBuild) {
       const Frequencies omega = random_frequencies(instance, rng);
       {
         const counters::Scope scope(work);
-        kept.begin(instance, state);
         kept.build(instance, state, omega, workers);
       }
       WcgComponents fresh;
-      fresh.begin(instance, state);
       fresh.build(instance, state, omega, 0);
       ASSERT_EQ(kept.count(), fresh.count());
       for (std::size_t c = 0; c < fresh.count(); ++c) {
@@ -182,9 +179,9 @@ TEST_P(PatchedStream, KeptComponentsEqualFreshOnesAfterEveryBuild) {
         if (HasFatalFailure()) return;
       }
     }
-    // The mid-stream coverage change re-planned; under a plan of several
-    // components that takes a checked build returning false first.
-    EXPECT_GE(work.component_finds, 2u);
+    // The plan is the instance's: the mid-stream coverage change kept it.
+    EXPECT_EQ(work.component_finds, 1u);
+    EXPECT_EQ(work.component_reuses, kSlots - 1);
     // Every build re-derived or kept each device once, and the stream's
     // first build derived them all; after it, most rows were kept.
     const std::size_t devices = instance.num_devices();
@@ -224,16 +221,13 @@ struct SmallWorld {
   }
 };
 
-// The one-subset layout rebuild() builds over, with `coverage` as the
-// subset's coverage check.
+// The one-subset layout rebuild() builds over.
 struct IdentitySubset {
   std::vector<std::uint32_t> devices;
   std::vector<std::uint32_t> stations;
   std::vector<std::uint32_t> servers;
-  std::vector<std::size_t> coverage_offsets{0};
-  std::vector<std::uint32_t> coverage;
 
-  IdentitySubset(const Instance& instance, const SlotState& planned) {
+  explicit IdentitySubset(const Instance& instance) {
     for (std::uint32_t i = 0; i < instance.num_devices(); ++i) {
       devices.push_back(i);
     }
@@ -243,82 +237,76 @@ struct IdentitySubset {
     for (std::uint32_t s = 0; s < instance.num_servers(); ++s) {
       servers.push_back(s);
     }
-    for (const std::vector<double>& row : planned.channel) {
-      for (std::uint32_t k = 0; k < row.size(); ++k) {
-        if (row[k] > 0.0) coverage.push_back(k);
-      }
-      coverage_offsets.push_back(coverage.size());
-    }
   }
-  [[nodiscard]] WcgSubset subset(bool check) const {
+  [[nodiscard]] WcgSubset subset() const {
     WcgSubset out;
     out.devices = devices;
     out.stations = stations;
     out.servers = servers;
     out.station_local = stations;
     out.server_local = servers;
-    if (check) {
-      out.coverage_offsets = coverage_offsets;
-      out.coverage = coverage;
-    }
     return out;
   }
 };
 
-// After a build that returned false on a coverage mismatch, or threw, the
-// next build re-derives every row (its keys were forgotten), and an engine
-// bound before the failure binds in full and matches a fresh one.
-TEST(PatchedBuild, AFailedOrThrowingBuildForgetsEveryKey) {
+// After a build that threw, the next build re-derives every row (its keys
+// were forgotten), and an engine bound before the failure binds in full and
+// matches a fresh one.
+TEST(PatchedBuild, AThrowingBuildForgetsEveryKey) {
   const SmallWorld world(180'000);
   const Instance& instance = world.instance();
   const Frequencies omega = instance.max_frequencies();
   StationTables tables;
-  tables.refresh(instance.topology());
-  // A plan that misses the last device's last covering station of s1.
-  IdentitySubset planned(instance, world.states[1]);
-  planned.coverage.pop_back();
-  --planned.coverage_offsets.back();
+  tables.refresh(instance);
+  const IdentitySubset all(instance);
 
   WcgProblem problem;
   BestResponseEngine engine;
   util::Rng rng(1);
-  ASSERT_TRUE(problem.build(instance, world.states[0], omega,
-                            planned.subset(false), tables));
+  problem.build(instance, world.states[1], omega, all.subset(), tables);
   engine.bind(problem);
-  EXPECT_FALSE(problem.build(instance, world.states[1], omega,
-                             planned.subset(true), tables));
-  EXPECT_EQ(problem.generation(), 0u);
 
+  SlotState blacked_out = world.states[2];
+  for (double& h : blacked_out.channel[7]) h = 0.0;
+  EXPECT_THROW(
+      problem.build(instance, blacked_out, omega, all.subset(), tables),
+      std::invalid_argument);
+  EXPECT_EQ(problem.generation(), 0u);
   counters::SolverCounters work;
   {
     const counters::Scope scope(work);
-    ASSERT_TRUE(problem.build(instance, world.states[1], omega,
-                              planned.subset(false), tables));
+    problem.build(instance, world.states[2], omega, all.subset(), tables);
   }
   EXPECT_EQ(work.arena_device_builds, instance.num_devices());
   EXPECT_EQ(work.arena_device_reuses, 0u);
   EXPECT_EQ(problem.patched_from(), 0u);
-  const WcgProblem fresh(instance, world.states[1], omega);
+  const WcgProblem fresh(instance, world.states[2], omega);
   expect_same_problem(problem, fresh);
   expect_same_engine(problem, engine, fresh, rng);
+}
 
-  SlotState blacked_out = world.states[2];
-  for (double& h : blacked_out.channel[7]) h = 0.0;
-  EXPECT_THROW(problem.build(instance, blacked_out, omega,
-                             planned.subset(false), tables),
-               std::invalid_argument);
-  EXPECT_EQ(problem.generation(), 0u);
-  work.reset();
-  {
-    const counters::Scope scope(work);
-    ASSERT_TRUE(problem.build(instance, world.states[2], omega,
-                              planned.subset(false), tables));
+// A subset holds every coverable station and reachable server of its
+// devices: one that misses either is rejected when it is laid out.
+TEST(PatchedBuild, ASubsetMissingAStationOrServerIsRejected) {
+  const SmallWorld world(230'000);
+  const Instance& instance = world.instance();
+  StationTables tables;
+  tables.refresh(instance);
+  for (const bool drop_station : {true, false}) {
+    IdentitySubset partial(instance);
+    (drop_station ? partial.stations : partial.servers).pop_back();
+    WcgProblem problem;
+    try {
+      problem.build(instance, world.states[0], instance.max_frequencies(),
+                    partial.subset(), tables);
+      ADD_FAILURE() << "a partial subset was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("outside the subset"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(problem.generation(), 0u);
   }
-  EXPECT_EQ(work.arena_device_reuses, 0u);
-  EXPECT_EQ(problem.patched_from(), 0u);
-  const WcgProblem fresh2(instance, world.states[2], omega);
-  expect_same_problem(problem, fresh2);
-  expect_same_engine(problem, engine, fresh2, rng);
 }
 
 // A build that re-derives no row keeps its generation, so an engine bound
@@ -449,10 +437,10 @@ TEST(PatchedBuild, AnotherInstanceAtTheSameAddressRederivesEveryRow) {
   expect_same_engine(problem, engine, fresh, rng);
 }
 
-// Both coverage scans apply one rule: h > 0 covers, and a NaN or infinite
-// h is rejected naming the device, the station and the slot — before the
-// slot's first P2-A draw.
-TEST(CoveringRule, ANonFiniteChannelGainIsRejectedByEveryScan) {
+// The build's coverage scan applies one rule: h > 0 covers, and a NaN or
+// infinite h is rejected naming the device, the station and the slot —
+// before the slot's first P2-A draw.
+TEST(CoveringRule, ANonFiniteChannelGainIsRejectedByEveryBuild) {
   const Instance instance = test::tiny_instance(2);
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
@@ -473,10 +461,7 @@ TEST(CoveringRule, ANonFiniteChannelGainIsRejectedByEveryScan) {
     }
     WcgComponents components;
     EXPECT_THROW(
-        {
-          components.begin(instance, state);
-          components.build(instance, state, instance.max_frequencies(), 0);
-        },
+        components.build(instance, state, instance.max_frequencies(), 0),
         std::invalid_argument);
 
     const auto policy = sim::make_policy("dpp-bdma", instance, {});
