@@ -367,8 +367,17 @@ int main(int argc, char** argv) {
     if (!trace_out.empty()) {
       util::trace::set_enabled(false);
       util::trace::write_chrome_json(trace_out);
+      const std::size_t dropped = util::trace::dropped_count();
       std::cout << "wrote " << util::trace::event_count()
-                << " trace events to " << trace_out << "\n";
+                << " trace events to " << trace_out << " (" << dropped
+                << " dropped)\n";
+      if (dropped > 0) {
+        std::cerr << "warning: " << dropped
+                  << " trace events were dropped at the cap of "
+                  << util::trace::kMaxEventsPerThread
+                  << " per thread; the trace covers only the start of the "
+                     "run\n";
+      }
     }
     const int audit_exit = auditing ? report_audit(result.audit) : 0;
     return session_failed ? 1 : audit_exit;

@@ -54,9 +54,10 @@ struct CgbaConfig {
                                const CgbaConfig& config, util::Rng& rng);
 
 // Runs CGBA from a caller-supplied initial profile. The controllers start
-// every slot's first solve from WcgProblem::warm_profile of the assignment
-// they carried over from the previous slot, and BDMA's later iterations
-// from the previous iteration's profile. When `final_loads` is non-null it
+// every slot's first solve from WcgComponents::draw_profiles with the
+// assignment they carried over from the previous slot kept by
+// WcgComponents::keep_carried, and BDMA's later iterations from the
+// previous iteration's profile. When `final_loads` is non-null it
 // receives the solver's final tracked per-resource loads P_r — the exact
 // bits result.cost was summed from. WcgComponents::total_cost scatters a
 // slot's per-component loads into the global layout to reproduce the global

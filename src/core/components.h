@@ -116,10 +116,10 @@ class WcgComponents {
   // WcgProblem::random_profile on the global problem.
   void draw_profiles(util::Rng& rng, std::vector<Profile>& profiles) const;
 
-  // WcgProblem::warm_profile's keep step for component c: every device
-  // whose carried (bs, server) pair is still one of its options keeps it.
-  // An empty `carried` keeps nothing; otherwise it must cover every device
-  // of the slot, or this throws.
+  // The warm start's keep step for component c, after draw_profiles: every
+  // device whose carried (bs, server) pair is still one of its options
+  // keeps it; the others keep their draw. An empty `carried` keeps nothing;
+  // otherwise it must cover every device of the slot, or this throws.
   void keep_carried(std::size_t c, const Assignment& carried,
                     Profile& profile) const;
 

@@ -123,39 +123,4 @@ double reduced_latency(const Instance& instance, const SlotState& state,
       .total();
 }
 
-bool allocation_feasible(const Instance& instance, const Assignment& assignment,
-                         const ResourceAllocation& allocation,
-                         double tolerance) {
-  const auto& topo = instance.topology();
-  if (allocation.phi.size() != instance.num_devices() ||
-      allocation.psi_access.size() != instance.num_devices() ||
-      allocation.psi_fronthaul.size() != instance.num_devices()) {
-    return false;
-  }
-  std::vector<double> phi_sum(topo.num_servers(), 0.0);
-  std::vector<double> psi_a_sum(topo.num_base_stations(), 0.0);
-  std::vector<double> psi_f_sum(topo.num_base_stations(), 0.0);
-  for (std::size_t i = 0; i < instance.num_devices(); ++i) {
-    const double phi = allocation.phi[i];
-    const double psi_a = allocation.psi_access[i];
-    const double psi_f = allocation.psi_fronthaul[i];
-    if (phi < 0.0 || phi > 1.0 + tolerance) return false;
-    if (psi_a < 0.0 || psi_a > 1.0 + tolerance) return false;
-    if (psi_f < 0.0 || psi_f > 1.0 + tolerance) return false;
-    phi_sum[assignment.server_of[i]] += phi;
-    psi_a_sum[assignment.bs_of[i]] += psi_a;
-    psi_f_sum[assignment.bs_of[i]] += psi_f;
-  }
-  for (double s : phi_sum) {
-    if (s > 1.0 + tolerance) return false;
-  }
-  for (double s : psi_a_sum) {
-    if (s > 1.0 + tolerance) return false;
-  }
-  for (double s : psi_f_sum) {
-    if (s > 1.0 + tolerance) return false;
-  }
-  return true;
-}
-
 }  // namespace eotora::core

@@ -52,11 +52,4 @@ struct ReducedLatencyBreakdown {
     const Instance& instance, const SlotState& state,
     const Assignment& assignment, const Frequencies& frequencies);
 
-// Validates that an allocation satisfies constraints (4)-(6): per-resource
-// shares sum to at most 1 (within `tolerance`) and lie in [0, 1].
-[[nodiscard]] bool allocation_feasible(const Instance& instance,
-                                       const Assignment& assignment,
-                                       const ResourceAllocation& allocation,
-                                       double tolerance = 1e-9);
-
 }  // namespace eotora::core

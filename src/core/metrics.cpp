@@ -1,8 +1,5 @@
 #include "core/metrics.h"
 
-#include <stdexcept>
-#include <string>
-
 #include "util/check.h"
 
 namespace eotora::core {
@@ -31,17 +28,6 @@ void MetricsCollector::reserve(std::size_t slots) {
   latency_series_.reserve(slots);
   queue_series_.reserve(slots);
   cost_series_.reserve(slots);
-}
-
-double MetricsCollector::latency_percentile(double q) const {
-  if (!keep_series_) {
-    throw std::logic_error(
-        "MetricsCollector::latency_percentile requires the per-slot series, "
-        "but set_keep_series(false) disabled them (" +
-        std::to_string(slots()) + " slots aggregated)");
-  }
-  EOTORA_REQUIRE(!latency_series_.empty());
-  return util::percentile(latency_series_, q);
 }
 
 }  // namespace eotora::core

@@ -5,7 +5,7 @@
 // plotting-style benches and tail-window averages. Long streaming runs can
 // disable that with set_keep_series(false): aggregates (means, maxes,
 // counts) keep working in O(1) memory, while the series accessors return
-// empty vectors and latency_percentile() throws.
+// empty vectors.
 #pragma once
 
 #include <vector>
@@ -36,11 +36,6 @@ class MetricsCollector {
   [[nodiscard]] double max_queue() const { return queue_.max(); }
   [[nodiscard]] double average_theta() const { return theta_.mean(); }
   [[nodiscard]] double max_latency() const { return latency_.max(); }
-
-  // Per-slot latency percentile over the recorded series (q in [0, 100]).
-  // Requires at least one recorded slot and keeps_series(); throws
-  // std::logic_error when the series was disabled.
-  [[nodiscard]] double latency_percentile(double q) const;
 
   // Raw per-slot series for plotting-style benches. Empty when
   // set_keep_series(false) was chosen.

@@ -192,56 +192,6 @@ void solve_p2b(const Instance& instance, const SlotState& state,
   out.objective = v * out.latency + q * out.theta;
 }
 
-P2bResult solve_p2b_reference(const Instance& instance, const SlotState& state,
-                              const Assignment& assignment, double v, double q,
-                              double tolerance) {
-  EOTORA_REQUIRE_MSG(v >= 0.0, "V=" << v);
-  EOTORA_REQUIRE_MSG(q >= 0.0, "Q=" << q);
-  const auto& topo = instance.topology();
-  const std::size_t devices = instance.num_devices();
-  EOTORA_REQUIRE(assignment.server_of.size() == devices);
-
-  std::vector<double> load(topo.num_servers(), 0.0);
-  for (std::size_t i = 0; i < devices; ++i) {
-    const std::size_t n = assignment.server_of[i];
-    EOTORA_REQUIRE(n < topo.num_servers());
-    load[n] += std::sqrt(state.task_cycles[i] / instance.suitability(i, n));
-  }
-
-  P2bResult result;
-  result.frequencies.resize(topo.num_servers());
-  const double price = state.price_per_mwh;
-  for (std::size_t n = 0; n < topo.num_servers(); ++n) {
-    const auto& server = topo.server(topology::ServerId{n});
-    const double a_n = load[n] * load[n];
-    if (q == 0.0 && a_n > 0.0) {
-      result.frequencies[n] = server.freq_max_ghz;
-      continue;
-    }
-    if (a_n == 0.0) {
-      result.frequencies[n] = server.freq_min_ghz;
-      continue;
-    }
-    const double cores = static_cast<double>(server.cores);
-    const double cost_scale = q * price * instance.slot_hours() / 1e6;
-    auto objective = [&](double w) {
-      return v * a_n / (cores * w * 1e9) +
-             cost_scale * server.power_watts(w);
-    };
-    auto derivative = [&](double w) {
-      return -v * a_n / (cores * w * w * 1e9) +
-             cost_scale * server.power_derivative_watts(w);
-    };
-    const auto minimum = math::derivative_bisection(
-        objective, derivative, server.freq_min_ghz, server.freq_max_ghz,
-        tolerance);
-    result.frequencies[n] = minimum.x;
-  }
-  result.objective =
-      dpp_objective(instance, state, assignment, result.frequencies, v, q);
-  return result;
-}
-
 double dpp_objective(const Instance& instance, const SlotState& state,
                      const Assignment& assignment,
                      const Frequencies& frequencies, double v, double q) {

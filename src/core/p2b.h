@@ -67,14 +67,6 @@ void solve_p2b(const Instance& instance, const SlotState& state,
                const P2bLoads& loads, double v, double q, double tolerance,
                P2bWorkspace& workspace, P2bResult& out);
 
-// Pre-kernel per-server scalar path, kept verbatim as the differential
-// oracle tests/test_kernels.cpp compares the batched path against.
-[[nodiscard]] P2bResult solve_p2b_reference(const Instance& instance,
-                                            const SlotState& state,
-                                            const Assignment& assignment,
-                                            double v, double q,
-                                            double tolerance = 1e-7);
-
 // f(x, y, Ω) = V·T_t(x, y, Ω, β) + Q·Θ(Ω, p) — the P2 objective (paper §V).
 [[nodiscard]] double dpp_objective(const Instance& instance,
                                    const SlotState& state,

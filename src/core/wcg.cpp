@@ -364,25 +364,6 @@ Profile WcgProblem::random_profile(util::Rng& rng) const {
   return z;
 }
 
-Profile WcgProblem::warm_profile(const Assignment& carried,
-                                 util::Rng& rng) const {
-  Profile z = random_profile(rng);
-  if (carried.bs_of.empty() && carried.server_of.empty()) return z;
-  EOTORA_REQUIRE_MSG(carried.bs_of.size() == num_devices() &&
-                         carried.server_of.size() == num_devices(),
-                     "carried assignment entries=" << carried.bs_of.size()
-                                                   << "/"
-                                                   << carried.server_of.size()
-                                                   << ", devices="
-                                                   << num_devices());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    const std::size_t o =
-        find_option(i, carried.bs_of[i], carried.server_of[i]);
-    if (o < counts_[i]) z[i] = o;
-  }
-  return z;
-}
-
 std::size_t WcgProblem::find_option(std::size_t device, std::size_t bs,
                                     std::size_t server) const {
   const std::span<const Option> opts = options(device);
@@ -418,47 +399,6 @@ double WcgProblem::total_cost(const Profile& z,
                                  scratch.size());
 }
 
-double WcgProblem::player_cost(const Profile& z, std::size_t device) const {
-  std::vector<double> scratch;
-  return player_cost(z, device, scratch);
-}
-
-double WcgProblem::player_cost(const Profile& z, std::size_t device,
-                               std::vector<double>& scratch) const {
-  EOTORA_REQUIRE(device < num_devices());
-  loads_into(z, scratch);
-  const Option& opt = arena_[row_offsets_[device] + z[device]];
-  return weights_[opt.r_compute] * opt.p_compute * scratch[opt.r_compute] +
-         weights_[opt.r_access] * opt.p_access * scratch[opt.r_access] +
-         weights_[opt.r_fronthaul] * opt.p_fronthaul *
-             scratch[opt.r_fronthaul];
-}
-
-double WcgProblem::potential(const Profile& z) const {
-  std::vector<double> loads_scratch;
-  std::vector<double> squares_scratch;
-  return potential(z, loads_scratch, squares_scratch);
-}
-
-double WcgProblem::potential(const Profile& z,
-                             std::vector<double>& loads_scratch,
-                             std::vector<double>& squares_scratch) const {
-  loads_into(z, loads_scratch);
-  squares_scratch.assign(weights_.size(), 0.0);
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    const Option& opt = arena_[row_offsets_[i] + z[i]];
-    squares_scratch[opt.r_compute] += opt.p_compute * opt.p_compute;
-    squares_scratch[opt.r_access] += opt.p_access * opt.p_access;
-    squares_scratch[opt.r_fronthaul] += opt.p_fronthaul * opt.p_fronthaul;
-  }
-  double phi = 0.0;
-  for (std::size_t r = 0; r < weights_.size(); ++r) {
-    phi += 0.5 * weights_[r] *
-           (loads_scratch[r] * loads_scratch[r] + squares_scratch[r]);
-  }
-  return phi;
-}
-
 Assignment WcgProblem::to_assignment(const Profile& z) const {
   EOTORA_REQUIRE(z.size() == num_devices());
   Assignment a;
@@ -471,21 +411,6 @@ Assignment WcgProblem::to_assignment(const Profile& z) const {
     a.server_of[i] = server_ids_[opt.server];
   }
   return a;
-}
-
-Profile WcgProblem::to_profile(const Assignment& assignment) const {
-  EOTORA_REQUIRE(assignment.bs_of.size() == num_devices());
-  EOTORA_REQUIRE(assignment.server_of.size() == num_devices());
-  Profile z(num_devices(), 0);
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    z[i] = find_option(i, assignment.bs_of[i], assignment.server_of[i]);
-    EOTORA_REQUIRE_MSG(z[i] < counts_[i],
-                       "device " << i << " assignment (bs="
-                                 << assignment.bs_of[i] << ", server="
-                                 << assignment.server_of[i]
-                                 << ") is not a feasible option");
-  }
-  return z;
 }
 
 double WcgProblem::singleton_lower_bound() const {
@@ -508,23 +433,13 @@ LoadTracker::LoadTracker(const WcgProblem& problem, Profile profile)
     : problem_(&problem), profile_(std::move(profile)) {
   EOTORA_REQUIRE(profile_.size() == problem.num_devices());
   loads_.assign(problem.num_resources(), 0.0);
-  load_squares_.assign(problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < profile_.size(); ++i) {
     EOTORA_REQUIRE(profile_[i] < problem.options(i).size());
-    add_device(i, problem.options(i)[profile_[i]], +1.0);
+    const Option& option = problem.options(i)[profile_[i]];
+    loads_[option.r_compute] += option.p_compute;
+    loads_[option.r_access] += option.p_access;
+    loads_[option.r_fronthaul] += option.p_fronthaul;
   }
-}
-
-void LoadTracker::add_device(std::size_t device, const Option& option,
-                             double sign) {
-  (void)device;
-  loads_[option.r_compute] += sign * option.p_compute;
-  loads_[option.r_access] += sign * option.p_access;
-  loads_[option.r_fronthaul] += sign * option.p_fronthaul;
-  load_squares_[option.r_compute] += sign * option.p_compute * option.p_compute;
-  load_squares_[option.r_access] += sign * option.p_access * option.p_access;
-  load_squares_[option.r_fronthaul] +=
-      sign * option.p_fronthaul * option.p_fronthaul;
 }
 
 double LoadTracker::total_cost() const {
@@ -675,32 +590,17 @@ void LoadTracker::move(std::size_t device, std::size_t option_index) {
   // skipping them keeps those loads' bits untouched.
   if (cur.r_compute != nxt.r_compute) {
     loads_[cur.r_compute] -= cur.p_compute;
-    load_squares_[cur.r_compute] -= cur.p_compute * cur.p_compute;
     loads_[nxt.r_compute] += nxt.p_compute;
-    load_squares_[nxt.r_compute] += nxt.p_compute * nxt.p_compute;
   }
   if (cur.r_access != nxt.r_access) {
     loads_[cur.r_access] -= cur.p_access;
-    load_squares_[cur.r_access] -= cur.p_access * cur.p_access;
     loads_[nxt.r_access] += nxt.p_access;
-    load_squares_[nxt.r_access] += nxt.p_access * nxt.p_access;
   }
   if (cur.r_fronthaul != nxt.r_fronthaul) {
     loads_[cur.r_fronthaul] -= cur.p_fronthaul;
-    load_squares_[cur.r_fronthaul] -= cur.p_fronthaul * cur.p_fronthaul;
     loads_[nxt.r_fronthaul] += nxt.p_fronthaul;
-    load_squares_[nxt.r_fronthaul] += nxt.p_fronthaul * nxt.p_fronthaul;
   }
   profile_[device] = option_index;
-}
-
-double LoadTracker::potential() const {
-  double phi = 0.0;
-  for (std::size_t r = 0; r < loads_.size(); ++r) {
-    phi += 0.5 * problem_->weight(r) *
-           (loads_[r] * loads_[r] + load_squares_[r]);
-  }
-  return phi;
 }
 
 void BestResponseEngine::SweepSets::clear(std::size_t num_devices,

@@ -223,16 +223,6 @@ class WcgProblem {
   // Uniform random feasible profile.
   [[nodiscard]] Profile random_profile(util::Rng& rng) const;
 
-  // A start profile seeded from `carried`, an assignment decided on an
-  // earlier build (the controllers carry their last P2-A assignment across
-  // slots). Draws random_profile(rng) first, so the rng advances exactly as
-  // there, then every device whose carried (bs, server) pair is still one of
-  // its options keeps that option; the others keep their draw. An empty
-  // `carried` is a cold start and returns the draw unchanged. Throws if
-  // `carried` is non-empty and does not cover exactly num_devices() devices.
-  [[nodiscard]] Profile warm_profile(const Assignment& carried,
-                                     util::Rng& rng) const;
-
   // Index of the option with global base station `bs` and server `server`
   // in device i's option list, or options(i).size() when the pair is not
   // one of its options.
@@ -246,26 +236,9 @@ class WcgProblem {
   [[nodiscard]] double total_cost(const Profile& z,
                                   std::vector<double>& scratch) const;
 
-  // Player i's cost T_i(z) — evaluates from scratch (solvers use LoadTracker
-  // for incremental evaluation).
-  [[nodiscard]] double player_cost(const Profile& z, std::size_t device) const;
-  [[nodiscard]] double player_cost(const Profile& z, std::size_t device,
-                                   std::vector<double>& scratch) const;
-
-  // Exact potential Φ(z). The scratch overload needs two buffers: loads and
-  // own-weight squares.
-  [[nodiscard]] double potential(const Profile& z) const;
-  [[nodiscard]] double potential(const Profile& z,
-                                 std::vector<double>& loads_scratch,
-                                 std::vector<double>& squares_scratch) const;
-
   // Decodes a profile into the (x, y) Assignment, in global station and
   // server ids.
   [[nodiscard]] Assignment to_assignment(const Profile& z) const;
-
-  // Encodes an Assignment back into a profile. Throws if the assignment uses
-  // a pair that is not a feasible option.
-  [[nodiscard]] Profile to_profile(const Assignment& assignment) const;
 
   // A lower bound on the social cost of ANY profile: every device must pay
   // at least its own-weight cost m_r p_{i,r}² on the resources of its best
@@ -348,12 +321,9 @@ class LoadTracker {
   [[nodiscard]] const Profile& profile() const { return profile_; }
   [[nodiscard]] double total_cost() const;
 
-  // Tracked per-resource loads P_r and own-weight squares Σ p² — exposed so
-  // tests can compare the incremental state against a from-scratch oracle.
+  // Tracked per-resource loads P_r — exposed so tests can compare the
+  // incremental state against a from-scratch oracle.
   [[nodiscard]] std::span<const double> loads() const { return loads_; }
-  [[nodiscard]] std::span<const double> load_squares() const {
-    return load_squares_;
-  }
 
   // Player i's current cost given the tracked loads.
   [[nodiscard]] double player_cost(std::size_t device) const;
@@ -393,17 +363,12 @@ class LoadTracker {
   // tracked loads keep their exact bits.
   void move(std::size_t device, std::size_t option_index);
 
-  [[nodiscard]] double potential() const;
-
  private:
   friend class BestResponseEngine;
 
-  void add_device(std::size_t device, const Option& option, double sign);
-
   const WcgProblem* problem_;
   Profile profile_;
-  std::vector<double> loads_;         // P_r
-  std::vector<double> load_squares_;  // Σ_{i∈I_r} p_{i,r}² (for potential)
+  std::vector<double> loads_;  // P_r
 };
 
 // Incremental best-response evaluator over a LoadTracker. best_response(i)

@@ -384,7 +384,6 @@ void FlowSimulator::push_slot(const core::SlotState& state,
 
 HorizonResult FlowSimulator::finish() { return impl_->finish(); }
 
-std::size_t FlowSimulator::slots_pushed() const { return impl_->slots; }
 
 FlowResult simulate_slot(const core::Instance& instance,
                          const core::SlotState& state,

@@ -156,7 +156,7 @@ class FlowSimulator {
   FlowSimulator(const FlowSimulator&) = delete;
   FlowSimulator& operator=(const FlowSimulator&) = delete;
 
-  // Admits slot `slots_pushed()`'s tasks (one per device) and advances the
+  // Admits the next slot's tasks (one per device) and advances the
   // event clock to that slot's start (events strictly before it are
   // processed — later arrivals can no longer affect them).
   void push_slot(const core::SlotState& state, const core::Decision& decision);
@@ -164,8 +164,6 @@ class FlowSimulator {
   // Drains all outstanding flows. The simulator is exhausted afterwards;
   // calling push_slot or finish again throws std::logic_error.
   [[nodiscard]] HorizonResult finish();
-
-  [[nodiscard]] std::size_t slots_pushed() const;
 
  private:
   struct Impl;

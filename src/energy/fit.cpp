@@ -36,15 +36,4 @@ QuadraticEnergy perturbed_model(const QuadraticEnergy& base, util::Rng& rng) {
                          base.c() * (1.0 + 0.1 * e));
 }
 
-std::vector<QuadraticEnergy> perturbed_family(const QuadraticEnergy& base,
-                                              std::size_t count,
-                                              util::Rng& rng) {
-  std::vector<QuadraticEnergy> family;
-  family.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    family.push_back(perturbed_model(base, rng));
-  }
-  return family;
-}
-
 }  // namespace eotora::energy

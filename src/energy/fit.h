@@ -29,8 +29,4 @@ namespace eotora::energy {
 [[nodiscard]] QuadraticEnergy perturbed_model(const QuadraticEnergy& base,
                                               util::Rng& rng);
 
-// A family of `count` perturbed server models.
-[[nodiscard]] std::vector<QuadraticEnergy> perturbed_family(
-    const QuadraticEnergy& base, std::size_t count, util::Rng& rng);
-
 }  // namespace eotora::energy

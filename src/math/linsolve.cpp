@@ -17,11 +17,6 @@ double& Matrix::at(std::size_t r, std::size_t c) {
   return data_[r * cols_ + c];
 }
 
-double Matrix::at(std::size_t r, std::size_t c) const {
-  EOTORA_REQUIRE_MSG(r < rows_ && c < cols_, "r=" << r << " c=" << c);
-  return data_[r * cols_ + c];
-}
-
 std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
   const std::size_t n = a.rows();
   EOTORA_REQUIRE(a.cols() == n);

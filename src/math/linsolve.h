@@ -17,7 +17,6 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
 
   double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
 
  private:
   std::size_t rows_;

@@ -1,55 +1,8 @@
 #include "math/minimize1d.h"
 
-#include <cmath>
-
 #include "util/check.h"
 
 namespace eotora::math {
-
-namespace {
-constexpr double kGoldenRatio = 0.6180339887498949;  // (sqrt(5) - 1) / 2
-}
-
-Minimize1DResult golden_section(const std::function<double(double)>& f,
-                                double lo, double hi, double tolerance,
-                                int max_iterations) {
-  EOTORA_REQUIRE_MSG(lo <= hi, "lo=" << lo << " hi=" << hi);
-  EOTORA_REQUIRE(tolerance > 0.0);
-  Minimize1DResult result;
-  if (hi - lo <= tolerance) {
-    result.x = 0.5 * (lo + hi);
-    result.value = f(result.x);
-    result.evaluations = 1;
-    return result;
-  }
-  double a = lo;
-  double b = hi;
-  double x1 = b - kGoldenRatio * (b - a);
-  double x2 = a + kGoldenRatio * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  int evals = 2;
-  for (int iter = 0; iter < max_iterations && (b - a) > tolerance; ++iter) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kGoldenRatio * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kGoldenRatio * (b - a);
-      f2 = f(x2);
-    }
-    ++evals;
-  }
-  result.x = 0.5 * (a + b);
-  result.value = f(result.x);
-  result.evaluations = evals + 1;
-  return result;
-}
 
 Minimize1DResult derivative_bisection(const std::function<double(double)>& f,
                                       const std::function<double(double)>& df,
@@ -85,95 +38,6 @@ Minimize1DResult derivative_bisection(const std::function<double(double)>& f,
   }
   result.value = f(result.x);
   result.evaluations = evals + 1;
-  return result;
-}
-
-Minimize1DResult brent(const std::function<double(double)>& f, double lo,
-                       double hi, double tolerance, int max_iterations) {
-  EOTORA_REQUIRE_MSG(lo <= hi, "lo=" << lo << " hi=" << hi);
-  EOTORA_REQUIRE(tolerance > 0.0);
-  // Standard Brent minimization (Numerical-Recipes-style structure).
-  const double eps = 1e-12;
-  double a = lo;
-  double b = hi;
-  double x = a + kGoldenRatio * (b - a);
-  double w = x;
-  double v = x;
-  double fx = f(x);
-  double fw = fx;
-  double fv = fx;
-  double d = 0.0;
-  double e = 0.0;
-  int evals = 1;
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    const double m = 0.5 * (a + b);
-    const double tol = tolerance + eps * std::fabs(x);
-    if (std::fabs(x - m) <= 2.0 * tol - 0.5 * (b - a)) break;
-    double p = 0.0;
-    double q = 0.0;
-    double r = 0.0;
-    bool use_golden = true;
-    if (std::fabs(e) > tol) {
-      // Fit a parabola through (v, fv), (w, fw), (x, fx).
-      r = (x - w) * (fx - fv);
-      q = (x - v) * (fx - fw);
-      p = (x - v) * q - (x - w) * r;
-      q = 2.0 * (q - r);
-      if (q > 0.0) p = -p;
-      q = std::fabs(q);
-      const double e_old = e;
-      e = d;
-      if (std::fabs(p) < std::fabs(0.5 * q * e_old) && p > q * (a - x) &&
-          p < q * (b - x)) {
-        d = p / q;
-        const double u = x + d;
-        if (u - a < 2.0 * tol || b - u < 2.0 * tol) {
-          d = (x < m) ? tol : -tol;
-        }
-        use_golden = false;
-      }
-    }
-    if (use_golden) {
-      e = (x < m) ? b - x : a - x;
-      d = (1.0 - kGoldenRatio) * e;
-    }
-    const double u =
-        (std::fabs(d) >= tol) ? x + d : x + ((d > 0.0) ? tol : -tol);
-    const double fu = f(u);
-    ++evals;
-    if (fu <= fx) {
-      if (u < x) {
-        b = x;
-      } else {
-        a = x;
-      }
-      v = w;
-      fv = fw;
-      w = x;
-      fw = fx;
-      x = u;
-      fx = fu;
-    } else {
-      if (u < x) {
-        a = u;
-      } else {
-        b = u;
-      }
-      if (fu <= fw || w == x) {
-        v = w;
-        fv = fw;
-        w = u;
-        fw = fu;
-      } else if (fu <= fv || v == x || v == w) {
-        v = u;
-        fv = fu;
-      }
-    }
-  }
-  Minimize1DResult result;
-  result.x = x;
-  result.value = fx;
-  result.evaluations = evals;
   return result;
 }
 

@@ -16,13 +16,6 @@ struct Minimize1DResult {
   int evaluations = 0;  // number of function (or derivative) calls
 };
 
-// Golden-section search. Requires lo <= hi and f unimodal on [lo, hi]
-// (convexity suffices). Terminates when the bracket is narrower than
-// `tolerance` (absolute, in x).
-[[nodiscard]] Minimize1DResult golden_section(
-    const std::function<double(double)>& f, double lo, double hi,
-    double tolerance = 1e-9, int max_iterations = 200);
-
 // Bisection on a nondecreasing derivative (valid for convex f). Returns the
 // point where df crosses zero, clamped to the interval ends when the
 // derivative does not change sign. `f` is only used to report `value`.
@@ -30,12 +23,5 @@ struct Minimize1DResult {
     const std::function<double(double)>& f,
     const std::function<double(double)>& df, double lo, double hi,
     double tolerance = 1e-10, int max_iterations = 200);
-
-// Brent's method (golden section + successive parabolic interpolation).
-// Faster convergence on smooth functions; same contract as golden_section.
-[[nodiscard]] Minimize1DResult brent(const std::function<double(double)>& f,
-                                     double lo, double hi,
-                                     double tolerance = 1e-9,
-                                     int max_iterations = 200);
 
 }  // namespace eotora::math

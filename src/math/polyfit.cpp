@@ -16,14 +16,6 @@ double Polynomial::operator()(double x) const {
   return value;
 }
 
-double Polynomial::derivative(double x) const {
-  double value = 0.0;
-  for (std::size_t i = coefficients.size(); i-- > 1;) {
-    value = value * x + coefficients[i] * static_cast<double>(i);
-  }
-  return value;
-}
-
 Polynomial polyfit(const std::vector<double>& xs, const std::vector<double>& ys,
                    int degree) {
   EOTORA_REQUIRE(degree >= 0);

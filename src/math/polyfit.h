@@ -13,7 +13,6 @@ struct Polynomial {
   std::vector<double> coefficients;
 
   [[nodiscard]] double operator()(double x) const;
-  [[nodiscard]] double derivative(double x) const;
   [[nodiscard]] int degree() const {
     return static_cast<int>(coefficients.size()) - 1;
   }

@@ -70,13 +70,6 @@ void SlotAuditor::observe(const core::SlotState& state,
   note_slot(slot);
 }
 
-void SlotAuditor::audit(const core::SlotState& state,
-                        const core::DppSlotResult& slot) {
-  ++report_.slots_observed;
-  run_checks(state, slot);
-  note_slot(slot);
-}
-
 void SlotAuditor::note_slot(const core::DppSlotResult& slot) {
   prev_queue_after_ = slot.queue_after;
   have_prev_ = true;
@@ -343,22 +336,6 @@ void SlotAuditor::run_checks(const core::SlotState& state,
   }
 
   if (total_found_ > found_before) ++report_.slots_with_violations;
-}
-
-void SlotAuditor::reset() {
-  report_ = AuditReport{};
-  total_found_ = 0;
-  have_prev_ = false;
-  prev_queue_after_ = 0.0;
-}
-
-AuditReport audit_slot(const core::Instance& instance,
-                       const core::SlotState& state,
-                       const core::DppSlotResult& slot,
-                       const AuditConfig& config) {
-  SlotAuditor auditor(instance, config);
-  auditor.audit(state, slot);
-  return auditor.report();
 }
 
 }  // namespace eotora::sim

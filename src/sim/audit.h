@@ -108,14 +108,8 @@ class SlotAuditor {
   // tracked on every call, so sampled audits still see the true ledger.
   void observe(const core::SlotState& state, const core::DppSlotResult& slot);
 
-  // Audits unconditionally, ignoring the mode.
-  void audit(const core::SlotState& state, const core::DppSlotResult& slot);
-
   [[nodiscard]] const AuditReport& report() const { return report_; }
   [[nodiscard]] const AuditConfig& config() const { return config_; }
-
-  // Clears the report and the cross-slot queue state.
-  void reset();
 
  private:
   void run_checks(const core::SlotState& state,
@@ -130,13 +124,5 @@ class SlotAuditor {
   bool have_prev_ = false;
   double prev_queue_after_ = 0.0;
 };
-
-// One-shot convenience: audits a single slot result (unconditionally) with
-// no cross-slot continuity context. Used by tests and the differential
-// drivers.
-[[nodiscard]] AuditReport audit_slot(const core::Instance& instance,
-                                     const core::SlotState& state,
-                                     const core::DppSlotResult& slot,
-                                     const AuditConfig& config = {});
 
 }  // namespace eotora::sim

@@ -232,11 +232,6 @@ void DeltaApplier::apply(const SlotDelta& delta, core::SlotState& out) {
   out = state_;
 }
 
-bool DeltaApplier::device_active(std::size_t device) const {
-  EOTORA_REQUIRE(device < devices_);
-  return active_[device] != 0;
-}
-
 std::size_t DeltaApplier::active_devices() const {
   std::size_t count = 0;
   for (const char flag : active_) count += flag != 0 ? 1 : 0;
@@ -317,12 +312,6 @@ std::vector<SlotDelta> record_deltas(StateSource& source) {
     deltas.push_back(delta);
   }
   return deltas;
-}
-
-std::vector<SlotDelta> record_deltas(
-    const std::vector<core::SlotState>& states) {
-  MaterializedSource source(states);
-  return record_deltas(source);
 }
 
 DeltaSource::DeltaSource(std::vector<SlotDelta> deltas, std::size_t devices,

@@ -125,7 +125,6 @@ class DeltaApplier {
   [[nodiscard]] std::size_t devices() const { return devices_; }
   [[nodiscard]] std::size_t base_stations() const { return base_stations_; }
   [[nodiscard]] const core::SlotState& state() const { return state_; }
-  [[nodiscard]] bool device_active(std::size_t device) const;
   [[nodiscard]] std::size_t active_devices() const;
   // Number of deltas applied since construction / reset().
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
@@ -159,10 +158,8 @@ class DeltaRecorder {
   bool have_previous_ = false;
 };
 
-// Materialized convenience forms of DeltaRecorder.
+// The materialized form of DeltaRecorder: every delta of `source`.
 [[nodiscard]] std::vector<SlotDelta> record_deltas(StateSource& source);
-[[nodiscard]] std::vector<SlotDelta> record_deltas(
-    const std::vector<core::SlotState>& states);
 
 // Replays a recorded delta stream as a StateSource: next() applies the next
 // delta and hands out the reconstructed state. This is the bridge that

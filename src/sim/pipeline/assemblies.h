@@ -1,8 +1,8 @@
 // Canned pipeline assemblies — every registry policy, as a PolicyGraph of
 // the stages in sim/pipeline/stages.h. This is each policy's one
 // implementation: the registry (sim/registry.cpp) builds all its policies
-// through these, and the golden fixtures (sim/golden.h) pin their per-slot
-// decisions. The factories throw std::invalid_argument on a bad config
+// through these, and the golden fixtures (tests/support/golden.h) pin
+// their per-slot decisions. The factories throw std::invalid_argument on a bad config
 // (V <= 0, Q(1) < 0, z < 1, a fraction outside [0, 1], a bad MpcConfig).
 #pragma once
 

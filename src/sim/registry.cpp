@@ -101,10 +101,6 @@ std::vector<std::string> registered_policies() {
   return names;
 }
 
-bool is_registered_policy(const std::string& name) {
-  return entries().count(name) > 0;
-}
-
 std::string resolve_policy_alias(const std::string& name) {
   if (name == "bdma") return "dpp-bdma";
   if (name == "mcba") return "dpp-mcba";

@@ -38,8 +38,6 @@ namespace eotora::sim {
 // Sorted names of every registered policy.
 [[nodiscard]] std::vector<std::string> registered_policies();
 
-[[nodiscard]] bool is_registered_policy(const std::string& name);
-
 // Maps the historical short names (bdma, mcba, ropt, greedy) to their
 // registry names; every other name is returned unchanged.
 [[nodiscard]] std::string resolve_policy_alias(const std::string& name);

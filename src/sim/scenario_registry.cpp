@@ -26,13 +26,6 @@ const std::vector<std::string>& registered_scenarios() {
   return names;
 }
 
-bool is_registered_scenario(const std::string& name) {
-  for (const std::string& known : registered_scenarios()) {
-    if (known == name) return true;
-  }
-  return false;
-}
-
 std::string scenario_description(const std::string& name) {
   if (name == "paper") {
     return "stock paper configuration (Sec. VI-A); no transform";

@@ -29,8 +29,6 @@ namespace eotora::sim {
 // Registry order is presentation order (CLI listings, bench sweeps).
 [[nodiscard]] const std::vector<std::string>& registered_scenarios();
 
-[[nodiscard]] bool is_registered_scenario(const std::string& name);
-
 // One-line human description. Throws std::invalid_argument for unknown
 // names (listing the registry).
 [[nodiscard]] std::string scenario_description(const std::string& name);

@@ -15,9 +15,6 @@ MaterializedSource::MaterializedSource(
     const std::vector<core::SlotState>& states)
     : states_(&states) {}
 
-MaterializedSource::MaterializedSource(std::vector<core::SlotState>&& states)
-    : owned_(std::move(states)), states_(&owned_) {}
-
 bool MaterializedSource::next(core::SlotState& out) {
   if (index_ >= states_->size()) return false;
   out = (*states_)[index_++];  // element-wise copy reuses out's capacity

@@ -71,13 +71,13 @@ class StateSource {
   [[nodiscard]] virtual std::size_t size_hint() const { return kUnknownSize; }
 };
 
-// Adapts a pre-generated state vector. The const-reference constructor
-// merely views `states` (the caller keeps it alive); the rvalue constructor
-// takes ownership.
+// Adapts a pre-generated state vector. The source merely views `states`,
+// which the caller keeps alive; a temporary vector would dangle, so that
+// constructor is deleted.
 class MaterializedSource final : public StateSource {
  public:
   explicit MaterializedSource(const std::vector<core::SlotState>& states);
-  explicit MaterializedSource(std::vector<core::SlotState>&& states);
+  explicit MaterializedSource(std::vector<core::SlotState>&& states) = delete;
 
   bool next(core::SlotState& out) override;
   void reset() override { index_ = 0; }
@@ -86,7 +86,6 @@ class MaterializedSource final : public StateSource {
   }
 
  private:
-  std::vector<core::SlotState> owned_;
   const std::vector<core::SlotState>* states_;
   std::size_t index_ = 0;
 };

@@ -153,11 +153,6 @@ const BaseStation& Topology::base_station(BaseStationId id) const {
   return base_stations_[id.value];
 }
 
-const Cluster& Topology::cluster(ClusterId id) const {
-  EOTORA_REQUIRE(id.value < clusters_.size());
-  return clusters_[id.value];
-}
-
 const Server& Topology::server(ServerId id) const {
   EOTORA_REQUIRE(id.value < servers_.size());
   return servers_[id.value];

@@ -36,7 +36,6 @@ class Topology {
   [[nodiscard]] std::size_t num_devices() const { return devices_.size(); }
 
   [[nodiscard]] const BaseStation& base_station(BaseStationId id) const;
-  [[nodiscard]] const Cluster& cluster(ClusterId id) const;
   [[nodiscard]] const Server& server(ServerId id) const;
   [[nodiscard]] const MobileDevice& device(DeviceId id) const;
 

@@ -39,9 +39,4 @@ bool OnlineTrendEstimator::ready() const {
                      [](bool seen) { return seen; });
 }
 
-PeriodicTrend OnlineTrendEstimator::snapshot() const {
-  EOTORA_REQUIRE_MSG(ready(), "not every phase has been observed yet");
-  return PeriodicTrend(phase_value_);
-}
-
 }  // namespace eotora::trace

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "trace/periodic.h"
 #include "util/stats.h"
 
 namespace eotora::trace {
@@ -34,9 +33,6 @@ class OnlineTrendEstimator {
 
   // True once every phase has at least one observation.
   [[nodiscard]] bool ready() const;
-
-  // Snapshot as a PeriodicTrend (requires ready()).
-  [[nodiscard]] PeriodicTrend snapshot() const;
 
   // Residual statistics (observation minus current trend estimate at
   // observation time), updated from the second pass over each phase on.

@@ -25,24 +25,6 @@ double PeriodicTrend::max() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-double PeriodicTrend::mean() const {
-  double s = 0.0;
-  for (double v : values_) s += v;
-  return s / static_cast<double>(values_.size());
-}
-
-PeriodicTrend PeriodicTrend::scaled(double factor) const {
-  std::vector<double> out = values_;
-  for (double& v : out) v *= factor;
-  return PeriodicTrend(std::move(out));
-}
-
-PeriodicTrend PeriodicTrend::shifted(double offset) const {
-  std::vector<double> out = values_;
-  for (double& v : out) v += offset;
-  return PeriodicTrend(std::move(out));
-}
-
 PeriodicTrend PeriodicTrend::diurnal(std::size_t period, double low,
                                      double high, double peak_position) {
   EOTORA_REQUIRE(period >= 2);

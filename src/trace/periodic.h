@@ -23,11 +23,6 @@ class PeriodicTrend {
 
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double mean() const;
-
-  // Uniform scaling (e.g. calibrating a normalized diurnal shape to a range).
-  [[nodiscard]] PeriodicTrend scaled(double factor) const;
-  [[nodiscard]] PeriodicTrend shifted(double offset) const;
 
   // A smooth diurnal shape: trough in the early hours, peak in the evening.
   // `period` slots per day; values span [low, high]. Requires period >= 2 and

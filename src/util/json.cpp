@@ -89,25 +89,6 @@ bool Json::erase(const std::string& key) {
   return false;
 }
 
-bool Json::operator==(const Json& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull:
-      return true;
-    case Type::kBool:
-      return bool_ == other.bool_;
-    case Type::kNumber:
-      return number_ == other.number_;
-    case Type::kString:
-      return string_ == other.string_;
-    case Type::kArray:
-      return array_ == other.array_;
-    case Type::kObject:
-      return object_ == other.object_;
-  }
-  return false;  // unreachable
-}
-
 std::string json_escape(const std::string& raw) {
   std::string out;
   out.reserve(raw.size());

@@ -81,10 +81,6 @@ class Json {
   // Throws std::invalid_argument with position info on malformed input.
   [[nodiscard]] static Json parse(const std::string& text);
 
-  // Deep structural equality (numbers compared as doubles).
-  bool operator==(const Json& other) const;
-  bool operator!=(const Json& other) const { return !(*this == other); }
-
  private:
   explicit Json(Type type) : type_(type) {}
   void dump_to(std::string& out, int indent, int depth) const;

@@ -33,24 +33,6 @@ double RunningStats::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return count_ == 0 ? 0.0 : max_; }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  mean_ += delta * nb / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double mean(const std::vector<double>& xs) {
   EOTORA_REQUIRE(!xs.empty());
   double s = 0.0;

@@ -21,9 +21,6 @@ class RunningStats {
   [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
 
-  // Merges another accumulator into this one (parallel-reduction friendly).
-  void merge(const RunningStats& other);
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

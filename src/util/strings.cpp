@@ -8,21 +8,6 @@
 
 namespace eotora::util {
 
-std::vector<std::string> split(const std::string& text, char delim) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char ch : text) {
-    if (ch == delim) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += ch;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
 std::string trim(const std::string& text) {
   std::size_t begin = 0;
   std::size_t end = text.size();

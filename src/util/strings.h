@@ -2,13 +2,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace eotora::util {
-
-// Splits on a single-character delimiter; keeps empty fields.
-[[nodiscard]] std::vector<std::string> split(const std::string& text,
-                                             char delim);
 
 // Trims ASCII whitespace from both ends.
 [[nodiscard]] std::string trim(const std::string& text);

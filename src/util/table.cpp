@@ -56,33 +56,6 @@ std::string Table::to_ascii() const {
   return out;
 }
 
-namespace {
-std::string csv_escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char ch : field) {
-    if (ch == '"') out += '"';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
-std::string Table::to_csv() const {
-  std::ostringstream oss;
-  auto emit = [&](const std::vector<std::string>& fields) {
-    for (std::size_t c = 0; c < fields.size(); ++c) {
-      if (c > 0) oss << ',';
-      oss << csv_escape(fields[c]);
-    }
-    oss << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return oss.str();
-}
-
 void Table::print(std::ostream& os) const { os << to_ascii(); }
 
 std::string format_double(double value, int precision) {

@@ -26,8 +26,6 @@ class Table {
 
   // Aligned, boxed ASCII rendering.
   [[nodiscard]] std::string to_ascii() const;
-  // RFC-4180-ish CSV (fields containing comma/quote/newline are quoted).
-  [[nodiscard]] std::string to_csv() const;
 
   void print(std::ostream& os) const;  // ASCII to the stream.
 

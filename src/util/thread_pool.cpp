@@ -166,11 +166,6 @@ void ThreadPool::parallel_for_index(
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void ThreadPool::parallel_for_index(
-    std::size_t count, const std::function<void(std::size_t)>& body) {
-  parallel_for_index(count, size(), body);
-}
-
 ThreadPool& ThreadPool::shared() {
   static ThreadPool pool(std::max<std::size_t>(
       1, static_cast<std::size_t>(std::thread::hardware_concurrency())));

@@ -38,10 +38,6 @@ class ThreadPool {
   void parallel_for_index(std::size_t count, std::size_t max_workers,
                           const std::function<void(std::size_t)>& body);
 
-  // Convenience overload: use every pool worker.
-  void parallel_for_index(std::size_t count,
-                          const std::function<void(std::size_t)>& body);
-
   // The process-wide pool, sized to the hardware concurrency (at least 1).
   // Created on first use; lives until process exit.
   static ThreadPool& shared();

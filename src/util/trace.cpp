@@ -25,10 +25,6 @@ struct Event {
   double value = 0.0;          // kCounter only
 };
 
-// Per-thread buffers are capped so an unbounded horizon with tracing left
-// on cannot exhaust memory; overflow is dropped and counted.
-constexpr std::size_t kMaxEventsPerThread = 1'000'000;
-
 struct ThreadBuffer {
   int tid = 0;
   std::vector<Event> events;

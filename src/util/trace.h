@@ -55,8 +55,11 @@ void set_enabled(bool on);
 // Drops every recorded event (all threads) and resets the drop counter.
 void clear();
 
-// Events recorded / dropped (per-thread buffers are capped so a runaway
-// horizon cannot exhaust memory; overflow drops and counts).
+// Per-thread buffers are capped so an unbounded horizon with tracing left
+// on cannot exhaust memory; overflow is dropped and counted.
+inline constexpr std::size_t kMaxEventsPerThread = 1'000'000;
+
+// Events recorded / dropped at the cap.
 [[nodiscard]] std::size_t event_count();
 [[nodiscard]] std::size_t dropped_count();
 

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/golden.h"
+#include "support/golden.h"
 
 #ifndef EOTORA_GOLDEN_DIR
 #define EOTORA_GOLDEN_DIR "tests/golden"

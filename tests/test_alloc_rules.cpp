@@ -6,6 +6,7 @@
 
 #include "core/latency.h"
 #include "core/lemma1.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "util/stats.h"

@@ -9,6 +9,7 @@
 #include "core/lemma1.h"
 #include "sim/audit.h"
 #include "sim/registry.h"
+#include "support/sim_oracles.h"
 #include "test_helpers.h"
 
 namespace eotora {
@@ -257,7 +258,7 @@ TEST_F(AuditTest, MaxViolationsCapsStorageNotCounting) {
   SlotAuditor auditor(instance_, config);
   core::DppSlotResult bad = clean_;
   for (double& share : bad.decision.allocation.phi) share = 2.0;  // 3 range hits
-  auditor.audit(state_, bad);
+  auditor.observe(state_, bad);
   const AuditReport& report = auditor.report();
   EXPECT_EQ(report.violations.size(), 2u);
   EXPECT_GT(report.violations_dropped, 0u);
@@ -274,16 +275,6 @@ TEST_F(AuditTest, DescribeAndSummaryNameTheConstraint) {
             std::string::npos);
   EXPECT_NE(report.summary().find("violation"), std::string::npos);
   EXPECT_NE(AuditReport{}.summary().find("clean"), std::string::npos);
-}
-
-TEST_F(AuditTest, ResetClearsReportAndContinuity) {
-  SlotAuditor auditor(instance_);
-  auditor.observe(state_, consistent_slot(instance_, state_, 1.0));
-  auditor.reset();
-  EXPECT_EQ(auditor.report().slots_observed, 0u);
-  // After reset the next slot's Q(t) is unconstrained by history.
-  auditor.observe(state_, consistent_slot(instance_, state_, 42.0));
-  EXPECT_TRUE(auditor.report().clean()) << auditor.report().summary();
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "energy/quadratic_energy.h"
 #include "sim/audit.h"
 #include "sim/pipeline/assemblies.h"
+#include "support/sim_oracles.h"
 #include "topology/builder.h"
 #include "util/rng.h"
 

@@ -4,6 +4,7 @@
 
 #include "core/latency.h"
 #include "core/wcg.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -19,7 +20,7 @@ TEST(Bdma, ProducesFeasibleDecision) {
   EXPECT_TRUE(instance.frequencies_feasible(result.frequencies));
   // Assignment must decode as feasible options.
   const WcgProblem problem(instance, state, result.frequencies);
-  EXPECT_NO_THROW((void)problem.to_profile(result.assignment));
+  EXPECT_NO_THROW((void)to_profile(problem, result.assignment));
   EXPECT_GT(result.latency, 0.0);
 }
 

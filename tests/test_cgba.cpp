@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/brute_force.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -62,7 +63,7 @@ TEST(Cgba, PotentialStrictlyDecreasesAlongTheRun) {
   const SlotState state = test::random_state(6, 2, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
   LoadTracker tracker(problem, problem.random_profile(rng));
-  double phi = tracker.potential();
+  double phi = potential(problem, tracker.profile());
   for (int move = 0; move < 10000; ++move) {
     std::size_t best_device = problem.num_devices();
     std::size_t best_option = 0;
@@ -79,7 +80,7 @@ TEST(Cgba, PotentialStrictlyDecreasesAlongTheRun) {
     }
     if (best_device == problem.num_devices()) break;
     tracker.move(best_device, best_option);
-    const double new_phi = tracker.potential();
+    const double new_phi = potential(problem, tracker.profile());
     EXPECT_LT(new_phi, phi);
     phi = new_phi;
   }

@@ -3,7 +3,7 @@
 // static-shares DES must land on the log's analytic per-slot latency to
 // numerical precision — three layers (policy pipeline, fluid evaluator,
 // event engine) cross-checking each other.
-#include "des/replay.h"
+#include "support/replay.h"
 
 #include <gtest/gtest.h>
 

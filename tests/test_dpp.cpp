@@ -5,6 +5,7 @@
 #include "core/latency.h"
 #include "core/metrics.h"
 #include "sim/pipeline/assemblies.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -173,15 +174,6 @@ TEST(Metrics, AggregatesSeries) {
   ASSERT_EQ(metrics.latency_series().size(), 2u);
   EXPECT_DOUBLE_EQ(metrics.latency_series()[1], 4.0);
   EXPECT_DOUBLE_EQ(metrics.max_latency(), 4.0);
-  EXPECT_DOUBLE_EQ(metrics.latency_percentile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(metrics.latency_percentile(100.0), 4.0);
-  EXPECT_DOUBLE_EQ(metrics.latency_percentile(50.0), 3.0);
-}
-
-TEST(Metrics, PercentileRejectsEmpty) {
-  MetricsCollector metrics;
-  EXPECT_THROW((void)metrics.latency_percentile(50.0),
-               std::invalid_argument);
 }
 
 }  // namespace

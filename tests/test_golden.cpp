@@ -4,12 +4,16 @@
 // via golden_tool; here one cell is re-derived in-process.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
-#include "sim/golden.h"
+#include "sim/registry.h"
 #include "sim/scenario_registry.h"
+#include "support/golden.h"
 #include "util/trace.h"
 
 #ifndef EOTORA_GOLDEN_DIR
@@ -134,14 +138,22 @@ TEST(GoldenFixtures, FilenameAndMatrixShape) {
             sim::golden_scenarios().size() * sim::golden_policies().size() +
                 sim::golden_preset_scenarios().size() +
                 sim::golden_metro_policies().size());
+  const std::vector<std::string> policies = sim::registered_policies();
+  const auto registered = [&](const std::string& policy) {
+    return std::find(policies.begin(), policies.end(), policy) !=
+           policies.end();
+  };
   for (const std::string& policy : sim::golden_policies()) {
-    EXPECT_TRUE(sim::is_registered_policy(policy)) << policy;
+    EXPECT_TRUE(registered(policy)) << policy;
   }
   for (const std::string& policy : sim::golden_metro_policies()) {
-    EXPECT_TRUE(sim::is_registered_policy(policy)) << policy;
+    EXPECT_TRUE(registered(policy)) << policy;
   }
+  const std::vector<std::string>& scenarios = sim::registered_scenarios();
   for (const GoldenScenario& gs : sim::golden_preset_scenarios()) {
-    EXPECT_TRUE(sim::is_registered_scenario(gs.name)) << gs.name;
+    EXPECT_NE(std::find(scenarios.begin(), scenarios.end(), gs.name),
+              scenarios.end())
+        << gs.name;
   }
 }
 

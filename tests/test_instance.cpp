@@ -11,9 +11,9 @@
 #include <utility>
 #include <vector>
 
-#include "sim/golden.h"
 #include "sim/scenario.h"
 #include "sim/scenario_registry.h"
+#include "support/golden.h"
 #include "test_helpers.h"
 
 namespace eotora::core {

@@ -60,11 +60,11 @@ TEST(Json, NestedValuesRoundTrip) {
   doc["records"] = records;
 
   const Json reparsed = Json::parse(doc.dump());
-  EXPECT_EQ(reparsed, doc);
+  EXPECT_EQ(reparsed.dump(), doc.dump());
   EXPECT_EQ(reparsed.at("records").at(0).at("policy").as_string(),
             "dpp-bdma");
   // Pretty printing parses back to the same value.
-  EXPECT_EQ(Json::parse(doc.dump(2)), doc);
+  EXPECT_EQ(Json::parse(doc.dump(2)).dump(), doc.dump());
 }
 
 TEST(Json, EscapingRoundTrips) {
@@ -169,7 +169,7 @@ TEST(Json, WriteJsonFile) {
   ASSERT_TRUE(file.good());
   std::string text((std::istreambuf_iterator<char>(file)),
                    std::istreambuf_iterator<char>());
-  EXPECT_EQ(Json::parse(text), doc);
+  EXPECT_EQ(Json::parse(text).dump(), doc.dump());
   std::remove(path.c_str());
   EXPECT_THROW(write_json_file("/nonexistent-dir/x.json", doc),
                std::runtime_error);

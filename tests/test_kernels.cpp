@@ -16,6 +16,7 @@
 #include "core/p2b.h"
 #include "core/wcg.h"
 #include "math/minimize1d.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 

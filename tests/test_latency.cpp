@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/lemma1.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 

@@ -5,7 +5,8 @@
 #include <cmath>
 
 #include "core/latency.h"
-#include "math/projgrad.h"
+#include "support/core_oracles.h"
+#include "support/projgrad.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 

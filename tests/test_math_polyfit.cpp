@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "math/linsolve.h"
-#include "math/numderiv.h"
 #include "util/rng.h"
 
 namespace eotora::math {
@@ -57,15 +56,12 @@ TEST(SolveLinear, RejectsShapeMismatch) {
   EXPECT_THROW((void)solve_linear(a, {1.0, 2.0}), std::invalid_argument);
 }
 
-TEST(Polynomial, EvaluationAndDerivative) {
+TEST(Polynomial, Evaluation) {
   // p(x) = 1 + 2x + 3x^2
   const Polynomial p{{1.0, 2.0, 3.0}};
   EXPECT_DOUBLE_EQ(p(0.0), 1.0);
   EXPECT_DOUBLE_EQ(p(2.0), 17.0);
-  EXPECT_DOUBLE_EQ(p.derivative(2.0), 14.0);
   EXPECT_EQ(p.degree(), 2);
-  EXPECT_NEAR(p.derivative(1.3),
-              numeric_derivative([&](double x) { return p(x); }, 1.3), 1e-6);
 }
 
 TEST(Polyfit, ExactOnPolynomialData) {

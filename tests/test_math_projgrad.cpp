@@ -1,4 +1,4 @@
-#include "math/projgrad.h"
+#include "support/projgrad.h"
 
 #include <gtest/gtest.h>
 

@@ -11,6 +11,7 @@
 #include "sim/decision_log.h"
 #include "sim/registry.h"
 #include "sim/scenario.h"
+#include "support/decision_log.h"
 #include "test_helpers.h"
 #include "trace/price_trace.h"
 #include "util/rng.h"

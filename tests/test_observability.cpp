@@ -85,6 +85,21 @@ TEST(TraceTest, RecordsSpansAndCountersWhenEnabled) {
   EXPECT_EQ(util::trace::event_count(), 0u);
 }
 
+// A thread's buffer stops at the cap and counts what it drops, until
+// clear(); eotora_cli reports that count next to the written one.
+TEST(TraceTest, EventsPastThePerThreadCapAreDroppedAndCounted) {
+  TraceGuard guard;
+  util::trace::set_enabled(true);
+  for (std::size_t i = 0; i <= util::trace::kMaxEventsPerThread; ++i) {
+    util::trace::emit_counter("fill", 1.0);
+  }
+  util::trace::set_enabled(false);
+  EXPECT_EQ(util::trace::event_count(), util::trace::kMaxEventsPerThread);
+  EXPECT_EQ(util::trace::dropped_count(), 1u);
+  util::trace::clear();
+  EXPECT_EQ(util::trace::dropped_count(), 0u);
+}
+
 TEST(TraceTest, ChromeJsonIsWellFormedWithMonotoneRebasedTimestamps) {
   TraceGuard guard;
   util::trace::set_enabled(true);

@@ -48,8 +48,8 @@ TEST(Pipeline, ResetRestartsTheGraphExactly) {
   config.budget_per_slot = 0.10;
   Scenario scenario(config);
   const PolicyParams params = fast_params();
-  MaterializedSource source(
-      scenario.generate_states(2 * params.mpc.period + 1));
+  const auto states = scenario.generate_states(2 * params.mpc.period + 1);
+  MaterializedSource source(states);
   for (const auto& name : registered_policies()) {
     auto policy = make_policy(name, scenario.instance(), params);
     source.reset();

@@ -5,6 +5,7 @@
 #include "sim/registry.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
+#include "support/core_oracles.h"
 
 namespace eotora::sim {
 namespace {

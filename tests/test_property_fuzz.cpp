@@ -13,6 +13,7 @@
 #include "core/ropt.h"
 #include "energy/quadratic_energy.h"
 #include "sim/pipeline/assemblies.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "topology/builder.h"
 #include "util/rng.h"

@@ -35,7 +35,6 @@ TEST(Registry, ListsTheExpectedNames) {
   for (const char* expected :
        {"beta-only", "dpp-bdma", "dpp-mcba", "dpp-ropt", "greedy-budget",
         "fixed-frequency", "fixed-max", "fixed-min", "mpc"}) {
-    EXPECT_TRUE(is_registered_policy(expected)) << expected;
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }

@@ -35,6 +35,7 @@
 #include "sim/scenario_registry.h"
 #include "sim/simulator.h"
 #include "sim/state_source.h"
+#include "support/sim_oracles.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"

@@ -8,6 +8,8 @@
 //     ROPT — equal to the global solvers, and the CGBA-assignment stage's
 //     merged cost equal to the global solve's, for every worker count;
 //   - per-component counters partitioning the flushed totals;
+//   - the controllers' warm start (draw_profiles, then keep_carried) over
+//     the paper and metro-4 worlds;
 //   - BDMA over several metro slots, over grouped-world slots and over
 //     paper slots whose coverage moves, equal to a test-side Algorithm 2
 //     over one global problem (cgba_from, the sqrt-chain solve_p2b and
@@ -35,6 +37,7 @@
 #include "core/wcg.h"
 #include "sim/pipeline/assemblies.h"
 #include "sim/scenario.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -449,7 +452,7 @@ struct GlobalBdma {
     Assignment last;
     for (std::size_t it = 0; it < config.iterations; ++it) {
       if (it > 0) problem.set_frequencies(instance, omega);
-      Profile start = it == 0 ? problem.warm_profile(carried, rng) : previous;
+      Profile start = it == 0 ? warm_profile(problem, carried, rng) : previous;
       const SolveResult r = cgba_from(problem, config.cgba, std::move(start));
       best.p2a_iterations += r.iterations;
       last = problem.to_assignment(r.profile);
@@ -493,6 +496,137 @@ sim::ScenarioConfig small_metro_config() {
   config.devices = 32;
   config.servers_per_cluster = 2;
   return config;
+}
+
+// The controllers' warm start: WcgComponents::draw_profiles, then
+// keep_carried for every component. Checked over the paper world (one
+// component) and the metro-4 world (one per district).
+std::vector<sim::ScenarioConfig> carry_worlds() {
+  sim::ScenarioConfig paper;
+  paper.devices = 40;
+  return {paper, small_metro_config()};
+}
+
+// Whether device j of component c still has the carried pair on offer.
+bool carried_pair_on_offer(const WcgComponents& wcg, std::size_t c,
+                           std::size_t j, const Assignment& carried) {
+  const WcgProblem& problem = wcg.problem(c);
+  const std::size_t i = wcg.devices(c)[j];
+  for (const Option& opt : problem.options(j)) {
+    if (problem.station_id(opt.bs) == carried.bs_of[i] &&
+        problem.server_id(opt.server) == carried.server_of[i]) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// An empty carry keeps the draw, and the draw is the global
+// random_profile's: the same options and the same rng advance.
+TEST(ComponentCarry, AnEmptyCarryKeepsTheDraw) {
+  for (const sim::ScenarioConfig& config : carry_worlds()) {
+    sim::Scenario scenario(config);
+    const Instance& instance = scenario.instance();
+    const SlotState state = scenario.next_state();
+    WcgComponents wcg;
+    wcg.build(instance, state, instance.max_frequencies(), 0);
+    WcgProblem global;
+    global.rebuild(instance, state, instance.max_frequencies());
+    util::Rng rng(60);
+    util::Rng global_rng(60);
+    std::vector<Profile> profiles;
+    wcg.draw_profiles(rng, profiles);
+    const Profile drawn = global.random_profile(global_rng);
+    EXPECT_EQ(rng.engine(), global_rng.engine());
+    for (std::size_t c = 0; c < wcg.count(); ++c) {
+      const Profile draw = profiles[c];
+      wcg.keep_carried(c, Assignment{}, profiles[c]);
+      EXPECT_EQ(profiles[c], draw) << "component " << c;
+      for (std::size_t j = 0; j < draw.size(); ++j) {
+        EXPECT_EQ(draw[j], drawn[wcg.devices(c)[j]]);
+      }
+    }
+  }
+}
+
+// A device whose carried pair is still on offer keeps it; one whose
+// carried station no longer covers it keeps its draw.
+TEST(ComponentCarry, KeepsEveryCarriedPairStillOnOffer) {
+  for (const sim::ScenarioConfig& config : carry_worlds()) {
+    sim::Scenario scenario(config);
+    const Instance& instance = scenario.instance();
+    SlotState state = scenario.next_state();
+    WcgComponents wcg;
+    wcg.build(instance, state, instance.max_frequencies(), 0);
+    util::Rng carry_rng(61);
+    std::vector<Profile> previous;
+    wcg.draw_profiles(carry_rng, previous);
+    Assignment carried;
+    wcg.to_assignment(previous, carried);
+    // Every third device that another station also covers loses its
+    // carried station.
+    for (std::size_t i = 0; i < state.channel.size(); i += 3) {
+      const auto& row = state.channel[i];
+      const auto covering = std::count_if(
+          row.begin(), row.end(), [](double h) { return h > 0.0; });
+      if (covering > 1) state.channel[i][carried.bs_of[i]] = 0.0;
+    }
+    wcg.build(instance, state, instance.max_frequencies(), 0);
+    std::size_t kept = 0;
+    std::size_t lost = 0;
+    for (const std::uint64_t seed : {62u, 63u, 64u}) {
+      util::Rng rng(seed);
+      std::vector<Profile> profiles;
+      wcg.draw_profiles(rng, profiles);
+      for (std::size_t c = 0; c < wcg.count(); ++c) {
+        const Profile draw = profiles[c];
+        wcg.keep_carried(c, carried, profiles[c]);
+        const WcgProblem& problem = wcg.problem(c);
+        for (std::size_t j = 0; j < draw.size(); ++j) {
+          const std::size_t i = wcg.devices(c)[j];
+          if (!carried_pair_on_offer(wcg, c, j, carried)) {
+            EXPECT_EQ(profiles[c][j], draw[j]) << "device " << i;
+            ++lost;
+            continue;
+          }
+          const Option& opt = problem.options(j)[profiles[c][j]];
+          EXPECT_EQ(problem.station_id(opt.bs), carried.bs_of[i]);
+          EXPECT_EQ(problem.server_id(opt.server), carried.server_of[i]);
+          if (profiles[c][j] != draw[j]) ++kept;
+        }
+      }
+    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(lost, 0u);
+  }
+}
+
+// A carry that does not cover the slot's devices is a caller bug (a
+// workspace reused across instances), not a cold start.
+TEST(ComponentCarry, RejectsAShortLongOrRaggedCarry) {
+  for (const sim::ScenarioConfig& config : carry_worlds()) {
+    sim::Scenario scenario(config);
+    const Instance& instance = scenario.instance();
+    WcgComponents wcg;
+    wcg.build(instance, scenario.next_state(), instance.max_frequencies(), 0);
+    util::Rng rng(65);
+    std::vector<Profile> profiles;
+    wcg.draw_profiles(rng, profiles);
+    Assignment carried;
+    wcg.to_assignment(profiles, carried);
+    Assignment short_carry = carried;
+    short_carry.bs_of.pop_back();
+    short_carry.server_of.pop_back();
+    Assignment long_carry = carried;
+    long_carry.bs_of.push_back(0);
+    long_carry.server_of.push_back(0);
+    Assignment ragged = carried;
+    ragged.server_of.pop_back();
+    for (const Assignment& bad : {short_carry, long_carry, ragged}) {
+      EXPECT_THROW(wcg.keep_carried(0, bad, profiles[0]),
+                   std::invalid_argument);
+    }
+  }
 }
 
 // Per-component BDMA over several metro slots, warm-started from the

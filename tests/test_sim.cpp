@@ -185,7 +185,8 @@ TEST(Simulator, ResetHappensBetweenRuns) {
   ScenarioConfig tight = small_config();
   tight.budget_per_slot = 0.05;  // infeasibly tight: queue definitely grows
   Scenario tight_scenario(tight);
-  MaterializedSource source(tight_scenario.generate_states(12));
+  const auto states = tight_scenario.generate_states(12);
+  MaterializedSource source(states);
   PolicyParams params;
   params.bdma_iterations = 1;
   const auto policy =

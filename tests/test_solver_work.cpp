@@ -66,7 +66,8 @@ core::counters::SolverCounters drain_sparse_dpp_bdma(
     fresh.push_back(scenario.next_state());
   }
   util::Rng rng(23);
-  MaterializedSource source(test::sparse_stream(fresh, rng));
+  const auto states = test::sparse_stream(fresh, rng);
+  MaterializedSource source(states);
   return drain_dpp_bdma(scenario.instance(), source, shard_workers);
 }
 

@@ -73,18 +73,6 @@ TEST(MaterializedSourceTest, DeliversTheVectorThenExhausts) {
   expect_states_equal(extra, states[0], 0);
 }
 
-TEST(MaterializedSourceTest, OwningConstructorKeepsTheStates) {
-  Scenario scenario(tiny());
-  auto states = scenario.generate_states(3);
-  const auto copy = states;
-  MaterializedSource source(std::move(states));
-  const auto streamed = drain(source);
-  ASSERT_EQ(streamed.size(), copy.size());
-  for (std::size_t t = 0; t < copy.size(); ++t) {
-    expect_states_equal(streamed[t], copy[t], t);
-  }
-}
-
 TEST(ScenarioSourceTest, MatchesGenerateStatesExactly) {
   Scenario materialized(tiny());
   const auto states = materialized.generate_states(10);
@@ -284,7 +272,8 @@ TEST(StreamingDifferentialTest, StreamingEqualsMaterializedForAllPolicies) {
       params.mpc.window = 2;
 
       Scenario scenario(config);
-      MaterializedSource pre_drawn(scenario.generate_states(horizon));
+      const auto states = scenario.generate_states(horizon);
+      MaterializedSource pre_drawn(states);
       auto materialized_policy = make_policy(name, scenario.instance(), params);
       const auto materialized =
           run_policy(*materialized_policy, pre_drawn, seed);
@@ -320,7 +309,8 @@ TEST(StreamingRunPolicyTest, AuditedOverloadMatchesMaterialized) {
   audit.mode = AuditMode::kEverySlot;
 
   Scenario scenario(config);
-  MaterializedSource pre_drawn(scenario.generate_states(horizon));
+  const auto states = scenario.generate_states(horizon);
+  MaterializedSource pre_drawn(states);
   auto policy_a = make_policy("dpp-bdma", scenario.instance());
   const auto materialized =
       run_policy(*policy_a, scenario.instance(), pre_drawn, audit, 4);
@@ -353,7 +343,8 @@ TEST(StreamingRunPolicyTest, KeepSeriesFalseKeepsAggregatesOnly) {
   const auto lean = run_policy(*policy, source, 1, /*keep_series=*/false);
 
   Scenario scenario(config);
-  MaterializedSource pre_drawn(scenario.generate_states(horizon));
+  const auto states = scenario.generate_states(horizon);
+  MaterializedSource pre_drawn(states);
   auto reference_policy = make_policy("dpp-bdma", scenario.instance());
   const auto full = run_policy(*reference_policy, pre_drawn, 1);
 
@@ -365,7 +356,6 @@ TEST(StreamingRunPolicyTest, KeepSeriesFalseKeepsAggregatesOnly) {
             full.metrics.average_energy_cost());
   EXPECT_EQ(lean.metrics.average_queue(), full.metrics.average_queue());
   EXPECT_EQ(lean.metrics.max_queue(), full.metrics.max_queue());
-  EXPECT_THROW((void)lean.metrics.latency_percentile(95.0), std::logic_error);
   EXPECT_THROW((void)tail_averages(lean, 2), std::invalid_argument);
 }
 

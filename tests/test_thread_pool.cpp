@@ -16,7 +16,8 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   const std::size_t count = 1000;
   std::vector<std::atomic<int>> hits(count);
-  pool.parallel_for_index(count, [&](std::size_t i) { ++hits[i]; });
+  pool.parallel_for_index(count, pool.size(),
+                          [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < count; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << i;
   }
@@ -25,7 +26,8 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 TEST(ThreadPool, ResultsByIndexAreOrderIndependent) {
   ThreadPool pool(3);
   std::vector<std::size_t> out(257);
-  pool.parallel_for_index(out.size(), [&](std::size_t i) { out[i] = i * i; });
+  pool.parallel_for_index(out.size(), pool.size(),
+                          [&](std::size_t i) { out[i] = i * i; });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i);
   }
@@ -44,7 +46,7 @@ TEST(ThreadPool, MaxWorkersOneIsSerialInline) {
 TEST(ThreadPool, ZeroCountIsANoOp) {
   ThreadPool pool(2);
   bool touched = false;
-  pool.parallel_for_index(0, [&](std::size_t) { touched = true; });
+  pool.parallel_for_index(0, pool.size(), [&](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
@@ -59,7 +61,7 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   ThreadPool pool(4);
   std::atomic<int> completed{0};
   try {
-    pool.parallel_for_index(64, [&](std::size_t i) {
+    pool.parallel_for_index(64, pool.size(), [&](std::size_t i) {
       if (i == 13) throw std::runtime_error("boom");
       ++completed;
     });
@@ -102,7 +104,7 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   ThreadPool pool(2);
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.parallel_for_index(100, [&](std::size_t i) { sum += i; });
+    pool.parallel_for_index(100, pool.size(), [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 4950u);
   }
 }
@@ -118,7 +120,8 @@ TEST(ThreadPool, StressTinyJobsDoNotRaceJobLifetime) {
   for (int round = 0; round < 3000; ++round) {
     std::atomic<std::size_t> sum{0};
     const std::size_t count = 1 + static_cast<std::size_t>(round % 4);
-    pool.parallel_for_index(count, [&](std::size_t i) { sum += i + 1; });
+    pool.parallel_for_index(count, pool.size(),
+                            [&](std::size_t i) { sum += i + 1; });
     EXPECT_EQ(sum.load(), count * (count + 1) / 2) << round;
   }
 }
@@ -129,7 +132,7 @@ TEST(ThreadPool, SharedPoolIsAProcessSingleton) {
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.size(), 1u);
   std::atomic<std::size_t> sum{0};
-  a.parallel_for_index(10, [&](std::size_t i) { sum += i; });
+  a.parallel_for_index(10, a.size(), [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 45u);
 }
 

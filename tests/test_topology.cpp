@@ -46,7 +46,7 @@ TEST(Builder, BuildsConsistentTopology) {
   EXPECT_EQ(topo.num_servers(), 1u);
   EXPECT_EQ(topo.num_base_stations(), 1u);
   EXPECT_EQ(topo.num_devices(), 1u);
-  EXPECT_EQ(topo.cluster(room).servers.size(), 1u);
+  EXPECT_EQ(topo.clusters()[room.value].servers.size(), 1u);
   EXPECT_EQ(topo.server(s0).cluster, room);
 }
 

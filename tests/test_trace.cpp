@@ -19,17 +19,10 @@ TEST(PeriodicTrend, FoldsModuloPeriod) {
   EXPECT_EQ(trend.period(), 3u);
 }
 
-TEST(PeriodicTrend, MinMaxMean) {
+TEST(PeriodicTrend, MinMax) {
   const PeriodicTrend trend({2.0, 6.0, 4.0});
   EXPECT_DOUBLE_EQ(trend.min(), 2.0);
   EXPECT_DOUBLE_EQ(trend.max(), 6.0);
-  EXPECT_DOUBLE_EQ(trend.mean(), 4.0);
-}
-
-TEST(PeriodicTrend, ScaledAndShifted) {
-  const PeriodicTrend trend({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(trend.scaled(3.0).at(1), 6.0);
-  EXPECT_DOUBLE_EQ(trend.shifted(-1.0).at(0), 0.0);
 }
 
 TEST(PeriodicTrend, DiurnalSpansRangeAndPeaksWherePlaced) {

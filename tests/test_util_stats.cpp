@@ -39,91 +39,6 @@ TEST(RunningStats, MatchesBatchFormulas) {
   EXPECT_DOUBLE_EQ(s.sum(), 31.0);
 }
 
-TEST(RunningStats, MergeEqualsSinglePass) {
-  Rng rng(10);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    whole.add(x);
-    (i < 200 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
-// Property: merging an empty accumulator, in either order, must not let
-// the defaulted min_/max_ of 0.0 leak into the extrema. All-positive data
-// would show a poisoned min (0.0 < every sample), all-negative data a
-// poisoned max — both directions are pinned here, exactly the failure a
-// missing count_ == 0 guard in merge() would produce.
-TEST(RunningStats, MergeWithEmptyNeverPoisonsExtrema) {
-  for (const double sign : {1.0, -1.0}) {
-    RunningStats filled;
-    for (const double x : {3.0, 7.0, 5.0}) filled.add(sign * x);
-
-    RunningStats populated_into_empty;
-    populated_into_empty.merge(filled);  // empty.merge(non-empty)
-    RunningStats empty;
-    filled.merge(empty);  // non-empty.merge(empty)
-
-    for (const RunningStats& s : {filled, populated_into_empty}) {
-      EXPECT_EQ(s.count(), 3u);
-      EXPECT_DOUBLE_EQ(s.min(), sign > 0 ? 3.0 : -7.0) << "sign " << sign;
-      EXPECT_DOUBLE_EQ(s.max(), sign > 0 ? 7.0 : -3.0) << "sign " << sign;
-      EXPECT_DOUBLE_EQ(s.mean(), sign * 5.0);
-      EXPECT_DOUBLE_EQ(s.sum(), sign * 15.0);
-    }
-  }
-}
-
-// Property: for random data and a random split point, merge(left, right)
-// agrees with the single-pass accumulator — including when one side of
-// the split is empty (i = 0 or i = n picks an endpoint split).
-TEST(RunningStats, MergeAtAnySplitEqualsSinglePass) {
-  Rng rng(77);
-  const int n = 120;
-  std::vector<double> xs;
-  xs.reserve(n);
-  RunningStats whole;
-  for (int i = 0; i < n; ++i) {
-    // Strictly positive samples so a 0.0-poisoned min would be visible.
-    const double x = 1.0 + std::abs(rng.normal(0.0, 4.0));
-    xs.push_back(x);
-    whole.add(x);
-  }
-  for (const int split : {0, 1, 17, n / 2, n - 1, n}) {
-    RunningStats left;
-    RunningStats right;
-    for (int i = 0; i < n; ++i) (i < split ? left : right).add(xs[i]);
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count()) << "split " << split;
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-10) << "split " << split;
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-8) << "split " << split;
-    EXPECT_DOUBLE_EQ(left.min(), whole.min()) << "split " << split;
-    EXPECT_DOUBLE_EQ(left.max(), whole.max()) << "split " << split;
-    EXPECT_GT(left.min(), 0.0) << "split " << split;
-  }
-}
-
 TEST(BatchStats, MeanAndStddev) {
   const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(mean(xs), 5.0);

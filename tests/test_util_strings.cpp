@@ -5,27 +5,6 @@
 namespace eotora::util {
 namespace {
 
-TEST(Split, BasicFields) {
-  const auto parts = split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(Split, KeepsEmptyFields) {
-  const auto parts = split(",x,", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "");
-  EXPECT_EQ(parts[1], "x");
-  EXPECT_EQ(parts[2], "");
-}
-
-TEST(Split, NoDelimiterGivesWholeString) {
-  const auto parts = split("hello", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "hello");
-}
-
 TEST(Trim, RemovesWhitespaceBothEnds) {
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim("\t a b \n"), "a b");

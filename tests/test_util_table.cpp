@@ -35,22 +35,6 @@ TEST(Table, DoubleRowsUsePrecision) {
   EXPECT_NE(table.to_ascii().find("1.235"), std::string::npos);
 }
 
-TEST(Table, CsvRoundTripShape) {
-  Table table({"a", "b"});
-  table.add_row({"1", "2"});
-  table.add_row({"3", "4"});
-  EXPECT_EQ(table.to_csv(), "a,b\n1,2\n3,4\n");
-}
-
-TEST(Table, CsvEscapesSpecialCharacters) {
-  Table table({"field"});
-  table.add_row({"has,comma"});
-  table.add_row({"has\"quote"});
-  const std::string csv = table.to_csv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
 TEST(Table, PrintWritesToStream) {
   Table table({"h"});
   table.add_row({"v"});

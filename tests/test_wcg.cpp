@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "core/latency.h"
+#include "support/core_oracles.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -58,7 +59,7 @@ TEST(Wcg, PlayerCostsSumToTotal) {
   const Profile z = problem.random_profile(rng);
   double sum = 0.0;
   for (std::size_t i = 0; i < devices; ++i) {
-    sum += problem.player_cost(z, i);
+    sum += player_cost(problem, z, i);
   }
   EXPECT_NEAR(sum, problem.total_cost(z), 1e-9 * sum);
 }
@@ -77,12 +78,12 @@ TEST_P(PotentialExactness, DeltaPhiEqualsDeltaPlayerCost) {
   for (int move = 0; move < 25; ++move) {
     const std::size_t i = rng.index(devices);
     const std::size_t new_opt = rng.index(problem.options(i).size());
-    const double phi_before = problem.potential(z);
-    const double cost_before = problem.player_cost(z, i);
+    const double phi_before = potential(problem, z);
+    const double cost_before = player_cost(problem, z, i);
     Profile z2 = z;
     z2[i] = new_opt;
-    const double phi_after = problem.potential(z2);
-    const double cost_after = problem.player_cost(z2, i);
+    const double phi_after = potential(problem, z2);
+    const double cost_after = player_cost(problem, z2, i);
     EXPECT_NEAR(phi_after - phi_before, cost_after - cost_before,
                 1e-9 * (1.0 + std::abs(cost_after - cost_before)));
     z = z2;
@@ -102,10 +103,8 @@ TEST(Wcg, LoadTrackerMatchesScratchEvaluation) {
   for (int move = 0; move < 50; ++move) {
     EXPECT_NEAR(tracker.total_cost(), problem.total_cost(z),
                 1e-9 * tracker.total_cost());
-    EXPECT_NEAR(tracker.potential(), problem.potential(z),
-                1e-9 * tracker.potential());
     for (std::size_t i = 0; i < devices; ++i) {
-      EXPECT_NEAR(tracker.player_cost(i), problem.player_cost(z, i),
+      EXPECT_NEAR(tracker.player_cost(i), player_cost(problem, z, i),
                   1e-9 * (1.0 + tracker.player_cost(i)));
     }
     const std::size_t i = rng.index(devices);
@@ -114,7 +113,7 @@ TEST(Wcg, LoadTrackerMatchesScratchEvaluation) {
     const double predicted = tracker.cost_if_moved(i, o);
     Profile z2 = z;
     z2[i] = o;
-    EXPECT_NEAR(predicted, problem.player_cost(z2, i),
+    EXPECT_NEAR(predicted, player_cost(problem, z2, i),
                 1e-9 * (1.0 + predicted));
     tracker.move(i, o);
     z = z2;
@@ -163,7 +162,7 @@ TEST(Wcg, ProfileAssignmentRoundTrip) {
   const WcgProblem problem(instance, state, instance.max_frequencies());
   const Profile z = problem.random_profile(rng);
   const Assignment a = problem.to_assignment(z);
-  const Profile z2 = problem.to_profile(a);
+  const Profile z2 = to_profile(problem, a);
   EXPECT_EQ(z, z2);
 }
 
@@ -174,81 +173,7 @@ TEST(Wcg, ToProfileRejectsInfeasiblePair) {
   Assignment bad;
   bad.bs_of = {1};
   bad.server_of = {0};  // bs1 does not reach server 0
-  EXPECT_THROW((void)problem.to_profile(bad), std::invalid_argument);
-}
-
-// warm_profile seeds every controller's first CGBA solve of a slot from the
-// previous slot's assignment. A device keeps its carried (bs, server) pair
-// while that is still an option; otherwise it takes exactly the option
-// random_profile draws, and the rng advances as random_profile advances it.
-TEST(Wcg, WarmProfileKeepsSurvivingPairsAndDrawsTheRest) {
-  constexpr std::size_t kDevices = 6;
-  const Instance instance = test::tiny_instance(kDevices);
-  SlotState state = test::uniform_state(kDevices, 2);
-  // Devices 1 and 4 lose bs-1, and with it their carried (bs-1, s2) pair.
-  state.channel[1][1] = 0.0;
-  state.channel[4][1] = 0.0;
-  const WcgProblem problem(instance, state, instance.max_frequencies());
-  Assignment carried;
-  carried.bs_of = {0, 1, 0, 1, 1, 0};
-  carried.server_of = {1, 2, 2, 2, 2, 0};
-  bool carry_overrode_a_draw = false;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    util::Rng warm_rng(seed);
-    util::Rng cold_rng(seed);
-    const Profile warm = problem.warm_profile(carried, warm_rng);
-    const Profile cold = problem.random_profile(cold_rng);
-    EXPECT_EQ(warm_rng.engine(), cold_rng.engine()) << seed;
-    ASSERT_EQ(warm.size(), kDevices);
-    for (std::size_t i = 0; i < kDevices; ++i) {
-      if (i == 1 || i == 4) {
-        EXPECT_EQ(warm[i], cold[i]) << "seed " << seed << " device " << i;
-        continue;
-      }
-      const Option& kept = problem.options(i)[warm[i]];
-      EXPECT_EQ(kept.bs, carried.bs_of[i])
-          << "seed " << seed << " device " << i;
-      EXPECT_EQ(kept.server, carried.server_of[i])
-          << "seed " << seed << " device " << i;
-      carry_overrode_a_draw = carry_overrode_a_draw || warm[i] != cold[i];
-    }
-  }
-  EXPECT_TRUE(carry_overrode_a_draw);
-}
-
-TEST(Wcg, WarmProfileFromAnEmptyCarryIsTheRandomProfile) {
-  util::Rng rng(49);
-  const Instance instance = test::tiny_instance(5);
-  const SlotState state = test::random_state(5, 2, rng);
-  const WcgProblem problem(instance, state, instance.max_frequencies());
-  util::Rng warm_rng(50);
-  util::Rng cold_rng(50);
-  EXPECT_EQ(problem.warm_profile(Assignment{}, warm_rng),
-            problem.random_profile(cold_rng));
-  EXPECT_EQ(warm_rng.engine(), cold_rng.engine());
-}
-
-// A carry that does not cover the problem's devices is a caller bug (a
-// workspace reused across instances), not a cold start.
-TEST(Wcg, WarmProfileRejectsACarryOfTheWrongLength) {
-  const Instance instance = test::tiny_instance(3);
-  const WcgProblem problem(instance, test::uniform_state(3, 2),
-                           instance.max_frequencies());
-  util::Rng rng(51);
-  Assignment short_carry;
-  short_carry.bs_of = {0, 0};
-  short_carry.server_of = {0, 0};
-  EXPECT_THROW((void)problem.warm_profile(short_carry, rng),
-               std::invalid_argument);
-  Assignment long_carry;
-  long_carry.bs_of = {0, 0, 0, 0};
-  long_carry.server_of = {0, 0, 0, 0};
-  EXPECT_THROW((void)problem.warm_profile(long_carry, rng),
-               std::invalid_argument);
-  Assignment ragged;
-  ragged.bs_of = {0, 0, 0};
-  ragged.server_of = {0, 0};
-  EXPECT_THROW((void)problem.warm_profile(ragged, rng), std::invalid_argument);
+  EXPECT_THROW((void)to_profile(problem, bad), std::invalid_argument);
 }
 
 TEST(Wcg, SingletonLowerBoundIsValid) {

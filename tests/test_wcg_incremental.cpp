@@ -32,6 +32,8 @@
 #include "energy/quadratic_energy.h"
 #include "sim/audit.h"
 #include "sim/scenario.h"
+#include "support/core_oracles.h"
+#include "support/sim_oracles.h"
 #include "test_helpers.h"
 #include "topology/builder.h"
 #include "util/rng.h"
@@ -159,42 +161,32 @@ TEST_P(IncrementalFuzz, EngineMatchesTrackerAndFromScratchAfterRandomMoves) {
     }
   }
 
-  // Incremental loads / load-squares vs a from-scratch accumulation.
+  // Incremental loads vs a from-scratch accumulation.
   const Profile& z = tracker.profile();
   std::vector<double> loads(problem.num_resources(), 0.0);
-  std::vector<double> squares(problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < devices; ++i) {
     const Option& opt = problem.options(i)[z[i]];
     loads[opt.r_compute] += opt.p_compute;
     loads[opt.r_access] += opt.p_access;
     loads[opt.r_fronthaul] += opt.p_fronthaul;
-    squares[opt.r_compute] += opt.p_compute * opt.p_compute;
-    squares[opt.r_access] += opt.p_access * opt.p_access;
-    squares[opt.r_fronthaul] += opt.p_fronthaul * opt.p_fronthaul;
   }
   // Incremental error is relative to the magnitudes that flowed through a
   // resource, not to its final value — a resource that empties out keeps an
   // absolute residue of order ulp(peak load), so compare against the
   // problem-wide scale.
   double loads_scale = 1.0;
-  double squares_scale = 1.0;
   for (std::size_t r = 0; r < problem.num_resources(); ++r) {
     loads_scale = std::max(loads_scale, loads[r]);
-    squares_scale = std::max(squares_scale, squares[r]);
   }
   for (std::size_t r = 0; r < problem.num_resources(); ++r) {
     EXPECT_NEAR(tracker.loads()[r], loads[r], kRelTol * loads_scale)
         << "loads " << r;
-    EXPECT_NEAR(tracker.load_squares()[r], squares[r],
-                kRelTol * squares_scale)
-        << "load_squares " << r;
   }
 
   // Tracked costs vs from-scratch problem evaluation of the same profile.
   expect_rel_near(tracker.total_cost(), problem.total_cost(z), "total_cost");
-  expect_rel_near(tracker.potential(), problem.potential(z), "potential");
   for (std::size_t i = 0; i < devices; ++i) {
-    expect_rel_near(tracker.player_cost(i), problem.player_cost(z, i),
+    expect_rel_near(tracker.player_cost(i), player_cost(problem, z, i),
                     "player_cost");
   }
 }
@@ -372,7 +364,7 @@ TEST(WcgRebuild, RebuildEqualsFreshConstruction) {
   }
   const Profile z = fresh.random_profile(rng);
   EXPECT_EQ(reused.total_cost(z), fresh.total_cost(z));
-  EXPECT_EQ(reused.potential(z), fresh.potential(z));
+  EXPECT_EQ(potential(reused, z), potential(fresh, z));
 }
 
 // rebuild() survives shrinking and growing shapes (a smaller slot after a
@@ -477,23 +469,17 @@ TEST(WcgRebuild, PComputeIsTheScalarChainAcrossRebuilds) {
   }
 }
 
-// Scratch-buffer overloads return the same bits as the allocating ones.
-TEST(WcgScratch, ScratchOverloadsMatchAllocatingOverloads) {
+// The scratch-buffer overload returns the same bits as the allocating one.
+TEST(WcgScratch, ScratchOverloadMatchesAllocatingOverload) {
   util::Rng rng(13);
   const Instance instance = test::tiny_instance(4);
   const SlotState state = test::random_state(4, 2, rng);
   const WcgProblem problem(instance, state, instance.max_frequencies());
 
   std::vector<double> scratch;
-  std::vector<double> squares;
   for (int trial = 0; trial < 10; ++trial) {
     const Profile z = problem.random_profile(rng);
     EXPECT_EQ(problem.total_cost(z, scratch), problem.total_cost(z));
-    EXPECT_EQ(problem.potential(z, scratch, squares), problem.potential(z));
-    for (std::size_t i = 0; i < problem.num_devices(); ++i) {
-      EXPECT_EQ(problem.player_cost(z, i, scratch),
-                problem.player_cost(z, i));
-    }
   }
 }
 
